@@ -3,7 +3,8 @@
 Subcommands: grid, ideal, matroid, verify, secant, rigidity.  Text artifacts
 use the documented serialization formats; JSON artifacts additionally echo
 the seed and budgets.  Exit codes: 0 pass, 1 check failure, 2 usage error,
-3 inconclusive (budget-gated step exhausted its budget).
+3 inconclusive (budget-gated step exhausted its budget, or random draws kept
+disagreeing where a generic answer was required).
 
 All randomness flows from --seed through named child generators (SHA-256 of
 "seed/label"), so identical invocations produce byte-identical outputs.
@@ -20,7 +21,14 @@ from .cimodel import ci_ideal, parse_ci_file
 from .hypergraph import GridSpec, Hypergraph, grid_hypergraph, grid_matrix_text, hypergraph_ideal
 from .ideals import DEFAULT_MAX_DEGREE, DEFAULT_MAX_PAIRS, Ideal, ideal_to_cas, ideal_to_text
 from .linalg import matrix_from_text, rank
-from .matroid import PolyMap, algebraic_matroid, arrangement_signature, matroid_from_matrix, realize_grid_matroid
+from .matroid import (
+    GenericityError,
+    PolyMap,
+    algebraic_matroid,
+    arrangement_signature,
+    matroid_from_matrix,
+    realize_grid_matroid,
+)
 from .report import WitnessReport
 from .sampling import child_rng
 from .secrig import Framework, generic_rigidity_check, rigidity_matrix, secant_dimension, segre_tangent_model
@@ -32,6 +40,7 @@ from .verify import (
 )
 
 USAGE_EXIT = 2
+INCONCLUSIVE_EXIT = 3
 
 
 def _load_config(argv: list[str]) -> list[str]:
@@ -264,6 +273,8 @@ def cmd_matroid(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise SystemExit("--trials must be at least 1")
     name = args.name
     if name == "example31":
         report = verify_three_lines_decomposition(
@@ -358,6 +369,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, KeyError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
+    except GenericityError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return INCONCLUSIVE_EXIT
 
 
 if __name__ == "__main__":

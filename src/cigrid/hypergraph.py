@@ -125,6 +125,8 @@ def hypergraph_ideal(H: Hypergraph, d: int, base: str = "x") -> Ideal:
     size exists); their rank condition still participates in membership
     testing via `in_variety`.
     """
+    if d < 1:
+        raise ValueError(f"need d >= 1, got d={d}")
     X = generic_matrix(d, H.n, base)
     memo: dict = {}
     seen = set()

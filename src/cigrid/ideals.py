@@ -8,8 +8,10 @@ processed, maximum degree touched) are hard limits; exceeding one raises
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, le, sub
 from typing import Iterable, Sequence
 
 from .poly import DEGREVLEX, MonomialOrder, PolyRing, Polynomial, Var, normalize_sign
@@ -48,19 +50,19 @@ class Ideal:
 
 
 def _divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _mono_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def _mono_div(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def _mono_lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def _term_times(f: Polynomial, mono: tuple[int, ...], coeff: Fraction) -> Polynomial:
@@ -68,21 +70,50 @@ def _term_times(f: Polynomial, mono: tuple[int, ...], coeff: Fraction) -> Polyno
 
 
 def reduce_poly(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder) -> Polynomial:
-    """Fully reduced remainder of f modulo the basis (multivariate division)."""
+    """Fully reduced remainder of f modulo the basis (multivariate division).
+
+    Heap division (Monagan & Pearce, CASC 2007): the pending terms live in a
+    dict, and a min-heap of descending keys yields the largest pending
+    monomial.  Each step cancels that monomial with the first basis element
+    whose leading monomial divides it, or moves it to the remainder.  Every
+    monomial a step adds is smaller than the one it cancels, so a monomial
+    that leaves the dict never comes back; heap entries whose monomial
+    cancelled to zero are skipped when popped.
+    """
     if not basis:
         return f
-    lts = [g.leading(order) for g in basis]
+    divisors = [(*g.leading(order), g.terms) for g in basis]
+    key = order.descending_key
+    work = dict(f.terms)
+    heap = [(key(m), m) for m in work]
+    heapq.heapify(heap)
     remainder: dict[tuple[int, ...], Fraction] = {}
-    work = f
-    while not work.is_zero():
-        m, c = work.leading(order)
-        for g, (gm, gc) in zip(basis, lts):
+    while heap:
+        m = heapq.heappop(heap)[1]
+        c = work.pop(m, None)
+        if c is None:
+            continue
+        for gm, gc, gterms in divisors:
             if _divides(gm, m):
-                work = work - _term_times(g, _mono_div(m, gm), c / gc)
+                q = _mono_div(m, gm)
+                scale = -c / gc
+                for tm, tc in gterms.items():
+                    if tm == gm:
+                        continue
+                    tm = _mono_mul(tm, q)
+                    old = work.get(tm)
+                    if old is None:
+                        work[tm] = scale * tc
+                        heapq.heappush(heap, (key(tm), tm))
+                    else:
+                        s = old + scale * tc
+                        if s:
+                            work[tm] = s
+                        else:
+                            del work[tm]
                 break
         else:
             remainder[m] = c
-            work = Polynomial(work.ring, {k: v for k, v in work.terms.items() if k != m})
     return Polynomial(f.ring, remainder)
 
 
@@ -114,19 +145,21 @@ def buchberger(
         _, c = g.leading(order)
         basis.append(g.scale(1 / c))
 
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
+    # normal selection: smallest lcm under the order, then smallest indices;
+    # each pair's key is computed once, when the pair is created
+    heads = [g.leading(order)[0] for g in basis]
+    pairs: list[tuple] = []
+
+    def add_pairs(k: int) -> None:
+        for i in range(k):
+            heapq.heappush(pairs, (order.key(_mono_lcm(heads[i], heads[k])), i, k))
+
+    for k in range(1, len(basis)):
+        add_pairs(k)
     processed = 0
     while pairs:
-        # normal selection: smallest lcm under the order, then smallest indices
-        def pair_key(p):
-            i, j = p
-            l = _mono_lcm(basis[i].leading(order)[0], basis[j].leading(order)[0])
-            return (order.key(l), i, j)
-
-        i, j = min(pairs, key=pair_key)
-        pairs.discard((i, j))
-        fm = basis[i].leading(order)[0]
-        gm = basis[j].leading(order)[0]
+        _, i, j = heapq.heappop(pairs)
+        fm, gm = heads[i], heads[j]
         l = _mono_lcm(fm, gm)
         if l == _mono_mul(fm, gm):  # coprime leading monomials: S-pair reduces to 0
             continue
@@ -140,10 +173,10 @@ def buchberger(
             continue
         if r.total_degree() > max_degree:
             raise BudgetExceeded(f"basis degree {r.total_degree()} exceeds budget {max_degree}")
-        _, c = r.leading(order)
+        m, c = r.leading(order)
         basis.append(r.scale(1 / c))
-        k = len(basis) - 1
-        pairs.update((i2, k) for i2 in range(k))
+        heads.append(m)
+        add_pairs(len(basis) - 1)
 
     reduced = _interreduce(basis, order)
     return Ideal(ideal.ring, ideal.generators, tuple(reduced), order)

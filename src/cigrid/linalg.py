@@ -49,10 +49,6 @@ def row_submatrix(m: Sequence[Sequence[Fraction]], rows: Iterable[int]) -> Mat:
     return [list(m[i - 1]) for i in idx]
 
 
-def is_zero_matrix(m: Sequence[Sequence[Fraction]]) -> bool:
-    return all(x == 0 for row in m for x in row)
-
-
 def rank(m: Sequence[Sequence[Fraction]]) -> int:
     """Exact rank by fraction Gaussian elimination."""
     work = [list(row) for row in m]

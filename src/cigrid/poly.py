@@ -9,10 +9,12 @@ exact and all values are immutable after construction.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from math import lcm, prod
+from operator import add, itemgetter, neg
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 Rat = Fraction | int
 
@@ -48,25 +50,58 @@ class MonomialOrder:
     by the reversed exponent vector), or "block" (compare block by block,
     degrevlex inside each block; the first block is the elimination block).
     blocks holds variable positions for "block" orders.
+
+    Both keys are compiled once per order: `key` sorts ascending, and
+    `descending_key` orders monomials the opposite way, so a min-heap on it
+    pops the largest monomial first.
     """
 
     kind: str
     blocks: tuple[tuple[int, ...], ...] = ()
+    key: Callable[[tuple[int, ...]], Any] = field(init=False, repr=False, compare=False)
+    descending_key: Callable[[tuple[int, ...]], Any] = field(init=False, repr=False, compare=False)
 
-    def key(self, exps: tuple[int, ...]):
-        if self.kind == "lex":
-            return exps
-        if self.kind == "degrevlex":
-            return (sum(exps), tuple(-e for e in reversed(exps)))
-        if self.kind == "block":
-            return tuple(
-                (sum(exps[p] for p in blk), tuple(-exps[p] for p in reversed(blk)))
-                for blk in self.blocks
-            )
-        raise ValueError(f"unknown monomial order kind {self.kind!r}")
+    def __post_init__(self):
+        key, descending_key = _compile_order(self.kind, self.blocks)
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "descending_key", descending_key)
 
     def __str__(self) -> str:
         return self.kind
+
+
+def _picker(positions: tuple[int, ...]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """Exponents at `positions`, always as a tuple."""
+    if len(positions) >= 2:
+        return itemgetter(*positions)
+    if positions:
+        (p,) = positions
+        return lambda exps: (exps[p],)
+    return lambda exps: ()
+
+
+def _compile_order(kind: str, blocks: tuple[tuple[int, ...], ...]):
+    """(ascending key, descending key) of a monomial order.  Within a graded
+    block, the ascending key is (degree, negated reversed exponents); its
+    exact negation (-degree, reversed exponents) sorts the other way."""
+    if kind == "lex":
+        return (lambda exps: exps), (lambda exps: tuple(map(neg, exps)))
+    if kind == "degrevlex":
+        return (
+            lambda exps: (sum(exps), tuple(map(neg, reversed(exps)))),
+            lambda exps: (-sum(exps), exps[::-1]),
+        )
+    if kind == "block":
+        pickers = [_picker(tuple(reversed(blk))) for blk in blocks]
+
+        def key(exps):
+            return tuple([(sum(part), tuple(map(neg, part))) for part in [pick(exps) for pick in pickers]])
+
+        def descending_key(exps):
+            return tuple([(-sum(part), part) for part in [pick(exps) for pick in pickers]])
+
+        return key, descending_key
+    raise ValueError(f"unknown monomial order kind {kind!r}")
 
 
 LEX = MonomialOrder("lex")
@@ -78,10 +113,12 @@ class PolyRing:
     """A polynomial ring over Q with a fixed, row-major-sorted variable tuple."""
 
     variables: tuple[Var, ...]
+    _positions: dict[Var, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if tuple(sorted(set(self.variables))) != self.variables:
             raise ValueError("ring variables must be sorted and distinct")
+        object.__setattr__(self, "_positions", {v: i for i, v in enumerate(self.variables)})
 
     @staticmethod
     def of(variables: Iterable[Var]) -> "PolyRing":
@@ -89,16 +126,9 @@ class PolyRing:
 
     def position(self, v: Var) -> int:
         try:
-            return self._positions()[v]
+            return self._positions[v]
         except KeyError:
             raise KeyError(f"{v} is not a variable of this ring") from None
-
-    def _positions(self) -> dict[Var, int]:
-        cached = _POSITION_CACHE.get(self.variables)
-        if cached is None:
-            cached = {v: i for i, v in enumerate(self.variables)}
-            _POSITION_CACHE[self.variables] = cached
-        return cached
 
     def zero(self) -> "Polynomial":
         return Polynomial(self, {})
@@ -140,21 +170,22 @@ class PolyRing:
         return PolyRing.of(self.variables + tuple(extra))
 
 
-_POSITION_CACHE: dict[tuple[Var, ...], dict[Var, int]] = {}
-
-
 class Polynomial:
     """Map from exponent tuples to nonzero rational coefficients.
 
     Never mutate `terms` after construction; arithmetic returns new values.
+    That is what makes the cached leading term (per order, last queried) and
+    the evaluation plan (built on the first `evaluate`) safe to keep.
     """
 
-    __slots__ = ("ring", "terms", "_hash")
+    __slots__ = ("ring", "terms", "_hash", "_lead", "_plan")
 
     def __init__(self, ring: PolyRing, terms: dict[tuple[int, ...], Fraction]):
         self.ring = ring
         self.terms = {m: c for m, c in terms.items() if c != 0}
         self._hash: int | None = None
+        self._lead: tuple[MonomialOrder, tuple[tuple[int, ...], Fraction]] | None = None
+        self._plan: tuple | None = None
 
     # -- basic structure ---------------------------------------------------
 
@@ -162,7 +193,7 @@ class Polynomial:
         return not self.terms
 
     def total_degree(self) -> int:
-        return max((sum(m) for m in self.terms), default=0)
+        return max(map(sum, self.terms), default=0)
 
     def support(self) -> set[Var]:
         out: set[Var] = set()
@@ -173,10 +204,15 @@ class Polynomial:
         return out
 
     def leading(self, order: MonomialOrder = DEGREVLEX) -> tuple[tuple[int, ...], Fraction]:
+        cached = self._lead
+        if cached is not None and (cached[0] is order or cached[0] == order):
+            return cached[1]
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         m = max(self.terms, key=order.key)
-        return m, self.terms[m]
+        lead = (m, self.terms[m])
+        self._lead = (order, lead)
+        return lead
 
     def constant_value(self) -> Fraction:
         """Coefficient of the empty monomial (the whole value if constant)."""
@@ -202,7 +238,7 @@ class Polynomial:
 
     def _coerce(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise ValueError("polynomials live in different rings")
             return other
         if isinstance(other, (int, Fraction)):
@@ -215,11 +251,15 @@ class Polynomial:
             return NotImplemented
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            s = terms.get(m, Fraction(0)) + c
-            if s:
-                terms[m] = s
+            old = terms.get(m)
+            if old is None:
+                terms[m] = c
             else:
-                terms.pop(m, None)
+                s = old + c
+                if s:
+                    terms[m] = s
+                else:
+                    del terms[m]
         return Polynomial(self.ring, terms)
 
     __radd__ = __add__
@@ -243,12 +283,16 @@ class Polynomial:
         terms: dict[tuple[int, ...], Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                s = terms.get(m, Fraction(0)) + c1 * c2
-                if s:
-                    terms[m] = s
+                m = tuple(map(add, m1, m2))
+                old = terms.get(m)
+                if old is None:
+                    terms[m] = c1 * c2
                 else:
-                    terms.pop(m, None)
+                    s = old + c1 * c2
+                    if s:
+                        terms[m] = s
+                    else:
+                        del terms[m]
         return Polynomial(self.ring, terms)
 
     __rmul__ = __mul__
@@ -281,22 +325,53 @@ class Polynomial:
 
     def evaluate(self, assignment: Mapping[Var, Rat]) -> Fraction:
         """Exact value at a point; every variable appearing in self must be
-        assigned."""
-        values: list[Fraction | None] = [None] * len(self.ring.variables)
-        for v, x in assignment.items():
-            p = self.ring._positions().get(v)
-            if p is not None:
-                values[p] = Fraction(x)
-        total = Fraction(0)
+        assigned.
+
+        Works in integers over the common denominator q * prod b_i^E_i, where
+        q is the lcm of the coefficient denominators, x_i = a_i / b_i, and E_i
+        is the largest exponent of x_i: each term contributes its integer
+        coefficient times prod a_i^e_i * b_i^(E_i - e_i), and one `Fraction`
+        is built at the end.
+        """
+        if self._plan is None:
+            self._plan = self._evaluation_plan()
+        support, tops, denominator, terms = self._plan
+        table = [1]
+        for v, top in zip(support, tops):
+            try:
+                x = assignment[v]
+            except KeyError:
+                raise ValueError(f"unassigned variable {v}") from None
+            if not isinstance(x, (int, Fraction)):
+                x = Fraction(x)
+            a, b = x.numerator, x.denominator
+            if top == 1:
+                table += (b, a)
+            else:
+                table += [a**e * b ** (top - e) for e in range(top + 1)]
+            denominator *= b**top
+        return Fraction(sum([c * prod(pick(table)) for c, pick in terms]), denominator)
+
+    def _evaluation_plan(self):
+        """(support variables, their largest exponents, lcm of the coefficient
+        denominators, [(integer coefficient, picker)]) where each picker takes
+        a term's factors a_i^e * b_i^(E_i - e) out of the table `evaluate`
+        builds: a leading 1, then E_i + 1 entries per support variable."""
+        positions = sorted({i for m in self.terms for i, e in enumerate(m) if e})
+        tops = [max(m[i] for m in self.terms) for i in positions]
+        offsets = []
+        start = 1
+        for top in tops:
+            offsets.append(start)
+            start += top + 1
+        denominator = lcm(*(c.denominator for c in self.terms.values()))
+        terms = []
         for m, c in self.terms.items():
-            term = c
-            for i, e in enumerate(m):
-                if e:
-                    if values[i] is None:
-                        raise ValueError(f"unassigned variable {self.ring.variables[i]}")
-                    term *= values[i] ** e
-            total += term
-        return total
+            slots = [off + m[i] for off, i in zip(offsets, positions)]
+            slots += [0] * (2 - len(slots))  # itemgetter needs two items to return a tuple
+            terms.append((c.numerator * (denominator // c.denominator), itemgetter(*slots)))
+        support = tuple(self.ring.variables[i] for i in positions)
+        return support, tuple(tops), denominator, terms
 
     def rename(self, mapping: Mapping[Var, Var], target: PolyRing) -> "Polynomial":
         """Ring morphism sending each support variable through `mapping`."""

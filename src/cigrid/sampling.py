@@ -35,10 +35,6 @@ def rand_nonzero_fraction(rng: random.Random, bound: int = DEFAULT_BOUND) -> Fra
             return x
 
 
-def rand_positive_fraction(rng: random.Random, bound: int = DEFAULT_BOUND) -> Fraction:
-    return Fraction(rng.randint(1, bound), rng.randint(1, bound))
-
-
 def rand_vector(rng: random.Random, n: int, bound: int = DEFAULT_BOUND) -> list[Fraction]:
     return [rand_fraction(rng, bound) for _ in range(n)]
 

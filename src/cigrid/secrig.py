@@ -37,6 +37,8 @@ def segre_tangent_model(m: int, n: int) -> TangentModel:
 
     The tangent space at u v^T is spanned by the u x e_j and e_i x v slabs.
     """
+    if m < 1 or n < 1:
+        raise ValueError(f"need m, n >= 1, got m={m}, n={n}")
 
     def draw(rng: random.Random) -> tuple[Point, list[Point]]:
         u = [rand_nonzero_fraction(rng) for _ in range(m)]

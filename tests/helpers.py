@@ -110,6 +110,18 @@ def naive_groebner(gens, order=DEGREVLEX, cap: int = 200):
     return basis
 
 
+def naive_evaluate(f: Polynomial, point) -> Fraction:
+    """Term-by-term `Fraction` evaluation; a missing variable is a KeyError."""
+    total = Fraction(0)
+    for m, c in f.terms.items():
+        term = Fraction(c)
+        for v, e in zip(f.ring.variables, m):
+            if e:
+                term *= Fraction(point[v]) ** e
+        total += term
+    return total
+
+
 def random_polynomial(rng: random.Random, ring, max_terms=4, max_exp=3, bound=20) -> Polynomial:
     terms = {}
     width = len(ring.variables)

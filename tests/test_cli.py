@@ -270,3 +270,58 @@ def test_matroid_grid_realization_is_seed_deterministic(capsys):
     _, out1, _ = run(capsys, *argv)
     _, out2, _ = run(capsys, *argv)
     assert out1 == out2
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_rejects_trials_below_one(capsys, trials):
+    code, out, err = run(capsys, "verify", "example32", "--trials", trials)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "--trials must be at least 1" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["secant", "--m", "0", "--n", "3", "--k", "1"], "need m, n >= 1"),
+        (["secant", "--m", "3", "--n", "0", "--k", "1"], "need m, n >= 1"),
+        (["ideal", "--grid", "--k", "2", "--l", "2", "--s", "2", "--t", "2", "--d", "0"], "need d >= 1"),
+        (["ideal", "--grid", "--k", "2", "--l", "2", "--s", "2", "--t", "2", "--d", "-1", "--format", "cas"], "need d >= 1"),
+    ],
+)
+def test_degenerate_sizes_are_usage_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and message in err
+
+
+def test_hypergraph_ideal_rejects_zero_rows(tmp_path, capsys):
+    hg = tmp_path / "one.hg"
+    hg.write_text("3\n1 2\n")
+    code, out, err = run(capsys, "ideal", "--hypergraph", str(hg), "--d", "0")
+    assert code == 2
+    assert out == ""
+    assert "need d >= 1" in err
+
+
+@pytest.mark.parametrize(
+    "target, argv",
+    [
+        ("realize_grid_matroid", ["matroid", "--grid", "--s", "3", "--t", "3", "--k", "3", "--l", "3", "--d", "3"]),
+        ("secant_dimension", ["secant", "--m", "3", "--n", "3", "--k", "2"]),
+        ("generic_rigidity_check", ["rigidity", "--n", "4", "--d", "2"]),
+    ],
+)
+def test_genericity_failure_is_inconclusive_not_a_traceback(monkeypatch, capsys, target, argv):
+    from cigrid import cli
+    from cigrid.matroid import GenericityError
+
+    def disagree(*args, **kwargs):
+        raise GenericityError("draws kept disagreeing")
+
+    monkeypatch.setattr(cli, target, disagree)
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err == "error: draws kept disagreeing\n"

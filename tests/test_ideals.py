@@ -13,8 +13,9 @@ from cigrid.ideals import (
     ideal_to_text,
     intersect,
     normal_form,
+    reduce_poly,
 )
-from cigrid.poly import PolyRing, Var, generic_matrix, minor, parse_polynomial
+from cigrid.poly import DEGREVLEX, LEX, PolyRing, Var, generic_matrix, minor, parse_polynomial
 
 
 def ring_xyz():
@@ -170,3 +171,89 @@ def test_contains_uses_membership():
     ideal = buchberger(Ideal.of(ring, [x - y]))
     assert contains(ideal, (x - y) * z)
     assert not contains(ideal, x + y)
+
+
+def test_reduce_poly_matches_textbook_division_under_every_order_kind():
+    ring = PolyRing.of([Var("w"), Var("x"), Var("y"), Var("z")])
+    orders = [LEX, DEGREVLEX, ring.elimination_order({Var("x"), Var("z")})]
+    rng = random.Random(29)
+    for _ in range(40):
+        f = random_polynomial(rng, ring, max_terms=6, max_exp=4)
+        divisors = [g for g in (random_polynomial(rng, ring, max_terms=3, max_exp=2) for _ in range(3)) if g]
+        for order in orders:
+            assert reduce_poly(f, divisors, order) == naive_division(f, divisors, order)
+
+
+def _basis_set(polys):
+    """A basis as a set of {monomial: (numerator, denominator)} item sets."""
+    return {frozenset((m, (c.numerator, c.denominator)) for m, c in g.terms.items()) for g in polys}
+
+
+def _sympy_set(sympy, exprs, symbols):
+    return {
+        frozenset((m, (int(c.p), int(c.q))) for m, c in sympy.Poly(e, *symbols).as_dict().items())
+        for e in exprs
+    }
+
+
+def _sympy_basis(sympy, gens, ring, order):
+    """sympy's reduced basis over QQ; its grevlex and lex rank the first
+    symbol highest, as cigrid's orders do."""
+    symbols = sympy.symbols([str(v) for v in ring.variables])
+    exprs = [
+        sympy.Add(*[sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*[s**e for s, e in zip(symbols, m)])
+                    for m, c in g.terms.items()])
+        for g in gens
+    ]
+    return _sympy_set(sympy, sympy.groebner(exprs, *symbols, order=order, domain="QQ").exprs, symbols)
+
+
+def test_reduced_bases_match_sympy_groebner():
+    sympy = pytest.importorskip("sympy")
+    ring = ring_xyz()
+    x, y, z = (ring.var(Var(n)) for n in "xyz")
+    ideals = [[x * x - y, x * y - z], [x * y - z, y * y - 1, x + z], [x**3 - 2 * x * y, x * x * y - 2 * y * y + x]]
+    rng = random.Random(31)
+    for _ in range(6):
+        gens = [random_polynomial(rng, ring, max_terms=3, max_exp=2) for _ in range(2)]
+        ideals.append([g for g in gens if g])
+    for gens in ideals:
+        for order, name in ((DEGREVLEX, "grevlex"), (LEX, "lex")):
+            ours = buchberger(Ideal.of(ring, gens), order)
+            assert _basis_set(ours.basis) == _sympy_basis(sympy, gens, ring, name)
+    X = generic_matrix(3, 7)
+    lines = [minor(X, [1, 2, 3], cols) for cols in ([1, 2, 3], [1, 4, 5], [1, 6, 7])]
+    ours = buchberger(Ideal.of(X.ring, lines), DEGREVLEX)
+    assert _basis_set(ours.basis) == _sympy_basis(sympy, lines, X.ring, "grevlex")
+
+
+def test_eliminate_matches_sympy_lex_elimination():
+    sympy = pytest.importorskip("sympy")
+    ring = ring_xyz()
+    x, y, z = (ring.var(Var(n)) for n in "xyz")
+    gens = [x * x - y, x * y - z, x - y * z + 1]
+    small = eliminate(Ideal.of(ring, gens), {Var("x")})
+    ours = buchberger(small, DEGREVLEX).basis
+    # sympy: lex with x first, keep the x-free elements, then reduce in y, z
+    symbols = sympy.symbols("x y z")
+    sx, sy, sz = symbols
+    lex = sympy.groebner([sx**2 - sy, sx * sy - sz, sx - sy * sz + 1], *symbols, order="lex", domain="QQ")
+    free = [e for e in lex.exprs if sx not in e.free_symbols]
+    theirs = sympy.groebner(free, sy, sz, order="grevlex", domain="QQ")
+    assert ours and _basis_set(ours) == _sympy_set(sympy, theirs.exprs, (sy, sz))
+
+
+def test_pair_budget_boundaries_of_the_three_lines_computations():
+    # pins the processed S-pair counts: 17 for the minor ideal's basis and 68
+    # for the component intersection; a budget one lower must be exhausted
+    from cigrid.verify import three_lines_fixture
+
+    _, line_ideal, loop_ideal, lines_ideal, _ = three_lines_fixture()
+    buchberger(line_ideal, max_pairs=17)
+    with pytest.raises(BudgetExceeded, match="S-pair budget 16 exhausted"):
+        buchberger(line_ideal, max_pairs=16)
+    intersect(loop_ideal, lines_ideal, max_pairs=68)
+    with pytest.raises(BudgetExceeded, match="S-pair budget 67 exhausted"):
+        intersect(loop_ideal, lines_ideal, max_pairs=67)
+    with pytest.raises(BudgetExceeded, match="S-pair degree 10 exceeds budget 9"):
+        intersect(loop_ideal, lines_ideal, max_degree=9)

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import det_by_permutations, perm_minor, random_polynomial
+from helpers import det_by_permutations, naive_evaluate, perm_minor, random_polynomial
 from cigrid.poly import (
     DEGREVLEX,
     LEX,
+    MonomialOrder,
     PolyRing,
     Var,
     all_minors,
@@ -203,3 +204,78 @@ def test_rename_moves_between_rings():
     f = ring.var(var("p", 1)) * ring.var(var("p", 2))
     g = f.rename({var("p", 1): var("x", 1, 1), var("p", 2): var("x", 1, 2)}, target)
     assert g == target.var(var("x", 1, 1)) * target.var(var("x", 1, 2))
+
+
+def reference_key(order, exps):
+    """The monomial-order keys written out directly from their definitions."""
+    if order.kind == "lex":
+        return exps
+    if order.kind == "degrevlex":
+        return (sum(exps), tuple(-e for e in reversed(exps)))
+    return tuple(
+        (sum(exps[p] for p in blk), tuple(-exps[p] for p in reversed(blk))) for blk in order.blocks
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 4), min_size=4, max_size=4), min_size=2, max_size=12))
+def test_compiled_order_keys_match_their_definitions(monos):
+    monos = [tuple(m) for m in monos]
+    ring = small_ring("wxyz")
+    orders = [
+        LEX,
+        DEGREVLEX,
+        ring.elimination_order({Var("x")}),
+        ring.elimination_order({Var("w"), Var("y")}),
+        ring.elimination_order(ring.variables),
+    ]
+    for order in orders:
+        for m in monos:
+            assert order.key(m) == reference_key(order, m)
+        ascending = sorted(set(monos), key=lambda m: reference_key(order, m))
+        assert sorted(set(monos), key=order.descending_key) == ascending[::-1]
+
+
+def test_evaluate_matches_term_by_term_fractions():
+    ring = small_ring("wxyz")
+    rng = random.Random(41)
+    cases = [random_polynomial(rng, ring, max_terms=6, max_exp=4) for _ in range(40)]
+    cases += [ring.zero(), ring.const(Fraction(-7, 3)), ring.var(Var("x")) + Fraction(1, 2)]
+    for f in cases:
+        for _ in range(3):
+            point = {v: Fraction(rng.randint(-30, 30), rng.randint(1, 30)) for v in ring.variables}
+            assert f.evaluate(point) == naive_evaluate(f, point)
+            ints = {v: rng.randint(-5, 5) for v in ring.variables}
+            assert f.evaluate(ints) == naive_evaluate(f, ints)
+            assert type(f.evaluate(ints)) is Fraction
+
+
+def test_evaluate_needs_only_the_support_and_rejects_unassigned_variables():
+    ring = small_ring("xyz")
+    x, y = ring.var(Var("x")), ring.var(Var("y"))
+    f = Fraction(2, 3) * x**2 * y - 5 * y + Fraction(1, 7)
+    assert f.evaluate({Var("x"): 3, Var("y"): Fraction(1, 2)}) == naive_evaluate(
+        f, {Var("x"): 3, Var("y"): Fraction(1, 2)}
+    )
+    assert ring.zero().evaluate({}) == 0
+    assert ring.const(4).evaluate({}) == 4
+    with pytest.raises(ValueError, match="unassigned variable y"):
+        f.evaluate({Var("x"): 1, Var("z"): 2})
+    # a failed call leaves nothing behind that changes the next one
+    assert f.evaluate({Var("x"): 1, Var("y"): 1}) == Fraction(2, 3) - 5 + Fraction(1, 7)
+
+
+def test_leading_term_cache_follows_the_queried_order():
+    ring = small_ring("wxyz")
+    rng = random.Random(43)
+    orders = [LEX, DEGREVLEX, ring.elimination_order({Var("z")}), ring.elimination_order({Var("w"), Var("x")})]
+    for _ in range(30):
+        f = random_polynomial(rng, ring, max_terms=6, max_exp=4)
+        if f.is_zero():
+            continue
+        for order in orders * 2 + orders[::-1]:
+            m = max(f.terms, key=lambda mono: reference_key(order, mono))
+            assert f.leading(order) == (m, f.terms[m])
+            # an equal order built separately hits the same answer
+            twin = MonomialOrder(order.kind, order.blocks)
+            assert f.leading(twin) == (m, f.terms[m])
