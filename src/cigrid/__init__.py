@@ -15,6 +15,6 @@ from .matroid import (
 )
 from .poly import DEGREVLEX, LEX, MonomialOrder, PolyRing, Polynomial, Var, generic_matrix, minor
 from .report import WitnessReport
-from .secrig import Framework, mixture_sample, rigidity_matrix, secant_dimension
+from .secrig import Framework, rigidity_matrix, secant_dimension
 
 __version__ = "0.1.0"

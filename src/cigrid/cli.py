@@ -13,13 +13,14 @@ All randomness flows from --seed through named child generators (SHA-256 of
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from pathlib import Path
 
 from .cimodel import ci_ideal, parse_ci_file
 from .hypergraph import GridSpec, Hypergraph, grid_hypergraph, grid_matrix_text, hypergraph_ideal
-from .ideals import DEFAULT_MAX_DEGREE, DEFAULT_MAX_PAIRS, Ideal, ideal_to_cas, ideal_to_text
+from .ideals import Ideal, ideal_to_cas, ideal_to_text
 from .linalg import matrix_from_text, rank
 from .matroid import (
     GenericityError,
@@ -29,18 +30,16 @@ from .matroid import (
     matroid_from_matrix,
     realize_grid_matroid,
 )
-from .report import WitnessReport
+from .report import EXIT_CODES, WitnessReport, overall_status
 from .sampling import child_rng
 from .secrig import Framework, generic_rigidity_check, rigidity_matrix, secant_dimension, segre_tangent_model
-from .verify import (
-    VERIFICATIONS,
-    verify_grid_realization,
-    verify_intersection_axiom,
-    verify_three_lines_decomposition,
-)
+from .verify import VERIFICATIONS
 
 USAGE_EXIT = 2
 INCONCLUSIVE_EXIT = 3
+# `verify` flag -> the campaign parameter it sets; the grid flags set `spec`.
+VERIFY_FLAGS = {"--trials": "trials", "--max-pairs": "max_pairs", "--max-degree": "max_degree"}
+GRID_FLAGS = ("k", "l", "s", "t", "d")
 
 
 def _load_config(argv: list[str]) -> list[str]:
@@ -96,12 +95,15 @@ def _emit(args, stem: str, text: str, payload: dict) -> None:
         sys.stdout.write(text)
 
 
+def _write_report(out: Path, report: WitnessReport) -> None:
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "report.txt").write_text(report.to_text())
+    (out / "report.json").write_text(report.to_json())
+
+
 def _emit_report(args, report: WitnessReport) -> int:
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "report.txt").write_text(report.to_text())
-        (out / "report.json").write_text(report.to_json())
+        _write_report(Path(args.out), report)
     elif args.json:
         sys.stdout.write(report.to_json())
     else:
@@ -147,11 +149,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_mat.add_argument("--parametrization", help="polynomial map file (params line, then coord lines)")
     _add_common(p_mat)
 
-    p_verify = sub.add_parser("verify", help="run a named verification campaign")
-    p_verify.add_argument("name", choices=sorted(VERIFICATIONS))
-    p_verify.add_argument("--trials", type=int, default=100)
-    p_verify.add_argument("--max-pairs", type=int, default=DEFAULT_MAX_PAIRS)
-    p_verify.add_argument("--max-degree", type=int, default=DEFAULT_MAX_DEGREE)
+    p_verify = sub.add_parser(
+        "verify", help="run a named verification campaign, or all of them",
+        epilog="A flag the campaign does not take is a usage error; `all` gives each flag to the campaigns that take it.",
+    )
+    p_verify.add_argument("name", choices=[*sorted(VERIFICATIONS), "all"])
+    p_verify.add_argument("--trials", type=int)
+    p_verify.add_argument("--max-pairs", type=int)
+    p_verify.add_argument("--max-degree", type=int)
     _add_grid_flags(p_verify)
     _add_common(p_verify)
 
@@ -273,23 +278,36 @@ def cmd_matroid(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.trials < 1:
+    """Run one campaign, or all in name order, passing only the flags the user
+    gave; a campaign's keyword parameters name the flags it takes."""
+    if args.trials is not None and args.trials < 1:
         raise SystemExit("--trials must be at least 1")
-    name = args.name
-    if name == "example31":
-        report = verify_three_lines_decomposition(
-            trials=args.trials, seed=args.seed, max_pairs=args.max_pairs, max_degree=args.max_degree
-        )
-    elif name == "intersection-axiom":
-        spec = _grid_spec(args) if args.k is not None else None
-        report = verify_intersection_axiom(spec, trials=args.trials, seed=args.seed)
-    elif name == "theorem32":
-        spec = _grid_spec(args) if args.k is not None else None
-        report = verify_grid_realization(spec, seed=args.seed)
+    given = {param: flag for flag, param in VERIFY_FLAGS.items() if getattr(args, param) is not None}
+    grid = [f"--{g}" for g in GRID_FLAGS if getattr(args, g) is not None]
+    if grid:
+        given["spec"] = ", ".join(grid)
+    names = sorted(VERIFICATIONS) if args.name == "all" else [args.name]
+    takes = {name: inspect.signature(VERIFICATIONS[name]).parameters for name in names}
+    if args.name != "all":
+        refused = [flag for param, flag in given.items() if param not in takes[args.name]]
+        if refused:
+            raise SystemExit(f"verify {args.name} does not take {', '.join(refused)}")
+    values = {param: _grid_spec(args) if param == "spec" else getattr(args, param) for param in given}
+    reports = {
+        name: VERIFICATIONS[name](seed=args.seed, **{p: v for p, v in values.items() if p in takes[name]})
+        for name in names
+    }
+    if args.name != "all":
+        return _emit_report(args, reports[args.name])
+    if args.out:
+        for name, report in reports.items():
+            _write_report(Path(args.out) / name, report)
+    elif args.json:
+        payload = {name: report.to_json_dict() for name, report in reports.items()}
+        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     else:
-        fn = VERIFICATIONS[name]
-        report = fn(trials=args.trials, seed=args.seed) if name == "example32" else fn(seed=args.seed)
-    return _emit_report(args, report)
+        sys.stdout.write("".join(report.to_text() for report in reports.values()))
+    return EXIT_CODES[overall_status(report.status for report in reports.values())]
 
 
 def cmd_secant(args) -> int:

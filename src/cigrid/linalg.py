@@ -33,11 +33,6 @@ def transpose(m: Sequence[Sequence[Fraction]]) -> Mat:
     return [list(col) for col in zip(*m)] if m else []
 
 
-def matmul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> Mat:
-    bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
 def column_submatrix(m: Sequence[Sequence[Fraction]], cols: Iterable[int]) -> Mat:
     """Columns selected by 1-based indices, in increasing order."""
     idx = sorted(set(cols))

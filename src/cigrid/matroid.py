@@ -161,10 +161,6 @@ def matroid_from_text(text: str) -> CircuitMatroid:
     return CircuitMatroid(tuple(range(1, n + 1)), circuits)
 
 
-def same_matroid(a: Matroid, b: Matroid) -> bool:
-    return a.ground == b.ground and a.circuits() == b.circuits()
-
-
 def is_circuit_family(n: int, family: Iterable[Iterable[int]]) -> bool:
     """Circuit axioms, checked exhaustively: no empty circuit, antichain, and
     circuit elimination.  Capped at n <= 14."""
@@ -198,10 +194,6 @@ def dependent_contains(m: Matroid, H: Hypergraph) -> bool:
         if m.is_independent(edge):
             return False
     return True
-
-
-def restriction(m: Matroid, subset: Iterable[int]) -> Matroid:
-    return m.restrict(subset)
 
 
 def grid_circuit_family(spec: GridSpec) -> tuple[frozenset[int], ...]:
@@ -342,11 +334,6 @@ def matrix_product_map(m: int, n: int, r: int) -> PolyMap:
             coords.append(total)
             labels.append(f"{i}{j}")
     return PolyMap(ring, tuple(coords), tuple(labels))
-
-
-def identity_map(n: int) -> PolyMap:
-    ring = PolyRing.of(Var("u", (i,)) for i in range(1, n + 1))
-    return PolyMap(ring, tuple(ring.var(v) for v in ring.variables))
 
 
 def algebraic_matroid(pm: PolyMap, rng: random.Random, max_attempts: int = 4) -> LinearMatroid:

@@ -10,10 +10,22 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Iterable
 
 PASS = "pass"
 FAIL = "fail"
 INCONCLUSIVE = "inconclusive"
+EXIT_CODES = {PASS: 0, FAIL: 1, INCONCLUSIVE: 3}
+
+
+def overall_status(statuses: Iterable[str]) -> str:
+    """"fail" if any status failed, else "inconclusive" if any was, else "pass"."""
+    statuses = set(statuses)
+    if FAIL in statuses:
+        return FAIL
+    if INCONCLUSIVE in statuses:
+        return INCONCLUSIVE
+    return PASS
 
 
 @dataclass
@@ -42,12 +54,7 @@ class WitnessReport:
 
     @property
     def status(self) -> str:
-        statuses = {c.status for c in self.checks}
-        if FAIL in statuses:
-            return FAIL
-        if INCONCLUSIVE in statuses:
-            return INCONCLUSIVE
-        return PASS
+        return overall_status(c.status for c in self.checks)
 
     @property
     def passed(self) -> bool:
@@ -55,7 +62,7 @@ class WitnessReport:
 
     @property
     def exit_code(self) -> int:
-        return {PASS: 0, FAIL: 1, INCONCLUSIVE: 3}[self.status]
+        return EXIT_CODES[self.status]
 
     def to_text(self) -> str:
         lines = [f"verification: {self.name}"]

@@ -1,4 +1,4 @@
-"""Secant dimensions via stacked tangent spaces, mixture samples, joins, and
+"""Secant dimensions via stacked tangent spaces, bar-joint frameworks, and
 rigidity-matrix rank checks.
 
 Dimensions are reported for affine cones; the projective dimension is one
@@ -13,12 +13,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import Callable, Sequence
+from typing import Callable
 
 from .linalg import Mat, rank, row_submatrix
 from .matroid import GenericityError
 from .report import CheckResult, WitnessReport
-from .sampling import mixture_matrix, rand_fraction, rand_nonzero_fraction
+from .sampling import rand_fraction, rand_nonzero_fraction
 
 Point = tuple[Fraction, ...]
 
@@ -81,40 +81,6 @@ def secant_dimension(model: TangentModel, k: int, rng: random.Random, max_attemp
     raise GenericityError(f"stacked tangent ranks kept disagreeing for {model.name}, k={k}")
 
 
-def mixture_sample(m: int, n: int, k: int, rng: random.Random) -> Mat:
-    """Convex combination of k product distributions: a strictly positive
-    m x n matrix with entries summing to one and rank at most k."""
-    if k < 1:
-        raise ValueError("need k >= 1")
-    return mixture_matrix(rng, m, n, k)
-
-
-def join_point(u: Sequence[Fraction], v: Sequence[Fraction], lam: Fraction) -> Point:
-    if len(u) != len(v):
-        raise ValueError("points live in different ambient spaces")
-    lam = Fraction(lam)
-    return tuple(lam * a + (1 - lam) * b for a, b in zip(u, v))
-
-
-def join_sample(
-    u_sampler: Callable[[random.Random], Sequence[Fraction]],
-    v_sampler: Callable[[random.Random], Sequence[Fraction]],
-    rng: random.Random,
-    mixture: bool = False,
-) -> Point:
-    """lam*u + (1-lam)*v for random rational lam; the mixture flag confines
-    lam to the open unit interval."""
-    u = tuple(u_sampler(rng))
-    v = tuple(v_sampler(rng))
-    if mixture:
-        a = rng.randint(1, 2**31)
-        b = rng.randint(1, 2**31)
-        lam = Fraction(a, a + b)
-    else:
-        lam = rand_fraction(rng)
-    return join_point(u, v, lam)
-
-
 # -- bar-joint frameworks ------------------------------------------------------
 
 
@@ -150,11 +116,29 @@ class Framework:
 
     @staticmethod
     def from_text(text: str) -> "Framework":
+        """Parse the `n d` header, exactly n coordinate lines of d rationals,
+        then `u v` edge lines with endpoints in 1..n; anything else is a
+        ValueError, never a silently reinterpreted line."""
         lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln and not ln.startswith("#")]
-        n, d = (int(t) for t in lines[0].split())
+        header = lines[0].split() if lines else []
+        if len(header) != 2:
+            raise ValueError("framework file needs an `n d` header line")
+        n, d = (int(t) for t in header)
+        if n < 1:
+            raise ValueError(f"framework header needs n >= 1, got {n}")
+        if len(lines) < 1 + n:
+            raise ValueError(f"framework header says {n} vertices but only {len(lines) - 1} lines follow it")
         coords = tuple(tuple(Fraction(t) for t in ln.split()) for ln in lines[1 : 1 + n])
-        edges = tuple((int(a), int(b)) for a, b in (ln.split() for ln in lines[1 + n :]))
-        return Framework(d, coords, edges)
+        for i, p in enumerate(coords, start=1):
+            if len(p) != d:
+                raise ValueError(f"coordinate line {i} has {len(p)} entries but the header says d = {d}")
+        edges = []
+        for ln in lines[1 + n :]:
+            ends = ln.split()
+            if len(ends) != 2 or not all(t.isdigit() and 1 <= int(t) <= n for t in ends):
+                raise ValueError(f"edge line {ln!r} is not two endpoints in 1..{n}")
+            edges.append((int(ends[0]), int(ends[1])))
+        return Framework(d, coords, tuple(edges))
 
 
 def complete_graph_edges(n: int) -> tuple[tuple[int, int], ...]:

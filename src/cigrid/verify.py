@@ -25,7 +25,7 @@ from .hypergraph import (
     hypergraph_matrix,
     in_variety,
 )
-from .ideals import BudgetExceeded, Ideal, buchberger, intersect, normal_form
+from .ideals import DEFAULT_MAX_DEGREE, DEFAULT_MAX_PAIRS, BudgetExceeded, Ideal, buchberger, intersect, normal_form
 from .linalg import Mat, matrix_to_text, rank
 from .matroid import (
     GenericityError,
@@ -41,8 +41,7 @@ from .sampling import child_rng, rand_fraction, rand_matrix, rand_nonzero_fracti
 from .secrig import generic_rigidity_check, secant_dimension, segre_tangent_model
 
 MAX_LOGGED_COUNTEREXAMPLES = 5
-REVERSE_CONTAINMENT_MAX_PAIRS = 3000
-REVERSE_CONTAINMENT_MAX_DEGREE = 16
+GRID_REALIZATION_ATTEMPTS = 3
 
 
 @dataclass(frozen=True)
@@ -208,8 +207,8 @@ def _separation_check(
 def verify_three_lines_decomposition(
     trials: int = 100,
     seed: int = 0,
-    max_pairs: int = REVERSE_CONTAINMENT_MAX_PAIRS,
-    max_degree: int = REVERSE_CONTAINMENT_MAX_DEGREE,
+    max_pairs: int = DEFAULT_MAX_PAIRS,
+    max_degree: int = DEFAULT_MAX_DEGREE,
 ) -> WitnessReport:
     """Two-component decomposition of the three-concurrent-lines ideal:
     symbolic containments, vanishing witnesses on both components, separation
@@ -394,19 +393,19 @@ def verify_intersection_axiom(
     return report
 
 
-def verify_grid_realization(spec: GridSpec | None = None, seed: int = 0, attempts: int = 3) -> WitnessReport:
+def verify_grid_realization(spec: GridSpec | None = None, seed: int = 0) -> WitnessReport:
     """Subspace realization of the grid matroid: full rank, dependent edges,
     circuit set equal to the grid family, and the circuit axioms."""
     if spec is None:
         spec = GridSpec(k=3, l=3, s=3, t=3, d=3)
-    report = WitnessReport(name="theorem32", seed=seed, trials=attempts)
+    report = WitnessReport(name="theorem32", seed=seed, trials=GRID_REALIZATION_ATTEMPTS)
     family = grid_circuit_family(spec)
     H = grid_hypergraph(spec)
 
     matrix = None
     circuits_equal = False
     matroid = None
-    for attempt in range(attempts):
+    for attempt in range(GRID_REALIZATION_ATTEMPTS):
         rng = child_rng(seed, f"theorem32/draw{attempt}")
         try:
             matrix = realize_grid_matroid(spec, rng)
@@ -451,11 +450,11 @@ def verify_grid_realization(spec: GridSpec | None = None, seed: int = 0, attempt
 RIGIDITY_CASES = ((2, 3), (2, 4), (2, 5), (3, 5), (3, 6))
 
 
-def verify_rigidity_battery(seed: int = 0, cases: Sequence[tuple[int, int]] = RIGIDITY_CASES) -> WitnessReport:
+def verify_rigidity_battery(seed: int = 0) -> WitnessReport:
     """Rigidity-matrix ranks across the standard case battery, with the
     complete-subgraph circuit checks where the vertex count allows."""
-    report = WitnessReport(name="rigidity", seed=seed, trials=len(cases))
-    for d, n in cases:
+    report = WitnessReport(name="rigidity", seed=seed, trials=len(RIGIDITY_CASES))
+    for d, n in RIGIDITY_CASES:
         rng = child_rng(seed, f"rigidity/d{d}n{n}")
         sub = generic_rigidity_check(n, d, rng, seed_note=seed)
         for check in sub.checks:
@@ -466,11 +465,11 @@ def verify_rigidity_battery(seed: int = 0, cases: Sequence[tuple[int, int]] = RI
 TERRACINI_CASES = ((3, 3, 1), (3, 3, 2), (3, 4, 2), (4, 4, 3))
 
 
-def verify_secant_battery(seed: int = 0, cases: Sequence[tuple[int, int, int]] = TERRACINI_CASES) -> WitnessReport:
+def verify_secant_battery(seed: int = 0) -> WitnessReport:
     """Stacked-tangent secant dimensions of rank-one matrix cones against
     min(mn, k(m+n-k)), each recomputed exactly."""
-    report = WitnessReport(name="terracini", seed=seed, trials=len(cases))
-    for m, n, k in cases:
+    report = WitnessReport(name="terracini", seed=seed, trials=len(TERRACINI_CASES))
+    for m, n, k in TERRACINI_CASES:
         rng = child_rng(seed, f"terracini/m{m}n{n}k{k}")
         model = segre_tangent_model(m, n)
         dim = secant_dimension(model, k, rng)
@@ -485,6 +484,9 @@ def verify_secant_battery(seed: int = 0, cases: Sequence[tuple[int, int, int]] =
     return report
 
 
+# Campaign name -> function.  Every campaign takes `seed`; its other keyword
+# parameters (`trials`, `max_pairs`, `max_degree`, `spec`) are exactly the
+# `cigrid verify` flags it accepts, so the CLI dispatches from the signature.
 VERIFICATIONS = {
     "example31": verify_three_lines_decomposition,
     "example32": verify_rank_two_component,

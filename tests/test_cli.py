@@ -1,11 +1,15 @@
+import functools
 import json
 
 import pytest
 
+from cigrid import verify
 from cigrid.cli import main
 from cigrid.cimodel import ci_file_text
 from cigrid.hypergraph import GridSpec, grid_ci_correspondence, grid_hypergraph, hypergraph_ideal
+from cigrid.ideals import DEFAULT_MAX_DEGREE, DEFAULT_MAX_PAIRS
 from cigrid.poly import parse_polynomial
+from cigrid.report import FAIL, INCONCLUSIVE, PASS, CheckResult, WitnessReport
 
 
 def run(capsys, *argv):
@@ -325,3 +329,139 @@ def test_genericity_failure_is_inconclusive_not_a_traceback(monkeypatch, capsys,
     assert code == 3
     assert out == ""
     assert err == "error: draws kept disagreeing\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("4 2\n0 0\n1 0\n1 2\n", "header says 4 vertices"),
+        ("3 2\n0 0\n1 0 5\n0 1\n1 2\n", "coordinate line 2 has 3 entries"),
+        ("3 3\n0 0 0\n1 0 0\n0 1 0\n1 2 3\n", "is not two endpoints in 1..3"),
+        ("3 2\n0 0\n1 0\n0 1\n1 4\n", "is not two endpoints in 1..3"),
+        ("3 2\n0 0\n1 0\n0 1\n1/2 3\n", "is not two endpoints in 1..3"),
+        ("2 2\n0 0\n1 0\n0 1\n", "is not two endpoints in 1..2"),
+    ],
+    ids=["too-few-lines", "long-coordinate-line", "three-endpoints", "endpoint-out-of-range", "fraction-endpoint", "extra-coordinate-line"],
+)
+def test_rigidity_framework_file_must_match_its_header(tmp_path, capsys, text, message):
+    fw = tmp_path / "bad.fw"
+    fw.write_text(text)
+    code, out, err = run(capsys, "rigidity", "--framework", str(fw))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and message in err
+
+
+# The verify flags each campaign takes; "grid" stands for --k/--l/--s/--t/--d.
+CAMPAIGN_FLAGS = {
+    "example31": {"--trials", "--max-pairs", "--max-degree"},
+    "example32": {"--trials"},
+    "intersection-axiom": {"--trials", "grid"},
+    "theorem32": {"grid"},
+    "rigidity": set(),
+    "terracini": set(),
+}
+# flag -> (argv, campaign parameter, value the campaign must receive)
+FLAG_VALUES = {
+    "--trials": (("--trials", "2"), "trials", 2),
+    "--max-pairs": (("--max-pairs", "50"), "max_pairs", 50),
+    "--max-degree": (("--max-degree", "12"), "max_degree", 12),
+    "grid": (("--k", "3", "--l", "4", "--s", "3", "--t", "3", "--d", "3"), "spec", GridSpec(k=3, l=4, s=3, t=3, d=3)),
+}
+
+
+def test_flag_table_lists_every_campaign():
+    assert sorted(CAMPAIGN_FLAGS) == sorted(verify.VERIFICATIONS)
+
+
+@pytest.mark.parametrize("flag", sorted(FLAG_VALUES))
+@pytest.mark.parametrize("name", sorted(CAMPAIGN_FLAGS))
+def test_verify_flag_is_accepted_exactly_when_the_campaign_takes_it(monkeypatch, capsys, name, flag):
+    seen = {}
+
+    @functools.wraps(verify.VERIFICATIONS[name])  # keeps the campaign's signature
+    def record(**kwargs):
+        seen.update(kwargs)
+        return WitnessReport(name=name, seed=kwargs["seed"], trials=1)
+
+    monkeypatch.setitem(verify.VERIFICATIONS, name, record)
+    argv, param, value = FLAG_VALUES[flag]
+    code, out, err = run(capsys, "verify", name, *argv, "--seed", "4")
+    if flag in CAMPAIGN_FLAGS[name]:
+        assert (code, err) == (0, "")
+        assert seen == {"seed": 4, param: value}
+    else:
+        assert (code, out, seen) == (2, "", {})
+        assert err.count("\n") == 1 and f"verify {name} does not take {argv[0]}" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "terracini", "--trials", "5"], "verify terracini does not take --trials"),
+        (["verify", "example32", "--max-pairs", "1"], "verify example32 does not take --max-pairs"),
+        (["verify", "example31", "--k", "3"], "verify example31 does not take --k"),
+        (["verify", "rigidity", "--trials", "3", "--d", "2"], "verify rigidity does not take --trials, --d"),
+        (["verify", "intersection-axiom", "--s", "2"], "missing grid flags: --k, --l, --t, --d"),
+        (["verify", "theorem32", "--k", "3", "--l", "3"], "missing grid flags: --s, --t, --d"),
+    ],
+)
+def test_verify_refuses_flags_instead_of_dropping_them(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+def test_verify_refuses_a_flag_that_comes_from_a_config_file(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("trials = 5\n")
+    code, out, err = run(capsys, "verify", "terracini", "--config", str(cfg))
+    assert (code, out, err) == (2, "", "error: verify terracini does not take --trials\n")
+
+
+def test_verify_cli_and_library_share_one_budget_default(capsys):
+    code, out, _ = run(capsys, "verify", "example31", "--trials", "2", "--seed", "1")
+    assert code == 0
+    assert out == verify.verify_three_lines_decomposition(trials=2, seed=1).to_text()
+    assert f"budget max_pairs: {DEFAULT_MAX_PAIRS}\n" in out
+    assert f"budget max_degree: {DEFAULT_MAX_DEGREE}\n" in out
+
+
+def test_verify_all_writes_the_bytes_of_each_single_campaign(tmp_path, capsys):
+    code, out, _ = run(capsys, "verify", "all", "--trials", "3", "--seed", "5", "--out", str(tmp_path / "all"))
+    assert (code, out) == (0, "")
+    assert sorted(p.name for p in (tmp_path / "all").iterdir()) == sorted(verify.VERIFICATIONS)
+    for name in sorted(verify.VERIFICATIONS):
+        trials = ["--trials", "3"] if "--trials" in CAMPAIGN_FLAGS[name] else []
+        assert run(capsys, "verify", name, *trials, "--seed", "5", "--out", str(tmp_path / name))[0] == 0
+        for stem in ("report.txt", "report.json"):
+            assert (tmp_path / "all" / name / stem).read_bytes() == (tmp_path / name / stem).read_bytes()
+
+
+def _campaign_with_status(status):
+    def campaign(seed):
+        report = WitnessReport(name=f"fake-{status}", seed=seed, trials=1)
+        report.add(CheckResult("the only check", status))
+        return report
+
+    return campaign
+
+
+def test_verify_all_exit_code_puts_a_failure_above_an_inconclusive(monkeypatch, capsys):
+    for name in verify.VERIFICATIONS:
+        monkeypatch.setitem(verify.VERIFICATIONS, name, _campaign_with_status(PASS))
+    monkeypatch.setitem(verify.VERIFICATIONS, "example32", _campaign_with_status(FAIL))
+    monkeypatch.setitem(verify.VERIFICATIONS, "terracini", _campaign_with_status(INCONCLUSIVE))
+    code, out, _ = run(capsys, "verify", "all", "--seed", "6")
+    assert code == 1
+    expected = [verify.VERIFICATIONS[name](seed=6) for name in sorted(verify.VERIFICATIONS)]
+    assert out == "".join(report.to_text() for report in expected)
+
+    code, out, _ = run(capsys, "verify", "all", "--seed", "6", "--json")
+    assert code == 1
+    payload = json.loads(out)
+    assert list(payload) == sorted(verify.VERIFICATIONS)
+    assert payload["example32"]["status"] == FAIL and payload["terracini"]["status"] == INCONCLUSIVE
+
+    monkeypatch.setitem(verify.VERIFICATIONS, "example32", _campaign_with_status(PASS))
+    assert run(capsys, "verify", "all")[0] == 3

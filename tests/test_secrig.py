@@ -11,16 +11,13 @@ from cigrid.secrig import (
     Framework,
     complete_graph_edges,
     generic_rigidity_check,
-    join_point,
-    join_sample,
-    mixture_sample,
     random_framework,
     rigidity_matrix,
     rigidity_rank_formula,
     secant_dimension,
     segre_tangent_model,
 )
-from cigrid.sampling import child_rng
+from cigrid.sampling import child_rng, mixture_matrix, rand_fraction
 
 
 def as_matrix(point, m, n):
@@ -60,9 +57,9 @@ def test_secant_dimension_monotone_and_capped():
         assert d <= min(model.ambient, k * base)
 
 
-def test_mixture_sample_rank_and_positivity():
+def test_mixture_matrix_rank_and_positivity():
     rng = child_rng(4, "mixture")
-    m1 = mixture_sample(3, 3, 1, rng)
+    m1 = mixture_matrix(rng, 3, 3, 1)
     assert linalg.rank(m1) <= 1
     assert all(x > 0 for row in m1 for x in row)
     assert sum(x for row in m1 for x in row) == 1
@@ -71,30 +68,21 @@ def test_mixture_sample_rank_and_positivity():
         for c1, c2 in combinations(range(3), 2):
             assert m1[r1][c1] * m1[r2][c2] - m1[r1][c2] * m1[r2][c1] == 0
 
-    m2 = mixture_sample(3, 3, 2, rng)
+    m2 = mixture_matrix(rng, 3, 3, 2)
     assert linalg.rank(m2) <= 2
     assert rank_by_minors(m2) <= 2
     for cols in combinations(range(1, 4), 3):
         assert linalg.det(linalg.column_submatrix(m2, cols)) == 0
 
 
-def test_join_point_endpoints():
-    u = (Fraction(1), Fraction(2))
-    v = (Fraction(5), Fraction(7))
-    assert join_point(u, v, Fraction(1)) == u
-    assert join_point(u, v, Fraction(0)) == v
-
-
 def test_join_of_two_rank_one_points_has_rank_at_most_two():
     model = segre_tangent_model(3, 3)
     rng = child_rng(5, "join")
-
-    def sampler(r):
-        point, _ = model.draw(r)
-        return point
-
-    for mixture in (False, True):
-        p = join_sample(sampler, sampler, rng, mixture=mixture)
+    a, b = rng.randint(1, 2**31), rng.randint(1, 2**31)
+    # an arbitrary rational weight and one inside the open unit interval
+    for lam in (rand_fraction(rng), Fraction(a, a + b)):
+        (u, _), (v, _) = model.draw(rng), model.draw(rng)
+        p = tuple(lam * x + (1 - lam) * y for x, y in zip(u, v))
         assert linalg.rank(as_matrix(p, 3, 3)) <= 2
 
 
