@@ -47,10 +47,9 @@ def _load_config(argv: list[str]) -> list[str]:
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")
-    try:
-        path = argv[idx + 1]
-    except IndexError:
-        raise SystemExit(USAGE_EXIT)
+    if idx + 1 == len(argv):
+        raise ValueError("--config needs a file path")
+    path = argv[idx + 1]
     rest = argv[:idx] + argv[idx + 2:]
     extra: list[str] = []
     for line in Path(path).read_text().splitlines():
@@ -71,14 +70,11 @@ def _load_config(argv: list[str]) -> list[str]:
     return rest + extra
 
 
-def _grid_spec(args, require_d: bool = True) -> GridSpec:
-    values = {"k": args.k, "l": args.l, "s": args.s, "t": args.t}
-    missing = [k for k, v in values.items() if v is None]
-    if require_d and args.d is None:
-        missing.append("d")
+def _grid_spec(args) -> GridSpec:
+    missing = [g for g in GRID_FLAGS if getattr(args, g) is None]
     if missing:
         raise SystemExit(f"missing grid flags: {', '.join('--' + m for m in missing)}")
-    return GridSpec(k=args.k, l=args.l, s=args.s, t=args.t, d=args.d if args.d is not None else 0)
+    return GridSpec(k=args.k, l=args.l, s=args.s, t=args.t, d=args.d)
 
 
 def _emit(args, stem: str, text: str, payload: dict) -> None:
@@ -248,7 +244,8 @@ def cmd_matroid(args) -> int:
         source = {"parametrization": args.parametrization, "seed": args.seed}
 
     circuits = m.circuits()
-    lines = [f"ground {len(m.ground)}", f"rank {m.full_rank()}"]
+    full_rank = m.full_rank()
+    lines = [f"ground {len(m.ground)}", f"rank {full_rank}"]
     for c in circuits:
         lines.append("circuit " + " ".join(str(e) for e in sorted(c)))
     if labels:
@@ -260,7 +257,7 @@ def cmd_matroid(args) -> int:
     text = "\n".join(lines) + "\n"
     payload = {
         "ground": len(m.ground),
-        "rank": m.full_rank(),
+        "rank": full_rank,
         "circuits": [sorted(c) for c in circuits],
         "source": source,
     }
@@ -372,7 +369,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         argv = _load_config(argv)
-    except FileNotFoundError as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     parser = build_parser()

@@ -39,11 +39,6 @@ def column_submatrix(m: Sequence[Sequence[Fraction]], cols: Iterable[int]) -> Ma
     return [[row[j - 1] for j in idx] for row in m]
 
 
-def row_submatrix(m: Sequence[Sequence[Fraction]], rows: Iterable[int]) -> Mat:
-    idx = sorted(set(rows))
-    return [list(m[i - 1]) for i in idx]
-
-
 def rank(m: Sequence[Sequence[Fraction]]) -> int:
     """Exact rank by fraction Gaussian elimination."""
     work = [list(row) for row in m]

@@ -11,8 +11,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .hypergraph import GridSpec, Hypergraph, grid_hypergraph
 from .ideals import Ideal
@@ -21,6 +22,7 @@ from .poly import PolyRing, Polynomial, Var, generic_matrix, minor, normalize_si
 from .sampling import rand_fraction, rand_matrix, rand_nonzero_fraction
 
 ENUMERATION_CAP = 16
+AXIOM_CHECK_CAP = 14
 
 
 class GenericityError(RuntimeError):
@@ -101,6 +103,14 @@ class LinearMatroid(Matroid):
             raise ValueError(f"not ground elements: {missing}")
         return LinearMatroid(tuple(subset), tuple(self.columns[pos[e]] for e in subset))
 
+    def circuits(self) -> tuple[frozenset[int], ...]:
+        return self._circuits
+
+    @cached_property
+    def _circuits(self) -> tuple[frozenset[int], ...]:
+        # Stored in the instance's own __dict__, so each matroid enumerates once.
+        return super().circuits()
+
 
 @dataclass(frozen=True)
 class CircuitMatroid(Matroid):
@@ -156,32 +166,53 @@ def matroid_from_text(text: str) -> CircuitMatroid:
         raise ValueError("empty matroid text")
     n = int(lines[0])
     circuits = tuple(frozenset(int(t) for t in ln.split()) for ln in lines[1:])
-    if n <= 14 and not is_circuit_family(n, circuits):
+    if n <= AXIOM_CHECK_CAP and not is_circuit_family(n, circuits):
         raise ValueError("the listed sets do not satisfy the circuit axioms")
     return CircuitMatroid(tuple(range(1, n + 1)), circuits)
 
 
+def _bits(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
+
+
 def is_circuit_family(n: int, family: Iterable[Iterable[int]]) -> bool:
     """Circuit axioms, checked exhaustively: no empty circuit, antichain, and
-    circuit elimination.  Capped at n <= 14."""
-    if n > 14:
-        raise ValueError("circuit-axiom checking is capped at 14 elements")
+    circuit elimination.  Capped at n <= 14.
+
+    Element e is bit e-1.  `contains_a_circuit[mask]` is filled in increasing
+    mask order, so every one-smaller subset is final before its superset
+    reads it; both axioms are then answered by lookups.
+    """
+    if n > AXIOM_CHECK_CAP:
+        raise ValueError(f"circuit-axiom checking is capped at {AXIOM_CHECK_CAP} elements")
     circuits = [frozenset(c) for c in family]
     if len(set(circuits)) != len(circuits):
         return False
     for c in circuits:
         if not c or min(c) < 1 or max(c) > n:
             return False
-    for c1 in circuits:
-        for c2 in circuits:
-            if c1 != c2 and c1 <= c2:
+    masks = [sum(1 << (e - 1) for e in c) for c in circuits]
+    contains_a_circuit = bytearray(1 << n)
+    for mask in masks:
+        contains_a_circuit[mask] = 1
+    for mask in range(1, 1 << n):
+        if not contains_a_circuit[mask] and any(contains_a_circuit[mask ^ bit] for bit in _bits(mask)):
+            contains_a_circuit[mask] = 1
+    # Circuits are distinct, so one lies properly inside another exactly when
+    # some one-smaller subset of the larger contains a circuit.
+    for mask in masks:
+        if any(contains_a_circuit[mask ^ bit] for bit in _bits(mask)):
+            return False
+    # Elimination: for each element, every pair of circuits through it leaves
+    # a circuit in their union once the element is removed.
+    for bit in _bits((1 << n) - 1):
+        through = [mask for mask in masks if mask & bit]
+        for i, c1 in enumerate(through):
+            if not all(contains_a_circuit[(c1 | c2) ^ bit] for c2 in through[i + 1:]):
                 return False
-    for i, c1 in enumerate(circuits):
-        for c2 in circuits[i + 1:]:
-            for e in c1 & c2:
-                rest = (c1 | c2) - {e}
-                if not any(c3 <= rest for c3 in circuits):
-                    return False
     return True
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import lcm, prod
 from operator import add, itemgetter, neg
@@ -509,20 +510,28 @@ class SymbolicMatrix:
     def entry(self, i: int, j: int) -> Polynomial:
         return self.entries[i - 1][j - 1]
 
+    @cached_property
+    def _entry_vars(self) -> tuple[Var, ...] | None:
+        """The variable of each entry, row-major; None if some entry does not
+        involve exactly one variable."""
+        out = []
+        for row in self.entries:
+            for e in row:
+                sup = e.support()
+                if len(sup) != 1:
+                    return None
+                out.append(next(iter(sup)))
+        return tuple(out)
+
     def assignment(self, values: Sequence[Sequence[Rat]]) -> dict[Var, Fraction]:
         """Map each single-variable entry to the matching value."""
         d, n = self.shape
         if len(values) != d or any(len(row) != n for row in values):
             raise ValueError("value matrix shape mismatch")
-        out: dict[Var, Fraction] = {}
-        for i in range(d):
-            for j in range(n):
-                e = self.entries[i][j]
-                sup = e.support()
-                if len(sup) != 1:
-                    raise ValueError("assignment requires single-variable entries")
-                out[next(iter(sup))] = Fraction(values[i][j])
-        return out
+        variables = self._entry_vars
+        if variables is None:
+            raise ValueError("assignment requires single-variable entries")
+        return dict(zip(variables, (Fraction(x) for row in values for x in row)))
 
 
 def generic_matrix(d: int, n: int, base: str = "x") -> SymbolicMatrix:

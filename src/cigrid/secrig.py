@@ -15,8 +15,8 @@ from itertools import combinations
 from math import comb
 from typing import Callable
 
-from .linalg import Mat, rank, row_submatrix
-from .matroid import GenericityError
+from .linalg import Mat, rank
+from .matroid import GenericityError, LinearMatroid
 from .report import CheckResult, WitnessReport
 from .sampling import rand_fraction, rand_nonzero_fraction
 
@@ -177,17 +177,23 @@ def _edge_index(n: int) -> dict[tuple[int, int], int]:
 
 def _check_complete_subgraph_circuits(fw: Framework, size: int) -> tuple[bool, str]:
     """Whether the edge rows of every `size`-vertex complete subgraph form a
-    circuit of the row matroid: dependent, all one-smaller subsets independent."""
+    circuit of the row matroid: dependent, all one-smaller subsets independent.
+
+    Each subgraph's rows are cut down to its own vertices' columns, the only
+    nonzero ones.  Dependence is decided by one exact `rank`; the one-smaller
+    subsets go through `LinearMatroid.rank_of`, whose mod-p shadow can only
+    certify independence."""
     R = rigidity_matrix(fw)
     index = _edge_index(fw.n)
     for verts in combinations(range(1, fw.n + 1), size):
         rows = [index[(u, v)] for u, v in combinations(verts, 2)]
-        sub = row_submatrix(R, rows)
-        if rank(sub) >= len(rows):
+        cols = [(v - 1) * fw.d + c for v in verts for c in range(fw.d)]
+        block = [[R[r - 1][c] for c in cols] for r in rows]
+        if rank(block) >= len(rows):
             return False, f"edge set of vertices {verts} is independent"
+        edges = LinearMatroid(tuple(rows), tuple(tuple(row) for row in block))
         for drop in range(len(rows)):
-            kept = rows[:drop] + rows[drop + 1 :]
-            if rank(row_submatrix(R, kept)) < len(kept):
+            if not edges.is_independent(rows[:drop] + rows[drop + 1 :]):
                 return False, f"proper subset of the {verts} edge set is dependent"
     return True, ""
 

@@ -28,6 +28,7 @@ from .hypergraph import (
 from .ideals import DEFAULT_MAX_DEGREE, DEFAULT_MAX_PAIRS, BudgetExceeded, Ideal, buchberger, intersect, normal_form
 from .linalg import Mat, matrix_to_text, rank
 from .matroid import (
+    AXIOM_CHECK_CAP,
     GenericityError,
     dependent_contains,
     grid_circuit_family,
@@ -422,11 +423,12 @@ def verify_grid_realization(spec: GridSpec | None = None, seed: int = 0) -> Witn
     report.add(CheckResult.outcome("a realization was drawn", matrix is not None))
     if matrix is None or matroid is None:
         return report
+    realized_rank = rank(matrix)
     report.add(
         CheckResult.outcome(
             f"realization has rank {spec.d}",
-            rank(matrix) == spec.d,
-            counts={"rank": rank(matrix)},
+            realized_rank == spec.d,
+            counts={"rank": realized_rank},
         )
     )
     report.add(CheckResult.outcome("every grid edge is dependent", dependent_contains(matroid, H)))
@@ -440,7 +442,7 @@ def verify_grid_realization(spec: GridSpec | None = None, seed: int = 0) -> Witn
         )
     else:
         report.add(CheckResult("circuits equal the minimal grid family", INCONCLUSIVE, detail="ground set above the enumeration cap"))
-    if spec.n <= 14:
+    if spec.n <= AXIOM_CHECK_CAP:
         report.add(CheckResult.outcome("the grid family satisfies the circuit axioms", is_circuit_family(spec.n, family)))
     else:
         report.add(CheckResult("the grid family satisfies the circuit axioms", INCONCLUSIVE, detail="ground set above the axiom-check cap"))

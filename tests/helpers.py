@@ -1,8 +1,10 @@
 """Independent oracles used by the test suite.
 
 These deliberately re-derive answers by routes different from the library:
-permutation-sum determinants, minor-search ranks, and a naive textbook
-Groebner routine with none of the library's selection strategy or criteria.
+permutation-sum determinants, minor-search ranks, a naive textbook Groebner
+routine with none of the library's selection strategy or criteria, the
+circuit checks written out with frozensets and full-width exact ranks, and a
+(2,3)-pebble game for generic rigidity in the plane.
 """
 
 from __future__ import annotations
@@ -11,7 +13,9 @@ import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
+from cigrid.linalg import rank
 from cigrid.poly import DEGREVLEX, Polynomial, SymbolicMatrix
+from cigrid.secrig import complete_graph_edges, rigidity_matrix
 
 
 def perm_sign(perm: tuple[int, ...]) -> int:
@@ -131,3 +135,86 @@ def random_polynomial(rng: random.Random, ring, max_terms=4, max_exp=3, bound=20
         if coeff:
             terms[mono] = terms.get(mono, Fraction(0)) + coeff
     return Polynomial(ring, {m: c for m, c in terms.items() if c})
+
+
+def frozenset_is_circuit_family(n: int, family) -> bool:
+    """The circuit axioms checked pair by pair over frozensets: no empty
+    circuit, no duplicates, antichain, and circuit elimination."""
+    if n > 14:
+        raise ValueError("circuit-axiom checking is capped at 14 elements")
+    circuits = [frozenset(c) for c in family]
+    if len(set(circuits)) != len(circuits):
+        return False
+    if any(not c or min(c) < 1 or max(c) > n for c in circuits):
+        return False
+    if any(c1 != c2 and c1 <= c2 for c1 in circuits for c2 in circuits):
+        return False
+    for i, c1 in enumerate(circuits):
+        for c2 in circuits[i + 1:]:
+            for e in c1 & c2:
+                rest = (c1 | c2) - {e}
+                if not any(c3 <= rest for c3 in circuits):
+                    return False
+    return True
+
+
+def full_width_subgraph_circuits(fw, size: int) -> tuple[bool, str]:
+    """Complete-subgraph circuit test on whole rigidity-matrix rows: one exact
+    rank for the edge set and one for each one-smaller subset."""
+    R = rigidity_matrix(fw)
+    index = {e: i for i, e in enumerate(complete_graph_edges(fw.n))}
+    for verts in combinations(range(1, fw.n + 1), size):
+        rows = [R[index[e]] for e in combinations(verts, 2)]
+        if rank(rows) >= len(rows):
+            return False, f"edge set of vertices {verts} is independent"
+        for drop in range(len(rows)):
+            kept = rows[:drop] + rows[drop + 1:]
+            if rank(kept) < len(kept):
+                return False, f"proper subset of the {verts} edge set is dependent"
+    return True, ""
+
+
+def pebble_game_rank(n: int, edges) -> int:
+    """Size of a maximal (2,3)-sparse subset of the edges on vertices 1..n,
+    the rank of the generic 2-dimensional rigidity matroid (Laman 1970), by
+    the pebble game of Jacobs and Hendrickson (1997).
+
+    Each vertex starts with two pebbles.  An edge is accepted when four
+    pebbles can be gathered on its endpoints; one of them then covers it,
+    and the edge is directed away from the endpoint that gave it."""
+    pebbles = [2] * (n + 1)
+    heads: list[list[int]] = [[] for _ in range(n + 1)]
+
+    def fetch(root: int, other: int) -> bool:
+        # Depth-first search along directed edges for a free pebble away from
+        # both endpoints; reversing the path brings that pebble to `root`.
+        parent = {root: root, other: other}
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            for y in heads[x]:
+                if y in parent:
+                    continue
+                parent[y] = x
+                if pebbles[y]:
+                    pebbles[y] -= 1
+                    pebbles[root] += 1
+                    while y != root:
+                        x = parent[y]
+                        heads[x].remove(y)
+                        heads[y].append(x)
+                        y = x
+                    return True
+                stack.append(y)
+        return False
+
+    accepted = 0
+    for u, v in edges:
+        while pebbles[u] + pebbles[v] < 4:
+            if not (pebbles[u] < 2 and fetch(u, v)) and not (pebbles[v] < 2 and fetch(v, u)):
+                break
+        if pebbles[u] + pebbles[v] == 4:
+            pebbles[u] -= 1
+            heads[u].append(v)
+            accepted += 1
+    return accepted

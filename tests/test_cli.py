@@ -419,6 +419,11 @@ def test_verify_refuses_a_flag_that_comes_from_a_config_file(tmp_path, capsys):
     assert (code, out, err) == (2, "", "error: verify terracini does not take --trials\n")
 
 
+def test_config_without_a_path_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "terracini", "--config")
+    assert (code, out, err) == (2, "", "error: --config needs a file path\n")
+
+
 def test_verify_cli_and_library_share_one_budget_default(capsys):
     code, out, _ = run(capsys, "verify", "example31", "--trials", "2", "--seed", "1")
     assert code == 0

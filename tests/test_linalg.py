@@ -73,10 +73,9 @@ def test_matrix_text_round_trip():
     assert text.splitlines()[0] == "2 3"
 
 
-def test_column_and_row_submatrix_use_one_based_indices():
+def test_column_submatrix_uses_one_based_indices():
     m = linalg.mat([[1, 2, 3], [4, 5, 6]])
     assert linalg.column_submatrix(m, [1, 3]) == linalg.mat([[1, 3], [4, 6]])
-    assert linalg.row_submatrix(m, [2]) == linalg.mat([[4, 5, 6]])
 
 
 def test_transpose():

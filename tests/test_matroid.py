@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import rank_by_minors
+from helpers import frozenset_is_circuit_family, rank_by_minors
 from cigrid import linalg
 from cigrid.hypergraph import GridSpec, Hypergraph, grid_hypergraph
 from cigrid.matroid import (
     CircuitMatroid,
+    Matroid,
     PolyMap,
     algebraic_matroid,
     arrangement_signature,
@@ -97,6 +98,78 @@ def test_is_circuit_family_cases():
     assert not is_circuit_family(3, [set()])
     with pytest.raises(ValueError):
         is_circuit_family(15, [{1}])
+
+
+def _random_family(rng: random.Random) -> tuple[int, list[frozenset[int]]]:
+    """A true circuit family (of a small integer matrix) or one spoiled by a
+    dropped circuit, an added superset or subset, a duplicate, or random sets."""
+    n = rng.randint(1, 8)
+    m = [[Fraction(rng.choice((-1, 0, 0, 1, 2))) for _ in range(n)] for _ in range(rng.randint(1, 3))]
+    family = list(matroid_from_matrix(m).circuits())
+    kind = rng.randrange(6)
+    if kind == 1 and family:
+        family.pop(rng.randrange(len(family)))
+    elif kind == 2 and family:
+        c = family[rng.randrange(len(family))]
+        family.append(c | {rng.randint(1, n)})
+    elif kind == 3 and family:
+        c = sorted(family[rng.randrange(len(family))])
+        family.append(frozenset(c[:-1]) or frozenset(c))
+    elif kind == 4 and family:
+        family.append(family[rng.randrange(len(family))])
+    elif kind == 5:
+        family = [frozenset(rng.sample(range(1, n + 1), rng.randint(1, n))) for _ in range(rng.randint(1, 6))]
+    rng.shuffle(family)
+    return n, family
+
+
+def test_is_circuit_family_agrees_with_the_frozenset_definition():
+    rng = random.Random(20240)
+    verdicts = []
+    for _ in range(300):
+        n, family = _random_family(rng)
+        verdict = is_circuit_family(n, family)
+        assert verdict == frozenset_is_circuit_family(n, family), (n, family)
+        verdicts.append(verdict)
+    assert 60 <= sum(verdicts) <= 240
+
+
+def test_is_circuit_family_at_the_cap():
+    # element 14 is the top bit of the table
+    for family in (
+        [{1, 2, 3}, {13, 14}],
+        [{13, 14}, {1, 14}, {1, 13}],
+        [{13, 14}, {1, 14}],
+        [{1, 2, 14}, {1, 3, 14}],
+        [{1, 2, 14}, {1, 3, 14}, {2, 3, 14}, {1, 2, 3}],
+    ):
+        assert is_circuit_family(14, family) == frozenset_is_circuit_family(14, family), family
+    for family in ([{1}], [{15}], []):
+        with pytest.raises(ValueError):
+            is_circuit_family(15, family)
+        with pytest.raises(ValueError):
+            frozenset_is_circuit_family(15, family)
+
+
+def test_shadow_never_decides_dependence():
+    # independent over Q, singular mod SHADOW_PRIME
+    m = matroid_from_matrix(linalg.mat([[1, 0], [0, linalg.SHADOW_PRIME]]))
+    assert linalg.rank_mod_p(m._submatrix([1, 2])) == 1
+    assert m.rank_of([1, 2]) == 2
+    assert m.is_independent([1, 2])
+    assert m.circuits() == ()
+
+
+def test_linear_matroid_enumerates_its_circuits_once():
+    free = matroid_from_matrix(linalg.identity(3))
+    lines = matroid_from_matrix(concurrent_lines_matrix())
+    assert free.circuits() == ()
+    first = lines.circuits()
+    assert first == Matroid.circuits(lines)
+    assert lines.circuits() is first
+    assert matroid_from_matrix(concurrent_lines_matrix()).circuits() == first
+    assert lines.restrict([1, 2, 3]).circuits() == (frozenset({1, 2, 3}),)
+    assert free.circuits() == ()
 
 
 def test_grid_circuit_family_satisfies_the_axioms():

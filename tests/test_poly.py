@@ -11,6 +11,7 @@ from cigrid.poly import (
     LEX,
     MonomialOrder,
     PolyRing,
+    SymbolicMatrix,
     Var,
     all_minors,
     generic_matrix,
@@ -108,6 +109,21 @@ def test_evaluate_two_by_two_minor_at_identity():
     X = generic_matrix(2, 2)
     f = minor(X, [1, 2], [1, 2])
     assert f.evaluate(X.assignment([[1, 0], [0, 1]])) == 1
+
+
+def test_assignment_maps_entries_row_major_and_rejects_bad_input():
+    X = generic_matrix(2, 3)
+    point = X.assignment([[1, 2, 3], [4, 5, 6]])
+    assert point == {Var("x", (i, j)): Fraction(3 * (i - 1) + j) for i in (1, 2) for j in (1, 2, 3)}
+    assert X.assignment([[0, 0, 0], [7, 0, 0]])[Var("x", (2, 1))] == 7
+    for values in ([[1, 2, 3]], [[1, 2], [3, 4]], [[1, 2, 3], [4, 5]]):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            X.assignment(values)
+    x, y = X.ring.var(Var("x", (1, 1))), X.ring.var(Var("x", (1, 2)))
+    for entry in (x + y, X.ring.const(1)):
+        mixed = SymbolicMatrix(X.ring, ((x, entry),))
+        with pytest.raises(ValueError, match="single-variable"):
+            mixed.assignment([[1, 2]])
 
 
 def test_evaluate_rejects_unassigned_variable():

@@ -4,11 +4,12 @@ from itertools import combinations
 
 import pytest
 
-from helpers import rank_by_minors
+from helpers import full_width_subgraph_circuits, pebble_game_rank, rank_by_minors
 from cigrid import linalg
 from cigrid.matroid import matroid_from_matrix
 from cigrid.secrig import (
     Framework,
+    _check_complete_subgraph_circuits,
     complete_graph_edges,
     generic_rigidity_check,
     random_framework,
@@ -157,3 +158,69 @@ def test_framework_text_round_trip():
     fw = random_framework(3, 2, child_rng(11, "fw"))
     assert Framework.from_text(fw.to_text()) == fw
     assert complete_graph_edges(3) == ((1, 2), (1, 3), (2, 3))
+
+
+def _framework(d: int, points) -> Framework:
+    coords = tuple(tuple(Fraction(x) for x in p) for p in points)
+    return Framework(d, coords, complete_graph_edges(len(coords)))
+
+
+def _degenerate_framework(rng: random.Random, n: int, d: int) -> Framework:
+    """Distinct points on a line (d = 2) or in a plane (d = 3)."""
+    points = set()
+    while len(points) < n:
+        a, b = rng.randint(-9, 9), rng.randint(-9, 9)
+        points.add((a, 2 * a + 1) if d == 2 else (a, b, a - b))
+    return _framework(d, sorted(points))
+
+
+def test_subgraph_circuit_check_agrees_with_full_width_ranks():
+    rng = child_rng(12, "subgraph-circuits")
+    cases = []
+    for n, d in [(3, 1), (4, 1), (4, 2), (5, 2), (6, 2), (5, 3), (6, 3)]:
+        cases.append((random_framework(n, d, rng), d + 2))
+        small = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(4 * n)]
+        distinct = list(dict.fromkeys(small))[:n]
+        if len(distinct) == n:
+            cases.append((_framework(d, distinct), d + 2))
+        if d in (2, 3):
+            cases.append((_degenerate_framework(rng, n, d), d + 2))
+        cases.append((random_framework(n, d, rng), d + 1))
+    outcomes = set()
+    for fw, size in cases:
+        got = _check_complete_subgraph_circuits(fw, size)
+        assert got == full_width_subgraph_circuits(fw, size), (fw, size)
+        outcomes.add(got[1].split(" ")[0])
+    assert outcomes == {"", "edge", "proper"}
+
+
+def test_degenerate_frameworks_have_dependent_proper_subsets():
+    rng = child_rng(13, "degenerate")
+    for n, d in [(4, 2), (6, 2), (5, 3), (6, 3)]:
+        ok, why = _check_complete_subgraph_circuits(_degenerate_framework(rng, n, d), d + 2)
+        assert not ok and why.startswith("proper subset of the (1, 2, ")
+
+
+def test_subgraph_circuit_check_never_trusts_the_shadow():
+    p = linalg.SHADOW_PRIME
+    # one edge of length p: independent over Q, a zero row mod p
+    assert _check_complete_subgraph_circuits(_framework(1, [(0,), (p,)]), 2) == (
+        False,
+        "edge set of vertices (1, 2) is independent",
+    )
+    # every row vanishes mod p, yet the triangle on a line is a circuit
+    assert _check_complete_subgraph_circuits(_framework(1, [(0,), (p,), (2 * p,)]), 3) == (True, "")
+
+
+def test_planar_rigidity_rank_matches_the_pebble_game():
+    rng = child_rng(14, "pebble-game")
+    all_independent = set()
+    for _ in range(40):
+        n = rng.randint(2, 8)
+        edges = [e for e in complete_graph_edges(n) if rng.random() < 0.6]
+        expected = pebble_game_rank(n, edges)
+        fw = random_framework(n, 2, rng, edges)
+        assert linalg.rank(rigidity_matrix(fw)) == expected, (n, edges)
+        all_independent.add(expected == len(edges))
+    assert all_independent == {True, False}
+    assert pebble_game_rank(8, complete_graph_edges(8)) == rigidity_rank_formula(8, 2)
