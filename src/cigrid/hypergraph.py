@@ -32,8 +32,15 @@ class Hypergraph:
         for e in sets:
             if min(e) < 1 or max(e) > n:
                 raise ValueError(f"edge {sorted(e)} out of range for n={n}")
-        minimal = [e for e in sets if not any(f < e for f in sets)]
-        minimal.sort(key=lambda e: (len(e), sorted(e)))
+        # A proper subset sorts before its superset, and a dropped edge has a
+        # kept subset of its own, so testing against kept edges suffices.
+        minimal: list[frozenset[int]] = []
+        kept_masks: list[int] = []
+        for e in sorted(sets, key=lambda e: (len(e), sorted(e))):
+            mask = sum(1 << v for v in e)
+            if all(k & mask != k for k in kept_masks):
+                minimal.append(e)
+                kept_masks.append(mask)
         return Hypergraph(n, tuple(minimal))
 
     def normalize(self) -> "Hypergraph":

@@ -140,31 +140,65 @@ def rank_mod_p(m: Sequence[Sequence[Fraction]], p: int = SHADOW_PRIME) -> int | 
     """
     if not m or not m[0]:
         return 0
-    cols = transpose(m)
-    reduced: list[list[int]] = []
-    for col in cols:
-        scale = lcm(*(x.denominator for x in col)) if col else 1
-        if scale % p == 0:
-            return None
-        reduced.append([(x.numerator * (scale // x.denominator)) % p for x in col])
-    work = [list(row) for row in zip(*reduced)]
-    nrows, ncols = len(work), len(work[0])
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if work[i][c] % p), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = pow(work[r][c], -1, p)
-        for i in range(r + 1, nrows):
-            f = (work[i][c] * inv) % p
-            if f:
-                for j in range(c, ncols):
-                    work[i][j] = (work[i][j] - f * work[r][j]) % p
-        r += 1
-        if r == nrows:
-            break
-    return r
+    cols = [vector_mod_p(col, p) for col in zip(*m)]
+    if None in cols:
+        return None
+    return rank_of_vectors_mod_p(cols, p)
+
+
+def vector_mod_p(v: Sequence[Fraction], p: int = SHADOW_PRIME) -> list[int] | None:
+    """The vector times the lcm of its denominators, reduced mod p; None when
+    p divides that lcm.  A nonzero scale changes neither ranks nor which
+    combinations vanish, so a caller may reduce each vector once and
+    eliminate on the results many times."""
+    scale = lcm(*(x.denominator for x in v))
+    if scale % p == 0:
+        return None
+    return [x.numerator * (scale // x.denominator) % p for x in v]
+
+
+def _reduce_mod_p(v: list[int], basis: list[tuple[int, list[int]]], p: int) -> list[int]:
+    for c, b in basis:
+        f = v[c]
+        if f:
+            v = [(x - f * y) % p for x, y in zip(v, b)]
+    return v
+
+
+def rank_of_vectors_mod_p(vectors: Iterable[Sequence[int]], p: int = SHADOW_PRIME) -> int:
+    """Rank over GF(p) of vectors already reduced mod p (see `vector_mod_p`).
+
+    Each vector is reduced against the echelon basis so far (pivot entry 1);
+    a nonzero remainder joins the basis at its first nonzero position."""
+    basis: list[tuple[int, list[int]]] = []
+    for v in vectors:
+        v = _reduce_mod_p(list(v), basis, p)
+        c = next((j for j, x in enumerate(v) if x), None)
+        if c is not None:
+            inv = pow(v[c], -1, p)
+            basis.append((c, [x * inv % p for x in v]))
+    return len(basis)
+
+
+def left_kernel_mod_p(vectors: Sequence[Sequence[int]], p: int = SHADOW_PRIME) -> list[list[int]]:
+    """Basis of {y : sum_i y_i vectors[i] = 0} over GF(p), one vector per
+    dependent input: the elimination of `rank_of_vectors_mod_p` with each
+    vector's combination of the inputs tracked alongside it."""
+    k = len(vectors)
+    basis: list[tuple[int, list[int]]] = []
+    kernel: list[list[int]] = []
+    for i, v in enumerate(vectors):
+        track = [0] * k
+        track[i] = 1
+        v = _reduce_mod_p([*v, *track], basis, p)
+        dim = len(v) - k
+        c = next((j for j in range(dim) if v[j]), None)
+        if c is None:
+            kernel.append(v[dim:])
+        else:
+            inv = pow(v[c], -1, p)
+            basis.append((c, [x * inv % p for x in v]))
+    return kernel
 
 
 def matrix_to_text(m: Sequence[Sequence[Fraction]]) -> str:

@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .hypergraph import GridSpec, Hypergraph, grid_hypergraph
 from .ideals import Ideal
-from .linalg import Mat, kernel_basis, rank, rank_mod_p, transpose
+from .linalg import Mat, kernel_basis, rank, rank_of_vectors_mod_p, transpose, vector_mod_p
 from .poly import PolyRing, Polynomial, Var, generic_matrix, minor, normalize_sign, parse_polynomial
 from .sampling import rand_fraction, rand_matrix, rand_nonzero_fraction
 
@@ -80,8 +80,20 @@ class LinearMatroid(Matroid):
         if len(self.ground) != len(self.columns):
             raise ValueError("one column per ground element required")
 
+    # The cached properties below live in the instance's own __dict__, so no
+    # two matroids share a position table, a shadow or a circuit family.
+    @cached_property
+    def _positions(self) -> dict[int, int]:
+        return {e: i for i, e in enumerate(self.ground)}
+
+    @cached_property
+    def _shadow_columns(self) -> tuple[list[int] | None, ...]:
+        """Each column reduced mod SHADOW_PRIME once; None where the prime
+        divides the column's denominator lcm."""
+        return tuple(vector_mod_p(col) for col in self.columns)
+
     def _submatrix(self, subset: Sequence[int]) -> Mat:
-        pos = {e: i for i, e in enumerate(self.ground)}
+        pos = self._positions
         cols = [self.columns[pos[e]] for e in subset]
         return [list(row) for row in zip(*cols)] if cols else []
 
@@ -89,15 +101,15 @@ class LinearMatroid(Matroid):
         subset = sorted(set(subset))
         if not subset:
             return 0
-        m = self._submatrix(subset)
-        shadow = rank_mod_p(m)
-        if shadow == len(subset):
-            return shadow
-        return rank(m)
+        pos, shadow = self._positions, self._shadow_columns
+        cols = [shadow[pos[e]] for e in subset]
+        if None not in cols and rank_of_vectors_mod_p(cols) == len(subset):
+            return len(subset)
+        return rank(self._submatrix(subset))
 
     def restrict(self, subset: Iterable[int]) -> "LinearMatroid":
         subset = sorted(set(subset))
-        pos = {e: i for i, e in enumerate(self.ground)}
+        pos = self._positions
         missing = [e for e in subset if e not in pos]
         if missing:
             raise ValueError(f"not ground elements: {missing}")
@@ -108,7 +120,6 @@ class LinearMatroid(Matroid):
 
     @cached_property
     def _circuits(self) -> tuple[frozenset[int], ...]:
-        # Stored in the instance's own __dict__, so each matroid enumerates once.
         return super().circuits()
 
 
@@ -166,6 +177,9 @@ def matroid_from_text(text: str) -> CircuitMatroid:
         raise ValueError("empty matroid text")
     n = int(lines[0])
     circuits = tuple(frozenset(int(t) for t in ln.split()) for ln in lines[1:])
+    for c in circuits:
+        if not c or min(c) < 1 or max(c) > n:
+            raise ValueError(f"circuit {sorted(c)} is empty or not inside 1..{n}")
     if n <= AXIOM_CHECK_CAP and not is_circuit_family(n, circuits):
         raise ValueError("the listed sets do not satisfy the circuit axioms")
     return CircuitMatroid(tuple(range(1, n + 1)), circuits)

@@ -15,7 +15,7 @@ from itertools import combinations
 from math import comb
 from typing import Callable
 
-from .linalg import Mat, rank
+from .linalg import Mat, left_kernel_mod_p, rank, vector_mod_p
 from .matroid import GenericityError, LinearMatroid
 from .report import CheckResult, WitnessReport
 from .sampling import rand_fraction, rand_nonzero_fraction
@@ -175,15 +175,31 @@ def _edge_index(n: int) -> dict[tuple[int, int], int]:
     return {e: i + 1 for i, e in enumerate(complete_graph_edges(n))}
 
 
-def _check_complete_subgraph_circuits(fw: Framework, size: int) -> tuple[bool, str]:
-    """Whether the edge rows of every `size`-vertex complete subgraph form a
-    circuit of the row matroid: dependent, all one-smaller subsets independent.
+def _shadow_certifies_circuit(block: Mat) -> bool:
+    """Whether one mod-p elimination proves every one-smaller row subset of
+    a dependent block independent.
+
+    A row subset missing row i is dependent exactly when some nonzero left
+    kernel vector vanishes at i.  A one-dimensional left kernel mod p whose
+    vector has no zero entry therefore makes every one-smaller subset
+    independent mod p, and so over Q.  Any other shadow proves nothing."""
+    rows = [vector_mod_p(row) for row in block]
+    if any(row is None for row in rows):
+        return False
+    kernel = left_kernel_mod_p(rows)
+    return len(kernel) == 1 and all(kernel[0])
+
+
+def _check_complete_subgraph_circuits(fw: Framework, R: Mat, size: int) -> tuple[bool, str]:
+    """Whether the edge rows of every `size`-vertex complete subgraph of the
+    rigidity matrix R form a circuit of the row matroid: dependent, all
+    one-smaller subsets independent.
 
     Each subgraph's rows are cut down to its own vertices' columns, the only
-    nonzero ones.  Dependence is decided by one exact `rank`; the one-smaller
-    subsets go through `LinearMatroid.rank_of`, whose mod-p shadow can only
-    certify independence."""
-    R = rigidity_matrix(fw)
+    nonzero ones.  Dependence is decided by one exact `rank`.  The one-smaller
+    subsets are settled by one mod-p left kernel when it certifies them all;
+    otherwise each goes through `LinearMatroid.rank_of`, whose mod-p shadow
+    can only certify independence."""
     index = _edge_index(fw.n)
     for verts in combinations(range(1, fw.n + 1), size):
         rows = [index[(u, v)] for u, v in combinations(verts, 2)]
@@ -191,6 +207,8 @@ def _check_complete_subgraph_circuits(fw: Framework, size: int) -> tuple[bool, s
         block = [[R[r - 1][c] for c in cols] for r in rows]
         if rank(block) >= len(rows):
             return False, f"edge set of vertices {verts} is independent"
+        if _shadow_certifies_circuit(block):
+            continue
         edges = LinearMatroid(tuple(rows), tuple(tuple(row) for row in block))
         for drop in range(len(rows)):
             if not edges.is_independent(rows[:drop] + rows[drop + 1 :]):
@@ -211,9 +229,10 @@ def generic_rigidity_check(n: int, d: int, rng: random.Random, seed_note: int = 
     circuit_outcomes: list[tuple[bool, str]] = []
     for _ in range(2):
         fw = random_framework(n, d, rng)
-        ranks.append(rank(rigidity_matrix(fw)))
+        R = rigidity_matrix(fw)
+        ranks.append(rank(R))
         if n <= 8 and n >= d + 2:
-            circuit_outcomes.append(_check_complete_subgraph_circuits(fw, d + 2))
+            circuit_outcomes.append(_check_complete_subgraph_circuits(fw, R, d + 2))
 
     agree = len(set(ranks)) == 1 and len({o[0] for o in circuit_outcomes}) <= 1
     if not agree:

@@ -3,8 +3,9 @@
 These deliberately re-derive answers by routes different from the library:
 permutation-sum determinants, minor-search ranks, a naive textbook Groebner
 routine with none of the library's selection strategy or criteria, the
-circuit checks written out with frozensets and full-width exact ranks, and a
-(2,3)-pebble game for generic rigidity in the plane.
+circuit checks and the minimal-edge filter written out with frozensets,
+full-width exact ranks, and a (2,3)-pebble game for generic rigidity in the
+plane.
 """
 
 from __future__ import annotations
@@ -156,6 +157,14 @@ def frozenset_is_circuit_family(n: int, family) -> bool:
                 if not any(c3 <= rest for c3 in circuits):
                     return False
     return True
+
+
+def quadratic_minimal_edges(edges) -> tuple[frozenset[int], ...]:
+    """Inclusion-minimal nonempty members of a set family, each compared
+    with every other, in (size, sorted) order."""
+    sets = {frozenset(e) for e in edges} - {frozenset()}
+    minimal = [e for e in sets if not any(f < e for f in sets)]
+    return tuple(sorted(minimal, key=lambda e: (len(e), sorted(e))))
 
 
 def full_width_subgraph_circuits(fw, size: int) -> tuple[bool, str]:

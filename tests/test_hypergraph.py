@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from helpers import quadratic_minimal_edges
 from cigrid import linalg
 from cigrid.hypergraph import (
     GridSpec,
@@ -78,6 +79,24 @@ def test_normalization_is_idempotent_and_drops_supersets():
     H = Hypergraph.of(5, [{1, 2}, {1, 2, 3}, {4, 5}])
     assert set(H.edges) == {frozenset({1, 2}), frozenset({4, 5})}
     assert H.normalize() == H
+
+
+def test_minimal_edges_match_the_quadratic_definition():
+    rng = random.Random(15)
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        family = [frozenset(rng.sample(range(1, n + 1), rng.randint(0, n))) for _ in range(rng.randint(0, 12))]
+        for e in list(family):
+            kind = rng.randrange(4)
+            if kind == 0:
+                family.append(e)  # duplicate
+            elif kind == 1 and e:
+                family.append(e - {rng.choice(sorted(e))})  # nested below, possibly empty
+            elif kind == 2:
+                family.append(e | {rng.randint(1, n)})  # nested above
+        family.append(frozenset())
+        rng.shuffle(family)
+        assert Hypergraph.of(n, family).edges == quadratic_minimal_edges(family), (n, family)
 
 
 def test_normalization_preserves_variety_membership():

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -63,6 +64,45 @@ def test_mod_p_declines_when_prime_divides_denominator():
     p = linalg.SHADOW_PRIME
     m = [[Fraction(1, p)]]
     assert linalg.rank_mod_p(m, p) is None
+
+
+def test_left_kernel_mod_p_spans_the_dependencies():
+    rng = random.Random(5)
+    for p in (2, 3, 7, linalg.SHADOW_PRIME):
+        for _ in range(40):
+            k, dim = rng.randint(1, 6), rng.randint(0, 4)
+            vectors = [[rng.randrange(p) if rng.random() < 0.7 else 0 for _ in range(dim)] for _ in range(k)]
+            kernel = linalg.left_kernel_mod_p(vectors, p)
+            assert len(kernel) == k - linalg.rank_of_vectors_mod_p(vectors, p)
+            assert linalg.rank_of_vectors_mod_p(kernel, p) == len(kernel)
+            for y in kernel:
+                assert all(sum(c * v[j] for c, v in zip(y, vectors)) % p == 0 for j in range(dim))
+
+
+def test_vector_mod_p_scales_by_the_denominator_lcm():
+    assert linalg.vector_mod_p([Fraction(1, 2), Fraction(-1, 3), Fraction(0)], 7) == [3, 5, 0]
+    assert linalg.vector_mod_p([Fraction(1, 14), Fraction(1)], 7) is None
+    assert linalg.vector_mod_p([], 7) == []
+
+
+_small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3) | st.just(Fraction(0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(st.lists(_small_rationals, min_size=n, max_size=n), min_size=1, max_size=5)))
+def test_rank_and_kernel_match_sympy(m):
+    sympy = pytest.importorskip("sympy")
+    theirs = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in m])
+    r = theirs.rank()
+    assert linalg.rank(m) == r
+    basis = linalg.kernel_basis(m)
+    assert len(basis) == len(theirs.nullspace()) == len(m[0]) - r
+    for v in basis:
+        assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in m)
+    assert linalg.rank(basis + [[Fraction(int(x.p), int(x.q)) for x in v] for v in theirs.nullspace()]) == len(basis)
+    for p in (2, 3, 5, linalg.SHADOW_PRIME):
+        shadow = linalg.rank_mod_p(m, p)
+        assert shadow is None or shadow <= r
 
 
 def test_matrix_text_round_trip():

@@ -10,6 +10,7 @@ from helpers import frozenset_is_circuit_family, rank_by_minors
 from cigrid import linalg
 from cigrid.hypergraph import GridSpec, Hypergraph, grid_hypergraph
 from cigrid.matroid import (
+    AXIOM_CHECK_CAP,
     CircuitMatroid,
     Matroid,
     PolyMap,
@@ -20,6 +21,7 @@ from cigrid.matroid import (
     is_circuit_family,
     matrix_product_map,
     matroid_from_matrix,
+    matroid_from_text,
     realize_grid_matroid,
     segre_map,
     sparse_lowrank_ideal,
@@ -151,6 +153,17 @@ def test_is_circuit_family_at_the_cap():
             frozenset_is_circuit_family(15, family)
 
 
+def test_matroid_from_text_rejects_bad_circuits_at_every_n():
+    # above the axiom-check cap, circuits must still be nonempty and inside 1..n
+    for n in (3, AXIOM_CHECK_CAP, AXIOM_CHECK_CAP + 1, 20):
+        for bad in (f"1 2 {n + 1}", "0 1", "-1 2"):
+            with pytest.raises(ValueError):
+                matroid_from_text(f"{n}\n{bad}\n")
+    big = matroid_from_text("20\n1 2 20\n3 4\n")
+    assert big.circuits() == (frozenset({3, 4}), frozenset({1, 2, 20}))
+    assert big.rank_of([1, 2, 20]) == 2
+
+
 def test_shadow_never_decides_dependence():
     # independent over Q, singular mod SHADOW_PRIME
     m = matroid_from_matrix(linalg.mat([[1, 0], [0, linalg.SHADOW_PRIME]]))
@@ -158,6 +171,39 @@ def test_shadow_never_decides_dependence():
     assert m.rank_of([1, 2]) == 2
     assert m.is_independent([1, 2])
     assert m.circuits() == ()
+
+
+def test_shadow_columns_with_the_prime_in_a_denominator_are_none():
+    p = linalg.SHADOW_PRIME
+    m = matroid_from_matrix([[Fraction(1, p), Fraction(1), Fraction(2)], [Fraction(1), Fraction(1, 3), Fraction(2, 3)]])
+    assert m._shadow_columns[0] is None
+    assert m._shadow_columns[1:] == ([3, 1], [6, 2])
+    assert [m.rank_of(s) for s in ([1], [1, 2], [2, 3], [1, 2, 3])] == [1, 2, 1, 2]
+    assert m.circuits() == (frozenset({2, 3}),)
+
+
+def test_cached_shadow_rank_equals_exact_rank():
+    p = linalg.SHADOW_PRIME
+    rng = random.Random(17)
+    entries = (0, 1, -2, Fraction(3, 4), p, 2 * p, Fraction(1, p), Fraction(p, 5))
+    for _ in range(60):
+        d, n = rng.randint(1, 4), rng.randint(1, 6)
+        matrix = [[Fraction(rng.choice(entries)) for _ in range(n)] for _ in range(d)]
+        m = matroid_from_matrix(matrix)
+        for size in range(1, n + 1):
+            for subset in combinations(range(1, n + 1), size):
+                assert m.rank_of(subset) == linalg.rank(linalg.column_submatrix(matrix, subset)), (matrix, subset)
+
+
+def test_shadow_columns_are_not_shared_between_instances():
+    free = matroid_from_matrix(linalg.identity(2))
+    assert free.rank_of([1, 2]) == 2
+    parallel = matroid_from_matrix(linalg.mat([[1, 2], [0, 0]]))
+    assert parallel.rank_of([1, 2]) == 1
+    assert parallel.circuits() == (frozenset({1, 2}),)
+    assert free._shadow_columns == ([1, 0], [0, 1])
+    assert parallel._shadow_columns == ([1, 0], [2, 0])
+    assert "_shadow_columns" in vars(free) and "_shadow_columns" in vars(parallel)
 
 
 def test_linear_matroid_enumerates_its_circuits_once():

@@ -10,6 +10,7 @@ from cigrid.matroid import matroid_from_matrix
 from cigrid.secrig import (
     Framework,
     _check_complete_subgraph_circuits,
+    _shadow_certifies_circuit,
     complete_graph_edges,
     generic_rigidity_check,
     random_framework,
@@ -165,6 +166,14 @@ def _framework(d: int, points) -> Framework:
     return Framework(d, coords, complete_graph_edges(len(coords)))
 
 
+def _subgraph_circuits(fw: Framework, size: int) -> tuple[bool, str]:
+    return _check_complete_subgraph_circuits(fw, rigidity_matrix(fw), size)
+
+
+def _shadow_kernel(fw: Framework) -> list[list[int]]:
+    return linalg.left_kernel_mod_p([linalg.vector_mod_p(row) for row in rigidity_matrix(fw)])
+
+
 def _degenerate_framework(rng: random.Random, n: int, d: int) -> Framework:
     """Distinct points on a line (d = 2) or in a plane (d = 3)."""
     points = set()
@@ -188,7 +197,7 @@ def test_subgraph_circuit_check_agrees_with_full_width_ranks():
         cases.append((random_framework(n, d, rng), d + 1))
     outcomes = set()
     for fw, size in cases:
-        got = _check_complete_subgraph_circuits(fw, size)
+        got = _subgraph_circuits(fw, size)
         assert got == full_width_subgraph_circuits(fw, size), (fw, size)
         outcomes.add(got[1].split(" ")[0])
     assert outcomes == {"", "edge", "proper"}
@@ -197,19 +206,65 @@ def test_subgraph_circuit_check_agrees_with_full_width_ranks():
 def test_degenerate_frameworks_have_dependent_proper_subsets():
     rng = child_rng(13, "degenerate")
     for n, d in [(4, 2), (6, 2), (5, 3), (6, 3)]:
-        ok, why = _check_complete_subgraph_circuits(_degenerate_framework(rng, n, d), d + 2)
+        ok, why = _subgraph_circuits(_degenerate_framework(rng, n, d), d + 2)
         assert not ok and why.startswith("proper subset of the (1, 2, ")
 
 
 def test_subgraph_circuit_check_never_trusts_the_shadow():
     p = linalg.SHADOW_PRIME
     # one edge of length p: independent over Q, a zero row mod p
-    assert _check_complete_subgraph_circuits(_framework(1, [(0,), (p,)]), 2) == (
+    assert _subgraph_circuits(_framework(1, [(0,), (p,)]), 2) == (
         False,
         "edge set of vertices (1, 2) is independent",
     )
     # every row vanishes mod p, yet the triangle on a line is a circuit
-    assert _check_complete_subgraph_circuits(_framework(1, [(0,), (p,), (2 * p,)]), 3) == (True, "")
+    fw = _framework(1, [(0,), (p,), (2 * p,)])
+    assert _subgraph_circuits(fw, 3) == full_width_subgraph_circuits(fw, 3) == (True, "")
+    assert len(_shadow_kernel(fw)) == 3
+
+
+def test_zero_entry_in_the_shadow_kernel_falls_back_to_exact_subsets():
+    p = linalg.SHADOW_PRIME
+    # edge (2, 3) has length p: the mod-p kernel is (0, 0, 1), the exact one has no zero
+    fw = _framework(1, [(0,), (1,), (1 + p,)])
+    assert _shadow_kernel(fw) == [[0, 0, 1]]
+    [exact] = linalg.kernel_basis(linalg.transpose(rigidity_matrix(fw)))
+    assert all(exact)
+    assert not _shadow_certifies_circuit(rigidity_matrix(fw))
+    assert _subgraph_circuits(fw, 3) == full_width_subgraph_circuits(fw, 3) == (True, "")
+
+
+def test_shadow_kernel_with_a_zero_entry_is_not_trusted():
+    # three of four planar points on a line: nullity 1, and the one dependency
+    # (the collinear triangle) leaves out the edges at the fourth point
+    fw = _framework(2, [(0, 0), (1, 0), (3, 0), (1, 2)])
+    [y] = _shadow_kernel(fw)
+    assert [bool(x) for x in y] == [True, True, False, True, False, False]
+    expected = (False, "proper subset of the (1, 2, 3, 4) edge set is dependent")
+    assert _subgraph_circuits(fw, 4) == full_width_subgraph_circuits(fw, 4) == expected
+
+
+def test_shadow_kernel_of_nullity_above_one_is_not_trusted():
+    # four planar points on a line: nullity 3, and every edge lies in some
+    # dependency, yet every one-smaller subset is dependent
+    fw = _framework(2, [(0, 0), (1, 0), (3, 0), (4, 0)])
+    kernel = _shadow_kernel(fw)
+    assert len(kernel) == 3 and all(map(any, zip(*kernel)))
+    expected = (False, "proper subset of the (1, 2, 3, 4) edge set is dependent")
+    assert _subgraph_circuits(fw, 4) == full_width_subgraph_circuits(fw, 4) == expected
+
+
+def test_denominators_divisible_by_the_shadow_prime_fall_back_to_exact_subsets():
+    p = linalg.SHADOW_PRIME
+    rng = child_rng(16, "shadow-denominators")
+    for n, d in [(3, 1), (4, 2), (5, 3)]:
+        fw = random_framework(n, d, rng)
+        coords = (tuple(Fraction(1, p) + x for x in fw.coords[0]),) + fw.coords[1:]
+        fw = Framework(d, coords, fw.edges)
+        R = rigidity_matrix(fw)
+        assert linalg.vector_mod_p(R[0]) is None
+        assert not _shadow_certifies_circuit(R)
+        assert _subgraph_circuits(fw, d + 2) == full_width_subgraph_circuits(fw, d + 2) == (True, "")
 
 
 def test_planar_rigidity_rank_matches_the_pebble_game():
