@@ -83,17 +83,6 @@ class CIStatement:
             if model.get(name).hidden:
                 raise ValueError(f"hidden variable {name} may only appear in the conditioning set")
 
-    def to_text(self, model: DiscreteModel | None = None) -> str:
-        def mark(name: str) -> str:
-            if model is not None and model.get(name).hidden:
-                return name + "*"
-            return name
-
-        left = " ".join(mark(n) for n in self.a)
-        right = " ".join(mark(n) for n in self.b)
-        cond = " ".join(mark(n) for n in self.c)
-        return f"{left} _||_ {right}" + (f" | {cond}" if self.c else "")
-
     @staticmethod
     def parse(text: str) -> "CIStatement":
         lhs, sep, rest = text.partition("_||_")
@@ -130,12 +119,6 @@ class ProbTensor:
             idx = idx * c + (s - 1)
         return self.entries[idx]
 
-    def is_nonnegative(self) -> bool:
-        return all(x >= 0 for x in self.entries)
-
-    def is_normalized(self) -> bool:
-        return sum(self.entries) == 1
-
     def __add__(self, other: "ProbTensor") -> "ProbTensor":
         if (self.names, self.shape) != (other.names, other.shape):
             raise ValueError("tensor layout mismatch")
@@ -158,10 +141,6 @@ class ProbTensor:
             shape.append(int(c))
         entries = tuple(Fraction(t) for t in " ".join(lines[1:]).split())
         return ProbTensor(tuple(names), tuple(shape), entries)
-
-
-def tensor_of(names: Sequence[str], shape: Sequence[int], entries: Sequence) -> ProbTensor:
-    return ProbTensor(tuple(names), tuple(shape), tuple(Fraction(x) for x in entries))
 
 
 def _states(cards: Sequence[int]) -> list[tuple[int, ...]]:
@@ -352,9 +331,3 @@ def parse_ci_file(text: str) -> tuple[DiscreteModel, list[CIStatement]]:
     for stmt in statements:
         stmt.validate(model)
     return model, statements
-
-
-def ci_file_text(model: DiscreteModel, statements: Sequence[CIStatement]) -> str:
-    decl = " ".join(f"{v.name}{'*' if v.hidden else ''}={v.card}" for v in model.variables)
-    body = "\n".join(stmt.to_text(model) for stmt in statements)
-    return decl + "\n" + body + ("\n" if body else "")

@@ -10,12 +10,32 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
+from typing import Callable, Iterable, TypeVar
 
 from .cimodel import CIStatement, DiscreteModel, ModelVar, ci_ideal
 from .ideals import Ideal
 from .linalg import Mat, column_submatrix, rank
-from .poly import SymbolicMatrix, Var, generic_matrix, minor, normalize_sign
+from .poly import Var, generic_matrix, minor, normalize_sign
+
+S = TypeVar("S", bound=Iterable[int])
+
+
+def minimal_sets(sets: Iterable[S], accept: Callable[[S], bool] | None = None) -> list[S]:
+    """The sets, which must come in nondecreasing size, that contain no
+    earlier kept set and pass `accept` (when given), in the order given.
+    Elements are nonnegative ints, one bitmask bit each.
+
+    A proper subset comes before its superset, and a set dropped for
+    containing a kept set has that kept set inside it, so testing against
+    kept sets suffices."""
+    kept: list[S] = []
+    kept_masks: list[int] = []
+    for e in sets:
+        mask = sum(1 << v for v in e)
+        if all(k & mask != k for k in kept_masks) and (accept is None or accept(e)):
+            kept.append(e)
+            kept_masks.append(mask)
+    return kept
 
 
 @dataclass(frozen=True)
@@ -27,24 +47,14 @@ class Hypergraph:
 
     @staticmethod
     def of(n: int, edges: Iterable[Iterable[int]]) -> "Hypergraph":
+        if n < 1:
+            raise ValueError(f"hypergraph needs n >= 1 vertices, got n={n}")
         sets = {frozenset(e) for e in edges}
         sets.discard(frozenset())
         for e in sets:
             if min(e) < 1 or max(e) > n:
                 raise ValueError(f"edge {sorted(e)} out of range for n={n}")
-        # A proper subset sorts before its superset, and a dropped edge has a
-        # kept subset of its own, so testing against kept edges suffices.
-        minimal: list[frozenset[int]] = []
-        kept_masks: list[int] = []
-        for e in sorted(sets, key=lambda e: (len(e), sorted(e))):
-            mask = sum(1 << v for v in e)
-            if all(k & mask != k for k in kept_masks):
-                minimal.append(e)
-                kept_masks.append(mask)
-        return Hypergraph(n, tuple(minimal))
-
-    def normalize(self) -> "Hypergraph":
-        return Hypergraph.of(self.n, self.edges)
+        return Hypergraph(n, tuple(minimal_sets(sorted(sets, key=lambda e: (len(e), sorted(e))))))
 
     def to_text(self) -> str:
         lines = [str(self.n)]
@@ -149,10 +159,6 @@ def hypergraph_ideal(H: Hypergraph, d: int, base: str = "x") -> Ideal:
                 seen.add(g)
                 gens.append(g)
     return Ideal.of(X.ring, gens)
-
-
-def hypergraph_matrix(H: Hypergraph, d: int, base: str = "x") -> SymbolicMatrix:
-    return generic_matrix(d, H.n, base)
 
 
 def in_variety(H: Hypergraph, X: Mat) -> bool:

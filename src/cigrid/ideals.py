@@ -213,10 +213,6 @@ def normal_form(f: Polynomial, ideal: Ideal) -> Polynomial:
     return reduce_poly(f, ideal.basis, ideal.basis_order)
 
 
-def contains(ideal: Ideal, f: Polynomial) -> bool:
-    return normal_form(f, ideal).is_zero()
-
-
 def eliminate(
     ideal: Ideal,
     kill: Iterable[Var],

@@ -215,7 +215,10 @@ def matrix_from_text(text: str) -> Mat:
     lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln and not ln.startswith("#")]
     if not lines:
         raise ValueError("empty matrix text")
-    d, n = (int(t) for t in lines[0].split())
+    header = lines[0].split()
+    if len(header) != 2 or not all(t.isdigit() for t in header):
+        raise ValueError(f"matrix file needs a `d n` header of two non-negative integers, got {lines[0]!r}")
+    d, n = (int(t) for t in header)
     if len(lines) != d + 1:
         raise ValueError(f"expected {d} rows, found {len(lines) - 1}")
     rows = []

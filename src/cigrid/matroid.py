@@ -15,7 +15,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from .hypergraph import GridSpec, Hypergraph, grid_hypergraph
+from .hypergraph import GridSpec, Hypergraph, grid_hypergraph, minimal_sets
 from .ideals import Ideal
 from .linalg import Mat, kernel_basis, rank, rank_of_vectors_mod_p, transpose, vector_mod_p
 from .poly import PolyRing, Polynomial, Var, generic_matrix, minor, normalize_sign, parse_polynomial
@@ -48,25 +48,19 @@ class Matroid:
         return not self.is_independent(subset)
 
     def circuits(self) -> tuple[frozenset[int], ...]:
-        """Minimal dependent sets, found breadth-first over subset sizes with
-        known-circuit pruning.  Refuses ground sets above the enumeration cap."""
+        """Minimal dependent sets: `minimal_sets` over ground positions by
+        increasing size.  A candidate of size full_rank() + 1 that contains no
+        smaller circuit is dependent by the rank bound, so only smaller ones
+        cost a rank query.  Refuses ground sets above the enumeration cap."""
         n = len(self.ground)
         if n > ENUMERATION_CAP:
             raise ValueError(f"circuit enumeration is capped at {ENUMERATION_CAP} elements, got {n}")
-        found: list[frozenset[int]] = []
-        max_size = min(n, self.full_rank() + 1)
-        for size in range(1, max_size + 1):
-            for cand in combinations(self.ground, size):
-                s = frozenset(cand)
-                if any(c <= s for c in found):
-                    continue
-                if self.is_dependent(cand):
-                    found.append(s)
-        found.sort(key=lambda c: (len(c), sorted(c)))
-        return tuple(found)
-
-    def restrict(self, subset: Iterable[int]) -> "Matroid":
-        raise NotImplementedError
+        r = self.full_rank()
+        ground = self.ground
+        candidates = (c for size in range(1, min(n, r + 1) + 1) for c in combinations(range(n), size))
+        found = minimal_sets(candidates, lambda c: len(c) > r or self.is_dependent([ground[i] for i in c]))
+        circuits = [frozenset(ground[i] for i in c) for c in found]
+        return tuple(sorted(circuits, key=lambda c: (len(c), sorted(c))))
 
 
 @dataclass(frozen=True)
@@ -107,14 +101,6 @@ class LinearMatroid(Matroid):
             return len(subset)
         return rank(self._submatrix(subset))
 
-    def restrict(self, subset: Iterable[int]) -> "LinearMatroid":
-        subset = sorted(set(subset))
-        pos = self._positions
-        missing = [e for e in subset if e not in pos]
-        if missing:
-            raise ValueError(f"not ground elements: {missing}")
-        return LinearMatroid(tuple(subset), tuple(self.columns[pos[e]] for e in subset))
-
     def circuits(self) -> tuple[frozenset[int], ...]:
         return self._circuits
 
@@ -147,11 +133,6 @@ class CircuitMatroid(Matroid):
 
     def circuits(self) -> tuple[frozenset[int], ...]:
         return tuple(sorted(self.circuit_family, key=lambda c: (len(c), sorted(c))))
-
-    def restrict(self, subset: Iterable[int]) -> "CircuitMatroid":
-        subset_set = frozenset(subset)
-        kept = tuple(c for c in self.circuit_family if c <= subset_set)
-        return CircuitMatroid(tuple(sorted(subset_set)), kept)
 
 
 def matroid_from_matrix(m: Mat, labels: Sequence[int] | None = None) -> LinearMatroid:

@@ -215,11 +215,6 @@ class Polynomial:
         self._lead = (order, lead)
         return lead
 
-    def constant_value(self) -> Fraction:
-        """Coefficient of the empty monomial (the whole value if constant)."""
-        zero = (0,) * len(self.ring.variables)
-        return self.terms.get(zero, Fraction(0))
-
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = self.ring.const(other)

@@ -15,8 +15,8 @@ from itertools import combinations
 from math import comb
 from typing import Callable
 
-from .linalg import Mat, left_kernel_mod_p, rank, vector_mod_p
-from .matroid import GenericityError, LinearMatroid
+from .linalg import Mat, kernel_basis, left_kernel_mod_p, rank, transpose, vector_mod_p
+from .matroid import GenericityError
 from .report import CheckResult, WitnessReport
 from .sampling import rand_fraction, rand_nonzero_fraction
 
@@ -196,23 +196,23 @@ def _check_complete_subgraph_circuits(fw: Framework, R: Mat, size: int) -> tuple
     one-smaller subsets independent.
 
     Each subgraph's rows are cut down to its own vertices' columns, the only
-    nonzero ones.  Dependence is decided by one exact `rank`.  The one-smaller
-    subsets are settled by one mod-p left kernel when it certifies them all;
-    otherwise each goes through `LinearMatroid.rank_of`, whose mod-p shadow
-    can only certify independence."""
+    nonzero ones, and one exact `rank` gives the nullity of the block.  The
+    rows are a circuit exactly when the nullity is 1 and the left kernel
+    vector has no zero entry: with nullity 0 they are independent, and with
+    nullity 2 or more some kernel vector vanishes at any one row, so every
+    one-smaller subset is dependent.  For nullity 1 the mod-p left kernel may
+    certify the circuit; otherwise the exact left kernel decides."""
     index = _edge_index(fw.n)
     for verts in combinations(range(1, fw.n + 1), size):
         rows = [index[(u, v)] for u, v in combinations(verts, 2)]
         cols = [(v - 1) * fw.d + c for v in verts for c in range(fw.d)]
         block = [[R[r - 1][c] for c in cols] for r in rows]
-        if rank(block) >= len(rows):
+        nullity = len(rows) - rank(block)
+        if nullity == 0:
             return False, f"edge set of vertices {verts} is independent"
-        if _shadow_certifies_circuit(block):
+        if nullity == 1 and (_shadow_certifies_circuit(block) or all(kernel_basis(transpose(block))[0])):
             continue
-        edges = LinearMatroid(tuple(rows), tuple(tuple(row) for row in block))
-        for drop in range(len(rows)):
-            if not edges.is_independent(rows[:drop] + rows[drop + 1 :]):
-                return False, f"proper subset of the {verts} edge set is dependent"
+        return False, f"proper subset of the {verts} edge set is dependent"
     return True, ""
 
 

@@ -22,7 +22,6 @@ from .hypergraph import (
     grid_ci_correspondence,
     grid_hypergraph,
     hypergraph_ideal,
-    hypergraph_matrix,
     in_variety,
 )
 from .ideals import DEFAULT_MAX_DEGREE, DEFAULT_MAX_PAIRS, BudgetExceeded, Ideal, buchberger, intersect, normal_form
@@ -286,7 +285,7 @@ def verify_rank_two_component(trials: int = 100, seed: int = 0) -> WitnessReport
     report = WitnessReport(name="example32", seed=seed, trials=trials)
     H = twelve_vertex_triple_system()
     ideal = hypergraph_ideal(H, 3)
-    X = hypergraph_matrix(H, 3)
+    X = generic_matrix(3, H.n)
     report.add(CheckResult.outcome("fixture has 16 triple edges on 12 vertices", len(H.edges) == 16 and H.n == 12))
 
     rank2 = sampler_bounded_rank(3, 12, 2)

@@ -1,11 +1,14 @@
-"""Independent oracles used by the test suite.
+"""Independent oracles and fixture builders used by the test suite.
 
-These deliberately re-derive answers by routes different from the library:
-permutation-sum determinants, minor-search ranks, a naive textbook Groebner
-routine with none of the library's selection strategy or criteria, the
-circuit checks and the minimal-edge filter written out with frozensets,
-full-width exact ranks, and a (2,3)-pebble game for generic rigidity in the
-plane.
+The oracles deliberately re-derive answers by routes different from the
+library: permutation-sum determinants, minor-search ranks, a naive textbook
+Groebner routine with none of the library's selection strategy or criteria,
+the circuit checks and the minimal-edge filter written out with frozensets,
+circuits found by an exact rank of every subset, full-width exact ranks for
+rigidity circuits, and a (2,3)-pebble game for generic rigidity in the plane.
+
+The builders write the test-only inputs the library only ever reads: CI
+statements and CI model files as text, and tensors from plain entries.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from cigrid.linalg import rank
+from cigrid.cimodel import CIStatement, DiscreteModel, ProbTensor
+from cigrid.linalg import column_submatrix, rank
 from cigrid.poly import DEGREVLEX, Polynomial, SymbolicMatrix
 from cigrid.secrig import complete_graph_edges, rigidity_matrix
 
@@ -165,6 +169,40 @@ def quadratic_minimal_edges(edges) -> tuple[frozenset[int], ...]:
     sets = {frozenset(e) for e in edges} - {frozenset()}
     minimal = [e for e in sets if not any(f < e for f in sets)]
     return tuple(sorted(minimal, key=lambda e: (len(e), sorted(e))))
+
+
+def brute_force_circuits(m) -> tuple[frozenset[int], ...]:
+    """Minimal dependent column sets of a matrix (labels 1..n): an exact rank
+    of every column subset, then the dependent sets with no dependent proper
+    subset, in (size, sorted) order."""
+    n = len(m[0]) if m else 0
+    dependent = [
+        frozenset(c)
+        for size in range(1, n + 1)
+        for c in combinations(range(1, n + 1), size)
+        if rank(column_submatrix(m, c)) < size
+    ]
+    return tuple(c for c in dependent if not any(d < c for d in dependent))
+
+
+def statement_text(stmt: CIStatement, model: DiscreteModel | None = None) -> str:
+    """`A _||_ B | C`, with hidden variables of the model marked by `*`."""
+    def mark(name: str) -> str:
+        return name + "*" if model is not None and model.get(name).hidden else name
+
+    left, right, cond = (" ".join(mark(n) for n in group) for group in (stmt.a, stmt.b, stmt.c))
+    return f"{left} _||_ {right}" + (f" | {cond}" if stmt.c else "")
+
+
+def ci_file_text(model: DiscreteModel, statements) -> str:
+    """A CI model file: the variable declarations, then one statement a line."""
+    decl = " ".join(f"{v.name}{'*' if v.hidden else ''}={v.card}" for v in model.variables)
+    body = "\n".join(statement_text(stmt, model) for stmt in statements)
+    return decl + "\n" + body + ("\n" if body else "")
+
+
+def tensor_of(names, shape, entries) -> ProbTensor:
+    return ProbTensor(tuple(names), tuple(shape), tuple(Fraction(x) for x in entries))
 
 
 def full_width_subgraph_circuits(fw, size: int) -> tuple[bool, str]:

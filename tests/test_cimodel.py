@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import rank_by_minors
+from helpers import ci_file_text, rank_by_minors, statement_text, tensor_of
 from cigrid import linalg
 from cigrid.cimodel import (
     CIStatement,
     DiscreteModel,
     ModelVar,
     ProbTensor,
-    ci_file_text,
     ci_ideal,
     ci_minor_generators,
     flatten,
@@ -22,7 +21,6 @@ from cigrid.cimodel import (
     parse_ci_file,
     prob_ring,
     tensor_assignment,
-    tensor_of,
 )
 from cigrid.poly import Var, normalize_sign
 
@@ -64,7 +62,7 @@ def test_statement_validation_rejects_hidden_on_either_side():
 def test_statement_text_round_trip():
     model = eq21_model()
     stmt = CIStatement(("X",), ("Y1",), ("Y2", "H1"))
-    text = stmt.to_text(model)
+    text = statement_text(stmt, model)
     assert text == "X _||_ Y1 | Y2 H1*"
     assert CIStatement.parse(text) == stmt
 
@@ -241,7 +239,6 @@ def test_mixture_sample_is_fully_supported_and_normalized():
     P = mixture_parametrization_sample(model, conclusion, rng)
     assert all(x > 0 for x in P.entries)
     assert sum(P.entries) == 1
-    assert P.is_nonnegative() and P.is_normalized()
 
 
 def test_mixture_sample_kills_all_eq21_generators():

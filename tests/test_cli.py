@@ -3,9 +3,9 @@ import json
 
 import pytest
 
+from helpers import ci_file_text
 from cigrid import verify
 from cigrid.cli import main
-from cigrid.cimodel import ci_file_text
 from cigrid.hypergraph import GridSpec, grid_ci_correspondence, grid_hypergraph, hypergraph_ideal
 from cigrid.ideals import DEFAULT_MAX_DEGREE, DEFAULT_MAX_PAIRS
 from cigrid.poly import parse_polynomial
@@ -298,6 +298,26 @@ def test_degenerate_sizes_are_usage_errors(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize("header", ["-3", "0"])
+def test_hypergraph_file_needs_a_positive_vertex_count(tmp_path, capsys, header):
+    hg = tmp_path / "bad.hg"
+    hg.write_text(f"{header}\n")
+    code, out, err = run(capsys, "ideal", "--hypergraph", str(hg), "--d", "2")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "hypergraph needs n >= 1" in err
+
+
+@pytest.mark.parametrize("header", ["2", "2 2 2", "-1 2", "2 x"])
+def test_matrix_file_needs_a_two_integer_header(tmp_path, capsys, header):
+    mat = tmp_path / "bad.mat"
+    mat.write_text(f"{header}\n1 0\n0 1\n")
+    code, out, err = run(capsys, "matroid", "--matrix", str(mat))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "`d n` header of two non-negative integers" in err
 
 
 def test_hypergraph_ideal_rejects_zero_rows(tmp_path, capsys):

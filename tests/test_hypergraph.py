@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from helpers import quadratic_minimal_edges
+from helpers import quadratic_minimal_edges, statement_text
 from cigrid import linalg
 from cigrid.hypergraph import (
     GridSpec,
@@ -17,7 +17,6 @@ from cigrid.hypergraph import (
     grid_matrix_text,
     grid_vertex,
     hypergraph_ideal,
-    hypergraph_matrix,
     in_variety,
 )
 from cigrid.poly import generic_matrix, minor, normalize_sign
@@ -78,7 +77,7 @@ def test_grid_hypergraph_singletons_when_sizes_are_one():
 def test_normalization_is_idempotent_and_drops_supersets():
     H = Hypergraph.of(5, [{1, 2}, {1, 2, 3}, {4, 5}])
     assert set(H.edges) == {frozenset({1, 2}), frozenset({4, 5})}
-    assert H.normalize() == H
+    assert Hypergraph.of(H.n, H.edges) == H
 
 
 def test_minimal_edges_match_the_quadratic_definition():
@@ -161,7 +160,7 @@ def test_in_variety_matches_generator_vanishing():
     spec = GridSpec(k=3, l=3, s=2, t=2, d=2)
     H = grid_hypergraph(spec)
     ideal = hypergraph_ideal(H, 2)
-    X = hypergraph_matrix(H, 2)
+    X = generic_matrix(2, H.n)
     rng = random.Random(21)
     for trial in range(6):
         if trial % 2 == 0:
@@ -182,7 +181,7 @@ def test_correspondence_model_cards():
     assert cards == {"X": 3, "Y1": 3, "Y2": 4, "H1": 2, "H2": 2}
     hidden = {v.name for v in model.hidden()}
     assert hidden == {"H1", "H2"}
-    assert [s.to_text(model) for s in statements] == [
+    assert [statement_text(s, model) for s in statements] == [
         "X _||_ Y1 | Y2 H1*",
         "X _||_ Y2 | Y1 H2*",
     ]

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import frozenset_is_circuit_family, rank_by_minors
+from helpers import brute_force_circuits, frozenset_is_circuit_family, rank_by_minors
 from cigrid import linalg
 from cigrid.hypergraph import GridSpec, Hypergraph, grid_hypergraph
 from cigrid.matroid import (
     AXIOM_CHECK_CAP,
     CircuitMatroid,
+    LinearMatroid,
     Matroid,
     PolyMap,
     algebraic_matroid,
@@ -214,8 +215,60 @@ def test_linear_matroid_enumerates_its_circuits_once():
     assert first == Matroid.circuits(lines)
     assert lines.circuits() is first
     assert matroid_from_matrix(concurrent_lines_matrix()).circuits() == first
-    assert lines.restrict([1, 2, 3]).circuits() == (frozenset({1, 2, 3}),)
+    sub = matroid_from_matrix(linalg.column_submatrix(concurrent_lines_matrix(), [1, 2, 3]), labels=[1, 2, 3])
+    assert sub.circuits() == (frozenset({1, 2, 3}),)
     assert free.circuits() == ()
+
+
+def _small_matrix(rng: random.Random) -> list[list[Fraction]]:
+    """A d x n product of a d x r and an r x n integer matrix, r <= d, with
+    some columns zeroed (loops) and some replaced by multiples of others
+    (parallel pairs)."""
+    d, n = rng.randint(1, 4), rng.randint(1, 7)
+    r = rng.randint(0, d)
+    a = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(d)]
+    b = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
+    cols = [[Fraction(sum(a[i][t] * b[t][j] for t in range(r))) for i in range(d)] for j in range(n)]
+    for j in range(n):
+        roll = rng.random()
+        if roll < 0.15:
+            cols[j] = [Fraction(0)] * d
+        elif roll < 0.35 and j:
+            scale = rng.choice((1, -2, Fraction(1, 3)))
+            cols[j] = [scale * x for x in cols[rng.randrange(j)]]
+    return [[cols[j][i] for j in range(n)] for i in range(d)]
+
+
+def test_circuits_match_the_brute_force_oracle():
+    rng = random.Random(23)
+    seen = {"loop": False, "parallel": False, "rank below rows": False}
+    for _ in range(150):
+        matrix = _small_matrix(rng)
+        m = matroid_from_matrix(matrix)
+        expected = brute_force_circuits(matrix)
+        assert m.circuits() == Matroid.circuits(m) == expected, matrix
+        seen["loop"] |= any(len(c) == 1 for c in expected)
+        seen["parallel"] |= any(len(c) == 2 for c in expected)
+        seen["rank below rows"] |= m.full_rank() < len(matrix)
+    assert all(seen.values()), seen
+
+
+def test_circuit_enumeration_queries_no_set_the_rank_bound_settles(monkeypatch):
+    # a candidate of size full_rank() + 1 without a smaller circuit inside is
+    # a circuit by the rank bound; only smaller candidates need a rank query
+    queried: list[int] = []
+    real = LinearMatroid.is_dependent
+
+    def spy(self, subset):
+        subset = list(subset)
+        queried.append(len(subset) - self.full_rank())
+        return real(self, subset)
+
+    monkeypatch.setattr(LinearMatroid, "is_dependent", spy)
+    rng = random.Random(29)
+    for matrix in [concurrent_lines_matrix(), linalg.identity(3)] + [_small_matrix(rng) for _ in range(40)]:
+        assert Matroid.circuits(matroid_from_matrix(matrix)) == brute_force_circuits(matrix)
+    assert queried and max(queried) == 0
 
 
 def test_grid_circuit_family_satisfies_the_axioms():
@@ -242,23 +295,23 @@ def test_dependent_contains():
 
 
 def test_restriction_basics():
+    # the restriction to a column subset: rank as in the whole matroid, and
+    # exactly the whole matroid's circuits that lie inside the subset
     m = matroid_from_matrix(concurrent_lines_matrix())
-    empty = m.restrict([])
-    assert empty.ground == () and empty.full_rank() == 0
-    sub = m.restrict([1, 2, 3, 4])
-    direct = matroid_from_matrix(
-        linalg.column_submatrix(concurrent_lines_matrix(), [1, 2, 3, 4]), labels=[1, 2, 3, 4]
-    )
-    assert sub.ground == direct.ground and sub.circuits() == direct.circuits()
+    empty = matroid_from_matrix([[], [], []])
+    assert empty.ground == () and empty.full_rank() == 0 and empty.circuits() == ()
+    kept = [1, 2, 3, 4]
+    sub = matroid_from_matrix(linalg.column_submatrix(concurrent_lines_matrix(), kept), labels=kept)
+    assert sub.full_rank() == m.rank_of(kept)
+    assert sub.circuits() == tuple(c for c in m.circuits() if c <= set(kept))
 
 
 def test_circuit_matroid_rank_and_restriction():
     m = CircuitMatroid((1, 2, 3), (frozenset({1, 2, 3}),))
     assert m.full_rank() == 2
     assert m.is_independent({1, 2})
-    sub = m.restrict({1, 2})
-    assert sub.circuits() == ()
-    assert sub.full_rank() == 2
+    assert m.rank_of({1, 2}) == m.rank_of({2, 3}) == 2
+    assert m.rank_of({1}) == 1 and m.rank_of(()) == 0
 
 
 def test_realize_grid_matroid_instance():
@@ -278,9 +331,8 @@ def test_realize_grid_matroid_restriction_to_a_column_block():
     spec = GridSpec(k=3, l=3, s=3, t=3, d=3)
     mat = realize_grid_matroid(spec, child_rng(11, "grid-realization"))
     m = matroid_from_matrix(mat)
-    block = m.restrict([4, 5, 6])
-    assert block.full_rank() == 2
-    assert block.circuits() == (frozenset({4, 5, 6}),)
+    assert m.rank_of([4, 5, 6]) == 2
+    assert [c for c in m.circuits() if c <= {4, 5, 6}] == [frozenset({4, 5, 6})]
 
 
 def test_realize_grid_matroid_on_the_three_by_four_grid():

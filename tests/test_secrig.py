@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from helpers import full_width_subgraph_circuits, pebble_game_rank, rank_by_minors
-from cigrid import linalg
+from cigrid import linalg, secrig
 from cigrid.matroid import matroid_from_matrix
 from cigrid.secrig import (
     Framework,
@@ -174,6 +174,18 @@ def _shadow_kernel(fw: Framework) -> list[list[int]]:
     return linalg.left_kernel_mod_p([linalg.vector_mod_p(row) for row in rigidity_matrix(fw)])
 
 
+def _counting_exact_kernel(monkeypatch) -> list[int]:
+    """Patch the exact left-kernel call of the circuit check to count calls."""
+    calls: list[int] = []
+
+    def counted(m):
+        calls.append(len(m[0]))
+        return linalg.kernel_basis(m)
+
+    monkeypatch.setattr(secrig, "kernel_basis", counted)
+    return calls
+
+
 def _degenerate_framework(rng: random.Random, n: int, d: int) -> Framework:
     """Distinct points on a line (d = 2) or in a plane (d = 3)."""
     points = set()
@@ -223,7 +235,7 @@ def test_subgraph_circuit_check_never_trusts_the_shadow():
     assert len(_shadow_kernel(fw)) == 3
 
 
-def test_zero_entry_in_the_shadow_kernel_falls_back_to_exact_subsets():
+def test_zero_entry_in_the_shadow_kernel_defers_to_the_exact_kernel(monkeypatch):
     p = linalg.SHADOW_PRIME
     # edge (2, 3) has length p: the mod-p kernel is (0, 0, 1), the exact one has no zero
     fw = _framework(1, [(0,), (1,), (1 + p,)])
@@ -231,30 +243,48 @@ def test_zero_entry_in_the_shadow_kernel_falls_back_to_exact_subsets():
     [exact] = linalg.kernel_basis(linalg.transpose(rigidity_matrix(fw)))
     assert all(exact)
     assert not _shadow_certifies_circuit(rigidity_matrix(fw))
+    calls = _counting_exact_kernel(monkeypatch)
     assert _subgraph_circuits(fw, 3) == full_width_subgraph_circuits(fw, 3) == (True, "")
+    assert calls == [3]
 
 
-def test_shadow_kernel_with_a_zero_entry_is_not_trusted():
+def test_shadow_kernel_with_a_zero_entry_is_not_trusted(monkeypatch):
     # three of four planar points on a line: nullity 1, and the one dependency
     # (the collinear triangle) leaves out the edges at the fourth point
     fw = _framework(2, [(0, 0), (1, 0), (3, 0), (1, 2)])
+    R = rigidity_matrix(fw)
+    assert len(R) - linalg.rank(R) == 1
     [y] = _shadow_kernel(fw)
     assert [bool(x) for x in y] == [True, True, False, True, False, False]
+    [exact] = linalg.kernel_basis(linalg.transpose(R))
+    assert [bool(x) for x in exact] == [True, True, False, True, False, False]
+    assert not _shadow_certifies_circuit(R)
+    calls = _counting_exact_kernel(monkeypatch)
     expected = (False, "proper subset of the (1, 2, 3, 4) edge set is dependent")
     assert _subgraph_circuits(fw, 4) == full_width_subgraph_circuits(fw, 4) == expected
+    assert calls == [6]
 
 
-def test_shadow_kernel_of_nullity_above_one_is_not_trusted():
+def test_shadow_kernel_of_nullity_above_one_is_not_trusted(monkeypatch):
     # four planar points on a line: nullity 3, and every edge lies in some
     # dependency, yet every one-smaller subset is dependent
     fw = _framework(2, [(0, 0), (1, 0), (3, 0), (4, 0)])
+    R = rigidity_matrix(fw)
+    assert len(R) - linalg.rank(R) == 3
     kernel = _shadow_kernel(fw)
     assert len(kernel) == 3 and all(map(any, zip(*kernel)))
     expected = (False, "proper subset of the (1, 2, 3, 4) edge set is dependent")
-    assert _subgraph_circuits(fw, 4) == full_width_subgraph_circuits(fw, 4) == expected
+    assert full_width_subgraph_circuits(fw, 4) == expected
+
+    def refuse(*args):
+        raise AssertionError("the nullity alone decides this block")
+
+    monkeypatch.setattr(secrig, "_shadow_certifies_circuit", refuse)
+    monkeypatch.setattr(secrig, "kernel_basis", refuse)
+    assert _subgraph_circuits(fw, 4) == expected
 
 
-def test_denominators_divisible_by_the_shadow_prime_fall_back_to_exact_subsets():
+def test_denominators_divisible_by_the_shadow_prime_defer_to_the_exact_kernel(monkeypatch):
     p = linalg.SHADOW_PRIME
     rng = child_rng(16, "shadow-denominators")
     for n, d in [(3, 1), (4, 2), (5, 3)]:
@@ -264,7 +294,9 @@ def test_denominators_divisible_by_the_shadow_prime_fall_back_to_exact_subsets()
         R = rigidity_matrix(fw)
         assert linalg.vector_mod_p(R[0]) is None
         assert not _shadow_certifies_circuit(R)
+        calls = _counting_exact_kernel(monkeypatch)
         assert _subgraph_circuits(fw, d + 2) == full_width_subgraph_circuits(fw, d + 2) == (True, "")
+        assert len(calls) == 1  # n = d + 2: one subgraph, one exact kernel
 
 
 def test_planar_rigidity_rank_matches_the_pebble_game():
