@@ -5,7 +5,6 @@ from .cimodel import CIStatement, DiscreteModel, ModelVar, ProbTensor, ci_ideal,
 from .hypergraph import GridSpec, Hypergraph, grid_hypergraph, grid_matrix, hypergraph_ideal, in_variety
 from .ideals import BudgetExceeded, Ideal, buchberger, eliminate, intersect, normal_form
 from .matroid import (
-    GenericityError,
     PolyMap,
     algebraic_matroid,
     arrangement_signature,
@@ -15,6 +14,7 @@ from .matroid import (
 )
 from .poly import DEGREVLEX, LEX, MonomialOrder, PolyRing, Polynomial, Var, generic_matrix, minor
 from .report import WitnessReport
+from .sampling import GenericityError
 from .secrig import Framework, rigidity_matrix, secant_dimension
 
 __version__ = "0.1.0"

@@ -119,29 +119,6 @@ class ProbTensor:
             idx = idx * c + (s - 1)
         return self.entries[idx]
 
-    def __add__(self, other: "ProbTensor") -> "ProbTensor":
-        if (self.names, self.shape) != (other.names, other.shape):
-            raise ValueError("tensor layout mismatch")
-        return ProbTensor(self.names, self.shape, tuple(a + b for a, b in zip(self.entries, other.entries)))
-
-    def to_text(self) -> str:
-        header = "tensor " + " ".join(f"{n}={c}" for n, c in zip(self.names, self.shape))
-        body = " ".join(str(x) for x in self.entries)
-        return header + "\n" + body + "\n"
-
-    @staticmethod
-    def from_text(text: str) -> "ProbTensor":
-        lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln and not ln.startswith("#")]
-        if len(lines) < 2 or not lines[0].startswith("tensor"):
-            raise ValueError("expected a 'tensor' header line and one entries line")
-        names, shape = [], []
-        for tok in lines[0].split()[1:]:
-            n, _, c = tok.partition("=")
-            names.append(n)
-            shape.append(int(c))
-        entries = tuple(Fraction(t) for t in " ".join(lines[1:]).split())
-        return ProbTensor(tuple(names), tuple(shape), entries)
-
 
 def _states(cards: Sequence[int]) -> list[tuple[int, ...]]:
     """All joint states, lexicographic, 1-based."""
@@ -322,8 +299,10 @@ def parse_ci_file(text: str) -> tuple[DiscreteModel, list[CIStatement]]:
     variables = []
     for tok in lines[0].split():
         name, _, c = tok.partition("=")
-        if not c:
-            raise ValueError(f"bad variable declaration {tok!r}")
+        if not c.isdigit():
+            raise ValueError(
+                f"variable declaration {tok!r} in line {lines[0]!r} is not name=states with an integer state count"
+            )
         hidden = name.endswith("*")
         variables.append(ModelVar(name.rstrip("*"), int(c), hidden))
     model = DiscreteModel(tuple(variables))

@@ -22,16 +22,9 @@ from .cimodel import ci_ideal, parse_ci_file
 from .hypergraph import GridSpec, Hypergraph, grid_hypergraph, grid_matrix_text, hypergraph_ideal
 from .ideals import Ideal, ideal_to_cas, ideal_to_text
 from .linalg import matrix_from_text, rank
-from .matroid import (
-    GenericityError,
-    PolyMap,
-    algebraic_matroid,
-    arrangement_signature,
-    matroid_from_matrix,
-    realize_grid_matroid,
-)
+from .matroid import PolyMap, algebraic_matroid, arrangement_signature, matroid_from_matrix, realize_grid_matroid
 from .report import EXIT_CODES, WitnessReport, overall_status
-from .sampling import child_rng
+from .sampling import GenericityError, child_rng
 from .secrig import Framework, generic_rigidity_check, rigidity_matrix, secant_dimension, segre_tangent_model
 from .verify import VERIFICATIONS
 

@@ -63,12 +63,20 @@ class Hypergraph:
 
     @staticmethod
     def from_text(text: str) -> "Hypergraph":
+        """An `n` line, then one edge of vertex numbers per line."""
         lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln and not ln.startswith("#")]
         if not lines:
             raise ValueError("empty hypergraph text")
-        n = int(lines[0])
-        edges = [tuple(int(t) for t in ln.split()) for ln in lines[1:]]
-        return Hypergraph.of(n, edges)
+        misfit = "does not fit the format: an `n` line, then one edge of vertex numbers per line"
+        rows = []
+        for ln in lines:
+            try:
+                rows.append([int(t) for t in ln.split()])
+            except ValueError:
+                raise ValueError(f"hypergraph line {ln!r} {misfit}") from None
+        if len(rows[0]) != 1:
+            raise ValueError(f"hypergraph line {lines[0]!r} {misfit}")
+        return Hypergraph.of(rows[0][0], rows[1:])
 
 
 @dataclass(frozen=True)
@@ -135,7 +143,7 @@ def grid_hypergraph(spec: GridSpec) -> Hypergraph:
     return Hypergraph.of(spec.n, edges)
 
 
-def hypergraph_ideal(H: Hypergraph, d: int, base: str = "x") -> Ideal:
+def hypergraph_ideal(H: Hypergraph, d: int) -> Ideal:
     """All |B|-minors supported on each edge B, over a generic d x n matrix.
 
     Edges larger than d contribute no generators (no square submatrix of that
@@ -144,7 +152,7 @@ def hypergraph_ideal(H: Hypergraph, d: int, base: str = "x") -> Ideal:
     """
     if d < 1:
         raise ValueError(f"need d >= 1, got d={d}")
-    X = generic_matrix(d, H.n, base)
+    X = generic_matrix(d, H.n)
     memo: dict = {}
     seen = set()
     gens = []

@@ -42,8 +42,8 @@ class Ideal:
     def of(ring: PolyRing, generators: Iterable[Polynomial]) -> "Ideal":
         return Ideal(ring, tuple(g for g in generators if not g.is_zero()))
 
-    def generator_texts(self, order: MonomialOrder = DEGREVLEX) -> list[str]:
-        return [g.to_text(order) for g in self.generators]
+    def generator_texts(self) -> list[str]:
+        return [g.to_text() for g in self.generators]
 
     def sign_normalized_set(self, order: MonomialOrder = DEGREVLEX) -> frozenset[Polynomial]:
         return frozenset(normalize_sign(g, order) for g in self.generators if not g.is_zero())
@@ -255,17 +255,18 @@ def intersect(
     return eliminate(Ideal.of(big, gens), {t}, max_pairs=max_pairs, max_degree=max_degree)
 
 
-def ideal_to_text(ideal: Ideal, order: MonomialOrder = DEGREVLEX) -> str:
-    """One generator per line."""
-    return "\n".join(g.to_text(order) for g in ideal.generators) + ("\n" if ideal.generators else "")
+def ideal_to_text(ideal: Ideal) -> str:
+    """One generator per line, terms in degrevlex order."""
+    return "".join(f"{text}\n" for text in ideal.generator_texts())
 
 
-def ideal_to_cas(ideal: Ideal, order: MonomialOrder = DEGREVLEX, name: str = "I") -> str:
-    """A neutral computer-algebra script: ring declaration plus the ideal."""
+def ideal_to_cas(ideal: Ideal) -> str:
+    """A neutral computer-algebra script: ring declaration plus the ideal I,
+    terms in degrevlex order."""
     vars_txt = ", ".join(str(v) for v in ideal.ring.variables)
-    lines = [f"ring R = QQ[{vars_txt}];", f"order {order};", f"ideal {name} ="]
+    lines = [f"ring R = QQ[{vars_txt}];", f"order {DEGREVLEX};", "ideal I ="]
     if ideal.generators:
-        body = ",\n".join(f"  {g.to_text(order)}" for g in ideal.generators)
+        body = ",\n".join(f"  {text}" for text in ideal.generator_texts())
         lines.append(body + ";")
     else:
         lines.append("  0;")

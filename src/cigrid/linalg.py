@@ -39,18 +39,25 @@ def column_submatrix(m: Sequence[Sequence[Fraction]], cols: Iterable[int]) -> Ma
     return [[row[j - 1] for j in idx] for row in m]
 
 
-def rank(m: Sequence[Sequence[Fraction]]) -> int:
-    """Exact rank by fraction Gaussian elimination."""
+def _echelon(m: Sequence[Sequence[Fraction]]) -> tuple[Mat, list[int], int]:
+    """Forward Fraction elimination: the echelon rows, the 0-based pivot
+    columns and the number of row swaps.  The pivot in column c is the first
+    nonzero entry at or below the current row; the pass stops once every row
+    holds a pivot.  Pivot columns do not depend on which rows were swapped."""
     work = [list(row) for row in m]
     if not work or not work[0]:
-        return 0
+        return work, [], 0
     nrows, ncols = len(work), len(work[0])
+    pivots: list[int] = []
+    swaps = 0
     r = 0
     for c in range(ncols):
         pivot = next((i for i in range(r, nrows) if work[i][c] != 0), None)
         if pivot is None:
             continue
-        work[r], work[pivot] = work[pivot], work[r]
+        if pivot != r:
+            work[r], work[pivot] = work[pivot], work[r]
+            swaps += 1
         inv = 1 / work[r][c]
         for i in range(r + 1, nrows):
             f = work[i][c] * inv
@@ -58,75 +65,54 @@ def rank(m: Sequence[Sequence[Fraction]]) -> int:
                 row_i, row_r = work[i], work[r]
                 for j in range(c, ncols):
                     row_i[j] -= f * row_r[j]
-        r += 1
-        if r == nrows:
-            break
-    return r
-
-
-def det(m: Sequence[Sequence[Fraction]]) -> Fraction:
-    work = [list(row) for row in m]
-    n = len(work)
-    if any(len(row) != n for row in work):
-        raise ValueError("determinant of a non-square matrix")
-    sign = 1
-    result = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if work[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            work[c], work[pivot] = work[pivot], work[c]
-            sign = -sign
-        result *= work[c][c]
-        inv = 1 / work[c][c]
-        for i in range(c + 1, n):
-            f = work[i][c] * inv
-            if f:
-                for j in range(c, n):
-                    work[i][j] -= f * work[c][j]
-    return sign * result
-
-
-def rref(m: Sequence[Sequence[Fraction]]) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form and the 0-based pivot column list."""
-    work = [list(row) for row in m]
-    if not work or not work[0]:
-        return work, []
-    nrows, ncols = len(work), len(work[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if work[i][c] != 0), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = 1 / work[r][c]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(nrows):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return work, pivots
+    return work, pivots, swaps
+
+
+def rank(m: Sequence[Sequence[Fraction]]) -> int:
+    """Exact rank: the number of pivots."""
+    return len(_echelon(m)[1])
+
+
+def det(m: Sequence[Sequence[Fraction]]) -> Fraction:
+    """Exact determinant: the swap sign times the echelon diagonal, or 0
+    below full rank."""
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("determinant of a non-square matrix")
+    rows, pivots, swaps = _echelon(m)
+    if len(pivots) < n:
+        return Fraction(0)
+    result = Fraction(-1 if swaps % 2 else 1)
+    for i in range(n):
+        result *= rows[i][i]
+    return result
 
 
 def kernel_basis(m: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Basis of the right kernel {v : m v = 0}."""
+    """Basis of the right kernel {v : m v = 0}: for each free column f, the
+    unique kernel vector with 1 at f and 0 at the other free columns.
+
+    Its pivot entries come by back-substitution through the echelon rows;
+    a pivot column c > f gets 0, so row r only reads columns c+1..f."""
     if not m:
         return []
     ncols = len(m[0])
-    reduced, pivots = rref(m)
-    free = [c for c in range(ncols) if c not in pivots]
+    rows, pivots, _ = _echelon(m)
+    pivot_set = set(pivots)
+    bottom_up = [*zip(rows, pivots)][::-1]
     basis = []
-    for f in free:
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
         v = [Fraction(0)] * ncols
         v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -reduced[r][f]
+        for row, c in bottom_up:
+            if c < f:
+                v[c] = -sum(row[j] * v[j] for j in range(c + 1, f + 1)) / row[c]
         basis.append(v)
     return basis
 

@@ -19,14 +19,12 @@ from .hypergraph import GridSpec, Hypergraph, grid_hypergraph, minimal_sets
 from .ideals import Ideal
 from .linalg import Mat, kernel_basis, rank, rank_of_vectors_mod_p, transpose, vector_mod_p
 from .poly import PolyRing, Polynomial, Var, generic_matrix, minor, normalize_sign, parse_polynomial
-from .sampling import rand_fraction, rand_matrix, rand_nonzero_fraction
+from .sampling import GenericityError, generic_draw, rand_fraction, rand_matrix, rand_nonzero_fraction
 
 ENUMERATION_CAP = 16
 AXIOM_CHECK_CAP = 14
-
-
-class GenericityError(RuntimeError):
-    """Random draws disagreed where a generic answer was required."""
+# Draws `realize_grid_matroid` tries before it reports non-genericity.
+REALIZATION_ATTEMPTS = 32
 
 
 class Matroid:
@@ -231,11 +229,7 @@ def grid_circuit_family(spec: GridSpec) -> tuple[frozenset[int], ...]:
     return Hypergraph.of(spec.n, candidates).edges
 
 
-def realize_grid_matroid(
-    spec: GridSpec,
-    rng: random.Random,
-    max_attempts: int = 32,
-) -> Mat:
+def realize_grid_matroid(spec: GridSpec, rng: random.Random) -> Mat:
     """A d x (k*l) rational matrix whose column at grid cell (i, j) lies in
     the intersection of a generic (t-1)-dimensional row subspace and a
     generic (s-1)-dimensional column subspace.
@@ -251,7 +245,7 @@ def realize_grid_matroid(
     d = spec.d
     expect_dim = (spec.s - 1) + (spec.t - 1) - d
     H = grid_hypergraph(spec)
-    for _ in range(max_attempts):
+    for _ in range(REALIZATION_ATTEMPTS):
         row_spaces = [rand_matrix(rng, d, spec.t - 1) for _ in range(spec.k)]
         col_spaces = [rand_matrix(rng, d, spec.s - 1) for _ in range(spec.l)]
         if any(rank(u) < spec.t - 1 for u in row_spaces):
@@ -286,7 +280,7 @@ def realize_grid_matroid(
         m = matroid_from_matrix(matrix)
         if dependent_contains(m, H):
             return matrix
-    raise GenericityError(f"no generic grid realization found in {max_attempts} attempts")
+    raise GenericityError(f"no generic grid realization found in {REALIZATION_ATTEMPTS} attempts")
 
 
 # -- algebraic matroids --------------------------------------------------------
@@ -362,7 +356,7 @@ def matrix_product_map(m: int, n: int, r: int) -> PolyMap:
     return PolyMap(ring, tuple(coords), tuple(labels))
 
 
-def algebraic_matroid(pm: PolyMap, rng: random.Random, max_attempts: int = 4) -> LinearMatroid:
+def algebraic_matroid(pm: PolyMap, rng: random.Random) -> LinearMatroid:
     """Coordinate-dependence matroid of the parametrized set.
 
     The Jacobian is evaluated at two independent random rational points; a
@@ -377,16 +371,7 @@ def algebraic_matroid(pm: PolyMap, rng: random.Random, max_attempts: int = 4) ->
         jac = pm.jacobian_at(point)
         return matroid_from_matrix(transpose(jac), ground)
 
-    last_pair = None
-    for _ in range(max_attempts):
-        a, b = draw(), draw()
-        if a.circuits() == b.circuits():
-            return a
-        last_pair = (a, b)
-    raise GenericityError(
-        f"Jacobian matroids disagree across random points after {max_attempts} attempts: "
-        f"{last_pair[0].circuits()} vs {last_pair[1].circuits()}"
-    )
+    return generic_draw(draw, lambda m: m.circuits(), "Jacobian matroid circuits at random points")
 
 
 # -- sparse low-rank ideals and arrangement signatures -------------------------

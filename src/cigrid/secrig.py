@@ -2,7 +2,7 @@
 rigidity-matrix rank checks.
 
 Dimensions are reported for affine cones; the projective dimension is one
-less.  Every randomized answer carries a two-draw agreement guard: two
+less.  Every randomized answer goes through `sampling.generic_draw`: two
 independent draws must agree or the computation fails loudly.
 """
 
@@ -16,9 +16,8 @@ from math import comb
 from typing import Callable
 
 from .linalg import Mat, kernel_basis, left_kernel_mod_p, rank, transpose, vector_mod_p
-from .matroid import GenericityError
 from .report import CheckResult, WitnessReport
-from .sampling import rand_fraction, rand_nonzero_fraction
+from .sampling import generic_draw, rand_fraction, rand_nonzero_fraction
 
 Point = tuple[Fraction, ...]
 
@@ -60,25 +59,20 @@ def segre_tangent_model(m: int, n: int) -> TangentModel:
     return TangentModel(f"rank-one {m}x{n}", m * n, draw)
 
 
-def _stacked_tangent_rank(model: TangentModel, k: int, rng: random.Random) -> int:
-    rows: list[list[Fraction]] = []
-    for _ in range(k):
-        _, tangents = model.draw(rng)
-        rows.extend(list(t) for t in tangents)
-    return rank(rows)
-
-
-def secant_dimension(model: TangentModel, k: int, rng: random.Random, max_attempts: int = 4) -> int:
+def secant_dimension(model: TangentModel, k: int, rng: random.Random) -> int:
     """Affine-cone dimension of the k-th secant: the exact rank of tangent
     bases stacked at k independent random points, with a two-draw guard."""
     if k < 1:
         raise ValueError("need k >= 1")
-    for _ in range(max_attempts):
-        a = _stacked_tangent_rank(model, k, rng)
-        b = _stacked_tangent_rank(model, k, rng)
-        if a == b:
-            return a
-    raise GenericityError(f"stacked tangent ranks kept disagreeing for {model.name}, k={k}")
+
+    def draw() -> int:
+        rows: list[list[Fraction]] = []
+        for _ in range(k):
+            _, tangents = model.draw(rng)
+            rows.extend(list(t) for t in tangents)
+        return rank(rows)
+
+    return generic_draw(draw, lambda r: r, f"stacked tangent ranks of {model.name}, k={k}")
 
 
 # -- bar-joint frameworks ------------------------------------------------------
@@ -121,8 +115,10 @@ class Framework:
         ValueError, never a silently reinterpreted line."""
         lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln and not ln.startswith("#")]
         header = lines[0].split() if lines else []
-        if len(header) != 2:
-            raise ValueError("framework file needs an `n d` header line")
+        if len(header) != 2 or not all(t.isdigit() for t in header):
+            raise ValueError(
+                f"framework file needs an `n d` header of two non-negative integers, got {' '.join(header)!r}"
+            )
         n, d = (int(t) for t in header)
         if n < 1:
             raise ValueError(f"framework header needs n >= 1, got {n}")
@@ -219,35 +215,28 @@ def _check_complete_subgraph_circuits(fw: Framework, R: Mat, size: int) -> tuple
 def generic_rigidity_check(n: int, d: int, rng: random.Random, seed_note: int = 0) -> WitnessReport:
     """Rank of a random complete-graph framework against d*n - (d+1 choose 2),
     plus the complete-subgraph circuit test on d+2 vertices (skipped above
-    8 vertices).  Runs on two independent configurations; both must agree."""
+    8 vertices).  Two independent configurations must agree on both."""
     if n < d + 1:
         raise ValueError("need n >= d + 1")
     report = WitnessReport(name=f"rigidity n={n} d={d}", seed=seed_note, trials=2)
     expected = rigidity_rank_formula(n, d)
 
-    ranks = []
-    circuit_outcomes: list[tuple[bool, str]] = []
-    for _ in range(2):
+    def draw() -> tuple[int, tuple[bool, str] | None]:
         fw = random_framework(n, d, rng)
         R = rigidity_matrix(fw)
-        ranks.append(rank(R))
-        if n <= 8 and n >= d + 2:
-            circuit_outcomes.append(_check_complete_subgraph_circuits(fw, R, d + 2))
+        return rank(R), _check_complete_subgraph_circuits(fw, R, d + 2) if d + 2 <= n <= 8 else None
 
-    agree = len(set(ranks)) == 1 and len({o[0] for o in circuit_outcomes}) <= 1
-    if not agree:
-        raise GenericityError(f"two random configurations disagree: ranks={ranks}")
-
+    r, circuit_outcome = generic_draw(draw, lambda x: (x[0], x[1] and x[1][0]), "rigidity (rank, circuit verdict)")
     report.add(
         CheckResult.outcome(
             f"rank equals {d}*{n} - C({d + 1},2) = {expected}",
-            ranks[0] == expected,
-            detail=f"computed rank {ranks[0]}",
-            counts={"rank": ranks[0], "expected": expected},
+            r == expected,
+            detail=f"computed rank {r}",
+            counts={"rank": r, "expected": expected},
         )
     )
-    if circuit_outcomes:
-        ok, why = circuit_outcomes[0]
+    if circuit_outcome:
+        ok, why = circuit_outcome
         count = comb(n, d + 2)
         report.add(
             CheckResult.outcome(

@@ -28,7 +28,6 @@ from .ideals import DEFAULT_MAX_DEGREE, DEFAULT_MAX_PAIRS, BudgetExceeded, Ideal
 from .linalg import Mat, matrix_to_text, rank
 from .matroid import (
     AXIOM_CHECK_CAP,
-    GenericityError,
     dependent_contains,
     grid_circuit_family,
     is_circuit_family,
@@ -37,7 +36,7 @@ from .matroid import (
 )
 from .poly import Polynomial, SymbolicMatrix, generic_matrix, minor, normalize_sign
 from .report import INCONCLUSIVE, CheckResult, WitnessReport
-from .sampling import child_rng, rand_fraction, rand_matrix, rand_nonzero_fraction
+from .sampling import GenericityError, child_rng, rand_fraction, rand_matrix, rand_nonzero_fraction
 from .secrig import generic_rigidity_check, secant_dimension, segre_tangent_model
 
 MAX_LOGGED_COUNTEREXAMPLES = 5
@@ -49,7 +48,6 @@ class ComponentSampler:
     """Named procedure drawing exact matrices on a prescribed component."""
 
     name: str
-    shape: tuple[int, int]
     draw: Callable[[random.Random], Mat]
 
 
@@ -96,7 +94,7 @@ def sampler_loop_component() -> ComponentSampler:
             row[0] = Fraction(0)
         return m
 
-    return ComponentSampler("loop-component", (3, 7), draw)
+    return ComponentSampler("loop-component", draw)
 
 
 def sampler_concurrent_lines() -> ComponentSampler:
@@ -121,7 +119,7 @@ def sampler_concurrent_lines() -> ComponentSampler:
                     cols.append([a * apex[r] + b * d[r] for r in range(3)])
             return [[cols[j][r] for j in range(7)] for r in range(3)]
 
-    return ComponentSampler("concurrent-lines", (3, 7), draw)
+    return ComponentSampler("concurrent-lines", draw)
 
 
 def sampler_bounded_rank(d: int, n: int, r: int, name: str | None = None) -> ComponentSampler:
@@ -136,7 +134,7 @@ def sampler_bounded_rank(d: int, n: int, r: int, name: str | None = None) -> Com
             for i in range(d)
         ]
 
-    return ComponentSampler(name or f"rank<={r}", (d, n), draw)
+    return ComponentSampler(name or f"rank<={r}", draw)
 
 
 # -- campaign helpers -----------------------------------------------------------

@@ -1,11 +1,13 @@
 """Independent oracles and fixture builders used by the test suite.
 
 The oracles deliberately re-derive answers by routes different from the
-library: permutation-sum determinants, minor-search ranks, a naive textbook
-Groebner routine with none of the library's selection strategy or criteria,
-the circuit checks and the minimal-edge filter written out with frozensets,
-circuits found by an exact rank of every subset, full-width exact ranks for
-rigidity circuits, and a (2,3)-pebble game for generic rigidity in the plane.
+library: permutation-sum determinants, a determinant that tracks its sign
+swap by swap, kernels read off the reduced row echelon form, minor-search
+ranks, a naive textbook Groebner routine with none of the library's
+selection strategy or criteria, the circuit checks and the minimal-edge
+filter written out with frozensets, circuits found by an exact rank of every
+subset, full-width exact ranks for rigidity circuits, and a (2,3)-pebble
+game for generic rigidity in the plane.
 
 The builders write the test-only inputs the library only ever reads: CI
 statements and CI model files as text, and tensors from plain entries.
@@ -67,6 +69,66 @@ def rank_by_minors(m) -> int:
                 if det_by_permutations(sub) != 0:
                     return r
     return 0
+
+
+def swap_tracking_det(m) -> Fraction:
+    """Determinant by a square elimination of its own: the sign flips at each
+    row swap and the product of pivots accumulates column by column."""
+    work = [list(row) for row in m]
+    n = len(work)
+    if any(len(row) != n for row in work):
+        raise ValueError("determinant of a non-square matrix")
+    sign = 1
+    result = Fraction(1)
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if work[i][c] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            work[c], work[pivot] = work[pivot], work[c]
+            sign = -sign
+        result *= work[c][c]
+        inv = 1 / work[c][c]
+        for i in range(c + 1, n):
+            f = work[i][c] * inv
+            if f:
+                for j in range(c, n):
+                    work[i][j] -= f * work[c][j]
+    return sign * result
+
+
+def rref_kernel_basis(m) -> list[list[Fraction]]:
+    """Right-kernel basis read off the reduced row echelon form (each pivot
+    scaled to 1 and cleared above and below): for free column f, 1 at f and
+    minus column f of the reduced rows at the pivot columns."""
+    if not m:
+        return []
+    work = [list(row) for row in m]
+    nrows, ncols = len(work), len(work[0])
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        pivot = next((i for i in range(r, nrows) if work[i][c] != 0), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        inv = 1 / work[r][c]
+        work[r] = [x * inv for x in work[r]]
+        for i in range(nrows):
+            if i != r and work[i][c]:
+                f = work[i][c]
+                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        pivots.append(c)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for r, c in enumerate(pivots):
+            v[c] = -work[r][f]
+        basis.append(v)
+    return basis
 
 
 def naive_division(f: Polynomial, divisors, order=DEGREVLEX) -> Polynomial:

@@ -320,6 +320,27 @@ def test_matrix_file_needs_a_two_integer_header(tmp_path, capsys, header):
     assert err.count("\n") == 1 and "`d n` header of two non-negative integers" in err
 
 
+@pytest.mark.parametrize(
+    "argv, text, line, fmt",
+    [
+        (["ideal", "--d", "2", "--hypergraph"], "3 4\n1 2\n", "'3 4'", "an `n` line, then one edge of vertex numbers per line"),
+        (["ideal", "--d", "2", "--hypergraph"], "3\n1 1/2\n", "'1 1/2'", "an `n` line, then one edge of vertex numbers per line"),
+        (["rigidity", "--framework"], "4 x\n0 0\n", "'4 x'", "`n d` header of two non-negative integers"),
+        (["ideal", "--ci"], "X=a Y=2\nX _||_ Y\n", "'X=a'", "name=states with an integer state count"),
+        (["ideal", "--ci"], "X Y=2\nX _||_ Y\n", "'X'", "name=states with an integer state count"),
+    ],
+    ids=["hypergraph-header", "hypergraph-edge", "framework-header", "ci-state-count", "ci-no-state-count"],
+)
+def test_malformed_file_names_its_line_and_format(tmp_path, capsys, argv, text, line, fmt):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and line in err and fmt in err
+    assert "invalid literal" not in err
+
+
 def test_hypergraph_ideal_rejects_zero_rows(tmp_path, capsys):
     hg = tmp_path / "one.hg"
     hg.write_text("3\n1 2\n")
@@ -339,7 +360,7 @@ def test_hypergraph_ideal_rejects_zero_rows(tmp_path, capsys):
 )
 def test_genericity_failure_is_inconclusive_not_a_traceback(monkeypatch, capsys, target, argv):
     from cigrid import cli
-    from cigrid.matroid import GenericityError
+    from cigrid.sampling import GenericityError
 
     def disagree(*args, **kwargs):
         raise GenericityError("draws kept disagreeing")

@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import det_by_permutations, rank_by_minors
+from helpers import det_by_permutations, perm_sign, rank_by_minors, rref_kernel_basis, swap_tracking_det
 from cigrid import linalg
 
 
@@ -45,6 +46,67 @@ def test_kernel_vectors_are_annihilated():
         for v in basis:
             prod = [sum(a * b for a, b in zip(row, v)) for row in m]
             assert all(x == 0 for x in prod)
+
+
+def elimination_cases(seed: int) -> list[list[list[Fraction]]]:
+    """Seeded matrices for the one elimination pass: empty, no columns, zero
+    matrices, random wide, tall and square ones with a zeroed row and column,
+    and rank-deficient products of thin factors."""
+    rng = random.Random(seed)
+    cases = [[], [[]], [[], []], linalg.zeros(3, 3), linalg.zeros(2, 5), linalg.zeros(4, 1)]
+    for i in range(60):
+        d = rng.randint(1, 6)
+        n = d if i % 3 == 0 else rng.randint(1, 6)
+        m = rand_mat(rng, d, n)
+        cases.append(m)
+        zeroed = [list(row) for row in m]
+        zeroed[rng.randrange(d)] = [Fraction(0)] * n
+        for row in zeroed:
+            row[rng.randrange(n)] = Fraction(0)
+        cases.append(zeroed)
+        r = rng.randint(1, max(1, min(d, n) - 1))
+        left, right = rand_mat(rng, d, r), rand_mat(rng, r, n)
+        cases.append([[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left])
+    return cases
+
+
+def permutation_matrix(perm) -> list[list[Fraction]]:
+    return [[Fraction(int(p == j)) for j in range(len(perm))] for p in perm]
+
+
+def test_kernel_basis_matches_the_rref_kernel():
+    cases = elimination_cases(71)
+    shapes = {(len(m), len(m[0]) if m else 0) for m in cases}
+    assert any(d < n for d, n in shapes) and any(d > n for d, n in shapes)
+    assert any(linalg.rank(m) < min(len(m), len(m[0])) for m in cases if m and m[0])
+    for m in cases:
+        assert linalg.kernel_basis(m) == rref_kernel_basis(m)
+
+
+def test_det_matches_the_swap_tracking_elimination():
+    square = [m for m in elimination_cases(72) if all(len(row) == len(m) for row in m)]
+    assert len(square) > 60
+    for m in square:
+        assert linalg.det(m) == swap_tracking_det(m)
+    assert linalg.det([]) == 1
+    with pytest.raises(ValueError, match="non-square"):
+        linalg.det(linalg.zeros(2, 3))
+
+
+def test_det_of_odd_permutation_matrices_is_negative():
+    rng = random.Random(73)
+    odd = [perm for n in (2, 3, 4) for perm in permutations(range(n)) if perm_sign(perm) == -1]
+    assert len(odd) == 1 + 3 + 12
+    for perm in odd:
+        P = permutation_matrix(perm)
+        assert linalg.det(P) == swap_tracking_det(P) == -1
+        scale = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in perm]
+        scaled = [[x * c for x in row] for row, c in zip(P, scale)]
+        expected = -1
+        for c in scale:
+            expected *= c
+        assert linalg.det(scaled) == swap_tracking_det(scaled) == expected
+        assert linalg.kernel_basis(P) == [] and linalg.rank(P) == len(perm)
 
 
 @settings(max_examples=40, deadline=None)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import brute_force_circuits, frozenset_is_circuit_family, rank_by_minors
 from cigrid import linalg
+from cigrid import matroid as matroid_module
 from cigrid.hypergraph import GridSpec, Hypergraph, grid_hypergraph
 from cigrid.matroid import (
     AXIOM_CHECK_CAP,
@@ -28,7 +29,7 @@ from cigrid.matroid import (
     sparse_lowrank_ideal,
 )
 from cigrid.poly import PolyRing, Var, generic_matrix, minor, normalize_sign
-from cigrid.sampling import child_rng, rand_matrix
+from cigrid.sampling import GENERIC_ATTEMPTS, GenericityError, child_rng, rand_matrix
 
 
 def concurrent_lines_matrix():
@@ -397,6 +398,25 @@ def test_linear_parametrization_matches_column_matroid():
     m = algebraic_matroid(pm, child_rng(4, "linear"))
     direct = matroid_from_matrix(linalg.transpose(coeffs))
     assert m.ground == direct.ground and m.circuits() == direct.circuits()
+
+
+def test_disagreeing_jacobian_matroids_name_both_circuit_families(monkeypatch):
+    """Draws that alternate between a free matroid and one 3-circuit never
+    agree; the error names both circuit families."""
+    pm = segre_map(2, 2)
+    free = matroid_from_matrix(linalg.identity(4))
+    triangle = matroid_from_matrix(linalg.mat([[1, 0, 1, 0], [0, 1, 1, 0], [0, 0, 0, 1]]))
+    made = []
+
+    def alternate(matrix, ground):
+        made.append(matrix)
+        return free if len(made) % 2 else triangle
+
+    monkeypatch.setattr(matroid_module, "matroid_from_matrix", alternate)
+    with pytest.raises(GenericityError, match="Jacobian matroid") as info:
+        algebraic_matroid(pm, child_rng(3, "segre"))
+    assert len(made) == 2 * GENERIC_ATTEMPTS
+    assert f"() vs {triangle.circuits()}" in str(info.value)
 
 
 def test_polymap_parse_round_trip():

@@ -1,0 +1,54 @@
+"""Pinned output bytes: the sha256 of every file three CLI runs write at
+`--seed 7 --out D`.
+
+A refactor of the exact core must leave these files byte for byte as they
+were.  A deliberate change to a report format or to the draws behind it
+must update the digests here in the same change, and say so."""
+
+import hashlib
+
+import pytest
+
+from cigrid.cli import main
+
+RUNS = {
+    "verify": ["verify", "all", "--trials", "5"],
+    "secant": ["secant", "--m", "6", "--n", "6", "--k", "4"],
+    "matroid": ["matroid", "--grid", "--k", "3", "--l", "4", "--s", "3", "--t", "3", "--d", "3"],
+}
+
+DIGESTS = {
+    "verify": {
+        "example31/report.json": "1aaa4c8b9e438a155c24973d1cf480bd8db358c0af9f3f14c070565285ea1601",
+        "example31/report.txt": "dde89998d6b9cf26dacb2850835f34ba2c96c60020bcabe550eee1c57b0e95dc",
+        "example32/report.json": "a8ca88d93977459baf6d1800c8383608cc34b02178a23deb52c883d3dd549016",
+        "example32/report.txt": "52416449d011e190230244fc0a49f6a552d9311c5fdcc5e5a61f89ab472d2aee",
+        "intersection-axiom/report.json": "acf894ef946231174b31e2e0a06cbe8963ff78f6e27ccc7d987c4e6768dd92ae",
+        "intersection-axiom/report.txt": "22f2ad052db9ad4cd70b64b2a30243ed07fc3333a090255bcb1cb4d022a2257c",
+        "rigidity/report.json": "495e46b82d26c524f14d86eb1c152d4691ed8a21479086c49b45b9c1a32422e9",
+        "rigidity/report.txt": "235c3d87f6a1e672081227abaeb32ca961f1fd22c7b029e8dfe4d303af889fe6",
+        "terracini/report.json": "f8e66fa28a8dbb2a86f3bca06d2ccc4369cbe132c1c51f0a2a2411a140aec273",
+        "terracini/report.txt": "e973c715307217bc407b7d23c477ac0154133d2a2d962653aa950d4a8f16376a",
+        "theorem32/report.json": "2d16c63d2b2d8ee5fc454e9d036d8a5ed9179cf7ce9ef7723e78e24964a9ccaa",
+        "theorem32/report.txt": "9957d314fbabcade3e49b447794b4e5575dad0572ac8d6d98f99850c0706eb66",
+    },
+    "secant": {
+        "secant.json": "56b30fb96f0280ca2b9ea7e94bba6e23b527f8432362ca6c29727c1fc9712833",
+        "secant.txt": "fae5942f44e37db0894a663d3216e1a4a4ece53e6f13f745405fa4a710d5d69d",
+    },
+    "matroid": {
+        "matroid.json": "f836f6688ac16afd383c7d1b5d71293d69497d6e916e56e04d2da1dbe8e46d32",
+        "matroid.txt": "6476d5a5aa4b5b5f8d482822fa329c835d0ff36a48579d5ebfed45d30b86a35d",
+    },
+}
+
+
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_output_bytes_are_pinned(tmp_path, run):
+    assert main([*RUNS[run], "--seed", "7", "--out", str(tmp_path)]) == 0
+    written = {
+        path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in tmp_path.rglob("*")
+        if path.is_file()
+    }
+    assert written == DIGESTS[run]

@@ -1,0 +1,47 @@
+"""The two-draw genericity guard, driven by scripted draws."""
+
+import pytest
+
+from cigrid.sampling import GENERIC_ATTEMPTS, GenericityError, generic_draw
+
+
+def scripted(keys):
+    """A draw returning (key, serial) for each key in turn, and the list of
+    draws made so far."""
+    made = []
+
+    def draw():
+        made.append((keys[len(made)], len(made)))
+        return made[-1]
+
+    return draw, made
+
+
+def key(x):
+    return x[0]
+
+
+def test_first_agreeing_pair_returns_its_first_draw():
+    draw, made = scripted(["a", "a", "b", "b"])
+    assert generic_draw(draw, key, "test") == ("a", 0)
+    assert len(made) == 2
+
+
+@pytest.mark.parametrize("misses", range(1, GENERIC_ATTEMPTS))
+def test_agreement_after_misses_returns_the_first_draw_of_that_pair(misses):
+    keys = ["x", "y"] * misses + ["z", "z"]
+    draw, made = scripted(keys)
+    assert generic_draw(draw, key, "test") == ("z", 2 * misses)
+    assert len(made) == len(keys)
+
+
+def test_every_pair_disagreeing_raises_naming_the_last_keys():
+    assert GENERIC_ATTEMPTS == 4
+    keys = [f"k{i}" for i in range(2 * GENERIC_ATTEMPTS)] + ["late", "late"]
+    draw, made = scripted(keys)
+    with pytest.raises(GenericityError, match=f"{GENERIC_ATTEMPTS} pairs") as info:
+        generic_draw(draw, key, "test keys")
+    assert len(made) == 2 * GENERIC_ATTEMPTS
+    message = str(info.value)
+    assert message.startswith("test keys")
+    assert "k6 vs k7" in message

@@ -155,6 +155,26 @@ def test_generic_rigidity_check_various_shapes():
         assert rep.passed, (n, d)
 
 
+def test_generic_rigidity_check_retries_a_disagreeing_pair(monkeypatch):
+    """A degenerate first configuration (collinear points in the plane)
+    disagrees with the second on rank and circuit verdict; the check draws a
+    new pair instead of failing, and reports the first draw of that pair."""
+    made = []
+
+    def first_collinear(n, d, rng, edges=None):
+        fw = random_framework(n, d, rng, edges)
+        if not made:
+            fw = Framework(d, tuple((Fraction(i), Fraction(0)) for i in range(n)), fw.edges)
+        made.append(fw)
+        return fw
+
+    monkeypatch.setattr(secrig, "random_framework", first_collinear)
+    rep = generic_rigidity_check(4, 2, child_rng(9, "rigidity"))
+    assert rep.passed
+    assert len(made) == 4
+    assert rep.checks[0].counts["rank"] == 5
+
+
 def test_framework_text_round_trip():
     fw = random_framework(3, 2, child_rng(11, "fw"))
     assert Framework.from_text(fw.to_text()) == fw
