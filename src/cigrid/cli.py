@@ -21,11 +21,11 @@ from pathlib import Path
 from .cimodel import ci_ideal, parse_ci_file
 from .hypergraph import GridSpec, Hypergraph, grid_hypergraph, grid_matrix_text, hypergraph_ideal
 from .ideals import Ideal, ideal_to_cas, ideal_to_text
-from .linalg import matrix_from_text, rank
+from .linalg import matrix_from_text
 from .matroid import PolyMap, algebraic_matroid, arrangement_signature, matroid_from_matrix, realize_grid_matroid
 from .report import EXIT_CODES, WitnessReport, overall_status
 from .sampling import GenericityError, child_rng
-from .secrig import Framework, generic_rigidity_check, rigidity_matrix, secant_dimension, segre_tangent_model
+from .secrig import Framework, generic_rigidity_check, rigidity_matrix, rigidity_rank, secant_dimension, segre_tangent_model
 from .verify import VERIFICATIONS
 
 USAGE_EXIT = 2
@@ -326,7 +326,7 @@ def cmd_rigidity(args) -> int:
             raise SystemExit("--framework replaces --n/--d")
         fw = Framework.from_text(Path(args.framework).read_text())
         R = rigidity_matrix(fw)
-        r = rank(R)
+        r = rigidity_rank(fw, R)
         text = (
             f"vertices {fw.n}\ndimension {fw.d}\nedges {len(fw.edges)}\n"
             f"rigidity-matrix {len(R)} x {fw.d * fw.n}\nrank {r}\n"

@@ -45,8 +45,8 @@ class Ideal:
     def generator_texts(self) -> list[str]:
         return [g.to_text() for g in self.generators]
 
-    def sign_normalized_set(self, order: MonomialOrder = DEGREVLEX) -> frozenset[Polynomial]:
-        return frozenset(normalize_sign(g, order) for g in self.generators if not g.is_zero())
+    def sign_normalized_set(self) -> frozenset[Polynomial]:
+        return frozenset(normalize_sign(g, DEGREVLEX) for g in self.generators if not g.is_zero())
 
 
 def _divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:

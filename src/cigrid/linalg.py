@@ -8,12 +8,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 Mat = list[list[Fraction]]
 
-# Prime used for the optional mod-p rank pre-filter.  A full-rank answer mod p
-# certifies full rank over Q; anything else falls back to exact arithmetic.
+# Prime of the mod-p shadow.  A mod-p rank is a lower bound on the rank over
+# Q; `certified_rank` pairs it with an upper bound from checked witnesses.
 SHADOW_PRIME = 2**31 - 1
 
 
@@ -132,23 +132,21 @@ def rank_mod_p(m: Sequence[Sequence[Fraction]], p: int = SHADOW_PRIME) -> int | 
     return rank_of_vectors_mod_p(cols, p)
 
 
+def _integer_multiple(v: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """The lcm of the vector's denominators, and the vector times it."""
+    scale = lcm(*(x.denominator for x in v))
+    return scale, [x.numerator * (scale // x.denominator) for x in v]
+
+
 def vector_mod_p(v: Sequence[Fraction], p: int = SHADOW_PRIME) -> list[int] | None:
     """The vector times the lcm of its denominators, reduced mod p; None when
     p divides that lcm.  A nonzero scale changes neither ranks nor which
     combinations vanish, so a caller may reduce each vector once and
     eliminate on the results many times."""
-    scale = lcm(*(x.denominator for x in v))
+    scale, ints = _integer_multiple(v)
     if scale % p == 0:
         return None
-    return [x.numerator * (scale // x.denominator) % p for x in v]
-
-
-def _reduce_mod_p(v: list[int], basis: list[tuple[int, list[int]]], p: int) -> list[int]:
-    for c, b in basis:
-        f = v[c]
-        if f:
-            v = [(x - f * y) % p for x, y in zip(v, b)]
-    return v
+    return [x % p for x in ints]
 
 
 def rank_of_vectors_mod_p(vectors: Iterable[Sequence[int]], p: int = SHADOW_PRIME) -> int:
@@ -158,7 +156,11 @@ def rank_of_vectors_mod_p(vectors: Iterable[Sequence[int]], p: int = SHADOW_PRIM
     a nonzero remainder joins the basis at its first nonzero position."""
     basis: list[tuple[int, list[int]]] = []
     for v in vectors:
-        v = _reduce_mod_p(list(v), basis, p)
+        v = list(v)
+        for c, b in basis:
+            f = v[c]
+            if f:
+                v = [(x - f * y) % p for x, y in zip(v, b)]
         c = next((j for j, x in enumerate(v) if x), None)
         if c is not None:
             inv = pow(v[c], -1, p)
@@ -166,25 +168,45 @@ def rank_of_vectors_mod_p(vectors: Iterable[Sequence[int]], p: int = SHADOW_PRIM
     return len(basis)
 
 
-def left_kernel_mod_p(vectors: Sequence[Sequence[int]], p: int = SHADOW_PRIME) -> list[list[int]]:
-    """Basis of {y : sum_i y_i vectors[i] = 0} over GF(p), one vector per
-    dependent input: the elimination of `rank_of_vectors_mod_p` with each
-    vector's combination of the inputs tracked alongside it."""
-    k = len(vectors)
-    basis: list[tuple[int, list[int]]] = []
-    kernel: list[list[int]] = []
-    for i, v in enumerate(vectors):
-        track = [0] * k
-        track[i] = 1
-        v = _reduce_mod_p([*v, *track], basis, p)
-        dim = len(v) - k
-        c = next((j for j in range(dim) if v[j]), None)
-        if c is None:
-            kernel.append(v[dim:])
-        else:
-            inv = pow(v[c], -1, p)
-            basis.append((c, [x * inv % p for x in v]))
-    return kernel
+class CertifiedRank(NamedTuple):
+    """An exact rank, and the given witnesses proved to lie in the left
+    kernel (nonzero, and each checked by an exact product)."""
+
+    rank: int
+    kernel: list[Sequence[Fraction]]
+
+
+def certified_rank(m: Sequence[Sequence[Fraction]], witnesses: Iterable[Sequence[Fraction]]) -> CertifiedRank:
+    """Exact rank of m from two bounds, with `Fraction` elimination only
+    where they differ.
+
+    Each column is scaled once to integers by its denominator lcm.  A witness
+    w counts only after the exact integer check w.m = 0 on those columns (w
+    scaled by its own lcm), so every counted witness lies in the left kernel.
+    The upper bound is min(rows, cols, rows - r_w), with r_w the mod-p rank
+    of the counted witnesses; the lower bound is the mod-p rank of the scaled
+    columns.  A mod-p rank never exceeds the rank over Q, so both bounds are
+    sound, and when they meet that is the rank.  Otherwise, or when p
+    divides a column's scale, the exact `rank` decides."""
+    nrows = len(m)
+    columns = [_integer_multiple(col) for col in zip(*m)]
+    kernel: list[Sequence[Fraction]] = []
+    kernel_mod_p: list[list[int]] = []
+    for w in witnesses:
+        scale, ints = _integer_multiple(w)
+        support = [(i, x) for i, x in enumerate(ints) if x]
+        if len(w) != nrows or not support:
+            continue
+        if all(sum(x * col[i] for i, x in support) == 0 for _, col in columns):
+            kernel.append(w)
+            if scale % SHADOW_PRIME:
+                kernel_mod_p.append([x % SHADOW_PRIME for x in ints])
+    upper = min(nrows, len(columns), nrows - rank_of_vectors_mod_p(kernel_mod_p))
+    if all(scale % SHADOW_PRIME for scale, _ in columns):
+        lower = rank_of_vectors_mod_p([x % SHADOW_PRIME for x in col] for _, col in columns)
+        if lower == upper:
+            return CertifiedRank(lower, kernel)
+    return CertifiedRank(rank(m), kernel)
 
 
 def matrix_to_text(m: Sequence[Sequence[Fraction]]) -> str:
@@ -207,10 +229,20 @@ def matrix_from_text(text: str) -> Mat:
     d, n = (int(t) for t in header)
     if len(lines) != d + 1:
         raise ValueError(f"expected {d} rows, found {len(lines) - 1}")
+    misfit = "does not fit the format: a `d n` header, then one row of n rationals per line"
     rows = []
     for ln in lines[1:]:
-        row = [Fraction(t) for t in ln.split()]
+        row = rationals(ln, f"matrix line {ln!r} {misfit}")
         if len(row) != n:
-            raise ValueError("row width mismatch")
+            raise ValueError(f"matrix line {ln!r} has {len(row)} entries but the header says n = {n}")
         rows.append(row)
     return rows
+
+
+def rationals(line: str, error: str) -> list[Fraction]:
+    """The whitespace-separated rationals of one text line; a ValueError
+    with the message `error` when a token is not a rational."""
+    try:
+        return [Fraction(t) for t in line.split()]
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(error) from None

@@ -394,11 +394,12 @@ class Polynomial:
 
     # -- text form -----------------------------------------------------------
 
-    def to_text(self, order: MonomialOrder = DEGREVLEX) -> str:
+    def to_text(self) -> str:
+        """Terms in decreasing degrevlex order."""
         if not self.terms:
             return "0"
         parts: list[str] = []
-        for m in sorted(self.terms, key=order.key, reverse=True):
+        for m in sorted(self.terms, key=DEGREVLEX.key, reverse=True):
             c = self.terms[m]
             factors = [
                 str(self.ring.variables[i]) + (f"^{e}" if e > 1 else "")

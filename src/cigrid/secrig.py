@@ -3,7 +3,10 @@ rigidity-matrix rank checks.
 
 Dimensions are reported for affine cones; the projective dimension is one
 less.  Every randomized answer goes through `sampling.generic_draw`: two
-independent draws must agree or the computation fails loudly.
+independent draws must agree or the computation fails loudly.  Ranks go
+through `linalg.certified_rank` with left-kernel witnesses from theory:
+Segre relations between stacked tangents, trivial motions of a framework,
+and the self-stress of d+2 points from their affine dependence.
 """
 
 from __future__ import annotations
@@ -11,11 +14,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
-from typing import Callable
+from typing import Callable, Sequence
 
-from .linalg import Mat, kernel_basis, left_kernel_mod_p, rank, transpose, vector_mod_p
+from .linalg import Mat, certified_rank, kernel_basis, rationals, transpose
 from .report import CheckResult, WitnessReport
 from .sampling import generic_draw, rand_fraction, rand_nonzero_fraction
 
@@ -24,11 +27,14 @@ Point = tuple[Fraction, ...]
 
 @dataclass(frozen=True)
 class TangentModel:
-    """Sampler of (point, tangent-space basis) pairs with exact entries."""
+    """Sampler of (point, tangent-space basis) pairs with exact entries, and
+    the linear relations that theory gives among tangent bases stacked in
+    the order given: left-kernel vectors of the stacked rows."""
 
     name: str
     ambient: int
     draw: Callable[[random.Random], tuple[Point, list[Point]]]
+    relations: Callable[[Sequence[list[Point]]], list[list[Fraction]]]
 
 
 def segre_tangent_model(m: int, n: int) -> TangentModel:
@@ -56,21 +62,34 @@ def segre_tangent_model(m: int, n: int) -> TangentModel:
             tangents.append(tuple(vec))
         return point, tangents
 
-    return TangentModel(f"rank-one {m}x{n}", m * n, draw)
+    def relations(bases: Sequence[list[Point]]) -> list[list[Fraction]]:
+        """For each ordered pair (a, b) of points, sum_j v_b[j] (u_a x e_j)
+        - sum_i u_a[i] (e_i x v_b) = 0, since both sums are u_a x v_b.  u is
+        read off the first slab u x e_1 and v off the slab e_1 x v."""
+        us = [[t[0][i * n] for i in range(m)] for t in bases]
+        vs = [list(t[n][:n]) for t in bases]
+        out = []
+        for a, b in product(range(len(bases)), repeat=2):
+            w = [Fraction(0)] * ((m + n) * len(bases))
+            w[a * (m + n) : a * (m + n) + n] = vs[b]
+            w[b * (m + n) + n : (b + 1) * (m + n)] = [-x for x in us[a]]
+            out.append(w)
+        return out
+
+    return TangentModel(f"rank-one {m}x{n}", m * n, draw, relations)
 
 
 def secant_dimension(model: TangentModel, k: int, rng: random.Random) -> int:
-    """Affine-cone dimension of the k-th secant: the exact rank of tangent
-    bases stacked at k independent random points, with a two-draw guard."""
+    """Affine-cone dimension of the k-th secant: the rank of tangent bases
+    stacked at k independent random points, certified with the model's
+    relations, with a two-draw guard."""
     if k < 1:
         raise ValueError("need k >= 1")
 
     def draw() -> int:
-        rows: list[list[Fraction]] = []
-        for _ in range(k):
-            _, tangents = model.draw(rng)
-            rows.extend(list(t) for t in tangents)
-        return rank(rows)
+        bases = [model.draw(rng)[1] for _ in range(k)]
+        rows = [list(t) for tangents in bases for t in tangents]
+        return certified_rank(rows, model.relations(bases)).rank
 
     return generic_draw(draw, lambda r: r, f"stacked tangent ranks of {model.name}, k={k}")
 
@@ -124,7 +143,8 @@ class Framework:
             raise ValueError(f"framework header needs n >= 1, got {n}")
         if len(lines) < 1 + n:
             raise ValueError(f"framework header says {n} vertices but only {len(lines) - 1} lines follow it")
-        coords = tuple(tuple(Fraction(t) for t in ln.split()) for ln in lines[1 : 1 + n])
+        misfit = "does not fit the format: an `n d` header, n coordinate lines of d rationals, then `u v` edge lines"
+        coords = tuple(tuple(rationals(ln, f"coordinate line {ln!r} {misfit}")) for ln in lines[1 : 1 + n])
         for i, p in enumerate(coords, start=1):
             if len(p) != d:
                 raise ValueError(f"coordinate line {i} has {len(p)} entries but the header says d = {d}")
@@ -171,19 +191,37 @@ def _edge_index(n: int) -> dict[tuple[int, int], int]:
     return {e: i + 1 for i, e in enumerate(complete_graph_edges(n))}
 
 
-def _shadow_certifies_circuit(block: Mat) -> bool:
-    """Whether one mod-p elimination proves every one-smaller row subset of
-    a dependent block independent.
+def trivial_motions(fw: Framework) -> list[list[Fraction]]:
+    """The C(d+1, 2) trivial infinitesimal motions, each a right-kernel
+    vector of the rigidity matrix: d translations, and for each coordinate
+    pair a < b the rotation moving p by p_b in coordinate a and -p_a in
+    coordinate b (Asimow & Roth, Trans. AMS 245, 1978)."""
+    d = fw.d
+    motions = [[Fraction(int(c == a)) for _ in fw.coords for c in range(d)] for a in range(d)]
+    for a, b in combinations(range(d), 2):
+        motion = [Fraction(0)] * (d * fw.n)
+        for i, p in enumerate(fw.coords):
+            motion[i * d + a] = p[b]
+            motion[i * d + b] = -p[a]
+        motions.append(motion)
+    return motions
 
-    A row subset missing row i is dependent exactly when some nonzero left
-    kernel vector vanishes at i.  A one-dimensional left kernel mod p whose
-    vector has no zero entry therefore makes every one-smaller subset
-    independent mod p, and so over Q.  Any other shadow proves nothing."""
-    rows = [vector_mod_p(row) for row in block]
-    if any(row is None for row in rows):
-        return False
-    kernel = left_kernel_mod_p(rows)
-    return len(kernel) == 1 and all(kernel[0])
+
+def rigidity_rank(fw: Framework, R: Mat) -> int:
+    """Rank of the rigidity matrix R of fw, certified by its trivial
+    motions: rank(R) <= dn - (rank of the motions)."""
+    return certified_rank(transpose(R), trivial_motions(fw)).rank
+
+
+def _affine_dependence_stress(fw: Framework, verts: tuple[int, ...]) -> list[Fraction]:
+    """A self-stress of the complete graph on `verts`, one entry per edge in
+    `combinations` order: w_uv = l_u l_v, where l is an affine dependence of
+    the points (sum l_i p_i = 0, sum l_i = 0), read off one exact kernel.
+    At u, sum_v w_uv (p_u - p_v) = l_u (p_u sum_v l_v - sum_v l_v p_v) = 0."""
+    points = [fw.coords[v - 1] for v in verts]
+    lam = kernel_basis([*map(list, zip(*points)), [Fraction(1)] * len(points)])[0]
+    weight = dict(zip(verts, lam))
+    return [weight[u] * weight[v] for u, v in combinations(verts, 2)]
 
 
 def _check_complete_subgraph_circuits(fw: Framework, R: Mat, size: int) -> tuple[bool, str]:
@@ -192,21 +230,24 @@ def _check_complete_subgraph_circuits(fw: Framework, R: Mat, size: int) -> tuple
     one-smaller subsets independent.
 
     Each subgraph's rows are cut down to its own vertices' columns, the only
-    nonzero ones, and one exact `rank` gives the nullity of the block.  The
+    nonzero ones, and `certified_rank` gives the nullity of the block.  The
     rows are a circuit exactly when the nullity is 1 and the left kernel
     vector has no zero entry: with nullity 0 they are independent, and with
     nullity 2 or more some kernel vector vanishes at any one row, so every
-    one-smaller subset is dependent.  For nullity 1 the mod-p left kernel may
-    certify the circuit; otherwise the exact left kernel decides."""
+    one-smaller subset is dependent.  At size d+2 the affine-dependence
+    stress is the witness; once checked, it spans a one-dimensional kernel.
+    Without a checked witness one exact left kernel decides."""
     index = _edge_index(fw.n)
     for verts in combinations(range(1, fw.n + 1), size):
         rows = [index[(u, v)] for u, v in combinations(verts, 2)]
         cols = [(v - 1) * fw.d + c for v in verts for c in range(fw.d)]
         block = [[R[r - 1][c] for c in cols] for r in rows]
-        nullity = len(rows) - rank(block)
+        stresses = [_affine_dependence_stress(fw, verts)] if size == fw.d + 2 else []
+        r, kernel = certified_rank(block, stresses)
+        nullity = len(rows) - r
         if nullity == 0:
             return False, f"edge set of vertices {verts} is independent"
-        if nullity == 1 and (_shadow_certifies_circuit(block) or all(kernel_basis(transpose(block))[0])):
+        if nullity == 1 and all((kernel or kernel_basis(transpose(block)))[0]):
             continue
         return False, f"proper subset of the {verts} edge set is dependent"
     return True, ""
@@ -224,7 +265,7 @@ def generic_rigidity_check(n: int, d: int, rng: random.Random, seed_note: int = 
     def draw() -> tuple[int, tuple[bool, str] | None]:
         fw = random_framework(n, d, rng)
         R = rigidity_matrix(fw)
-        return rank(R), _check_complete_subgraph_circuits(fw, R, d + 2) if d + 2 <= n <= 8 else None
+        return rigidity_rank(fw, R), _check_complete_subgraph_circuits(fw, R, d + 2) if d + 2 <= n <= 8 else None
 
     r, circuit_outcome = generic_draw(draw, lambda x: (x[0], x[1] and x[1][0]), "rigidity (rank, circuit verdict)")
     report.add(

@@ -328,8 +328,20 @@ def test_matrix_file_needs_a_two_integer_header(tmp_path, capsys, header):
         (["rigidity", "--framework"], "4 x\n0 0\n", "'4 x'", "`n d` header of two non-negative integers"),
         (["ideal", "--ci"], "X=a Y=2\nX _||_ Y\n", "'X=a'", "name=states with an integer state count"),
         (["ideal", "--ci"], "X Y=2\nX _||_ Y\n", "'X'", "name=states with an integer state count"),
+        (["matroid", "--matrix"], "2 2\n1 x\n0 1\n", "'1 x'", "then one row of n rationals per line"),
+        (["matroid", "--matrix"], "2 2\n1 0\n1/0 1\n", "'1/0 1'", "then one row of n rationals per line"),
+        (["rigidity", "--framework"], "2 2\n0 0\n1 x\n1 2\n", "'1 x'", "n coordinate lines of d rationals"),
     ],
-    ids=["hypergraph-header", "hypergraph-edge", "framework-header", "ci-state-count", "ci-no-state-count"],
+    ids=[
+        "hypergraph-header",
+        "hypergraph-edge",
+        "framework-header",
+        "ci-state-count",
+        "ci-no-state-count",
+        "matrix-entry",
+        "matrix-zero-denominator",
+        "framework-coordinate",
+    ],
 )
 def test_malformed_file_names_its_line_and_format(tmp_path, capsys, argv, text, line, fmt):
     path = tmp_path / "bad.txt"

@@ -128,17 +128,112 @@ def test_mod_p_declines_when_prime_divides_denominator():
     assert linalg.rank_mod_p(m, p) is None
 
 
-def test_left_kernel_mod_p_spans_the_dependencies():
-    rng = random.Random(5)
-    for p in (2, 3, 7, linalg.SHADOW_PRIME):
-        for _ in range(40):
-            k, dim = rng.randint(1, 6), rng.randint(0, 4)
-            vectors = [[rng.randrange(p) if rng.random() < 0.7 else 0 for _ in range(dim)] for _ in range(k)]
-            kernel = linalg.left_kernel_mod_p(vectors, p)
-            assert len(kernel) == k - linalg.rank_of_vectors_mod_p(vectors, p)
-            assert linalg.rank_of_vectors_mod_p(kernel, p) == len(kernel)
-            for y in kernel:
-                assert all(sum(c * v[j] for c, v in zip(y, vectors)) % p == 0 for j in range(dim))
+def _product(rng, d, r, n):
+    """A d x n matrix of rank at most r, with rows over distinct denominators."""
+    a, b = rand_mat(rng, d, r), rand_mat(rng, r, n)
+    return [[sum(x * y for x, y in zip(row, col)) / (i + 1) for col in zip(*b)] for i, row in enumerate(a)]
+
+
+def _spy_rank(monkeypatch) -> list[int]:
+    """Record the row count of every exact `rank` call."""
+    calls: list[int] = []
+    real = linalg.rank
+
+    def counted(m):
+        calls.append(len(m))
+        return real(m)
+
+    monkeypatch.setattr(linalg, "rank", counted)
+    return calls
+
+
+def test_certified_rank_matches_exact_rank_with_true_wrong_and_dependent_witnesses():
+    rng = random.Random(29)
+    shapes = [(d, r, n) for d in range(1, 7) for n in range(1, 7) for r in range(0, min(d, n) + 1)]
+    for d, r, n in shapes * 2:
+        m = _product(rng, d, r, n)
+        exact = linalg.rank(m)
+        true = linalg.kernel_basis(linalg.transpose(m))
+        wrong = [[x + 1 for x in y] for y in true] + [[Fraction(rng.randint(-3, 3)) for _ in range(d)]]
+        wrong = [w for w in wrong if any(sum(a * b for a, b in zip(w, col)) for col in zip(*m))]
+        dependent = [[3 * x for x in y] for y in true] + [[a + b for a, b in zip(y, true[0])] for y in true[1:]]
+        witnesses = [*true, *wrong, *dependent, [Fraction(0)] * d, [Fraction(1)] * (d + 1)]
+        rng.shuffle(witnesses)
+        got = linalg.certified_rank(m, witnesses)
+        assert got.rank == exact, (m, witnesses)
+        kept = [w for w in witnesses if w in true or w in dependent]
+        assert got.kernel == [w for w in kept if any(w)]
+
+
+def test_certified_rank_needs_no_elimination_when_the_witnesses_span_the_kernel(monkeypatch):
+    rng = random.Random(31)
+    cases = []
+    for d, r, n in [(5, 3, 4), (6, 2, 6), (4, 4, 7), (7, 3, 3), (3, 0, 2), (6, 5, 5)]:
+        m = _product(rng, d, r, n)
+        true = linalg.kernel_basis(linalg.transpose(m))
+        # a spanning set given as dependent witnesses: the two-fold copy and a sum
+        doubled = [[2 * x for x in y] for y in true]
+        extra = [[sum(col) for col in zip(*true)]] if true else []
+        cases.append((m, linalg.rank(m), true + doubled + extra))
+    calls = _spy_rank(monkeypatch)
+    for m, exact, witnesses in cases:
+        assert linalg.certified_rank(m, witnesses).rank == exact
+    assert calls == []
+
+
+def test_certified_rank_trusts_no_unchecked_or_dependent_witness_below_the_shadow():
+    p = linalg.SHADOW_PRIME
+    # rank 2 over Q, rank 1 mod p: a wrong witness must not close the gap
+    m = linalg.mat([[p, 0], [0, 1]])
+    assert linalg.certified_rank(m, [[Fraction(1), Fraction(0)]]) == (2, [])
+    # rows 1 + 2 = row 3, rank 2 over Q, rank 1 mod p; y and 2y count once
+    m = linalg.mat([[1, 0], [0, p], [1, p]])
+    y = [Fraction(1), Fraction(1), Fraction(-1)]
+    twice = [2 * x for x in y]
+    assert linalg.certified_rank(m, [y, twice]) == (2, [y, twice])
+    # a witness of the wrong length is no witness
+    assert linalg.certified_rank(m, [y[:2]]) == (2, [])
+
+
+def test_certified_rank_checks_witnesses_against_columns_not_rows():
+    """w.m = 0 is invariant under column scaling but not row scaling: a
+    witness valid for m must pass, and one valid only for a row-rescaled m
+    must fail."""
+    rng = random.Random(37)
+    for _ in range(30):
+        m = _product(rng, 4, 2, 3)
+        true = linalg.kernel_basis(linalg.transpose(m))
+        scales = [Fraction(rng.randint(1, 5), rng.randint(1, 5)) for _ in m]
+        skewed = [[x * c for x, c in zip(y, scales)] for y in true]
+        skewed = [w for w in skewed if any(sum(a * b for a, b in zip(w, col)) for col in zip(*m))]
+        got = linalg.certified_rank(m, true + skewed)
+        assert got == (linalg.rank(m), true)
+
+
+def test_certified_rank_never_trusts_a_shadow_above_the_bound(monkeypatch):
+    """A broken shadow that overstates every mod-p rank by one puts the
+    lower bound two above the upper (the witnesses span the left kernel);
+    that is a contradiction, not a rank."""
+    rng = random.Random(41)
+    cases = [(m, linalg.rank(m), linalg.kernel_basis(linalg.transpose(m))) for m in (
+        _product(rng, 4, 2, 5),
+        _product(rng, 3, 3, 3),
+        _product(rng, 5, 2, 2),
+        linalg.identity(2) + [[Fraction(0), Fraction(0)]],
+        [row + [Fraction(0)] for row in linalg.identity(2)],
+    )]
+    honest = linalg.rank_of_vectors_mod_p
+    monkeypatch.setattr(linalg, "rank_of_vectors_mod_p", lambda vectors, p=linalg.SHADOW_PRIME: honest(vectors, p) + 1)
+    for m, exact, true in cases:
+        assert linalg.certified_rank(m, true).rank == exact
+
+
+def test_certified_rank_of_empty_shapes():
+    assert linalg.certified_rank([], []) == (0, [])
+    assert linalg.certified_rank([[], []], [[Fraction(1), Fraction(0)]]) == (0, [[Fraction(1), Fraction(0)]])
+    p = linalg.SHADOW_PRIME
+    # p in a column denominator: no shadow, so the exact rank decides
+    assert linalg.certified_rank([[Fraction(1, p), Fraction(1)]], []) == (1, [])
 
 
 def test_vector_mod_p_scales_by_the_denominator_lcm():

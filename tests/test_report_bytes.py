@@ -1,4 +1,4 @@
-"""Pinned output bytes: the sha256 of every file three CLI runs write at
+"""Pinned output bytes: the sha256 of every file four CLI runs write at
 `--seed 7 --out D`.
 
 A refactor of the exact core must leave these files byte for byte as they
@@ -14,6 +14,7 @@ from cigrid.cli import main
 RUNS = {
     "verify": ["verify", "all", "--trials", "5"],
     "secant": ["secant", "--m", "6", "--n", "6", "--k", "4"],
+    "rigidity": ["rigidity", "--n", "8", "--d", "3"],
     "matroid": ["matroid", "--grid", "--k", "3", "--l", "4", "--s", "3", "--t", "3", "--d", "3"],
 }
 
@@ -35,6 +36,10 @@ DIGESTS = {
     "secant": {
         "secant.json": "56b30fb96f0280ca2b9ea7e94bba6e23b527f8432362ca6c29727c1fc9712833",
         "secant.txt": "fae5942f44e37db0894a663d3216e1a4a4ece53e6f13f745405fa4a710d5d69d",
+    },
+    "rigidity": {
+        "report.json": "a5b9cdc36851eeb8790defa12aac2738ff3337636ec0a09f01f2246f681a9bf5",
+        "report.txt": "1ec2c7b44466ec464c9ad85d59828d1b161527776880672b300ea90e94d4fc4c",
     },
     "matroid": {
         "matroid.json": "f836f6688ac16afd383c7d1b5d71293d69497d6e916e56e04d2da1dbe8e46d32",

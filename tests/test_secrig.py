@@ -9,15 +9,17 @@ from cigrid import linalg, secrig
 from cigrid.matroid import matroid_from_matrix
 from cigrid.secrig import (
     Framework,
+    _affine_dependence_stress,
     _check_complete_subgraph_circuits,
-    _shadow_certifies_circuit,
     complete_graph_edges,
     generic_rigidity_check,
     random_framework,
     rigidity_matrix,
+    rigidity_rank,
     rigidity_rank_formula,
     secant_dimension,
     segre_tangent_model,
+    trivial_motions,
 )
 from cigrid.sampling import child_rng, mixture_matrix, rand_fraction
 
@@ -125,11 +127,13 @@ def test_rigidity_row_pattern_and_kernel():
     for row in R:
         assert sum(1 for x in row if x != 0) == 2 * d
     # translations lie in the kernel
+    written = []
     for c in range(d):
         v = [Fraction(0)] * (d * n)
         for i in range(n):
             v[i * d + c] = Fraction(1)
         assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in R)
+        written.append(v)
     # infinitesimal rotations lie in the kernel (one per coordinate pair)
     for a, b in combinations(range(d), 2):
         v = [Fraction(0)] * (d * n)
@@ -137,6 +141,10 @@ def test_rigidity_row_pattern_and_kernel():
             v[i * d + a] = -p[b]
             v[i * d + b] = p[a]
         assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in R)
+        written.append(v)
+    motions = trivial_motions(fw)
+    assert len(motions) == linalg.rank(motions) == linalg.rank(motions + written) == 6
+    assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in R for v in motions)
 
 
 def test_generic_rigidity_check_reports():
@@ -190,19 +198,22 @@ def _subgraph_circuits(fw: Framework, size: int) -> tuple[bool, str]:
     return _check_complete_subgraph_circuits(fw, rigidity_matrix(fw), size)
 
 
-def _shadow_kernel(fw: Framework) -> list[list[int]]:
-    return linalg.left_kernel_mod_p([linalg.vector_mod_p(row) for row in rigidity_matrix(fw)])
+def _shadow_rows(fw: Framework) -> list[list[int] | None]:
+    return [linalg.vector_mod_p(row) for row in rigidity_matrix(fw)]
 
 
-def _counting_exact_kernel(monkeypatch) -> list[int]:
-    """Patch the exact left-kernel call of the circuit check to count calls."""
-    calls: list[int] = []
+def _spy_exact(monkeypatch) -> dict[str, list[tuple[int, int]]]:
+    """Record the shape of every exact `rank` and `kernel_basis` call the
+    circuit check makes, directly or through `certified_rank`."""
+    calls: dict[str, list[tuple[int, int]]] = {"rank": [], "kernel_basis": []}
+    for module, name in [(linalg, "rank"), (secrig, "kernel_basis")]:
+        real = getattr(module, name)
 
-    def counted(m):
-        calls.append(len(m[0]))
-        return linalg.kernel_basis(m)
+        def counted(m, real=real, name=name):
+            calls[name].append((len(m), len(m[0])))
+            return real(m)
 
-    monkeypatch.setattr(secrig, "kernel_basis", counted)
+        monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -252,59 +263,62 @@ def test_subgraph_circuit_check_never_trusts_the_shadow():
     # every row vanishes mod p, yet the triangle on a line is a circuit
     fw = _framework(1, [(0,), (p,), (2 * p,)])
     assert _subgraph_circuits(fw, 3) == full_width_subgraph_circuits(fw, 3) == (True, "")
-    assert len(_shadow_kernel(fw)) == 3
+    assert linalg.rank_of_vectors_mod_p(_shadow_rows(fw)) == 0
 
 
 def test_zero_entry_in_the_shadow_kernel_defers_to_the_exact_kernel(monkeypatch):
+    """The mod-p rows lose edge (2, 3), whose length is p, so the shadow's
+    kernel is (0, 0, 1).  The checked stress is an exact kernel vector with
+    no zero entry, and it decides: the mod-p rank 2 meets the bound 3 - 1."""
     p = linalg.SHADOW_PRIME
-    # edge (2, 3) has length p: the mod-p kernel is (0, 0, 1), the exact one has no zero
     fw = _framework(1, [(0,), (1,), (1 + p,)])
-    assert _shadow_kernel(fw) == [[0, 0, 1]]
-    [exact] = linalg.kernel_basis(linalg.transpose(rigidity_matrix(fw)))
-    assert all(exact)
-    assert not _shadow_certifies_circuit(rigidity_matrix(fw))
-    calls = _counting_exact_kernel(monkeypatch)
+    assert _shadow_rows(fw)[2] == [0, 0, 0]
+    stress = _affine_dependence_stress(fw, (1, 2, 3))
+    assert all(stress) and linalg.certified_rank(rigidity_matrix(fw), [stress]) == (2, [stress])
+    calls = _spy_exact(monkeypatch)
     assert _subgraph_circuits(fw, 3) == full_width_subgraph_circuits(fw, 3) == (True, "")
-    assert calls == [3]
+    assert calls == {"rank": [], "kernel_basis": [(2, 3)]}
 
 
 def test_shadow_kernel_with_a_zero_entry_is_not_trusted(monkeypatch):
-    # three of four planar points on a line: nullity 1, and the one dependency
-    # (the collinear triangle) leaves out the edges at the fourth point
+    """Three of four planar points on a line: nullity 1, and the one
+    dependency (the collinear triangle) leaves out the edges at the fourth
+    point.  The affine dependence has l_4 = 0, so the stress has the same
+    zeros, and it decides without an exact rank or left kernel of the block."""
     fw = _framework(2, [(0, 0), (1, 0), (3, 0), (1, 2)])
     R = rigidity_matrix(fw)
     assert len(R) - linalg.rank(R) == 1
-    [y] = _shadow_kernel(fw)
-    assert [bool(x) for x in y] == [True, True, False, True, False, False]
+    stress = _affine_dependence_stress(fw, (1, 2, 3, 4))
+    zeros = [True, True, False, True, False, False]
+    assert [bool(x) for x in stress] == zeros
     [exact] = linalg.kernel_basis(linalg.transpose(R))
-    assert [bool(x) for x in exact] == [True, True, False, True, False, False]
-    assert not _shadow_certifies_circuit(R)
-    calls = _counting_exact_kernel(monkeypatch)
+    assert [bool(x) for x in exact] == zeros
+    calls = _spy_exact(monkeypatch)
     expected = (False, "proper subset of the (1, 2, 3, 4) edge set is dependent")
-    assert _subgraph_circuits(fw, 4) == full_width_subgraph_circuits(fw, 4) == expected
-    assert calls == [6]
+    assert _subgraph_circuits(fw, 4) == expected
+    assert calls == {"rank": [], "kernel_basis": [(3, 4)]}
+    assert full_width_subgraph_circuits(fw, 4) == expected
 
 
 def test_shadow_kernel_of_nullity_above_one_is_not_trusted(monkeypatch):
-    # four planar points on a line: nullity 3, and every edge lies in some
-    # dependency, yet every one-smaller subset is dependent
+    """Four planar points on a line: nullity 3, every one-smaller subset is
+    dependent.  One stress leaves the bounds apart (mod-p rank 3 against
+    6 - 1), so one exact rank gives the nullity, and the nullity alone
+    decides: no exact left kernel of the block."""
     fw = _framework(2, [(0, 0), (1, 0), (3, 0), (4, 0)])
     R = rigidity_matrix(fw)
     assert len(R) - linalg.rank(R) == 3
-    kernel = _shadow_kernel(fw)
-    assert len(kernel) == 3 and all(map(any, zip(*kernel)))
     expected = (False, "proper subset of the (1, 2, 3, 4) edge set is dependent")
     assert full_width_subgraph_circuits(fw, 4) == expected
-
-    def refuse(*args):
-        raise AssertionError("the nullity alone decides this block")
-
-    monkeypatch.setattr(secrig, "_shadow_certifies_circuit", refuse)
-    monkeypatch.setattr(secrig, "kernel_basis", refuse)
+    calls = _spy_exact(monkeypatch)
     assert _subgraph_circuits(fw, 4) == expected
+    assert calls == {"rank": [(6, 8)], "kernel_basis": [(3, 4)]}
 
 
 def test_denominators_divisible_by_the_shadow_prime_defer_to_the_exact_kernel(monkeypatch):
+    """A first point shifted by 1/p leaves the block with no shadow: one
+    exact rank gives the nullity, and the checked stress, an exact kernel
+    vector, gives the verdict without an exact left kernel of the block."""
     p = linalg.SHADOW_PRIME
     rng = child_rng(16, "shadow-denominators")
     for n, d in [(3, 1), (4, 2), (5, 3)]:
@@ -313,10 +327,74 @@ def test_denominators_divisible_by_the_shadow_prime_defer_to_the_exact_kernel(mo
         fw = Framework(d, coords, fw.edges)
         R = rigidity_matrix(fw)
         assert linalg.vector_mod_p(R[0]) is None
-        assert not _shadow_certifies_circuit(R)
-        calls = _counting_exact_kernel(monkeypatch)
-        assert _subgraph_circuits(fw, d + 2) == full_width_subgraph_circuits(fw, d + 2) == (True, "")
-        assert len(calls) == 1  # n = d + 2: one subgraph, one exact kernel
+        assert rigidity_rank(fw, R) == linalg.rank(R)
+        calls = _spy_exact(monkeypatch)
+        assert _subgraph_circuits(fw, d + 2) == (True, "")
+        # n = d + 2: one subgraph, one exact rank, one affine kernel
+        assert calls == {"rank": [(len(R), d * n)], "kernel_basis": [(d + 1, d + 2)]}
+        assert full_width_subgraph_circuits(fw, d + 2) == (True, "")
+
+
+def test_rigidity_rank_matches_exact_rank_on_seeded_and_degenerate_frameworks():
+    """The certified rank against `Fraction` elimination: seeded frameworks
+    on complete and sparse graphs, points on a line (d = 2) or in a plane
+    (d = 3), a point off a line of three (some l_i = 0), and p in a
+    denominator."""
+    rng = child_rng(17, "certified-rigidity")
+    p = linalg.SHADOW_PRIME
+    frameworks = [_framework(2, [(0, 0), (1, 0), (3, 0), (1, 2)]), _framework(1, [(0,), (p,), (2 * p,)])]
+    for n, d in [(2, 1), (4, 1), (3, 2), (5, 2), (7, 2), (4, 3), (6, 3), (8, 3)]:
+        frameworks.append(random_framework(n, d, rng))
+        edges = [e for e in complete_graph_edges(n) if rng.random() < 0.5]
+        frameworks.append(random_framework(n, d, rng, edges))
+        if d in (2, 3):
+            frameworks.append(_degenerate_framework(rng, n, d))
+        fw = frameworks[-2]
+        frameworks.append(Framework(d, ((Fraction(1, p),) * d,) + fw.coords[1:], fw.edges))
+    for fw in frameworks:
+        R = rigidity_matrix(fw)
+        assert rigidity_rank(fw, R) == linalg.rank(R), fw
+        if fw.n >= fw.d + 2 and fw.edges == complete_graph_edges(fw.n):
+            assert _subgraph_circuits(fw, fw.d + 2) == full_width_subgraph_circuits(fw, fw.d + 2), fw
+
+
+def test_affine_dependence_stress_is_a_self_stress():
+    rng = child_rng(18, "stress")
+    for d in (1, 2, 3):
+        fw = random_framework(d + 2, d, rng)
+        verts = tuple(range(1, d + 3))
+        stress = _affine_dependence_stress(fw, verts)
+        R = rigidity_matrix(fw)
+        assert all(stress)
+        assert all(sum(w * row[c] for w, row in zip(stress, R)) == 0 for c in range(d * (d + 2)))
+
+
+def test_segre_relations_are_independent_left_kernel_vectors():
+    rng = child_rng(19, "segre-relations")
+    for m, n, k in [(2, 2, 1), (3, 3, 2), (3, 4, 2), (4, 4, 3), (2, 3, 3)]:
+        model = segre_tangent_model(m, n)
+        bases = [model.draw(rng)[1] for _ in range(k)]
+        rows = [list(t) for tangents in bases for t in tangents]
+        relations = model.relations(bases)
+        assert len(relations) == k * k
+        for w in relations:
+            assert all(sum(a * row[c] for a, row in zip(w, rows)) == 0 for c in range(m * n))
+        # independent once k <= max(m, n): the v_b (or the u_a) are independent
+        assert linalg.rank(relations) == k * k
+        assert linalg.certified_rank(rows, relations).rank == linalg.rank(rows) == min(m * n, k * (m + n - k))
+
+
+def test_generic_draws_make_no_exact_rank_call(monkeypatch):
+    """On generic seeded draws the witnesses from theory close every gap:
+    no exact `rank` call in `secant_dimension` or `generic_rigidity_check`."""
+    calls = []
+    monkeypatch.setattr(linalg, "rank", lambda m: calls.append(m) or 0)
+    rng = child_rng(20, "no-exact-rank")
+    for m, n, k in [(3, 3, 1), (3, 3, 2), (3, 4, 2), (4, 4, 3), (6, 6, 4), (2, 3, 3)]:
+        assert secant_dimension(segre_tangent_model(m, n), k, rng) == min(m * n, k * (m + n - k))
+    for n, d in [(3, 2), (4, 2), (5, 2), (5, 3), (6, 3), (8, 3), (3, 1)]:
+        assert generic_rigidity_check(n, d, rng).passed, (n, d)
+    assert calls == []
 
 
 def test_planar_rigidity_rank_matches_the_pebble_game():
