@@ -146,9 +146,10 @@ def grid_hypergraph(spec: GridSpec) -> Hypergraph:
 def hypergraph_ideal(H: Hypergraph, d: int) -> Ideal:
     """All |B|-minors supported on each edge B, over a generic d x n matrix.
 
-    Edges larger than d contribute no generators (no square submatrix of that
-    size exists); their rank condition still participates in membership
-    testing via `in_variety`.
+    Edges larger than d contribute no generators: no square submatrix of that
+    size exists, and a d-row matrix has rank at most d < |B|, so their rank
+    condition holds everywhere.  `in_variety` settles such edges by the same
+    bound, with one rank of the whole matrix.
     """
     if d < 1:
         raise ValueError(f"need d >= 1, got d={d}")
@@ -170,13 +171,15 @@ def hypergraph_ideal(H: Hypergraph, d: int) -> Ideal:
 
 
 def in_variety(H: Hypergraph, X: Mat) -> bool:
-    """Exact membership: every edge's column submatrix drops rank."""
+    """Exact membership: every edge's column submatrix drops rank.
+
+    A column submatrix has rank at most rank(X), so one elimination of the
+    whole matrix settles every edge with more than rank(X) columns; only the
+    smaller edges get an exact rank of their own."""
     if X and len(X[0]) < H.n:
         raise ValueError(f"matrix has {len(X[0])} columns, hypergraph needs {H.n}")
-    for edge in H.edges:
-        if rank(column_submatrix(X, edge)) >= len(edge):
-            return False
-    return True
+    r = rank(X)
+    return all(len(edge) > r or rank(column_submatrix(X, edge)) < len(edge) for edge in H.edges)
 
 
 def grid_ci_correspondence(spec: GridSpec) -> tuple[DiscreteModel, list[CIStatement]]:

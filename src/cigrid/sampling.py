@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import random
 from fractions import Fraction
+from math import prod
 from typing import Callable, Hashable, TypeVar
 
 DEFAULT_BOUND = 2**31
@@ -67,23 +68,28 @@ def rand_matrix(rng: random.Random, d: int, n: int) -> list[list[Fraction]]:
     return [rand_vector(rng, n) for _ in range(d)]
 
 
-def rand_simplex(rng: random.Random, k: int) -> list[Fraction]:
-    """k strictly positive rationals summing exactly to 1."""
-    weights = [rng.randint(1, DEFAULT_BOUND) for _ in range(k)]
-    total = sum(weights)
-    return [Fraction(w, total) for w in weights]
-
-
 def mixture_matrix(rng: random.Random, m: int, n: int, k: int) -> list[list[Fraction]]:
-    """Sum of k rank-one products lam_i * a_i b_i^T with every factor drawn
-    from the open simplex: entries strictly positive, total exactly 1, and
-    the rank is at most k."""
-    lam = rand_simplex(rng, k)
-    out = [[Fraction(0)] * n for _ in range(m)]
-    for t in range(k):
-        a = rand_simplex(rng, m)
-        b = rand_simplex(rng, n)
-        for i in range(m):
-            for j in range(n):
-                out[i][j] += lam[t] * a[i] * b[j]
-    return out
+    """Sum of k >= 1 rank-one products lam_t * a_t b_t^T with every factor
+    drawn from the open simplex: entries strictly positive, total exactly 1,
+    and the rank is at most k.
+
+    A simplex point is positive integer weights over their sum; lam is drawn
+    first, then a_t and b_t for each t in turn.  Entry (i, j) is one integer
+    numerator over the common denominator sum(lam) * prod_t sum(a_t) sum(b_t),
+    made into a single `Fraction`."""
+    lam = [rng.randint(1, DEFAULT_BOUND) for _ in range(k)]
+    factors = []
+    for _ in range(k):
+        a = [rng.randint(1, DEFAULT_BOUND) for _ in range(m)]
+        b = [rng.randint(1, DEFAULT_BOUND) for _ in range(n)]
+        factors.append((a, b))
+    scales = [sum(a) * sum(b) for a, b in factors]
+    den = sum(lam) * prod(scales)
+    # lam_t a_t[i] lifted by the other terms' scales; times b_t[j] it is term t over den
+    lifted = [
+        [lam[t] * prod(scales[:t] + scales[t + 1 :]) * x for x in a] for t, (a, _) in enumerate(factors)
+    ]
+    return [
+        [Fraction(sum(la[i] * b[j] for la, (_, b) in zip(lifted, factors)), den) for j in range(n)]
+        for i in range(m)
+    ]

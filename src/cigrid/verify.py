@@ -122,17 +122,28 @@ def sampler_concurrent_lines() -> ComponentSampler:
     return ComponentSampler("concurrent-lines", draw)
 
 
+def _exact_dot(xs: Sequence[Fraction], ys: Sequence[Fraction]) -> Fraction:
+    """sum_t x_t y_t in integers over the product of the terms' denominators,
+    made into one `Fraction` at the end."""
+    num, den = 0, 1
+    for x, y in zip(xs, ys):
+        q = x.denominator * y.denominator
+        num, den = num * q + x.numerator * y.numerator * den, den * q
+    return Fraction(num, den)
+
+
 def sampler_bounded_rank(d: int, n: int, r: int, name: str | None = None) -> ComponentSampler:
     """Random d x n matrices of rank at most r, drawn as a product of random
-    d x r and r x n rational factors."""
+    d x r and r x n rational factors.
+
+    Entry (i, j) = sum_t l_it r_tj is summed in integers over the product of
+    its terms' denominators and made into a single `Fraction`."""
 
     def draw(rng: random.Random) -> Mat:
         left = rand_matrix(rng, d, r)
         right = rand_matrix(rng, r, n)
-        return [
-            [sum(left[i][t] * right[t][j] for t in range(r)) for j in range(n)]
-            for i in range(d)
-        ]
+        cols = [[row[j] for row in right] for j in range(n)]
+        return [[_exact_dot(row, col) for col in cols] for row in left]
 
     return ComponentSampler(name or f"rank<={r}", draw)
 
@@ -339,7 +350,8 @@ def verify_intersection_axiom(
     """Hidden-variable intersection axiom at a grid instance: every premise
     generator is syntactically a minor of the full flattening (conclusion
     containment when s = t), and fully supported rational mixture samples
-    kill every premise generator exactly."""
+    kill every premise generator exactly, their X x (Y1, Y2) flattenings
+    having rank at most t - 1."""
     if spec is None:
         spec = GridSpec(k=3, l=4, s=3, t=3, d=3)
     if spec.s != spec.t:
@@ -364,6 +376,7 @@ def verify_intersection_axiom(
     rng = child_rng(seed, "intersection-axiom/mixture")
     vanish = 0
     supported = 0
+    low_rank = 0
     for _ in range(trials):
         P = mixture_parametrization_sample(model, conclusion_stmt, rng)
         point = tensor_assignment(model, P)
@@ -372,7 +385,9 @@ def verify_intersection_axiom(
         if all(x > 0 for x in P.entries) and sum(P.entries) == 1:
             supported += 1
         flat = flatten(P, ["X"], ["Y1", "Y2"])
-        if rank(flat) > spec.t - 1 and len(report.counterexamples) < MAX_LOGGED_COUNTEREXAMPLES:
+        if rank(flat) <= spec.t - 1:
+            low_rank += 1
+        elif len(report.counterexamples) < MAX_LOGGED_COUNTEREXAMPLES:
             report.counterexamples.append(f"mixture flattening rank too high:\n{matrix_to_text(flat)}")
     report.add(
         CheckResult.outcome(
@@ -386,6 +401,13 @@ def verify_intersection_axiom(
             "mixture samples are fully supported rational distributions",
             supported == trials,
             counts={"supported": supported, "trials": trials},
+        )
+    )
+    report.add(
+        CheckResult.outcome(
+            f"mixture flattenings have rank at most t-1 = {spec.t - 1}",
+            low_rank == trials,
+            counts={"low_rank": low_rank, "trials": trials},
         )
     )
     return report

@@ -6,8 +6,9 @@ swap by swap, kernels read off the reduced row echelon form, minor-search
 ranks, a naive textbook Groebner routine with none of the library's
 selection strategy or criteria, the circuit checks and the minimal-edge
 filter written out with frozensets, circuits found by an exact rank of every
-subset, full-width exact ranks for rigidity circuits, and a (2,3)-pebble
-game for generic rigidity in the plane.
+subset, full-width exact ranks for rigidity circuits, a (2,3)-pebble
+game for generic rigidity in the plane, variety membership by one exact
+rank per edge, and the witness draws summed as `Fraction` products.
 
 The builders write the test-only inputs the library only ever reads: CI
 statements and CI model files as text, and tensors from plain entries.
@@ -22,6 +23,7 @@ from itertools import combinations, permutations
 from cigrid.cimodel import CIStatement, DiscreteModel, ProbTensor
 from cigrid.linalg import column_submatrix, rank
 from cigrid.poly import DEGREVLEX, Polynomial, SymbolicMatrix
+from cigrid.sampling import DEFAULT_BOUND, rand_matrix
 from cigrid.secrig import complete_graph_edges, rigidity_matrix
 
 
@@ -245,6 +247,41 @@ def brute_force_circuits(m) -> tuple[frozenset[int], ...]:
         if rank(column_submatrix(m, c)) < size
     ]
     return tuple(c for c in dependent if not any(d < c for d in dependent))
+
+
+def in_variety_by_edges(H, X) -> bool:
+    """Variety membership written out: every edge's column submatrix has an
+    exact rank below the edge's size."""
+    return all(rank(column_submatrix(X, e)) < len(e) for e in H.edges)
+
+
+def fraction_mixture_matrix(rng: random.Random, m: int, n: int, k: int):
+    """The mixture draw as `Fraction` products: simplex points lam, then a_t
+    and b_t for each t, each as integer weights over their sum, and
+    entry (i, j) accumulated as sum_t lam_t * a_t[i] * b_t[j]."""
+
+    def simplex(size):
+        weights = [rng.randint(1, DEFAULT_BOUND) for _ in range(size)]
+        total = sum(weights)
+        return [Fraction(w, total) for w in weights]
+
+    lam = simplex(k)
+    out = [[Fraction(0)] * n for _ in range(m)]
+    for t in range(k):
+        a = simplex(m)
+        b = simplex(n)
+        for i in range(m):
+            for j in range(n):
+                out[i][j] += lam[t] * a[i] * b[j]
+    return out
+
+
+def fraction_bounded_rank_draw(rng: random.Random, d: int, n: int, r: int):
+    """A d x n draw of rank at most r: random d x r and r x n factors and
+    their product summed as `Fraction` products."""
+    left = rand_matrix(rng, d, r)
+    right = rand_matrix(rng, r, n)
+    return [[sum(left[i][t] * right[t][j] for t in range(r)) for j in range(n)] for i in range(d)]
 
 
 def statement_text(stmt: CIStatement, model: DiscreteModel | None = None) -> str:

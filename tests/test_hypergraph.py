@@ -5,8 +5,8 @@ from math import comb
 
 import pytest
 
-from helpers import quadratic_minimal_edges, statement_text
-from cigrid import linalg
+from helpers import in_variety_by_edges, quadratic_minimal_edges, statement_text
+from cigrid import hypergraph, linalg
 from cigrid.hypergraph import (
     GridSpec,
     Hypergraph,
@@ -173,6 +173,70 @@ def test_in_variety_matches_generator_vanishing():
         point = X.assignment(m)
         vanish = all(g.evaluate(point) == 0 for g in ideal.generators)
         assert vanish == in_variety(H, m)
+
+
+def seeded_rank_matrix(rng: random.Random, d: int, ncols: int, r: int):
+    """A d x ncols matrix of rank exactly r, the product of factors with
+    entries in {-1, 0, 1}, so zero, parallel and other special column sets
+    are common."""
+    while True:
+        left = [[Fraction(rng.randint(-1, 1)) for _ in range(r)] for _ in range(d)]
+        right = [[Fraction(rng.randint(-1, 1)) for _ in range(ncols)] for _ in range(r)]
+        m = [[sum((left[i][t] * right[t][j] for t in range(r)), Fraction(0)) for j in range(ncols)] for i in range(d)]
+        if linalg.rank(m) == r:
+            return m
+
+
+def test_in_variety_matches_one_rank_per_edge():
+    rng = random.Random(90)
+    verdicts = set()
+    above_rank = 0
+    for d in range(1, 5):
+        for r in range(d + 1):
+            for _ in range(12):
+                n = rng.randint(max(r, 1), 7)
+                X = seeded_rank_matrix(rng, d, n + rng.randint(0, 2), r)
+                families = [[rng.sample(range(1, n + 1), rng.randint(1, n)) for _ in range(rng.randint(1, 4))]]
+                families += [[range(1, size + 1)] for size in range(1, n + 1)]
+                for edges in families:
+                    H = Hypergraph.of(n, edges)
+                    expected = in_variety_by_edges(H, X)
+                    assert in_variety(H, X) == expected, (X, H)
+                    verdicts.add(expected)
+                    above_rank += any(len(e) > r for e in H.edges)
+    assert verdicts == {True, False}
+    assert above_rank > 0
+
+
+def test_in_variety_when_a_small_dependent_edge_comes_first():
+    # {1, 2} is parallel (rank 1), {3, 4} is independent, rank(X) = 2
+    X = linalg.mat([[1, 2, 1, 0], [1, 2, 0, 1]])
+    H = Hypergraph.of(4, [{1, 2}, {3, 4}])
+    assert not in_variety_by_edges(H, X)
+    assert not in_variety(H, X)
+    assert in_variety(Hypergraph.of(4, [{1, 2}, {1, 3, 4}]), X)
+
+
+def test_in_variety_of_a_zero_row_matrix():
+    H = Hypergraph.of(3, [{1}, {2, 3}])
+    assert in_variety_by_edges(H, [])
+    assert in_variety(H, [])
+
+
+def test_in_variety_takes_one_rank_of_a_member_whose_edges_exceed_its_rank(monkeypatch):
+    calls = []
+
+    def counting_rank(m):
+        calls.append((len(m), len(m[0])))
+        return linalg.rank(m)
+
+    monkeypatch.setattr(hypergraph, "rank", counting_rank)
+    H = grid_hypergraph(GridSpec(k=3, l=4, s=3, t=3))
+    rng = random.Random(32)
+    left, right = rand_matrix(rng, 3, 2), rand_matrix(rng, 2, 12)
+    X = [[left[i][0] * right[0][j] + left[i][1] * right[1][j] for j in range(12)] for i in range(3)]
+    assert in_variety(H, X)
+    assert calls == [(3, 12)]
 
 
 def test_correspondence_model_cards():

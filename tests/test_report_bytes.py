@@ -24,8 +24,8 @@ DIGESTS = {
         "example31/report.txt": "dde89998d6b9cf26dacb2850835f34ba2c96c60020bcabe550eee1c57b0e95dc",
         "example32/report.json": "a8ca88d93977459baf6d1800c8383608cc34b02178a23deb52c883d3dd549016",
         "example32/report.txt": "52416449d011e190230244fc0a49f6a552d9311c5fdcc5e5a61f89ab472d2aee",
-        "intersection-axiom/report.json": "acf894ef946231174b31e2e0a06cbe8963ff78f6e27ccc7d987c4e6768dd92ae",
-        "intersection-axiom/report.txt": "22f2ad052db9ad4cd70b64b2a30243ed07fc3333a090255bcb1cb4d022a2257c",
+        "intersection-axiom/report.json": "1459723d6874ab70d8261cda5577cbc4db84734fdfe801e4ed2652bd94c857b6",
+        "intersection-axiom/report.txt": "9cde911ecaf58a2f7487150b4e897464a361d244d7474598ac04489602fd88e0",
         "rigidity/report.json": "495e46b82d26c524f14d86eb1c152d4691ed8a21479086c49b45b9c1a32422e9",
         "rigidity/report.txt": "235c3d87f6a1e672081227abaeb32ca961f1fd22c7b029e8dfe4d303af889fe6",
         "terracini/report.json": "f8e66fa28a8dbb2a86f3bca06d2ccc4369cbe132c1c51f0a2a2411a140aec273",

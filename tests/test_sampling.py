@@ -1,8 +1,13 @@
-"""The two-draw genericity guard, driven by scripted draws."""
+"""The two-draw genericity guard, driven by scripted draws, and the mixture
+draw against its `Fraction` formula."""
+
+import random
+from fractions import Fraction
 
 import pytest
 
-from cigrid.sampling import GENERIC_ATTEMPTS, GenericityError, generic_draw
+from helpers import fraction_mixture_matrix
+from cigrid.sampling import GENERIC_ATTEMPTS, GenericityError, generic_draw, mixture_matrix
 
 
 def scripted(keys):
@@ -45,3 +50,17 @@ def test_every_pair_disagreeing_raises_naming_the_last_keys():
     message = str(info.value)
     assert message.startswith("test keys")
     assert "k6 vs k7" in message
+
+
+MIXTURE_SHAPES = [(1, 1, 1), (1, 1, 3), (3, 12, 1), (3, 12, 2), (2, 2, 5), (4, 3, 2), (1, 6, 4), (5, 1, 2)]
+
+
+@pytest.mark.parametrize("m, n, k", MIXTURE_SHAPES)
+def test_mixture_matrix_matches_the_fraction_formula_and_the_rng_stream(m, n, k):
+    for seed in range(25):
+        rng, old = random.Random(seed), random.Random(seed)
+        drawn = mixture_matrix(rng, m, n, k)
+        assert drawn == fraction_mixture_matrix(old, m, n, k)
+        assert rng.getstate() == old.getstate()
+        assert all(type(x) is Fraction and x > 0 for row in drawn for x in row)
+        assert sum(x for row in drawn for x in row) == 1

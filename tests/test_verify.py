@@ -1,9 +1,19 @@
+import hashlib
+import inspect
+import random
+from fractions import Fraction
+
 import pytest
 
-from cigrid.hypergraph import GridSpec, grid_hypergraph
+from helpers import fraction_bounded_rank_draw
+from cigrid.cimodel import CIStatement, mixture_parametrization_sample
+from cigrid.hypergraph import GridSpec, grid_ci_correspondence, grid_hypergraph
+from cigrid import verify
 from cigrid.matroid import matroid_from_matrix
+from cigrid.poly import Polynomial
 from cigrid.sampling import child_rng
 from cigrid.verify import (
+    VERIFICATIONS,
     sampler_bounded_rank,
     sampler_concurrent_lines,
     sampler_loop_component,
@@ -58,6 +68,43 @@ def test_bounded_rank_sampler_shapes():
     sampler = sampler_bounded_rank(3, 12, 2)
     m = sampler.draw(child_rng(3, "t"))
     assert len(m) == 3 and len(m[0]) == 12
+
+
+@pytest.mark.parametrize("d, n, r", [(3, 12, 2), (3, 12, 1), (3, 12, 3), (1, 1, 1), (2, 3, 5), (4, 2, 3), (3, 4, 0)])
+def test_bounded_rank_draw_matches_the_fraction_formula_and_the_rng_stream(d, n, r):
+    sampler = sampler_bounded_rank(d, n, r)
+    for seed in range(15):
+        rng, old = random.Random(seed), random.Random(seed)
+        drawn = sampler.draw(rng)
+        assert drawn == fraction_bounded_rank_draw(old, d, n, r)
+        assert rng.getstate() == old.getstate()
+        assert all(type(x) is Fraction for row in drawn for x in row)
+
+
+def draws_digest(draws) -> str:
+    """sha256 of the draws' entries, one line of `str` fractions per matrix
+    row or tensor."""
+    text = "\n".join(" ".join(str(x) for x in row) for row in draws)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# The first 20 draws of the example32 and intersection-axiom streams at seed
+# 7; report bytes do not show draw values.
+BOUNDED_RANK_DIGEST = "a47cf3b47ab74a91757e3fd3aea09a3eacf6a19cc38ce49fac4dabec414107b2"
+MIXTURE_DIGEST = "bf083a207b879ae050e3e0cc8745680c791a4f5bf58d0832239229a4c0f5a912"
+
+
+def test_campaign_draws_are_pinned():
+    rng = child_rng(7, "example32/rank2")
+    sampler = sampler_bounded_rank(3, 12, 2)
+    rows = [row for _ in range(20) for row in sampler.draw(rng)]
+    assert draws_digest(rows) == BOUNDED_RANK_DIGEST
+
+    model, _ = grid_ci_correspondence(GridSpec(k=3, l=4, s=3, t=3, d=3))
+    conclusion = CIStatement(("X",), ("Y1", "Y2"), ("H2",))
+    rng = child_rng(7, "intersection-axiom/mixture")
+    tensors = [mixture_parametrization_sample(model, conclusion, rng).entries for _ in range(20)]
+    assert draws_digest(tensors) == MIXTURE_DIGEST
 
 
 def test_three_lines_decomposition_report():
@@ -127,3 +174,38 @@ def test_reports_are_reproducible():
     assert a.to_json() == b.to_json()
     c = verify_rank_two_component(trials=10, seed=43)
     assert c.to_text() != a.to_text() or c.passed  # different seed may differ in samples, not verdicts
+
+
+# Faults that make campaigns log counterexamples: each replaces one library
+# function the campaigns use to decide a witness.
+FAULTS = {
+    "none": None,
+    "every rank is full": (verify, "rank", lambda m: min(len(m), len(m[0]))),
+    "no draw is in the variety": (verify, "in_variety", lambda H, X: False),
+    "every polynomial value is 1": (Polynomial, "evaluate", lambda self, point: Fraction(1)),
+    "every polynomial value is 0": (Polynomial, "evaluate", lambda self, point: Fraction(0)),
+}
+
+
+@pytest.mark.parametrize("seed", [7, 123])
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_a_report_listing_counterexamples_never_passes(monkeypatch, fault, seed):
+    if FAULTS[fault] is not None:
+        monkeypatch.setattr(*FAULTS[fault])
+    listing = []
+    for name, campaign in sorted(VERIFICATIONS.items()):
+        kwargs = {"trials": 3} if "trials" in inspect.signature(campaign).parameters else {}
+        report = campaign(seed=seed, **kwargs)
+        if report.counterexamples:
+            listing.append(name)
+            assert report.status != "pass", report.to_text()
+    assert bool(listing) == (fault != "none")
+
+
+def test_a_full_rank_mixture_flattening_fails_the_intersection_axiom(monkeypatch):
+    monkeypatch.setattr(verify, "rank", lambda m: 3)
+    report = verify_intersection_axiom(trials=5, seed=7)
+    assert report.status == "fail"
+    assert len(report.counterexamples) == 5
+    check = [c for c in report.checks if c.name.startswith("mixture flattenings have rank at most")]
+    assert [(c.status, c.counts) for c in check] == [("fail", {"low_rank": 0, "trials": 5})]
