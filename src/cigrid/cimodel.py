@@ -138,31 +138,27 @@ def flatten(
     declared = list(P.names)
     if rows | cols | summed != set(declared) or (rows & cols) or (rows & summed) or (cols & summed):
         raise ValueError("rows, cols and summed must partition the tensor's variables")
-    row_vars = [n for n in declared if n in rows]
-    col_vars = [n for n in declared if n in cols]
-    sum_vars = [n for n in declared if n in summed]
-    card = {n: c for n, c in zip(P.names, P.shape)}
-    row_states = _states([card[n] for n in row_vars])
-    col_states = _states([card[n] for n in col_vars])
-    sum_states = _states([card[n] for n in sum_vars])
-    position = {n: i for i, n in enumerate(declared)}
-    out: Mat = []
-    for rs in row_states:
-        line = []
-        for cs in col_states:
-            total = Fraction(0)
-            for zs in sum_states:
-                state = [0] * len(declared)
-                for n, s in zip(row_vars, rs):
-                    state[position[n]] = s
-                for n, s in zip(col_vars, cs):
-                    state[position[n]] = s
-                for n, s in zip(sum_vars, zs):
-                    state[position[n]] = s
-                total += P.get(state)
-            line.append(total)
-        out.append(line)
-    return out
+    # Row-major strides: a joint state's entry sits at the sum of one offset
+    # per variable, so a group's states are offsets, in lexicographic order.
+    card = dict(zip(P.names, P.shape))
+    stride, step = {}, 1
+    for n in reversed(declared):
+        stride[n] = step
+        step *= card[n]
+
+    def offsets(group: set[str]) -> list[int]:
+        out = [0]
+        for n in declared:
+            if n in group:
+                out = [o + s * stride[n] for o in out for s in range(card[n])]
+        return out
+
+    E = P.entries
+    col_offsets = offsets(cols)
+    if not summed:
+        return [[E[r + c] for c in col_offsets] for r in offsets(rows)]
+    sum_offsets = offsets(summed)
+    return [[sum([E[r + c + z] for z in sum_offsets]) for c in col_offsets] for r in offsets(rows)]
 
 
 def prob_ring(model: DiscreteModel) -> PolyRing:

@@ -207,7 +207,7 @@ def cmd_ideal(args) -> int:
         text = ideal_to_text(ideal)
         stem = "generators"
     payload = {
-        "variables": [str(v) for v in ideal.ring.variables],
+        "variables": list(ideal.ring.names),
         "generators": ideal.generator_texts(),
         "count": len(ideal.generators),
     }
@@ -374,7 +374,11 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: {exc.code}", file=sys.stderr)
             return USAGE_EXIT
         raise
-    except (ValueError, KeyError, FileNotFoundError) as exc:
+    except KeyError as exc:
+        # str() of a KeyError is the repr of its argument; print the message.
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return USAGE_EXIT
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except GenericityError as exc:

@@ -263,7 +263,7 @@ def ideal_to_text(ideal: Ideal) -> str:
 def ideal_to_cas(ideal: Ideal) -> str:
     """A neutral computer-algebra script: ring declaration plus the ideal I,
     terms in degrevlex order."""
-    vars_txt = ", ".join(str(v) for v in ideal.ring.variables)
+    vars_txt = ", ".join(ideal.ring.names)
     lines = [f"ring R = QQ[{vars_txt}];", f"order {DEGREVLEX};", "ideal I ="]
     if ideal.generators:
         body = ",\n".join(f"  {text}" for text in ideal.generator_texts())

@@ -125,6 +125,11 @@ class PolyRing:
     def of(variables: Iterable[Var]) -> "PolyRing":
         return PolyRing(tuple(sorted(set(variables))))
 
+    @cached_property
+    def names(self) -> tuple[str, ...]:
+        """The text form of each variable, built once per ring."""
+        return tuple(str(v) for v in self.variables)
+
     def position(self, v: Var) -> int:
         try:
             return self._positions[v]
@@ -175,11 +180,12 @@ class Polynomial:
     """Map from exponent tuples to nonzero rational coefficients.
 
     Never mutate `terms` after construction; arithmetic returns new values.
-    That is what makes the cached leading term (per order, last queried) and
-    the evaluation plan (built on the first `evaluate`) safe to keep.
+    That is what makes the cached leading term (per order, last queried), the
+    evaluation plan (built on the first `evaluate`) and the text (rendered on
+    the first `to_text`) safe to keep.
     """
 
-    __slots__ = ("ring", "terms", "_hash", "_lead", "_plan")
+    __slots__ = ("ring", "terms", "_hash", "_lead", "_plan", "_text")
 
     def __init__(self, ring: PolyRing, terms: dict[tuple[int, ...], Fraction]):
         self.ring = ring
@@ -187,6 +193,7 @@ class Polynomial:
         self._hash: int | None = None
         self._lead: tuple[MonomialOrder, tuple[tuple[int, ...], Fraction]] | None = None
         self._plan: tuple | None = None
+        self._text: str | None = None
 
     # -- basic structure ---------------------------------------------------
 
@@ -395,29 +402,27 @@ class Polynomial:
     # -- text form -----------------------------------------------------------
 
     def to_text(self) -> str:
-        """Terms in decreasing degrevlex order."""
-        if not self.terms:
-            return "0"
+        """Terms in decreasing degrevlex order; rendered on the first call."""
+        if self._text is not None:
+            return self._text
+        names = self.ring.names
         parts: list[str] = []
-        for m in sorted(self.terms, key=DEGREVLEX.key, reverse=True):
-            c = self.terms[m]
-            factors = [
-                str(self.ring.variables[i]) + (f"^{e}" if e > 1 else "")
-                for i, e in enumerate(m)
-                if e
-            ]
-            mag = abs(c)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
+        for m in sorted(self.terms, key=DEGREVLEX.descending_key):
+            body = str(self.terms[m])
+            negative = body[0] == "-"
+            if negative:
+                body = body[1:]
+            factors = [names[i] if e == 1 else f"{names[i]}^{e}" for i, e in enumerate(m) if e]
+            if factors:
+                if body != "1":
+                    factors.insert(0, body)
                 body = " * ".join(factors)
+            if parts:
+                parts.append(("- " if negative else "+ ") + body)
             else:
-                body = " * ".join([str(mag)] + factors)
-            if not parts:
-                parts.append(("-" if c < 0 else "") + body)
-            else:
-                parts.append(("- " if c < 0 else "+ ") + body)
-        return " ".join(parts)
+                parts.append("-" + body if negative else body)
+        self._text = " ".join(parts) if parts else "0"
+        return self._text
 
     def __str__(self) -> str:
         return self.to_text()
@@ -577,15 +582,23 @@ def _minor_rec(X: SymbolicMatrix, rows, cols, memo) -> Polynomial:
     if len(rows) == 1:
         result = X.entry(rows[0], cols[0])
     else:
+        # Every Laplace term e_{i0,j} * M_j, its sign folded into the entry's
+        # coefficients, goes into one accumulator.
         i0, rest = rows[0], rows[1:]
-        result = X.ring.zero()
+        acc: dict[tuple[int, ...], Fraction] = {}
         for t, j in enumerate(cols):
             e = X.entry(i0, j)
             if e.is_zero():
                 continue
-            sub = _minor_rec(X, rest, cols[:t] + cols[t + 1:], memo)
-            term = e * sub
-            result = result - term if t % 2 else result + term
+            sub = _minor_rec(X, rest, cols[:t] + cols[t + 1:], memo).terms.items()
+            for m1, c1 in e.terms.items():
+                if t % 2:
+                    c1 = -c1
+                for m2, c2 in sub:
+                    m = tuple(map(add, m1, m2))
+                    old = acc.get(m)
+                    acc[m] = c1 * c2 if old is None else old + c1 * c2
+        result = Polynomial(X.ring, acc)
     memo[key] = result
     return result
 

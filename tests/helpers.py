@@ -8,7 +8,9 @@ selection strategy or criteria, the circuit checks and the minimal-edge
 filter written out with frozensets, circuits found by an exact rank of every
 subset, full-width exact ranks for rigidity circuits, a (2,3)-pebble
 game for generic rigidity in the plane, variety membership by one exact
-rank per edge, and the witness draws summed as `Fraction` products.
+rank per edge, the witness draws summed as `Fraction` products, polynomial
+text rendered factor by factor from each `Var`, and flattenings read state
+by state through `ProbTensor.get`.
 
 The builders write the test-only inputs the library only ever reads: CI
 statements and CI model files as text, and tensors from plain entries.
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from cigrid.cimodel import CIStatement, DiscreteModel, ProbTensor
 from cigrid.linalg import column_submatrix, rank
@@ -195,6 +197,29 @@ def naive_evaluate(f: Polynomial, point) -> Fraction:
     return total
 
 
+def reference_to_text(f: Polynomial) -> str:
+    """Terms in decreasing degrevlex order, each coefficient's magnitude from
+    `abs` and each factor from `str` of its `Var`."""
+    if not f.terms:
+        return "0"
+    parts: list[str] = []
+    for m in sorted(f.terms, key=DEGREVLEX.key, reverse=True):
+        c = f.terms[m]
+        factors = [str(f.ring.variables[i]) + (f"^{e}" if e > 1 else "") for i, e in enumerate(m) if e]
+        mag = abs(c)
+        if not factors:
+            body = str(mag)
+        elif mag == 1:
+            body = " * ".join(factors)
+        else:
+            body = " * ".join([str(mag)] + factors)
+        if not parts:
+            parts.append(("-" if c < 0 else "") + body)
+        else:
+            parts.append(("- " if c < 0 else "+ ") + body)
+    return " ".join(parts)
+
+
 def random_polynomial(rng: random.Random, ring, max_terms=4, max_exp=3, bound=20) -> Polynomial:
     terms = {}
     width = len(ring.variables)
@@ -302,6 +327,25 @@ def ci_file_text(model: DiscreteModel, statements) -> str:
 
 def tensor_of(names, shape, entries) -> ProbTensor:
     return ProbTensor(tuple(names), tuple(shape), tuple(Fraction(x) for x in entries))
+
+
+def state_flatten(P: ProbTensor, rows, cols, summed=()) -> list[list[Fraction]]:
+    """Each flattening entry as a `Fraction` sum of `P.get` over the summed
+    states, every joint state assembled coordinate by coordinate."""
+    card = dict(zip(P.names, P.shape))
+    groups = [[n for n in P.names if n in group] for group in (rows, cols, summed)]
+    states = [list(product(*(range(1, card[n] + 1) for n in names))) for names in groups]
+    out = []
+    for rs in states[0]:
+        line = []
+        for cs in states[1]:
+            total = Fraction(0)
+            for zs in states[2]:
+                joint = dict(zip(groups[0], rs)) | dict(zip(groups[1], cs)) | dict(zip(groups[2], zs))
+                total += P.get([joint[n] for n in P.names])
+            line.append(total)
+        out.append(line)
+    return out
 
 
 def full_width_subgraph_circuits(fw, size: int) -> tuple[bool, str]:

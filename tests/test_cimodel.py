@@ -1,13 +1,13 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ci_file_text, rank_by_minors, statement_text, tensor_of
+from helpers import ci_file_text, rank_by_minors, state_flatten, statement_text, tensor_of
 from cigrid import linalg
 from cigrid.cimodel import (
     CIStatement,
@@ -125,6 +125,22 @@ def test_flatten_is_linear():
     S = tensor_of(("X", "Y", "Z"), (2, 3, 2), [a + b for a, b in zip(P.entries, Q.entries)])
     FS = flatten(S, ["X"], ["Y"], ["Z"])
     assert FS == [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(FP, FQ)]
+
+
+def test_flatten_matches_the_state_by_state_sum():
+    rng = random.Random(37)
+    names = ("A", "B", "C", "D")
+    for width in range(1, 5):
+        for _ in range(6):
+            shape = tuple(rng.randint(1, 3) for _ in range(width))
+            entries = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(prod(shape))]
+            P = tensor_of(names[:width], shape, entries)
+            # every assignment of the variables to rows, cols or summed
+            for roles in product(range(3), repeat=width):
+                groups = [[n for n, r in zip(P.names, roles) if r == k] for k in range(3)]
+                M = flatten(P, *groups)
+                assert M == state_flatten(P, *groups)
+                assert all(type(x) is Fraction for row in M for x in row)
 
 
 def test_single_two_minor_for_marginal_independence():

@@ -95,6 +95,17 @@ def test_ideal_requires_exactly_one_source(capsys):
     assert "exactly one" in err
 
 
+def test_unknown_name_errors_print_without_repr_quotes(tmp_path, capsys):
+    ci = tmp_path / "undeclared.ci"
+    ci.write_text("X=2 Y=2\nX _||_ Y | Z\n")
+    code, out, err = run(capsys, "ideal", "--ci", str(ci))
+    assert (code, out, err) == (2, "", "error: no variable named 'Z'\n")
+    pm = tmp_path / "unknown.map"
+    pm.write_text("params u_1\ncoord a u_1 * v_1\n")
+    code, out, err = run(capsys, "matroid", "--parametrization", str(pm))
+    assert (code, out, err) == (2, "", "error: v_1 is not a variable of this ring\n")
+
+
 def test_matroid_identity_matrix(tmp_path, capsys):
     mat = tmp_path / "id.mat"
     mat.write_text("3 3\n1 0 0\n0 1 0\n0 0 1\n")

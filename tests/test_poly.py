@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import det_by_permutations, naive_evaluate, perm_minor, random_polynomial
+from helpers import det_by_permutations, naive_evaluate, perm_minor, random_polynomial, reference_to_text
 from cigrid.poly import (
     DEGREVLEX,
     LEX,
     MonomialOrder,
     PolyRing,
     SymbolicMatrix,
+    Polynomial,
     Var,
     all_minors,
     generic_matrix,
@@ -295,3 +296,93 @@ def test_leading_term_cache_follows_the_queried_order():
             # an equal order built separately hits the same answer
             twin = MonomialOrder(order.kind, order.blocks)
             assert f.leading(twin) == (m, f.terms[m])
+
+
+def test_to_text_matches_the_reference_rendering():
+    ring = PolyRing.of([var("p", 2, 1, 3), var("p", 1, 1, 1), var("x", 1, 2), var("y")])
+    assert ring.names == ("p_1_1_1", "p_2_1_3", "x_1_2", "y")
+    rng = random.Random(61)
+    seen = set()
+    for _ in range(200):
+        f = random_polynomial(rng, ring, max_terms=6, max_exp=4)
+        assert f.to_text() == reference_to_text(f)
+        for m, c in f.terms.items():
+            seen.add("negative" if c < 0 else "positive")
+            seen.add("fraction" if c.denominator > 1 else "integer")
+            seen.add("constant" if not any(m) else "monomial")
+            seen.add("power" if max(m) > 1 else "linear")
+        seen.add("zero" if f.is_zero() else "nonzero")
+    assert seen == {"negative", "positive", "fraction", "integer", "constant", "monomial", "power", "linear", "zero", "nonzero"}
+    p = ring.var(var("p", 2, 1, 3))
+    for f, text in [
+        (ring.zero(), "0"),
+        (ring.const(-1), "-1"),
+        (ring.const(Fraction(-3, 2)), "-3/2"),
+        (-p, "-p_2_1_3"),
+        (Fraction(-1, 3) * p**2 + 1, "-1/3 * p_2_1_3^2 + 1"),
+        (p - Fraction(5, 7) * ring.var(Var("y")) ** 3, "-5/7 * y^3 + p_2_1_3"),
+    ]:
+        assert f.to_text() == reference_to_text(f) == text
+
+
+def test_to_text_is_rendered_once():
+    ring = small_ring()
+    f = Fraction(2, 3) * ring.var(Var("x")) ** 2 - ring.var(Var("z"))
+    first = f.to_text()
+    assert f.to_text() is first
+    assert str(f) is first
+
+
+def test_equal_polynomials_built_in_different_term_orders_render_alike():
+    ring = PolyRing.of([var("x", 1, 1), var("x", 1, 2), var("x", 2, 1), var("x", 2, 2)])
+    rng = random.Random(67)
+    for _ in range(40):
+        f = random_polynomial(rng, ring, max_terms=6)
+        g = random_polynomial(rng, ring, max_terms=6)
+        items = list(f.terms.items())
+        rng.shuffle(items)
+        shuffled = Polynomial(ring, dict(items))
+        assert shuffled.to_text() == f.to_text()
+        assert (f + g).to_text() == (g + f).to_text() == reference_to_text(f + g)
+
+
+def _entry(rng, ring):
+    """A zero, a scaled variable or a sum of scaled monomials."""
+    xs = [ring.var(v) for v in ring.variables]
+    kind = rng.randrange(3)
+    if kind == 0:
+        return ring.zero()
+    if kind == 1:
+        return rng.choice(xs).scale(Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 3)))
+    return random_polynomial(rng, ring, max_terms=3, max_exp=2, bound=4)
+
+
+def _symbolic(ring, rows):
+    return SymbolicMatrix(ring, tuple(tuple(row) for row in rows))
+
+
+def test_minor_of_general_entries_equals_the_permutation_sum():
+    ring = small_ring("wxyz")
+    rng = random.Random(71)
+    for _ in range(60):
+        d, n = rng.randint(1, 4), rng.randint(1, 4)
+        X = _symbolic(ring, [[_entry(rng, ring) for _ in range(n)] for _ in range(d)])
+        size = rng.randint(1, min(d, n))
+        rows = rng.sample(range(1, d + 1), size)
+        cols = rng.sample(range(1, n + 1), size)
+        f = minor(X, rows, cols)
+        assert f == perm_minor(X, rows, cols)
+        assert all(c != 0 for c in f.terms.values())
+
+
+def test_minor_with_a_repeated_row_cancels_to_zero():
+    ring = small_ring("wxyz")
+    rng = random.Random(73)
+    for size in (2, 3, 4):
+        for _ in range(10):
+            rows = [[_entry(rng, ring) for _ in range(size)] for _ in range(size - 1)]
+            rows.insert(rng.randint(0, size - 1), rows[rng.randrange(size - 1)])
+            X = _symbolic(ring, rows)
+            f = minor(X, range(1, size + 1), range(1, size + 1))
+            assert f.is_zero() and f.terms == {}
+            assert perm_minor(X, range(1, size + 1), range(1, size + 1)).is_zero()

@@ -1,4 +1,4 @@
-"""Pinned output bytes: the sha256 of every file four CLI runs write at
+"""Pinned output bytes: the sha256 of every file six CLI runs write at
 `--seed 7 --out D`.
 
 A refactor of the exact core must leave these files byte for byte as they
@@ -16,6 +16,8 @@ RUNS = {
     "secant": ["secant", "--m", "6", "--n", "6", "--k", "4"],
     "rigidity": ["rigidity", "--n", "8", "--d", "3"],
     "matroid": ["matroid", "--grid", "--k", "3", "--l", "4", "--s", "3", "--t", "3", "--d", "3"],
+    "ideal": ["ideal", "--grid", "--k", "3", "--l", "4", "--s", "3", "--t", "3", "--d", "3"],
+    "ideal-cas": ["ideal", "--grid", "--k", "3", "--l", "4", "--s", "3", "--t", "3", "--d", "3", "--format", "cas"],
 }
 
 DIGESTS = {
@@ -40,6 +42,14 @@ DIGESTS = {
     "rigidity": {
         "report.json": "a5b9cdc36851eeb8790defa12aac2738ff3337636ec0a09f01f2246f681a9bf5",
         "report.txt": "1ec2c7b44466ec464c9ad85d59828d1b161527776880672b300ea90e94d4fc4c",
+    },
+    "ideal": {
+        "generators.json": "c0fcaf413ec6aad04411356e924bc818d72a7ee203f36e727a709d81495b9c49",
+        "generators.txt": "26aef06fc8fcd470a1205f918b1126b320e1af8bf69afbde4f0ed5d8ce061e58",
+    },
+    "ideal-cas": {
+        "generators_cas.json": "c0fcaf413ec6aad04411356e924bc818d72a7ee203f36e727a709d81495b9c49",
+        "generators_cas.txt": "5873215f54f2b4011ee6b85efe00eb8553432e68ba397751044524880e3db29e",
     },
     "matroid": {
         "matroid.json": "f836f6688ac16afd383c7d1b5d71293d69497d6e916e56e04d2da1dbe8e46d32",
