@@ -92,6 +92,32 @@ def det(m: Sequence[Sequence[Fraction]]) -> Fraction:
     return result
 
 
+def integer_det(m: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a square integer matrix by fraction-free
+    (Bareiss) elimination: every division is exact, so no `Fraction` is
+    built.  A zero pivot is swapped with a lower nonzero row, flipping the
+    sign; with none left the determinant is 0."""
+    work = [list(row) for row in m]
+    n = len(work)
+    if any(len(row) != n for row in work):
+        raise ValueError("determinant of a non-square matrix")
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not work[k][k]:
+            pivot = next((i for i in range(k + 1, n) if work[i][k]), None)
+            if pivot is None:
+                return 0
+            work[k], work[pivot] = work[pivot], work[k]
+            sign = -sign
+        row_k, a = work[k], work[k][k]
+        for row_i in work[k + 1 :]:
+            b = row_i[k]
+            for j in range(k + 1, n):
+                row_i[j] = (row_i[j] * a - b * row_k[j]) // prev
+        prev = a
+    return sign * work[-1][-1] if n else 1
+
+
 def kernel_basis(m: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     """Basis of the right kernel {v : m v = 0}: for each free column f, the
     unique kernel vector with 1 at f and 0 at the other free columns.
@@ -132,7 +158,7 @@ def rank_mod_p(m: Sequence[Sequence[Fraction]], p: int = SHADOW_PRIME) -> int | 
     return rank_of_vectors_mod_p(cols, p)
 
 
-def _integer_multiple(v: Sequence[Fraction]) -> tuple[int, list[int]]:
+def integer_multiple(v: Sequence[Fraction]) -> tuple[int, list[int]]:
     """The lcm of the vector's denominators, and the vector times it."""
     scale = lcm(*(x.denominator for x in v))
     return scale, [x.numerator * (scale // x.denominator) for x in v]
@@ -143,28 +169,40 @@ def vector_mod_p(v: Sequence[Fraction], p: int = SHADOW_PRIME) -> list[int] | No
     p divides that lcm.  A nonzero scale changes neither ranks nor which
     combinations vanish, so a caller may reduce each vector once and
     eliminate on the results many times."""
-    scale, ints = _integer_multiple(v)
+    scale, ints = integer_multiple(v)
     if scale % p == 0:
         return None
     return [x % p for x in ints]
 
 
-def rank_of_vectors_mod_p(vectors: Iterable[Sequence[int]], p: int = SHADOW_PRIME) -> int:
-    """Rank over GF(p) of vectors already reduced mod p (see `vector_mod_p`).
+EchelonRow = tuple[int, list[int]]
 
-    Each vector is reduced against the echelon basis so far (pivot entry 1);
-    a nonzero remainder joins the basis at its first nonzero position."""
-    basis: list[tuple[int, list[int]]] = []
+
+def reduce_mod_p(v: Sequence[int], basis: Iterable[EchelonRow], p: int = SHADOW_PRIME) -> EchelonRow | None:
+    """A vector already reduced mod p (see `vector_mod_p`), reduced against
+    echelon rows (pivot position, row with entry 1 there): None when it lies
+    in their span mod p, otherwise the new echelon row, pivoted at the
+    remainder's first nonzero position."""
+    v = list(v)
+    for c, b in basis:
+        f = v[c]
+        if f:
+            v = [(x - f * y) % p for x, y in zip(v, b)]
+    c = next((j for j, x in enumerate(v) if x), None)
+    if c is None:
+        return None
+    inv = pow(v[c], -1, p)
+    return c, [x * inv % p for x in v]
+
+
+def rank_of_vectors_mod_p(vectors: Iterable[Sequence[int]], p: int = SHADOW_PRIME) -> int:
+    """Rank over GF(p) of vectors already reduced mod p: each one is reduced
+    against the echelon rows so far, and a nonzero remainder joins them."""
+    basis: list[EchelonRow] = []
     for v in vectors:
-        v = list(v)
-        for c, b in basis:
-            f = v[c]
-            if f:
-                v = [(x - f * y) % p for x, y in zip(v, b)]
-        c = next((j for j, x in enumerate(v) if x), None)
-        if c is not None:
-            inv = pow(v[c], -1, p)
-            basis.append((c, [x * inv % p for x in v]))
+        row = reduce_mod_p(v, basis, p)
+        if row is not None:
+            basis.append(row)
     return len(basis)
 
 
@@ -189,11 +227,11 @@ def certified_rank(m: Sequence[Sequence[Fraction]], witnesses: Iterable[Sequence
     sound, and when they meet that is the rank.  Otherwise, or when p
     divides a column's scale, the exact `rank` decides."""
     nrows = len(m)
-    columns = [_integer_multiple(col) for col in zip(*m)]
+    columns = [integer_multiple(col) for col in zip(*m)]
     kernel: list[Sequence[Fraction]] = []
     kernel_mod_p: list[list[int]] = []
     for w in witnesses:
-        scale, ints = _integer_multiple(w)
+        scale, ints = integer_multiple(w)
         support = [(i, x) for i, x in enumerate(ints) if x]
         if len(w) != nrows or not support:
             continue
@@ -227,6 +265,9 @@ def matrix_from_text(text: str) -> Mat:
     if len(header) != 2 or not all(t.isdigit() for t in header):
         raise ValueError(f"matrix file needs a `d n` header of two non-negative integers, got {lines[0]!r}")
     d, n = (int(t) for t in header)
+    if d == 0:
+        # a matrix with no rows keeps no trace of its n columns
+        raise ValueError(f"matrix header {lines[0]!r} has d = 0 rows; a matrix file needs d >= 1")
     if len(lines) != d + 1:
         raise ValueError(f"expected {d} rows, found {len(lines) - 1}")
     misfit = "does not fit the format: a `d n` header, then one row of n rationals per line"

@@ -4,6 +4,11 @@ algebraic matroids via Jacobians, and plane-arrangement signatures.
 Rank queries on linear matroids first try a mod-p shadow (full rank mod p
 certifies independence over Q); anything else is settled by exact rational
 elimination, so no reported answer ever depends on the shadow alone.
+
+Circuits are enumerated level by level: each independent set keeps the
+mod-p echelon rows of its columns, so testing a one-larger candidate
+reduces one shadow column against them, and only a zero remainder (a
+candidate circuit) costs an exact rank.
 """
 
 from __future__ import annotations
@@ -15,9 +20,9 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from .hypergraph import GridSpec, Hypergraph, grid_hypergraph, minimal_sets
+from .hypergraph import GridSpec, Hypergraph, grid_hypergraph
 from .ideals import Ideal
-from .linalg import Mat, kernel_basis, rank, rank_of_vectors_mod_p, transpose, vector_mod_p
+from .linalg import EchelonRow, Mat, kernel_basis, rank, rank_of_vectors_mod_p, reduce_mod_p, transpose, vector_mod_p
 from .poly import PolyRing, Polynomial, Var, generic_matrix, minor, normalize_sign, parse_polynomial
 from .sampling import GenericityError, generic_draw, rand_fraction, rand_matrix, rand_nonzero_fraction
 
@@ -46,19 +51,46 @@ class Matroid:
         return not self.is_independent(subset)
 
     def circuits(self) -> tuple[frozenset[int], ...]:
-        """Minimal dependent sets: `minimal_sets` over ground positions by
-        increasing size.  A candidate of size full_rank() + 1 that contains no
-        smaller circuit is dependent by the rank bound, so only smaller ones
-        cost a rank query.  Refuses ground sets above the enumeration cap."""
+        """Minimal dependent sets, enumerated level by level over ground
+        positions.  Refuses ground sets above the enumeration cap.
+
+        Level s maps every independent s-set (a sorted position tuple) to the
+        state `_extend` keeps for it.  A size-s candidate is an independent
+        (s-1)-set extended by a larger position, and it is tested only when
+        every facet is in the level: a set with a dependent facet contains a
+        smaller circuit, and a set whose facets are all independent is a
+        circuit exactly when it is dependent.  At size full_rank() + 1 every
+        set is dependent by the rank bound, so no query is made there."""
         n = len(self.ground)
         if n > ENUMERATION_CAP:
             raise ValueError(f"circuit enumeration is capped at {ENUMERATION_CAP} elements, got {n}")
         r = self.full_rank()
-        ground = self.ground
-        candidates = (c for size in range(1, min(n, r + 1) + 1) for c in combinations(range(n), size))
-        found = minimal_sets(candidates, lambda c: len(c) > r or self.is_dependent([ground[i] for i in c]))
-        circuits = [frozenset(ground[i] for i in c) for c in found]
+        found: list[tuple[int, ...]] = []
+        level: dict[tuple[int, ...], object] = {(): ()}  # the empty set, with no echelon rows
+        for size in range(1, min(n, r + 1) + 1):
+            following: dict[tuple[int, ...], object] = {}
+            for prefix, state in level.items():
+                for j in range(prefix[-1] + 1 if prefix else 0, n):
+                    c = prefix + (j,)
+                    if any(c[:i] + c[i + 1 :] not in level for i in range(size - 1)):
+                        continue
+                    if size > r:
+                        found.append(c)
+                        continue
+                    independent, kept = self._extend(state, c)
+                    if independent:
+                        following[c] = kept
+                    else:
+                        found.append(c)
+            level = following
+        circuits = [frozenset(self.ground[i] for i in c) for c in found]
         return tuple(sorted(circuits, key=lambda c: (len(c), sorted(c))))
+
+    def _extend(self, state: object, c: tuple[int, ...]) -> tuple[bool, object]:
+        """Whether the positions c are independent, given the state kept for
+        the independent set c[:-1]; with the state to keep for c.  Here the
+        state is unused and every query is a rank."""
+        return self.rank_of([self.ground[i] for i in c]) == len(c), None
 
 
 @dataclass(frozen=True)
@@ -98,6 +130,20 @@ class LinearMatroid(Matroid):
         if None not in cols and rank_of_vectors_mod_p(cols) == len(subset):
             return len(subset)
         return rank(self._submatrix(subset))
+
+    def _extend(self, state: tuple[EchelonRow, ...] | None, c: tuple[int, ...]) -> tuple[bool, object]:
+        """The state is the mod-p echelon rows of c[:-1]'s shadow columns, or
+        None where the shadow cannot be trusted.  A nonzero remainder of the
+        last shadow column certifies independence over Q, and c keeps the
+        prefix rows plus that one.  Anything else goes to an exact rank, and
+        c keeps None: its shadow is missing or dependent mod p."""
+        column = self._shadow_columns[c[-1]]
+        if state is not None and column is not None:
+            row = reduce_mod_p(column, state)
+            if row is not None:
+                return True, state + (row,)
+        cols = [self.columns[i] for i in c]
+        return rank([list(row) for row in zip(*cols)]) == len(c), None
 
     def circuits(self) -> tuple[frozenset[int], ...]:
         return self._circuits

@@ -18,7 +18,7 @@ from itertools import combinations, product
 from math import comb
 from typing import Callable, Sequence
 
-from .linalg import Mat, certified_rank, kernel_basis, rationals, transpose
+from .linalg import Mat, certified_rank, integer_det, integer_multiple, kernel_basis, rationals, transpose
 from .report import CheckResult, WitnessReport
 from .sampling import generic_draw, rand_fraction, rand_nonzero_fraction
 
@@ -213,13 +213,23 @@ def rigidity_rank(fw: Framework, R: Mat) -> int:
     return certified_rank(transpose(R), trivial_motions(fw)).rank
 
 
-def _affine_dependence_stress(fw: Framework, verts: tuple[int, ...]) -> list[Fraction]:
+def _affine_dependence_stress(fw: Framework, verts: tuple[int, ...]) -> list[int]:
     """A self-stress of the complete graph on `verts`, one entry per edge in
     `combinations` order: w_uv = l_u l_v, where l is an affine dependence of
-    the points (sum l_i p_i = 0, sum l_i = 0), read off one exact kernel.
-    At u, sum_v w_uv (p_u - p_v) = l_u (p_u sum_v l_v - sum_v l_v p_v) = 0."""
+    the points (sum l_i p_i = 0, sum l_i = 0).
+    At u, sum_v w_uv (p_u - p_v) = l_u (p_u sum_v l_v - sum_v l_v p_v) = 0.
+
+    Each axis is scaled to integers by its denominator lcm, which keeps every
+    affine dependence.  Then l_i = (-1)^i det([p_j; 1], j != i): expanding
+    along a repeated row shows that this l is a dependence.  It is 0 when
+    the points lie in a common hyperplane, and a zero stress is never
+    counted as a witness."""
     points = [fw.coords[v - 1] for v in verts]
-    lam = kernel_basis([*map(list, zip(*points)), [Fraction(1)] * len(points)])[0]
+    rows = [integer_multiple(axis)[1] for axis in zip(*points)] + [[1] * len(points)]
+    lam = [
+        (-1) ** i * integer_det([row[:i] + row[i + 1 :] for row in rows])
+        for i in range(len(points))
+    ]
     weight = dict(zip(verts, lam))
     return [weight[u] * weight[v] for u, v in combinations(verts, 2)]
 

@@ -331,6 +331,24 @@ def test_matrix_file_needs_a_two_integer_header(tmp_path, capsys, header):
     assert err.count("\n") == 1 and "`d n` header of two non-negative integers" in err
 
 
+@pytest.mark.parametrize("header", ["0 3", "0 0"])
+def test_matrix_file_with_no_rows_is_rejected(tmp_path, capsys, header):
+    # with d = 0 the header's n columns (zero columns, so loops) would be lost
+    mat = tmp_path / "empty.mat"
+    mat.write_text(f"{header}\n")
+    code, out, err = run(capsys, "matroid", "--matrix", str(mat))
+    assert (code, out) == (2, "")
+    assert err == f"error: matrix header '{header}' has d = 0 rows; a matrix file needs d >= 1\n"
+
+
+def test_zero_matrix_columns_are_loops(tmp_path, capsys):
+    mat = tmp_path / "zero.mat"
+    mat.write_text("2 3\n0 0 0\n0 0 0\n")
+    code, out, _ = run(capsys, "matroid", "--matrix", str(mat))
+    assert code == 0
+    assert out.splitlines()[:5] == ["ground 3", "rank 0", "circuit 1", "circuit 2", "circuit 3"]
+
+
 @pytest.mark.parametrize(
     "argv, text, line, fmt",
     [

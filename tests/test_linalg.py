@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import permutations
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -107,6 +108,34 @@ def test_det_of_odd_permutation_matrices_is_negative():
             expected *= c
         assert linalg.det(scaled) == swap_tracking_det(scaled) == expected
         assert linalg.kernel_basis(P) == [] and linalg.rank(P) == len(perm)
+
+
+def test_integer_det_matches_det_and_the_permutation_sum():
+    """Fraction-free determinants on integer matrices: square cases of the
+    elimination set scaled to integers, odd and even permutation matrices
+    (every pivot swap), and singular ones with a zero column."""
+    cases = []
+    for m in elimination_cases(74):
+        if m and all(len(row) == len(m) for row in m):
+            scale = lcm(*(x.denominator for row in m for x in row))
+            cases.append([[x * scale for x in row] for row in m])
+    for n in (1, 2, 3, 4):
+        cases += [permutation_matrix(perm) for perm in permutations(range(n))]
+    rng = random.Random(75)
+    for n in (2, 3, 4):
+        m = [[Fraction(rng.randint(-5, 5)) for _ in range(n)] for _ in range(n)]
+        for row in m:
+            row[rng.randrange(n)] = Fraction(0)
+        cases.append(m)
+    assert len(cases) > 60
+    assert {linalg.det(m) for m in cases} >= {-1, 0, 1}
+    for m in cases:
+        ints = [[int(x) for x in row] for row in m]
+        assert all(x.denominator == 1 for row in m for x in row)
+        assert linalg.integer_det(ints) == linalg.det(m) == det_by_permutations(m)
+    assert linalg.integer_det([]) == 1
+    with pytest.raises(ValueError, match="non-square"):
+        linalg.integer_det([[1, 2]])
 
 
 @settings(max_examples=40, deadline=None)

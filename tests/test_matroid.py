@@ -256,20 +256,104 @@ def test_circuits_match_the_brute_force_oracle():
 
 def test_circuit_enumeration_queries_no_set_the_rank_bound_settles(monkeypatch):
     # a candidate of size full_rank() + 1 without a smaller circuit inside is
-    # a circuit by the rank bound; only smaller candidates need a rank query
+    # a circuit by the rank bound; only smaller candidates need a query
     queried: list[int] = []
-    real = LinearMatroid.is_dependent
+    real = LinearMatroid._extend
 
-    def spy(self, subset):
-        subset = list(subset)
-        queried.append(len(subset) - self.full_rank())
-        return real(self, subset)
+    def spy(self, state, c):
+        queried.append(len(c) - self.full_rank())
+        return real(self, state, c)
 
-    monkeypatch.setattr(LinearMatroid, "is_dependent", spy)
+    monkeypatch.setattr(LinearMatroid, "_extend", spy)
     rng = random.Random(29)
     for matrix in [concurrent_lines_matrix(), linalg.identity(3)] + [_small_matrix(rng) for _ in range(40)]:
         assert Matroid.circuits(matroid_from_matrix(matrix)) == brute_force_circuits(matrix)
     assert queried and max(queried) == 0
+
+
+def _spy_exact_columns(monkeypatch) -> list[set[tuple[Fraction, ...]]]:
+    """Record the column set of every exact `rank` call made in `matroid`."""
+    calls: list[set[tuple[Fraction, ...]]] = []
+    real = matroid_module.rank
+
+    def counted(m):
+        calls.append(set(zip(*m)))
+        return real(m)
+
+    monkeypatch.setattr(matroid_module, "rank", counted)
+    return calls
+
+
+def _columns(matrix, c) -> set[tuple[Fraction, ...]]:
+    return {tuple(row[e - 1] for row in matrix) for e in c}
+
+
+def rand_fraction_small(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 5, 7)))
+
+
+def test_level_wise_circuits_match_the_oracle_on_fractional_matrices(monkeypatch):
+    """Seeded products of fractional factors with loops and parallel columns:
+    the circuits equal the brute-force oracle, and every circuit below size
+    full_rank() + 1 was confirmed by an exact rank of exactly its columns."""
+    exact = _spy_exact_columns(monkeypatch)
+    rng = random.Random(31)
+    sizes = set()
+    for _ in range(60):
+        d, n = rng.randint(1, 4), rng.randint(1, 7)
+        r = rng.randint(0, d)
+        a = [[rand_fraction_small(rng) for _ in range(r)] for _ in range(d)]
+        b = [[rand_fraction_small(rng) for _ in range(n)] for _ in range(r)]
+        matrix = [[sum((a[i][t] * b[t][j] for t in range(r)), Fraction(0)) for j in range(n)] for i in range(d)]
+        if n > 1 and rng.random() < 0.5:
+            for row in matrix:
+                row[-1] = row[0] * Fraction(-2, 7)
+        m = matroid_from_matrix(matrix)
+        exact.clear()
+        expected = brute_force_circuits(matrix)
+        assert m.circuits() == expected, matrix
+        full = m.full_rank()
+        for c in expected:
+            sizes.add(len(c) - full)
+            if len(c) <= full:
+                assert _columns(matrix, c) in exact, (matrix, c)
+    assert {-1, 0, 1} <= sizes
+
+
+def test_circuits_with_a_column_the_shadow_cannot_reduce(monkeypatch):
+    """Column 1 has denominator p, so it has no shadow: every set through it
+    goes to an exact rank, and the circuits still equal the oracle."""
+    p = linalg.SHADOW_PRIME
+    matrix = [
+        [Fraction(1, p), Fraction(1), Fraction(0), Fraction(2), Fraction(1)],
+        [Fraction(1), Fraction(p), Fraction(1), Fraction(1), Fraction(0)],
+        [Fraction(0), Fraction(0), Fraction(3), Fraction(1), Fraction(1, p)],
+    ]
+    m = matroid_from_matrix(matrix)
+    assert m._shadow_columns[0] is None and m._shadow_columns[4] is None
+    exact = _spy_exact_columns(monkeypatch)
+    assert m.circuits() == brute_force_circuits(matrix)
+    assert frozenset({1, 2}) in m.circuits()
+    assert _columns(matrix, [1]) in exact
+    assert _columns(matrix, [1, 3]) in exact and _columns(matrix, [1, 3, 4]) in exact
+
+
+def test_circuits_when_the_shadow_rank_falls_below_the_rank_over_q(monkeypatch):
+    """Columns (p, 1, 0) and (0, 1, 0) are independent over Q but parallel
+    mod p.  The pair is confirmed independent by an exact rank and keeps no
+    shadow, so its extension by column 3 goes to an exact rank as well: the
+    exact fallback runs inside a prefix chain."""
+    p = linalg.SHADOW_PRIME
+    cols = [(p, 1, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3), (2, 0, 1)]
+    matrix = [[Fraction(c[r]) for c in cols] for r in range(3)]
+    assert linalg.rank_mod_p(linalg.column_submatrix(matrix, [1, 2])) == 1
+    assert linalg.rank(linalg.column_submatrix(matrix, [1, 2])) == 2
+    m = matroid_from_matrix(matrix)
+    exact = _spy_exact_columns(monkeypatch)
+    assert m.circuits() == brute_force_circuits(matrix)
+    assert _columns(matrix, [1, 2]) in exact
+    assert _columns(matrix, [1, 2, 3]) in exact
+    assert all(c != frozenset({1, 2}) for c in m.circuits())
 
 
 def test_grid_circuit_family_satisfies_the_axioms():
@@ -313,6 +397,18 @@ def test_circuit_matroid_rank_and_restriction():
     assert m.is_independent({1, 2})
     assert m.rank_of({1, 2}) == m.rank_of({2, 3}) == 2
     assert m.rank_of({1}) == 1 and m.rank_of(()) == 0
+
+
+def test_rank_oracle_enumeration_recovers_a_circuit_family():
+    """`Matroid.circuits` on a matroid with no shadow state queries its rank
+    oracle alone: on circuit-presented matroids it returns their family."""
+    rng = random.Random(37)
+    families = [grid_circuit_family(GridSpec(k=3, l=3, s=3, t=3, d=3))]
+    families += [brute_force_circuits(_small_matrix(rng)) for _ in range(30)]
+    for family in families:
+        n = max((max(c) for c in family), default=0)
+        m = CircuitMatroid(tuple(range(1, n + 1)), family)
+        assert Matroid.circuits(m) == m.circuits() == family
 
 
 def test_realize_grid_matroid_instance():

@@ -277,7 +277,7 @@ def test_zero_entry_in_the_shadow_kernel_defers_to_the_exact_kernel(monkeypatch)
     assert all(stress) and linalg.certified_rank(rigidity_matrix(fw), [stress]) == (2, [stress])
     calls = _spy_exact(monkeypatch)
     assert _subgraph_circuits(fw, 3) == full_width_subgraph_circuits(fw, 3) == (True, "")
-    assert calls == {"rank": [], "kernel_basis": [(2, 3)]}
+    assert calls == {"rank": [], "kernel_basis": []}
 
 
 def test_shadow_kernel_with_a_zero_entry_is_not_trusted(monkeypatch):
@@ -296,7 +296,7 @@ def test_shadow_kernel_with_a_zero_entry_is_not_trusted(monkeypatch):
     calls = _spy_exact(monkeypatch)
     expected = (False, "proper subset of the (1, 2, 3, 4) edge set is dependent")
     assert _subgraph_circuits(fw, 4) == expected
-    assert calls == {"rank": [], "kernel_basis": [(3, 4)]}
+    assert calls == {"rank": [], "kernel_basis": []}
     assert full_width_subgraph_circuits(fw, 4) == expected
 
 
@@ -312,7 +312,7 @@ def test_shadow_kernel_of_nullity_above_one_is_not_trusted(monkeypatch):
     assert full_width_subgraph_circuits(fw, 4) == expected
     calls = _spy_exact(monkeypatch)
     assert _subgraph_circuits(fw, 4) == expected
-    assert calls == {"rank": [(6, 8)], "kernel_basis": [(3, 4)]}
+    assert calls == {"rank": [(6, 8)], "kernel_basis": []}
 
 
 def test_denominators_divisible_by_the_shadow_prime_defer_to_the_exact_kernel(monkeypatch):
@@ -330,8 +330,8 @@ def test_denominators_divisible_by_the_shadow_prime_defer_to_the_exact_kernel(mo
         assert rigidity_rank(fw, R) == linalg.rank(R)
         calls = _spy_exact(monkeypatch)
         assert _subgraph_circuits(fw, d + 2) == (True, "")
-        # n = d + 2: one subgraph, one exact rank, one affine kernel
-        assert calls == {"rank": [(len(R), d * n)], "kernel_basis": [(d + 1, d + 2)]}
+        # n = d + 2: one subgraph, one exact rank, no exact kernel
+        assert calls == {"rank": [(len(R), d * n)], "kernel_basis": []}
         assert full_width_subgraph_circuits(fw, d + 2) == (True, "")
 
 
@@ -367,6 +367,58 @@ def test_affine_dependence_stress_is_a_self_stress():
         R = rigidity_matrix(fw)
         assert all(stress)
         assert all(sum(w * row[c] for w, row in zip(stress, R)) == 0 for c in range(d * (d + 2)))
+
+
+def _kernel_route_stress(fw: Framework, verts: tuple[int, ...]) -> list[Fraction]:
+    """The stress from one `Fraction` kernel vector of the (d+1) x (d+2)
+    affine matrix: l with 1 at its free column, then w_uv = l_u l_v."""
+    points = [fw.coords[v - 1] for v in verts]
+    lam = linalg.kernel_basis([*map(list, zip(*points)), [Fraction(1)] * len(points)])[0]
+    weight = dict(zip(verts, lam))
+    return [weight[u] * weight[v] for u, v in combinations(verts, 2)]
+
+
+def test_integer_stress_is_proportional_to_the_kernel_route():
+    """Fractional coordinates at d = 1, 2 and 3, on every (d+2)-subset of a
+    framework with two points to spare, and with one point in the affine
+    span of others (a zero l_i): the integer-determinant stress is a nonzero
+    integer multiple of the `Fraction` kernel route's stress."""
+    rng = child_rng(21, "integer-stress")
+    frameworks = [_framework(2, [(0, 0), (1, 0), (3, 0), (1, 2)])]
+    for d in (1, 2, 3):
+        fw = random_framework(d + 4, d, rng)
+        assert any(x.denominator > 1 for p in fw.coords for x in p)
+        frameworks.append(fw)
+    for fw in frameworks:
+        for verts in combinations(range(1, fw.n + 1), fw.d + 2):
+            stress = _affine_dependence_stress(fw, verts)
+            expected = _kernel_route_stress(fw, verts)
+            assert all(isinstance(w, int) for w in stress)
+            [scale] = {Fraction(w) / x for w, x in zip(stress, expected) if x}
+            assert scale > 0 and stress == [scale * x for x in expected]
+    assert [bool(x) for x in _affine_dependence_stress(frameworks[0], (1, 2, 3, 4))] == [
+        True, True, False, True, False, False
+    ]
+
+
+def test_integer_stress_vanishes_in_a_common_hyperplane():
+    """d + 2 points in a common hyperplane (on a line in the plane, in a
+    plane in space, with fractional coordinates too) have every maximal
+    minor 0: the stress is the zero vector, which is never counted, and the
+    circuit check still returns the exact verdict."""
+    rng = child_rng(22, "hyperplane-stress")
+    frameworks = [_degenerate_framework(rng, n, d) for n, d in [(4, 2), (5, 2), (5, 3), (6, 3)]]
+    # on the line y = 3x/2, and in the plane z = x - y
+    line = [(Fraction(1, 3), Fraction(1, 2)), (Fraction(2, 3), 1), (1, Fraction(3, 2)), (Fraction(5, 7), Fraction(15, 14))]
+    frameworks.append(_framework(2, line))
+    pairs = [(1, 0), (0, 1), (3, 5), (-1, 2), (4, -7)]
+    frameworks.append(_framework(3, [(Fraction(a, 2), Fraction(b, 3), Fraction(a, 2) - Fraction(b, 3)) for a, b in pairs]))
+    for fw in frameworks:
+        for verts in combinations(range(1, fw.n + 1), fw.d + 2):
+            assert not any(_affine_dependence_stress(fw, verts))
+        stress = _affine_dependence_stress(fw, tuple(range(1, fw.d + 3)))
+        assert linalg.certified_rank(rigidity_matrix(fw), [stress]).kernel == []
+        assert _subgraph_circuits(fw, fw.d + 2) == full_width_subgraph_circuits(fw, fw.d + 2), fw
 
 
 def test_segre_relations_are_independent_left_kernel_vectors():
