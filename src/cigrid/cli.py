@@ -272,6 +272,10 @@ def cmd_verify(args) -> int:
     gave; a campaign's keyword parameters name the flags it takes."""
     if args.trials is not None and args.trials < 1:
         raise SystemExit("--trials must be at least 1")
+    for flag in ("--max-pairs", "--max-degree"):
+        budget = getattr(args, VERIFY_FLAGS[flag])
+        if budget is not None and budget < 0:
+            raise SystemExit(f"{flag} must be at least 0")
     given = {param: flag for flag, param in VERIFY_FLAGS.items() if getattr(args, param) is not None}
     grid = [f"--{g}" for g in GRID_FLAGS if getattr(args, g) is not None]
     if grid:

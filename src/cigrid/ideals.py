@@ -2,7 +2,7 @@
 
 The Groebner machinery is deliberately small: it targets ideals in at most a
 couple dozen variables with short generator lists.  Budgets (maximum S-pairs
-processed, maximum degree touched) are hard limits; exceeding one raises
+reduced, maximum degree touched) are hard limits; exceeding one raises
 `BudgetExceeded` rather than returning anything partial.
 """
 
@@ -133,35 +133,38 @@ def buchberger(
     """Return the ideal with a cached reduced Groebner basis.
 
     Deterministic given the order and the generator sequence: pairs are
-    processed in normal-selection order with index tie-breaks.  Budgets are
-    hard errors, never silent truncation.
+    processed in normal-selection order with index tie-breaks.  The input
+    generators and every new basis element join through the Gebauer-Moeller
+    pair update (`_update`), which drops pairs whose S-polynomials are known
+    to reduce to zero.  `max_pairs` and `max_degree` count only the pairs
+    that are reduced.  Budgets are hard errors, never silent truncation.
     """
     gens = [g for g in ideal.generators if not g.is_zero()]
     for g in gens:
         if g.total_degree() > max_degree:
             raise BudgetExceeded(f"generator degree {g.total_degree()} exceeds budget {max_degree}")
     basis: list[Polynomial] = []
-    for g in gens:
-        _, c = g.leading(order)
-        basis.append(g.scale(1 / c))
-
+    heads: list[tuple[int, ...]] = []
+    active: list[int] = []
+    live: dict[tuple[int, int], tuple[int, ...]] = {}
     # normal selection: smallest lcm under the order, then smallest indices;
     # each pair's key is computed once, when the pair is created
-    heads = [g.leading(order)[0] for g in basis]
-    pairs: list[tuple] = []
+    queue: list[tuple] = []
 
-    def add_pairs(k: int) -> None:
-        for i in range(k):
-            heapq.heappush(pairs, (order.key(_mono_lcm(heads[i], heads[k])), i, k))
+    def join(f: Polynomial) -> None:
+        m, c = f.leading(order)
+        basis.append(f.scale(1 / c))
+        heads.append(m)
+        for i, j in _update(heads, active, live):
+            heapq.heappush(queue, (order.key(live[i, j]), i, j))
 
-    for k in range(1, len(basis)):
-        add_pairs(k)
+    for g in gens:
+        join(g)
     processed = 0
-    while pairs:
-        _, i, j = heapq.heappop(pairs)
-        fm, gm = heads[i], heads[j]
-        l = _mono_lcm(fm, gm)
-        if l == _mono_mul(fm, gm):  # coprime leading monomials: S-pair reduces to 0
+    while queue:
+        _, i, j = heapq.heappop(queue)
+        l = live.pop((i, j), None)
+        if l is None:  # dropped by criterion B after it was queued
             continue
         if sum(l) > max_degree:
             raise BudgetExceeded(f"S-pair degree {sum(l)} exceeds budget {max_degree}")
@@ -173,13 +176,59 @@ def buchberger(
             continue
         if r.total_degree() > max_degree:
             raise BudgetExceeded(f"basis degree {r.total_degree()} exceeds budget {max_degree}")
-        m, c = r.leading(order)
-        basis.append(r.scale(1 / c))
-        heads.append(m)
-        add_pairs(len(basis) - 1)
+        join(r)
 
     reduced = _interreduce(basis, order)
     return Ideal(ideal.ring, ideal.generators, tuple(reduced), order)
+
+
+def _update(
+    heads: list[tuple[int, ...]],
+    active: list[int],
+    live: dict[tuple[int, int], tuple[int, ...]],
+) -> list[tuple[int, int]]:
+    """The Gebauer-Moeller update (Gebauer & Moeller, J. Symbolic Comput. 6,
+    1988) in the UPDATE form of Becker & Weispfenning, *Groebner Bases*
+    (1993): the last head, k, joins.
+
+    `active` lists the elements that take new pairs and `live` maps each
+    queued pair to its lcm; both are updated in place.  Returns the new pairs.
+
+    - Criterion B: a queued pair (i, j) is dropped when head k divides its
+      lcm and both lcm(i, k) and lcm(j, k) differ from it.
+    - Criteria M and F: a new pair (i, k) is dropped when another new pair's
+      lcm divides its lcm, properly or (among equal lcms) with a lower rank.
+      A pair ranks by (heads not coprime, i), so an equal-lcm group with a
+      coprime pair keeps that one.  Sorted by degree, a pair's lcm can only
+      be divided by the lcm of a pair before it, and checking the survivors
+      is enough, since divisibility is transitive.
+    - Product criterion: a surviving pair with coprime heads is dropped; it
+      still shadows the pairs above it, as in Becker & Weispfenning.
+    - An element whose head is divisible by head k takes no new pairs; it
+      stays a divisor for `reduce_poly`.
+    """
+    k = len(heads) - 1
+    m = heads[k]
+    for (i, j), l in list(live.items()):
+        if _divides(m, l) and _mono_lcm(heads[i], m) != l and _mono_lcm(heads[j], m) != l:
+            del live[i, j]
+    candidates = []
+    for i in active:
+        l = _mono_lcm(heads[i], m)
+        candidates.append((sum(l), l != _mono_mul(heads[i], m), i, l))
+    candidates.sort()
+    minimal: list[tuple[int, ...]] = []
+    new: list[tuple[int, int]] = []
+    for _, shared, i, l in candidates:
+        if any(_divides(low, l) for low in minimal):
+            continue
+        minimal.append(l)
+        if shared:
+            live[i, k] = l
+            new.append((i, k))
+    active[:] = [i for i in active if not _divides(m, heads[i])]
+    active.append(k)
+    return new
 
 
 def _interreduce(basis: list[Polynomial], order: MonomialOrder) -> list[Polynomial]:

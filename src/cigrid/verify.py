@@ -25,7 +25,7 @@ from .hypergraph import (
     in_variety,
 )
 from .ideals import DEFAULT_MAX_DEGREE, DEFAULT_MAX_PAIRS, BudgetExceeded, Ideal, buchberger, intersect, normal_form
-from .linalg import Mat, matrix_to_text, rank
+from .linalg import Mat, integer_multiple, matrix_to_text, rank
 from .matroid import (
     AXIOM_CHECK_CAP,
     dependent_contains,
@@ -107,9 +107,11 @@ def sampler_concurrent_lines() -> ComponentSampler:
             dirs = [[rand_fraction(rng) for _ in range(3)] for _ in range(3)]
             if all(x == 0 for x in apex):
                 continue
-            if any(rank([apex, d]) < 2 for d in dirs):
+            p = integer_multiple(apex)[1]
+            ds = [integer_multiple(d)[1] for d in dirs]
+            if any(_parallel(p, d) for d in ds):
                 continue
-            if any(rank([dirs[a], dirs[b]]) < 2 for a in range(3) for b in range(a + 1, 3)):
+            if any(_parallel(ds[a], ds[b]) for a in range(3) for b in range(a + 1, 3)):
                 continue
             cols = [apex]
             for d in dirs:
@@ -120,6 +122,12 @@ def sampler_concurrent_lines() -> ComponentSampler:
             return [[cols[j][r] for j in range(7)] for r in range(3)]
 
     return ComponentSampler("concurrent-lines", draw)
+
+
+def _parallel(u: Sequence[int], v: Sequence[int]) -> bool:
+    """Whether two integer 3-vectors are linearly dependent, that is, whether
+    their cross product is zero: the same test as rank([u, v]) < 2."""
+    return u[1] * v[2] == u[2] * v[1] and u[2] * v[0] == u[0] * v[2] and u[0] * v[1] == u[1] * v[0]
 
 
 def _exact_dot(xs: Sequence[Fraction], ys: Sequence[Fraction]) -> Fraction:

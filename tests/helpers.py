@@ -185,6 +185,23 @@ def naive_groebner(gens, order=DEGREVLEX, cap: int = 200):
     return basis
 
 
+def naive_reduced_groebner(gens, order=DEGREVLEX, cap: int = 200) -> set[Polynomial]:
+    """The reduced basis from `naive_groebner`: keep each element whose head
+    no kept head divides (divisors have lower degree, so visit by degree),
+    reduce each survivor by the others, and scale it to leading coefficient 1."""
+    basis = sorted(naive_groebner(gens, order, cap), key=lambda g: sum(g.leading(order)[0]))
+    kept = []
+    for g in basis:
+        gm = g.leading(order)[0]
+        if not any(all(a <= b for a, b in zip(h.leading(order)[0], gm)) for h in kept):
+            kept.append(g)
+    out = set()
+    for idx, g in enumerate(kept):
+        r = naive_division(g, kept[:idx] + kept[idx + 1:], order)
+        out.add(r.scale(1 / r.leading(order)[1]))
+    return out
+
+
 def naive_evaluate(f: Polynomial, point) -> Fraction:
     """Term-by-term `Fraction` evaluation; a missing variable is a KeyError."""
     total = Fraction(0)

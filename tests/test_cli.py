@@ -295,6 +295,27 @@ def test_verify_rejects_trials_below_one(capsys, trials):
     assert err.count("\n") == 1 and "--trials must be at least 1" in err
 
 
+@pytest.mark.parametrize("flag, value", [("--max-pairs", "-1"), ("--max-degree", "-3")])
+def test_verify_rejects_negative_groebner_budgets(capsys, flag, value):
+    code, out, err = run(capsys, "verify", "example31", "--trials", "2", flag, value)
+    assert (code, out, err) == (2, "", f"error: {flag} must be at least 0\n")
+
+
+@pytest.mark.parametrize("line, flag", [("max_pairs = -4", "--max-pairs"), ("max_degree = -1", "--max-degree")])
+def test_verify_rejects_negative_groebner_budgets_from_a_config_file(tmp_path, capsys, line, flag):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"trials = 2\n{line}\n")
+    code, out, err = run(capsys, "verify", "example31", "--config", str(cfg))
+    assert (code, out, err) == (2, "", f"error: {flag} must be at least 0\n")
+
+
+def test_verify_takes_zero_groebner_budgets(capsys):
+    # zero is a budget, not an error: the reverse containment is inconclusive
+    code, out, err = run(capsys, "verify", "example31", "--trials", "2", "--max-pairs", "0", "--max-degree", "0")
+    assert (code, err) == (3, "")
+    assert "inconclusive" in out
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

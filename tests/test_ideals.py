@@ -1,8 +1,11 @@
+import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 
-from helpers import naive_division, naive_groebner, naive_s_poly, random_polynomial
+from helpers import naive_division, naive_groebner, naive_reduced_groebner, naive_s_poly, random_polynomial
+from cigrid import ideals
 from cigrid.ideals import (
     BudgetExceeded,
     Ideal,
@@ -14,7 +17,7 @@ from cigrid.ideals import (
     normal_form,
     reduce_poly,
 )
-from cigrid.poly import DEGREVLEX, LEX, PolyRing, Var, generic_matrix, minor, parse_polynomial
+from cigrid.poly import DEGREVLEX, LEX, PolyRing, Polynomial, Var, generic_matrix, minor, parse_polynomial
 
 
 def ring_xyz():
@@ -243,16 +246,93 @@ def test_eliminate_matches_sympy_lex_elimination():
 
 
 def test_pair_budget_boundaries_of_the_three_lines_computations():
-    # pins the processed S-pair counts: 17 for the minor ideal's basis and 68
-    # for the component intersection; a budget one lower must be exhausted
+    # pins the reduced S-pair counts: 10 for the minor ideal's basis and 26
+    # for the component intersection; a budget one lower must be exhausted.
+    # The intersection's largest reduced S-pair has degree 8.
     from cigrid.verify import three_lines_fixture
 
     _, line_ideal, loop_ideal, lines_ideal, _ = three_lines_fixture()
-    buchberger(line_ideal, max_pairs=17)
-    with pytest.raises(BudgetExceeded, match="S-pair budget 16 exhausted"):
-        buchberger(line_ideal, max_pairs=16)
-    intersect(loop_ideal, lines_ideal, max_pairs=68)
-    with pytest.raises(BudgetExceeded, match="S-pair budget 67 exhausted"):
-        intersect(loop_ideal, lines_ideal, max_pairs=67)
-    with pytest.raises(BudgetExceeded, match="S-pair degree 10 exceeds budget 9"):
-        intersect(loop_ideal, lines_ideal, max_degree=9)
+    buchberger(line_ideal, max_pairs=10)
+    with pytest.raises(BudgetExceeded, match="S-pair budget 9 exhausted"):
+        buchberger(line_ideal, max_pairs=9)
+    intersect(loop_ideal, lines_ideal, max_pairs=26)
+    with pytest.raises(BudgetExceeded, match="S-pair budget 25 exhausted"):
+        intersect(loop_ideal, lines_ideal, max_pairs=25)
+    intersect(loop_ideal, lines_ideal, max_degree=8)
+    with pytest.raises(BudgetExceeded, match="S-pair degree 8 exceeds budget 7"):
+        intersect(loop_ideal, lines_ideal, max_degree=7)
+
+
+def test_three_lines_reduced_basis_text_is_pinned():
+    # sha256 of the intersection's generator text; it equals the line
+    # ideal's reduced basis, as Example 3.1 says
+    from cigrid.verify import three_lines_fixture
+
+    _, line_ideal, loop_ideal, lines_ideal, _ = three_lines_fixture()
+    digest = "e0853144fe60339253119a87a3b8c7d983b3cd52db67d1aec73c782d2d58eced"
+    meet = intersect(loop_ideal, lines_ideal)
+    assert hashlib.sha256(ideal_to_text(meet).encode()).hexdigest() == digest
+    assert buchberger(line_ideal).basis == meet.generators
+
+
+def test_pair_update_applies_each_criterion():
+    # heads in x, y, z; head 6 = xy joins
+    heads = [(2, 0, 0), (2, 1, 0), (2, 2, 0), (0, 0, 2), (0, 1, 2), (0, 2, 1), (1, 1, 0)]
+    active = [0, 1, 2, 3, 4, 5]
+    live = {(0, 5): (2, 2, 1), (1, 2): (2, 2, 0), (3, 4): (0, 1, 2)}
+    new = ideals._update(heads, active, live)
+    # (0, 6) and (1, 6) share lcm x^2y: F keeps the lower index; (2, 6) has
+    # lcm x^2y^2, a proper multiple of x^2y: M; (3, 6) is coprime: product
+    # criterion; (4, 6) has the coprime pair's lcm xyz^2, which no other lcm
+    # divides: dropped with it; (5, 6) has lcm xy^2z
+    assert new == [(0, 6), (5, 6)]
+    # B drops (0, 5): xy divides x^2y^2z, and neither x^2y nor xy^2z equals
+    # it; (1, 2) stays because lcm(2, 6) = x^2y^2 is its lcm, (3, 4) because
+    # xy does not divide yz^2
+    assert live == {(1, 2): (2, 2, 0), (3, 4): (0, 1, 2), (0, 6): (2, 1, 0), (5, 6): (1, 2, 1)}
+    # xy divides x^2y and x^2y^2: they take no new pairs
+    assert active == [0, 3, 4, 5, 6]
+
+
+def _binomial_ideal(rng, ring):
+    """3-5 generators of 2 or 3 terms in degree 1-3 with exponents up to 2:
+    small supports, so many pair lcms are equal or divide one another."""
+    gens = []
+    for _ in range(rng.randint(3, 5)):
+        terms = {}
+        size = rng.choice([2, 2, 3])
+        while len(terms) < size:
+            m = tuple(rng.choice([0, 0, 1, 1, 2]) for _ in ring.variables)
+            if 0 < sum(m) <= 3:
+                terms[m] = Fraction(rng.choice([-2, -1, 1, 2]), rng.choice([1, 1, 2, 3]))
+        gens.append(Polynomial(ring, terms))
+    return gens
+
+
+def test_reduced_bases_match_the_all_pairs_oracle(monkeypatch):
+    ring = PolyRing.of([Var("w"), Var("x"), Var("y"), Var("z")])
+    orders = [LEX, DEGREVLEX, ring.elimination_order({Var("x"), Var("z")})]
+    fired = {"B": 0, "M": 0, "F": 0}
+    real = ideals._update
+
+    def counting_update(heads, active, live):
+        m = heads[-1]
+        lcms = {i: tuple(map(max, heads[i], m)) for i in active}
+        queued = len(live)
+        new = real(heads, active, live)
+        fired["B"] += queued + len(new) - len(live)
+        for i, l in lcms.items():
+            shared = any(a and b for a, b in zip(heads[i], m))
+            if shared and (i, len(heads) - 1) not in new:
+                fired["F" if list(lcms.values()).count(l) > 1 else "M"] += 1
+        return new
+
+    monkeypatch.setattr(ideals, "_update", counting_update)
+    rng = random.Random(41)
+    for trial in range(30):
+        gens = _binomial_ideal(rng, ring)
+        order = orders[trial % 3]
+        # lex reaches intermediate degree 25 on one ideal; the budget is not under test
+        ours = buchberger(Ideal.of(ring, gens), order, max_degree=60)
+        assert set(ours.basis) == naive_reduced_groebner(gens, order, cap=100000)
+    assert all(fired.values()), fired

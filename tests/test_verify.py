@@ -9,9 +9,10 @@ from helpers import fraction_bounded_rank_draw
 from cigrid.cimodel import CIStatement, mixture_parametrization_sample
 from cigrid.hypergraph import GridSpec, grid_ci_correspondence, grid_hypergraph
 from cigrid import verify
+from cigrid.linalg import integer_multiple, rank
 from cigrid.matroid import matroid_from_matrix
 from cigrid.poly import Polynomial
-from cigrid.sampling import child_rng
+from cigrid.sampling import child_rng, rand_fraction, rand_nonzero_fraction
 from cigrid.verify import (
     VERIFICATIONS,
     sampler_bounded_rank,
@@ -62,6 +63,52 @@ def test_concurrent_lines_sampler_realizes_the_expected_circuits():
     matroid = matroid_from_matrix(m)
     triples = sorted(sorted(c) for c in matroid.circuits() if len(c) == 3)
     assert triples == [[1, 2, 3], [1, 4, 5], [1, 6, 7]]
+
+
+def test_integer_parallel_test_equals_the_rank_test():
+    rng = random.Random(43)
+    pairs = []
+    for _ in range(200):
+        u = [rand_fraction(rng) for _ in range(3)]
+        pairs.append((u, [rand_fraction(rng) for _ in range(3)]))
+        pairs.append((u, [Fraction(rng.randint(-5, 5), rng.randint(1, 7)) * x for x in u]))
+    zero = [Fraction(0)] * 3
+    pairs += [(zero, zero), (zero, [Fraction(1, 3), Fraction(-2), Fraction(0)])]
+    pairs += [([Fraction(1, 2), Fraction(0), Fraction(-3, 4)], [Fraction(2, 3), Fraction(0), Fraction(-1)])]
+    pairs += [([Fraction(1, 2), Fraction(0), Fraction(-3, 4)], [Fraction(2, 3), Fraction(0), Fraction(1)])]
+    pairs += [([Fraction(0), Fraction(5, 7), Fraction(0)], [Fraction(0), Fraction(-1, 9), Fraction(0)])]
+    verdicts = set()
+    for u, v in pairs:
+        parallel = verify._parallel(integer_multiple(u)[1], integer_multiple(v)[1])
+        assert parallel == (rank([u, v]) < 2), (u, v)
+        assert parallel == verify._parallel(integer_multiple(v)[1], integer_multiple(u)[1])
+        verdicts.add(parallel)
+    assert verdicts == {True, False}
+
+
+def test_concurrent_lines_draws_follow_the_rank_based_resampling_stream():
+    def rank_draw(rng):
+        # the sampler written with Fraction ranks for its degeneracy tests
+        while True:
+            apex = [rand_fraction(rng) for _ in range(3)]
+            dirs = [[rand_fraction(rng) for _ in range(3)] for _ in range(3)]
+            if all(x == 0 for x in apex) or any(rank([apex, d]) < 2 for d in dirs):
+                continue
+            if any(rank([dirs[a], dirs[b]]) < 2 for a in range(3) for b in range(a + 1, 3)):
+                continue
+            cols = [apex]
+            for d in dirs:
+                for _ in range(2):
+                    a, b = rand_nonzero_fraction(rng), rand_nonzero_fraction(rng)
+                    cols.append([a * apex[r] + b * d[r] for r in range(3)])
+            return [[cols[j][r] for j in range(7)] for r in range(3)]
+
+    sampler = sampler_concurrent_lines()
+    for seed in range(20):
+        ours, theirs = child_rng(seed, "lines"), child_rng(seed, "lines")
+        for _ in range(3):
+            assert sampler.draw(ours) == rank_draw(theirs)
+        assert ours.random() == theirs.random()
 
 
 def test_bounded_rank_sampler_shapes():
