@@ -112,6 +112,8 @@ class ProbTensor:
 
     def get(self, state: Sequence[int]) -> Fraction:
         """Entry at a 1-based joint state."""
+        if len(state) != len(self.shape):
+            raise IndexError(f"state {tuple(state)} needs {len(self.shape)} coordinates for shape {self.shape}")
         idx = 0
         for s, c in zip(state, self.shape):
             if not 1 <= s <= c:
@@ -125,6 +127,19 @@ def _states(cards: Sequence[int]) -> list[tuple[int, ...]]:
     return [tuple(s) for s in product(*(range(1, c + 1) for c in cards))]
 
 
+def _offsets(names: Sequence[str], shape: Sequence[int], group: Iterable[str]) -> list[int]:
+    """Row-major offsets of the joint states of `group`'s variables (names
+    not in `names` are ignored), in lexicographic order.  A joint state's
+    entry sits at the sum of its groups' offsets."""
+    group = set(group)
+    out, stride = [0], 1
+    for n, c in reversed(list(zip(names, shape))):
+        if n in group:
+            out = [s * stride + o for s in range(c) for o in out]
+        stride *= c
+    return out
+
+
 def flatten(
     P: ProbTensor,
     rows: Iterable[str],
@@ -135,34 +150,22 @@ def flatten(
     variables.  rows/cols/summed must partition P's variables; index order is
     lexicographic in P's declared variable order."""
     rows, cols, summed = set(rows), set(cols), set(summed)
-    declared = list(P.names)
-    if rows | cols | summed != set(declared) or (rows & cols) or (rows & summed) or (cols & summed):
+    if rows | cols | summed != set(P.names) or (rows & cols) or (rows & summed) or (cols & summed):
         raise ValueError("rows, cols and summed must partition the tensor's variables")
-    # Row-major strides: a joint state's entry sits at the sum of one offset
-    # per variable, so a group's states are offsets, in lexicographic order.
-    card = dict(zip(P.names, P.shape))
-    stride, step = {}, 1
-    for n in reversed(declared):
-        stride[n] = step
-        step *= card[n]
-
-    def offsets(group: set[str]) -> list[int]:
-        out = [0]
-        for n in declared:
-            if n in group:
-                out = [o + s * stride[n] for o in out for s in range(card[n])]
-        return out
-
     E = P.entries
-    col_offsets = offsets(cols)
+    row_offsets = _offsets(P.names, P.shape, rows)
+    col_offsets = _offsets(P.names, P.shape, cols)
     if not summed:
-        return [[E[r + c] for c in col_offsets] for r in offsets(rows)]
-    sum_offsets = offsets(summed)
-    return [[sum([E[r + c + z] for z in sum_offsets]) for c in col_offsets] for r in offsets(rows)]
+        return [[E[r + c] for c in col_offsets] for r in row_offsets]
+    sum_offsets = _offsets(P.names, P.shape, summed)
+    return [[sum([E[r + c + z] for z in sum_offsets]) for c in col_offsets] for r in row_offsets]
 
 
 def prob_ring(model: DiscreteModel) -> PolyRing:
-    """Coordinate ring with one variable p_<joint state> per observed outcome."""
+    """Coordinate ring with one variable p_<joint state> per observed outcome.
+
+    `Var` orders equal-length indices lexicographically, so the ring's i-th
+    variable names the state at row-major offset i."""
     cards = [v.card for v in model.observed()]
     return PolyRing.of(Var("p", s) for s in _states(cards))
 
@@ -172,7 +175,7 @@ def tensor_assignment(model: DiscreteModel, P: ProbTensor) -> dict[Var, Fraction
     obs = model.observed()
     if tuple(P.names) != tuple(v.name for v in obs) or tuple(P.shape) != tuple(v.card for v in obs):
         raise ValueError("tensor layout does not match the model's observed variables")
-    return {Var("p", s): P.get(s) for s in _states([v.card for v in obs])}
+    return {Var("p", s): x for s, x in zip(_states(P.shape), P.entries)}
 
 
 def ci_minor_generators(stmt: CIStatement, model: DiscreteModel) -> list[Polynomial]:
@@ -185,56 +188,30 @@ def ci_minor_generators(stmt: CIStatement, model: DiscreteModel) -> list[Polynom
     silently summed.
     """
     stmt.validate(model)
-    obs_names = [v.name for v in model.observed()]
+    obs = model.observed()
+    names = [v.name for v in obs]
+    shape = [v.card for v in obs]
     covered = set(stmt.a) | set(stmt.b) | set(stmt.c)
-    missing = [n for n in obs_names if n not in covered]
+    missing = [n for n in names if n not in covered]
     if missing:
         raise ValueError(f"statement must mention every observed variable; missing {missing}")
 
     ring = prob_ring(model)
     h = prod(model.get(n).card for n in stmt.c if model.get(n).hidden)
-    obs_c = [n for n in obs_names if n in stmt.c]
-    a_vars = [n for n in obs_names if n in stmt.a]
-    b_vars = [n for n in obs_names if n in stmt.b]
-    card = {v.name: v.card for v in model.variables}
-    a_states = _states([card[n] for n in a_vars])
-    b_states = _states([card[n] for n in b_vars])
-    position = {n: i for i, n in enumerate(obs_names)}
-
-    size = h + 1
+    a_offsets = _offsets(names, shape, stmt.a)
+    b_offsets = _offsets(names, shape, stmt.b)
     out: list[Polynomial] = []
-    if size > min(len(a_states), len(b_states)):
-        return out
-    for c_state in _states([card[n] for n in obs_c]):
-        entries = []
-        for a_state in a_states:
-            row = []
-            for b_state in b_states:
-                state = [0] * len(obs_names)
-                for n, s in zip(a_vars, a_state):
-                    state[position[n]] = s
-                for n, s in zip(b_vars, b_state):
-                    state[position[n]] = s
-                for n, s in zip(obs_c, c_state):
-                    state[position[n]] = s
-                row.append(ring.var(Var("p", tuple(state))))
-            entries.append(tuple(row))
-        block = SymbolicMatrix(ring, tuple(entries))
-        out.extend(normalize_sign(g) for g in all_minors(block, size))
+    for c in _offsets(names, shape, stmt.c):
+        block = SymbolicMatrix(
+            ring, tuple(tuple(ring.var(ring.variables[a + b + c]) for b in b_offsets) for a in a_offsets)
+        )
+        out.extend(normalize_sign(g) for g in all_minors(block, h + 1))
     return out
 
 
 def ci_ideal(statements: Sequence[CIStatement], model: DiscreteModel) -> Ideal:
     """Union of the statements' minor constraints, deduplicated up to sign."""
-    ring = prob_ring(model)
-    seen: set[Polynomial] = set()
-    gens: list[Polynomial] = []
-    for stmt in statements:
-        for g in ci_minor_generators(stmt, model):
-            if g not in seen:
-                seen.add(g)
-                gens.append(g)
-    return Ideal.of(ring, gens)
+    return Ideal.of(prob_ring(model), [g for stmt in statements for g in ci_minor_generators(stmt, model)])
 
 
 def mixture_parametrization_sample(
@@ -253,30 +230,19 @@ def mixture_parametrization_sample(
     if any(not model.get(n).hidden for n in conclusion.c):
         raise ValueError("the conditioning set of the conclusion must be hidden")
     obs = model.observed()
-    obs_names = [v.name for v in obs]
-    if set(conclusion.a) | set(conclusion.b) != set(obs_names):
-        raise ValueError("A and B must cover the observed variables")
-    h = prod(model.get(n).card for n in conclusion.c) if conclusion.c else 1
-    a_vars = [n for n in obs_names if n in conclusion.a]
-    b_vars = [n for n in obs_names if n in conclusion.b]
-    card = {v.name: v.card for v in model.variables}
-    a_states = _states([card[n] for n in a_vars])
-    b_states = _states([card[n] for n in b_vars])
-    matrix = mixture_matrix(rng, len(a_states), len(b_states), h)
-
-    position = {n: i for i, n in enumerate(obs_names)}
+    names = tuple(v.name for v in obs)
     shape = tuple(v.card for v in obs)
-    values: dict[tuple[int, ...], Fraction] = {}
-    for i, a_state in enumerate(a_states):
-        for j, b_state in enumerate(b_states):
-            state = [0] * len(obs_names)
-            for n, s in zip(a_vars, a_state):
-                state[position[n]] = s
-            for n, s in zip(b_vars, b_state):
-                state[position[n]] = s
-            values[tuple(state)] = matrix[i][j]
-    entries = tuple(values[s] for s in _states(list(shape)))
-    return ProbTensor(tuple(obs_names), shape, entries)
+    if set(conclusion.a) | set(conclusion.b) != set(names):
+        raise ValueError("A and B must cover the observed variables")
+    h = prod(model.get(n).card for n in conclusion.c)
+    a_offsets = _offsets(names, shape, conclusion.a)
+    b_offsets = _offsets(names, shape, conclusion.b)
+    matrix = mixture_matrix(rng, len(a_offsets), len(b_offsets), h)
+    entries = [Fraction(0)] * prod(shape)
+    for a, row in zip(a_offsets, matrix):
+        for b, x in zip(b_offsets, row):
+            entries[a + b] = x
+    return ProbTensor(names, shape, tuple(entries))
 
 
 def parse_ci_file(text: str) -> tuple[DiscreteModel, list[CIStatement]]:

@@ -120,10 +120,9 @@ def grid_matrix(k: int, l: int) -> tuple[list[list[int]], list[list[int]], list[
     """The k x l integer grid, its rows, and its columns (all 1-based)."""
     if k < 1 or l < 1:
         raise ValueError("grid needs k, l >= 1")
-    Y = [[grid_vertex(k, i, j) for j in range(1, l + 1)] for i in range(1, k + 1)]
     rows = [[grid_vertex(k, i, j) for j in range(1, l + 1)] for i in range(1, k + 1)]
     cols = [[grid_vertex(k, i, j) for i in range(1, k + 1)] for j in range(1, l + 1)]
-    return Y, rows, cols
+    return rows, rows, cols
 
 
 def grid_matrix_text(k: int, l: int) -> str:
@@ -155,19 +154,15 @@ def hypergraph_ideal(H: Hypergraph, d: int) -> Ideal:
         raise ValueError(f"need d >= 1, got d={d}")
     X = generic_matrix(d, H.n)
     memo: dict = {}
-    seen = set()
-    gens = []
-    for edge in H.edges:
-        size = len(edge)
-        if size > d:
-            continue
-        cols = tuple(sorted(edge))
-        for rows in combinations(range(1, d + 1), size):
-            g = normalize_sign(minor(X, rows, cols, memo))
-            if g not in seen:
-                seen.add(g)
-                gens.append(g)
-    return Ideal.of(X.ring, gens)
+    return Ideal.of(
+        X.ring,
+        [
+            normalize_sign(minor(X, rows, edge, memo))
+            for edge in H.edges
+            if len(edge) <= d
+            for rows in combinations(range(1, d + 1), len(edge))
+        ],
+    )
 
 
 def in_variety(H: Hypergraph, X: Mat) -> bool:

@@ -40,13 +40,14 @@ class Ideal:
 
     @staticmethod
     def of(ring: PolyRing, generators: Iterable[Polynomial]) -> "Ideal":
-        return Ideal(ring, tuple(g for g in generators if not g.is_zero()))
+        """The nonzero generators, each kept once, in first-seen order."""
+        return Ideal(ring, tuple(dict.fromkeys(g for g in generators if not g.is_zero())))
 
     def generator_texts(self) -> list[str]:
         return [g.to_text() for g in self.generators]
 
     def sign_normalized_set(self) -> frozenset[Polynomial]:
-        return frozenset(normalize_sign(g, DEGREVLEX) for g in self.generators if not g.is_zero())
+        return frozenset(normalize_sign(g) for g in self.generators if not g.is_zero())
 
 
 def _divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:

@@ -21,9 +21,8 @@ from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from .hypergraph import GridSpec, Hypergraph, grid_hypergraph
-from .ideals import Ideal
 from .linalg import EchelonRow, Mat, kernel_basis, rank, rank_of_vectors_mod_p, reduce_mod_p, transpose, vector_mod_p
-from .poly import PolyRing, Polynomial, Var, generic_matrix, minor, normalize_sign, parse_polynomial
+from .poly import PolyRing, Polynomial, Var, parse_polynomial
 from .sampling import GenericityError, generic_draw, rand_fraction, rand_matrix, rand_nonzero_fraction
 
 ENUMERATION_CAP = 16
@@ -364,13 +363,17 @@ class PolyMap:
         if not lines or not lines[0].startswith("params"):
             raise ValueError("expected a leading 'params' line")
         ring = PolyRing.of(Var.parse(tok) for tok in lines[0].split()[1:])
+        misfit = "does not fit the format `coord <label> <polynomial>`"
         labels, coords = [], []
         for ln in lines[1:]:
             parts = ln.split(None, 2)
             if len(parts) != 3 or parts[0] != "coord":
-                raise ValueError(f"expected 'coord <label> <polynomial>', got {ln!r}")
+                raise ValueError(f"parametrization line {ln!r} {misfit}")
             labels.append(parts[1])
-            coords.append(parse_polynomial(parts[2], ring))
+            try:
+                coords.append(parse_polynomial(parts[2], ring))
+            except ZeroDivisionError:
+                raise ValueError(f"parametrization line {ln!r} {misfit}") from None
         return PolyMap(ring, tuple(coords), tuple(labels))
 
 
@@ -420,42 +423,7 @@ def algebraic_matroid(pm: PolyMap, rng: random.Random) -> LinearMatroid:
     return generic_draw(draw, lambda m: m.circuits(), "Jacobian matroid circuits at random points")
 
 
-# -- sparse low-rank ideals and arrangement signatures -------------------------
-
-
-def sparse_lowrank_ideal(spec: GridSpec) -> Ideal:
-    """Rank and support constraints on a k x l matrix of indeterminates:
-    all d-minors, the products over s-subsets of every column, and the
-    products over t-subsets of every row."""
-    if spec.d > min(spec.k, spec.l) or spec.d < 1:
-        raise ValueError("need 1 <= d <= min(k, l)")
-    Y = generic_matrix(spec.k, spec.l, base="y")
-    memo: dict = {}
-    seen = set()
-    gens = []
-
-    def push(g: Polynomial) -> None:
-        g = normalize_sign(g)
-        if g not in seen:
-            seen.add(g)
-            gens.append(g)
-
-    for rows in combinations(range(1, spec.k + 1), spec.d):
-        for cols in combinations(range(1, spec.l + 1), spec.d):
-            push(minor(Y, rows, cols, memo))
-    for j in range(1, spec.l + 1):
-        for rows in combinations(range(1, spec.k + 1), spec.s):
-            prod = Y.ring.one()
-            for i in rows:
-                prod = prod * Y.entry(i, j)
-            push(prod)
-    for i in range(1, spec.k + 1):
-        for cols in combinations(range(1, spec.l + 1), spec.t):
-            prod = Y.ring.one()
-            for j in cols:
-                prod = prod * Y.entry(i, j)
-            push(prod)
-    return Ideal.of(Y.ring, gens)
+# -- arrangement signatures ---------------------------------------------------
 
 
 @dataclass(frozen=True)

@@ -431,11 +431,11 @@ class Polynomial:
         return f"Polynomial({self.to_text()})"
 
 
-def normalize_sign(f: Polynomial, order: MonomialOrder = DEGREVLEX) -> Polynomial:
-    """Flip the sign so the leading coefficient is positive (0 stays 0)."""
+def normalize_sign(f: Polynomial) -> Polynomial:
+    """Flip the sign so the degrevlex leading coefficient is positive (0 stays 0)."""
     if f.is_zero():
         return f
-    _, c = f.leading(order)
+    _, c = f.leading(DEGREVLEX)
     return -f if c < 0 else f
 
 

@@ -34,7 +34,7 @@ from .matroid import (
     matroid_from_matrix,
     realize_grid_matroid,
 )
-from .poly import Polynomial, SymbolicMatrix, generic_matrix, minor, normalize_sign
+from .poly import Polynomial, SymbolicMatrix, generic_matrix, minor
 from .report import INCONCLUSIVE, CheckResult, WitnessReport
 from .sampling import GenericityError, child_rng, rand_fraction, rand_matrix, rand_nonzero_fraction
 from .secrig import generic_rigidity_check, secant_dimension, segre_tangent_model
@@ -369,10 +369,8 @@ def verify_intersection_axiom(
 
     premise = ci_ideal(statements, model)
     conclusion_stmt = CIStatement(("X",), ("Y1", "Y2"), ("H2",))
-    conclusion_minors = frozenset(
-        normalize_sign(g) for g in ci_minor_generators(conclusion_stmt, model)
-    )
-    inside = sum(1 for g in premise.generators if normalize_sign(g) in conclusion_minors)
+    conclusion_minors = frozenset(ci_minor_generators(conclusion_stmt, model))
+    inside = sum(1 for g in premise.generators if g in conclusion_minors)
     report.add(
         CheckResult.outcome(
             "every premise generator is a minor of the full flattening",

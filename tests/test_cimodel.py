@@ -89,6 +89,26 @@ def test_flatten_without_sum_is_a_reshape():
     assert M[0][0] == P.get((1, 1, 1)) and M[1][3] == P.get((2, 2, 2))
 
 
+def test_get_rejects_a_state_of_the_wrong_length():
+    P = tensor_of(("X", "Y", "Z"), (2, 2, 2), range(8))
+    assert P.get((1, 2, 1)) == 2
+    for state in [(2,), (1, 2), (1, 1, 1, 1, 1)]:
+        with pytest.raises(IndexError):
+            P.get(state)
+
+
+def test_prob_ring_orders_states_row_major_by_integer_index():
+    model = DiscreteModel.of(ModelVar("X", 2), ModelVar("Y", 11), ModelVar("H", 2, hidden=True), ModelVar("Z", 3))
+    states = list(product(range(1, 3), range(1, 12), range(1, 4)))
+    variables = prob_ring(model).variables
+    assert variables == tuple(Var("p", s) for s in states)
+    # sorting by text would put p_1_10_1 before p_1_2_1
+    assert sorted(variables, key=str) != list(variables)
+    P = tensor_of(("X", "Y", "Z"), (2, 11, 3), range(len(states)))
+    assert all(P.get(s) == i for i, s in enumerate(states))
+    assert tensor_assignment(model, P) == dict(zip(variables, P.entries))
+
+
 def test_flatten_rejects_non_partition():
     P = tensor_of(("X", "Y"), (2, 2), [1, 0, 0, 0])
     with pytest.raises(ValueError):

@@ -381,6 +381,7 @@ def test_zero_matrix_columns_are_loops(tmp_path, capsys):
         (["matroid", "--matrix"], "2 2\n1 x\n0 1\n", "'1 x'", "then one row of n rationals per line"),
         (["matroid", "--matrix"], "2 2\n1 0\n1/0 1\n", "'1/0 1'", "then one row of n rationals per line"),
         (["rigidity", "--framework"], "2 2\n0 0\n1 x\n1 2\n", "'1 x'", "n coordinate lines of d rationals"),
+        (["matroid", "--parametrization"], "params u_1\ncoord a 1/0 * u_1\n", "'coord a 1/0 * u_1'", "`coord <label> <polynomial>`"),
     ],
     ids=[
         "hypergraph-header",
@@ -391,6 +392,7 @@ def test_zero_matrix_columns_are_loops(tmp_path, capsys):
         "matrix-entry",
         "matrix-zero-denominator",
         "framework-coordinate",
+        "parametrization-zero-denominator",
     ],
 )
 def test_malformed_file_names_its_line_and_format(tmp_path, capsys, argv, text, line, fmt):

@@ -67,6 +67,14 @@ def test_normal_form_of_one_is_one_for_proper_ideals():
     assert normal_form(ring.one(), ideal) == ring.one()
 
 
+def test_ideal_of_keeps_each_nonzero_generator_once_in_first_seen_order():
+    ring = ring_xyz()
+    x, y, _ = (ring.var(Var(n)) for n in "xyz")
+    f, g = x * y - 1, y - x
+    assert Ideal.of(ring, [f, ring.zero(), g, f]).generators == (f, g)
+    assert Ideal.of(ring, [g, f, g]).generators == (g, f)
+
+
 def test_normal_form_requires_cached_basis():
     ring = ring_xyz()
     ideal = Ideal.of(ring, [ring.var(Var("x"))])

@@ -26,9 +26,8 @@ from cigrid.matroid import (
     matroid_from_text,
     realize_grid_matroid,
     segre_map,
-    sparse_lowrank_ideal,
 )
-from cigrid.poly import PolyRing, Var, generic_matrix, minor, normalize_sign
+from cigrid.poly import PolyRing, Var
 from cigrid.sampling import GENERIC_ATTEMPTS, GenericityError, child_rng, rand_matrix
 
 
@@ -523,49 +522,6 @@ def test_polymap_parse_round_trip():
     parsed = PolyMap.parse(text)
     assert parsed.coords == pm.coords
     assert parsed.labels == pm.display_labels()
-
-
-def test_sparse_lowrank_ideal_two_by_two():
-    ideal = sparse_lowrank_ideal(GridSpec(k=2, l=2, s=2, t=2, d=2))
-    Y = generic_matrix(2, 2, base="y")
-    y = lambda i, j: Y.entry(i, j)
-    expected = {
-        normalize_sign(minor(Y, [1, 2], [1, 2])),
-        normalize_sign(y(1, 1) * y(2, 1)),
-        normalize_sign(y(1, 2) * y(2, 2)),
-        normalize_sign(y(1, 1) * y(1, 2)),
-        normalize_sign(y(2, 1) * y(2, 2)),
-    }
-    assert set(ideal.generators) == expected
-
-
-def test_sparse_lowrank_ideal_one_minors_are_entries():
-    ideal = sparse_lowrank_ideal(GridSpec(k=2, l=3, s=2, t=2, d=1))
-    Y = generic_matrix(2, 3, base="y")
-    entries = {Y.entry(i, j) for i in (1, 2) for j in (1, 2, 3)}
-    assert entries <= set(ideal.generators)
-
-
-def test_sparse_lowrank_column_products_for_full_column_support():
-    spec = GridSpec(k=3, l=3, s=3, t=3, d=3)
-    ideal = sparse_lowrank_ideal(spec)
-    Y = generic_matrix(3, 3, base="y")
-    for j in (1, 2, 3):
-        prod = Y.ring.one()
-        for i in (1, 2, 3):
-            prod = prod * Y.entry(i, j)
-        assert normalize_sign(prod) in set(ideal.generators)
-
-
-def test_sparse_lowrank_supports_are_dependent_in_the_grid_realization():
-    spec = GridSpec(k=3, l=3, s=3, t=3, d=3)
-    ideal = sparse_lowrank_ideal(spec)
-    mat = realize_grid_matroid(spec, child_rng(21, "grid-realization"))
-    m = matroid_from_matrix(mat)
-    for g in ideal.generators:
-        support = {(v.index[0], v.index[1]) for v in g.support()}
-        vertices = {(j - 1) * spec.k + i for i, j in support}
-        assert m.is_dependent(vertices)
 
 
 def test_arrangement_signature_concurrent_lines():

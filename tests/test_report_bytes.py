@@ -1,4 +1,4 @@
-"""Pinned output bytes: the sha256 of every file six CLI runs write at
+"""Pinned output bytes: the sha256 of every file eight CLI runs write at
 `--seed 7 --out D`.
 
 A refactor of the exact core must leave these files byte for byte as they
@@ -6,10 +6,13 @@ were.  A deliberate change to a report format or to the draws behind it
 must update the digests here in the same change, and say so."""
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
 from cigrid.cli import main
+
+INPUTS = Path(__file__).resolve().parent.parent / "bench" / "inputs"
 
 RUNS = {
     "verify": ["verify", "all", "--trials", "5"],
@@ -18,6 +21,8 @@ RUNS = {
     "matroid": ["matroid", "--grid", "--k", "3", "--l", "4", "--s", "3", "--t", "3", "--d", "3"],
     "ideal": ["ideal", "--grid", "--k", "3", "--l", "4", "--s", "3", "--t", "3", "--d", "3"],
     "ideal-cas": ["ideal", "--grid", "--k", "3", "--l", "4", "--s", "3", "--t", "3", "--d", "3", "--format", "cas"],
+    "ideal-ci": ["ideal", "--ci", str(INPUTS / "grid4x6.ci")],
+    "ideal-hypergraph": ["ideal", "--hypergraph", str(INPUTS / "cyclic10.hg"), "--d", "5"],
 }
 
 DIGESTS = {
@@ -50,6 +55,14 @@ DIGESTS = {
     "ideal-cas": {
         "generators_cas.json": "c0fcaf413ec6aad04411356e924bc818d72a7ee203f36e727a709d81495b9c49",
         "generators_cas.txt": "5873215f54f2b4011ee6b85efe00eb8553432e68ba397751044524880e3db29e",
+    },
+    "ideal-ci": {
+        "generators.json": "3ef94c44488755ab28d0b819bcba2ef7f7f001dd86b2cf5fec47a2c9f246fb1b",
+        "generators.txt": "e75033ecfc7e817347730356f5ddea041a4a8a0359b6d63814c45cd0ec8c4bca",
+    },
+    "ideal-hypergraph": {
+        "generators.json": "636a57df4dfc0b3034de6b27893ca1288061647060e561ea262891ea9ca5a9c4",
+        "generators.txt": "7d1176dac7a3b29282c3659abdc915db95ceedd13f5a4076574f0c802aa84b8b",
     },
     "matroid": {
         "matroid.json": "f836f6688ac16afd383c7d1b5d71293d69497d6e916e56e04d2da1dbe8e46d32",
