@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, TypeVar
+from typing import Iterable, TypeVar
 
 from .cimodel import CIStatement, DiscreteModel, ModelVar, ci_ideal
 from .ideals import Ideal
@@ -20,10 +20,10 @@ from .poly import Var, generic_matrix, minor, normalize_sign
 S = TypeVar("S", bound=Iterable[int])
 
 
-def minimal_sets(sets: Iterable[S], accept: Callable[[S], bool] | None = None) -> list[S]:
+def minimal_sets(sets: Iterable[S]) -> list[S]:
     """The sets, which must come in nondecreasing size, that contain no
-    earlier kept set and pass `accept` (when given), in the order given.
-    Elements are nonnegative ints, one bitmask bit each.
+    earlier kept set, in the order given.  Elements are nonnegative ints, one
+    bitmask bit each.
 
     A proper subset comes before its superset, and a set dropped for
     containing a kept set has that kept set inside it, so testing against
@@ -32,7 +32,7 @@ def minimal_sets(sets: Iterable[S], accept: Callable[[S], bool] | None = None) -
     kept_masks: list[int] = []
     for e in sets:
         mask = sum(1 << v for v in e)
-        if all(k & mask != k for k in kept_masks) and (accept is None or accept(e)):
+        if all(k & mask != k for k in kept_masks):
             kept.append(e)
             kept_masks.append(mask)
     return kept

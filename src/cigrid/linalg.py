@@ -7,7 +7,7 @@ dense Gaussian elimination; answers are exact, never floating point.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Iterable, NamedTuple, Sequence
 
 Mat = list[list[Fraction]]
@@ -39,25 +39,22 @@ def column_submatrix(m: Sequence[Sequence[Fraction]], cols: Iterable[int]) -> Ma
     return [[row[j - 1] for j in idx] for row in m]
 
 
-def _echelon(m: Sequence[Sequence[Fraction]]) -> tuple[Mat, list[int], int]:
-    """Forward Fraction elimination: the echelon rows, the 0-based pivot
-    columns and the number of row swaps.  The pivot in column c is the first
-    nonzero entry at or below the current row; the pass stops once every row
-    holds a pivot.  Pivot columns do not depend on which rows were swapped."""
+def _echelon(m: Sequence[Sequence[Fraction]]) -> tuple[Mat, list[int]]:
+    """Forward Fraction elimination: the echelon rows and the 0-based pivot
+    columns.  The pivot in column c is the first nonzero entry at or below
+    the current row; the pass stops once every row holds a pivot.  Pivot
+    columns do not depend on which rows were swapped."""
     work = [list(row) for row in m]
     if not work or not work[0]:
-        return work, [], 0
+        return work, []
     nrows, ncols = len(work), len(work[0])
     pivots: list[int] = []
-    swaps = 0
     r = 0
     for c in range(ncols):
         pivot = next((i for i in range(r, nrows) if work[i][c] != 0), None)
         if pivot is None:
             continue
-        if pivot != r:
-            work[r], work[pivot] = work[pivot], work[r]
-            swaps += 1
+        work[r], work[pivot] = work[pivot], work[r]
         inv = 1 / work[r][c]
         for i in range(r + 1, nrows):
             f = work[i][c] * inv
@@ -69,7 +66,7 @@ def _echelon(m: Sequence[Sequence[Fraction]]) -> tuple[Mat, list[int], int]:
         r += 1
         if r == nrows:
             break
-    return work, pivots, swaps
+    return work, pivots
 
 
 def rank(m: Sequence[Sequence[Fraction]]) -> int:
@@ -78,18 +75,11 @@ def rank(m: Sequence[Sequence[Fraction]]) -> int:
 
 
 def det(m: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant: the swap sign times the echelon diagonal, or 0
-    below full rank."""
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("determinant of a non-square matrix")
-    rows, pivots, swaps = _echelon(m)
-    if len(pivots) < n:
-        return Fraction(0)
-    result = Fraction(-1 if swaps % 2 else 1)
-    for i in range(n):
-        result *= rows[i][i]
-    return result
+    """Exact determinant: each row times the lcm of its denominators
+    (`integer_multiple`), the `integer_det` of those integer rows, divided by
+    the product of the scales."""
+    scaled = [integer_multiple(row) for row in m]
+    return Fraction(integer_det([ints for _, ints in scaled]), prod(scale for scale, _ in scaled))
 
 
 def integer_det(m: Sequence[Sequence[int]]) -> int:
@@ -118,6 +108,12 @@ def integer_det(m: Sequence[Sequence[int]]) -> int:
     return sign * work[-1][-1] if n else 1
 
 
+def parallel(u: Sequence[int], v: Sequence[int]) -> bool:
+    """Whether two integer 3-vectors are linearly dependent, that is, whether
+    their cross product is zero: the same test as rank([u, v]) < 2."""
+    return u[1] * v[2] == u[2] * v[1] and u[2] * v[0] == u[0] * v[2] and u[0] * v[1] == u[1] * v[0]
+
+
 def kernel_basis(m: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     """Basis of the right kernel {v : m v = 0}: for each free column f, the
     unique kernel vector with 1 at f and 0 at the other free columns.
@@ -127,7 +123,7 @@ def kernel_basis(m: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     if not m:
         return []
     ncols = len(m[0])
-    rows, pivots, _ = _echelon(m)
+    rows, pivots = _echelon(m)
     pivot_set = set(pivots)
     bottom_up = [*zip(rows, pivots)][::-1]
     basis = []

@@ -21,7 +21,19 @@ from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from .hypergraph import GridSpec, Hypergraph, grid_hypergraph
-from .linalg import EchelonRow, Mat, kernel_basis, rank, rank_of_vectors_mod_p, reduce_mod_p, transpose, vector_mod_p
+from .linalg import (
+    EchelonRow,
+    Mat,
+    integer_det,
+    integer_multiple,
+    kernel_basis,
+    parallel,
+    rank,
+    rank_of_vectors_mod_p,
+    reduce_mod_p,
+    transpose,
+    vector_mod_p,
+)
 from .poly import PolyRing, Polynomial, Var, parse_polynomial
 from .sampling import GenericityError, generic_draw, rand_fraction, rand_matrix, rand_nonzero_fraction
 
@@ -178,35 +190,11 @@ class CircuitMatroid(Matroid):
         return tuple(sorted(self.circuit_family, key=lambda c: (len(c), sorted(c))))
 
 
-def matroid_from_matrix(m: Mat, labels: Sequence[int] | None = None) -> LinearMatroid:
-    """Column matroid; ground labels default to 1..n."""
+def matroid_from_matrix(m: Mat) -> LinearMatroid:
+    """Column matroid on the ground labels 1..n."""
     n = len(m[0]) if m else 0
-    if labels is None:
-        labels = range(1, n + 1)
-    labels = tuple(labels)
     cols = tuple(tuple(row[j] for row in m) for j in range(n))
-    return LinearMatroid(labels, cols)
-
-
-def matroid_to_text(m: Matroid) -> str:
-    """Ground size, then one sorted circuit per line."""
-    lines = [str(len(m.ground))]
-    lines += [" ".join(str(e) for e in sorted(c)) for c in m.circuits()]
-    return "\n".join(lines) + "\n"
-
-
-def matroid_from_text(text: str) -> CircuitMatroid:
-    lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln and not ln.startswith("#")]
-    if not lines:
-        raise ValueError("empty matroid text")
-    n = int(lines[0])
-    circuits = tuple(frozenset(int(t) for t in ln.split()) for ln in lines[1:])
-    for c in circuits:
-        if not c or min(c) < 1 or max(c) > n:
-            raise ValueError(f"circuit {sorted(c)} is empty or not inside 1..{n}")
-    if n <= AXIOM_CHECK_CAP and not is_circuit_family(n, circuits):
-        raise ValueError("the listed sets do not satisfy the circuit axioms")
-    return CircuitMatroid(tuple(range(1, n + 1)), circuits)
+    return LinearMatroid(tuple(range(1, n + 1)), cols)
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -360,10 +348,17 @@ class PolyMap:
     def parse(text: str) -> "PolyMap":
         """Format: a `params` line, then `coord <label> <polynomial>` lines."""
         lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln and not ln.startswith("#")]
-        if not lines or not lines[0].startswith("params"):
+        if not lines:
             raise ValueError("expected a leading 'params' line")
-        ring = PolyRing.of(Var.parse(tok) for tok in lines[0].split()[1:])
-        misfit = "does not fit the format `coord <label> <polynomial>`"
+        head = lines[0].split()
+        try:
+            params = [Var.parse(tok) for tok in head[1:]] if head[0] == "params" else []
+        except ValueError:
+            params = []
+        if not params:
+            raise ValueError(f"parametrization line {lines[0]!r} does not fit the format `params <variable> ...`")
+        ring = PolyRing.of(params)
+        misfit = "does not fit the format `coord <label> <polynomial>` in the `params` variables"
         labels, coords = [], []
         for ln in lines[1:]:
             parts = ln.split(None, 2)
@@ -372,7 +367,7 @@ class PolyMap:
             labels.append(parts[1])
             try:
                 coords.append(parse_polynomial(parts[2], ring))
-            except ZeroDivisionError:
+            except (ValueError, KeyError, ZeroDivisionError):
                 raise ValueError(f"parametrization line {ln!r} {misfit}") from None
         return PolyMap(ring, tuple(coords), tuple(labels))
 
@@ -413,12 +408,10 @@ def algebraic_matroid(pm: PolyMap, rng: random.Random) -> LinearMatroid:
     two draws must induce the same matroid (circuit-for-circuit), otherwise
     the draw is retried and eventually reported as non-generic.
     """
-    ground = tuple(range(1, len(pm.coords) + 1))
 
     def draw() -> LinearMatroid:
         point = {v: rand_fraction(rng) for v in pm.ring.variables}
-        jac = pm.jacobian_at(point)
-        return matroid_from_matrix(transpose(jac), ground)
+        return matroid_from_matrix(transpose(pm.jacobian_at(point)))
 
     return generic_draw(draw, lambda m: m.circuits(), "Jacobian matroid circuits at random points")
 
@@ -452,34 +445,27 @@ def arrangement_signature(m: Mat) -> ArrangementSignature:
     Zero columns are ignored; mutually parallel columns count as one
     projective point.  Equal signatures are necessary (not sufficient) for
     arrangement isomorphism.
+
+    Each column is scaled once to integers (`integer_multiple`).  Parallel
+    columns are found by the integer cross product (`parallel`).  The points
+    are pairwise independent, so the line through points a and b holds
+    exactly the points c with det(a, b, c) = 0 (`integer_det`).
     """
     if len(m) != 3:
         raise ValueError("arrangement signatures need a 3-row matrix")
-    n = len(m[0]) if m else 0
-    cols = {j: [row[j - 1] for row in m] for j in range(1, n + 1)}
-    nonzero = [j for j in sorted(cols) if any(x != 0 for x in cols[j])]
-
-    def pair_rank(i, j):
-        return rank([[cols[i][r], cols[j][r]] for r in range(3)])
-
-    reps: list[int] = []
-    for j in nonzero:
-        if not any(pair_rank(r, j) == 1 for r in reps):
-            reps.append(j)
+    points: list[list[int]] = []
+    for col in zip(*m):
+        p = integer_multiple(col)[1]
+        if any(p) and not any(parallel(q, p) for q in points):
+            points.append(p)
 
     lines: set[frozenset[int]] = set()
-    for a, b in combinations(reps, 2):
-        if pair_rank(a, b) != 2:
-            continue
-        flat = frozenset(
-            c
-            for c in reps
-            if rank([[cols[a][r], cols[b][r], cols[c][r]] for r in range(3)]) == 2
-        )
+    for a, b in combinations(points, 2):
+        flat = frozenset(i for i, c in enumerate(points) if integer_det([a, b, c]) == 0)
         if len(flat) >= 3:
             lines.add(flat)
 
-    degree = {p: sum(1 for ln in lines if p in ln) for p in reps}
-    multi = sorted((d for d in degree.values() if d >= 2), reverse=True)
+    degrees = [sum(1 for ln in lines if i in ln) for i in range(len(points))]
+    multi = sorted((d for d in degrees if d >= 2), reverse=True)
     sizes = sorted((len(ln) for ln in lines), reverse=True)
-    return ArrangementSignature(len(reps), len(lines), tuple(sizes), tuple(multi))
+    return ArrangementSignature(len(points), len(lines), tuple(sizes), tuple(multi))

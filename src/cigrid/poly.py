@@ -255,14 +255,7 @@ class Polynomial:
         terms = dict(self.terms)
         for m, c in other.terms.items():
             old = terms.get(m)
-            if old is None:
-                terms[m] = c
-            else:
-                s = old + c
-                if s:
-                    terms[m] = s
-                else:
-                    del terms[m]
+            terms[m] = c if old is None else old + c
         return Polynomial(self.ring, terms)
 
     __radd__ = __add__
@@ -288,14 +281,7 @@ class Polynomial:
             for m2, c2 in other.terms.items():
                 m = tuple(map(add, m1, m2))
                 old = terms.get(m)
-                if old is None:
-                    terms[m] = c1 * c2
-                else:
-                    s = old + c1 * c2
-                    if s:
-                        terms[m] = s
-                    else:
-                        del terms[m]
+                terms[m] = c1 * c2 if old is None else old + c1 * c2
         return Polynomial(self.ring, terms)
 
     __rmul__ = __mul__
@@ -388,11 +374,8 @@ class Polynomial:
                     w = mapping.get(v, v)
                     exps[target.position(w)] += e
             m2 = tuple(exps)
-            s = terms.get(m2, Fraction(0)) + c
-            if s:
-                terms[m2] = s
-            else:
-                terms.pop(m2, None)
+            old = terms.get(m2)
+            terms[m2] = c if old is None else old + c
         return Polynomial(target, terms)
 
     def transfer(self, target: PolyRing) -> "Polynomial":
@@ -535,12 +518,12 @@ class SymbolicMatrix:
         return dict(zip(variables, (Fraction(x) for row in values for x in row)))
 
 
-def generic_matrix(d: int, n: int, base: str = "x") -> SymbolicMatrix:
-    """d x n matrix of fresh indeterminates base_i_j, row-major ordered."""
-    vs = [Var(base, (i, j)) for i in range(1, d + 1) for j in range(1, n + 1)]
+def generic_matrix(d: int, n: int) -> SymbolicMatrix:
+    """d x n matrix of fresh indeterminates x_i_j, row-major ordered."""
+    vs = [Var("x", (i, j)) for i in range(1, d + 1) for j in range(1, n + 1)]
     ring = PolyRing.of(vs)
     entries = tuple(
-        tuple(ring.var(Var(base, (i, j))) for j in range(1, n + 1))
+        tuple(ring.var(Var("x", (i, j))) for j in range(1, n + 1))
         for i in range(1, d + 1)
     )
     return SymbolicMatrix(ring, entries)
@@ -603,21 +586,12 @@ def _minor_rec(X: SymbolicMatrix, rows, cols, memo) -> Polynomial:
     return result
 
 
-def all_minors(
-    X: SymbolicMatrix,
-    size: int,
-    row_pool: Iterable[int] | None = None,
-    col_pool: Iterable[int] | None = None,
-    memo: MinorMemo | None = None,
-) -> list[Polynomial]:
-    """All size x size minors with rows/cols drawn from the given pools."""
+def all_minors(X: SymbolicMatrix, size: int) -> list[Polynomial]:
+    """All size x size minors, sharing one memo of sub-minors."""
     d, n = X.shape
-    row_pool = tuple(sorted(row_pool)) if row_pool is not None else tuple(range(1, d + 1))
-    col_pool = tuple(sorted(col_pool)) if col_pool is not None else tuple(range(1, n + 1))
-    if memo is None:
-        memo = {}
-    out = []
-    for rows in combinations(row_pool, size):
-        for cols in combinations(col_pool, size):
-            out.append(minor(X, rows, cols, memo))
-    return out
+    memo: MinorMemo = {}
+    return [
+        minor(X, rows, cols, memo)
+        for rows in combinations(range(1, d + 1), size)
+        for cols in combinations(range(1, n + 1), size)
+    ]

@@ -10,12 +10,17 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable
+from fractions import Fraction
+from typing import Iterable, Sequence
+
+from .linalg import matrix_to_text
 
 PASS = "pass"
 FAIL = "fail"
 INCONCLUSIVE = "inconclusive"
 EXIT_CODES = {PASS: 0, FAIL: 1, INCONCLUSIVE: 3}
+# Counterexamples a report keeps; `WitnessReport.log` drops the rest.
+MAX_LOGGED_COUNTEREXAMPLES = 5
 
 
 def overall_status(statuses: Iterable[str]) -> str:
@@ -51,6 +56,12 @@ class WitnessReport:
 
     def add(self, check: CheckResult) -> None:
         self.checks.append(check)
+
+    def log(self, title: str, m: Sequence[Sequence[Fraction]]) -> None:
+        """Keep the counterexample matrix m under its title, unless
+        MAX_LOGGED_COUNTEREXAMPLES are kept; only a kept one is rendered."""
+        if len(self.counterexamples) < MAX_LOGGED_COUNTEREXAMPLES:
+            self.counterexamples.append(f"{title}:\n{matrix_to_text(m)}")
 
     @property
     def status(self) -> str:

@@ -25,9 +25,9 @@ from .hypergraph import (
     in_variety,
 )
 from .ideals import DEFAULT_MAX_DEGREE, DEFAULT_MAX_PAIRS, BudgetExceeded, Ideal, buchberger, intersect, normal_form
-from .linalg import Mat, integer_multiple, matrix_to_text, rank
+from .linalg import Mat, integer_multiple, parallel, rank
+from . import matroid
 from .matroid import (
-    AXIOM_CHECK_CAP,
     dependent_contains,
     grid_circuit_family,
     is_circuit_family,
@@ -39,7 +39,6 @@ from .report import INCONCLUSIVE, CheckResult, WitnessReport
 from .sampling import GenericityError, child_rng, rand_fraction, rand_matrix, rand_nonzero_fraction
 from .secrig import generic_rigidity_check, secant_dimension, segre_tangent_model
 
-MAX_LOGGED_COUNTEREXAMPLES = 5
 GRID_REALIZATION_ATTEMPTS = 3
 
 
@@ -109,9 +108,9 @@ def sampler_concurrent_lines() -> ComponentSampler:
                 continue
             p = integer_multiple(apex)[1]
             ds = [integer_multiple(d)[1] for d in dirs]
-            if any(_parallel(p, d) for d in ds):
+            if any(parallel(p, d) for d in ds):
                 continue
-            if any(_parallel(ds[a], ds[b]) for a in range(3) for b in range(a + 1, 3)):
+            if any(parallel(ds[a], ds[b]) for a in range(3) for b in range(a + 1, 3)):
                 continue
             cols = [apex]
             for d in dirs:
@@ -122,12 +121,6 @@ def sampler_concurrent_lines() -> ComponentSampler:
             return [[cols[j][r] for j in range(7)] for r in range(3)]
 
     return ComponentSampler("concurrent-lines", draw)
-
-
-def _parallel(u: Sequence[int], v: Sequence[int]) -> bool:
-    """Whether two integer 3-vectors are linearly dependent, that is, whether
-    their cross product is zero: the same test as rank([u, v]) < 2."""
-    return u[1] * v[2] == u[2] * v[1] and u[2] * v[0] == u[0] * v[2] and u[0] * v[1] == u[1] * v[0]
 
 
 def _exact_dot(xs: Sequence[Fraction], ys: Sequence[Fraction]) -> Fraction:
@@ -174,8 +167,8 @@ def _vanishing_checks(
         for name, g in generators:
             if g.evaluate(point) == 0:
                 zeros[name] += 1
-            elif len(report.counterexamples) < MAX_LOGGED_COUNTEREXAMPLES:
-                report.counterexamples.append(f"{sampler.name} / {name}:\n{matrix_to_text(m)}")
+            else:
+                report.log(f"{sampler.name} / {name}", m)
     for name, _ in generators:
         report.add(
             CheckResult.outcome(
@@ -207,8 +200,7 @@ def _separation_check(
             nonzero += 1
         else:
             zero_draws += 1
-            if len(report.counterexamples) < MAX_LOGGED_COUNTEREXAMPLES:
-                report.counterexamples.append(f"{sampler.name} / zero draw for {name}:\n{matrix_to_text(m)}")
+            report.log(f"{sampler.name} / zero draw for {name}", m)
     report.add(
         CheckResult.outcome(
             f"{sampler.name}: {name} is nonzero on every accepted draw",
@@ -314,8 +306,8 @@ def verify_rank_two_component(trials: int = 100, seed: int = 0) -> WitnessReport
         point = X.assignment(m)
         if in_variety(H, m):
             members += 1
-        elif len(report.counterexamples) < MAX_LOGGED_COUNTEREXAMPLES:
-            report.counterexamples.append(f"{rank2.name} outside the variety:\n{matrix_to_text(m)}")
+        else:
+            report.log(f"{rank2.name} outside the variety", m)
         if all(g.evaluate(point) == 0 for g in ideal.generators):
             vanishing += 1
     report.add(
@@ -393,8 +385,8 @@ def verify_intersection_axiom(
         flat = flatten(P, ["X"], ["Y1", "Y2"])
         if rank(flat) <= spec.t - 1:
             low_rank += 1
-        elif len(report.counterexamples) < MAX_LOGGED_COUNTEREXAMPLES:
-            report.counterexamples.append(f"mixture flattening rank too high:\n{matrix_to_text(flat)}")
+        else:
+            report.log("mixture flattening rank too high", flat)
     report.add(
         CheckResult.outcome(
             "mixture samples kill every premise generator exactly",
@@ -428,25 +420,23 @@ def verify_grid_realization(spec: GridSpec | None = None, seed: int = 0) -> Witn
     family = grid_circuit_family(spec)
     H = grid_hypergraph(spec)
 
+    # Read the caps where `matroid` reads them, so the two never disagree.
+    enumerable = spec.n <= matroid.ENUMERATION_CAP
     matrix = None
     circuits_equal = False
-    matroid = None
     for attempt in range(GRID_REALIZATION_ATTEMPTS):
         rng = child_rng(seed, f"theorem32/draw{attempt}")
         try:
             matrix = realize_grid_matroid(spec, rng)
         except GenericityError:
             continue
-        matroid = matroid_from_matrix(matrix)
-        if spec.n <= 16:
-            circuits_equal = matroid.circuits() == family
-            if circuits_equal:
-                break
-        else:
+        realized = matroid_from_matrix(matrix)
+        circuits_equal = enumerable and realized.circuits() == family
+        if circuits_equal or not enumerable:
             break
 
     report.add(CheckResult.outcome("a realization was drawn", matrix is not None))
-    if matrix is None or matroid is None:
+    if matrix is None:
         return report
     realized_rank = rank(matrix)
     report.add(
@@ -456,18 +446,18 @@ def verify_grid_realization(spec: GridSpec | None = None, seed: int = 0) -> Witn
             counts={"rank": realized_rank},
         )
     )
-    report.add(CheckResult.outcome("every grid edge is dependent", dependent_contains(matroid, H)))
-    if spec.n <= 16:
+    report.add(CheckResult.outcome("every grid edge is dependent", dependent_contains(realized, H)))
+    if enumerable:
         report.add(
             CheckResult.outcome(
                 "circuits equal the minimal grid family",
                 circuits_equal,
-                counts={"circuits": len(matroid.circuits()), "family": len(family)},
+                counts={"circuits": len(realized.circuits()), "family": len(family)},
             )
         )
     else:
         report.add(CheckResult("circuits equal the minimal grid family", INCONCLUSIVE, detail="ground set above the enumeration cap"))
-    if spec.n <= AXIOM_CHECK_CAP:
+    if spec.n <= matroid.AXIOM_CHECK_CAP:
         report.add(CheckResult.outcome("the grid family satisfies the circuit axioms", is_circuit_family(spec.n, family)))
     else:
         report.add(CheckResult("the grid family satisfies the circuit axioms", INCONCLUSIVE, detail="ground set above the axiom-check cap"))

@@ -6,11 +6,12 @@ swap by swap, kernels read off the reduced row echelon form, minor-search
 ranks, a naive textbook Groebner routine with none of the library's
 selection strategy or criteria, the circuit checks and the minimal-edge
 filter written out with frozensets, circuits found by an exact rank of every
-subset, full-width exact ranks for rigidity circuits, a (2,3)-pebble
-game for generic rigidity in the plane, variety membership by one exact
-rank per edge, the witness draws summed as `Fraction` products, polynomial
-text rendered factor by factor from each `Var`, and flattenings read state
-by state through `ProbTensor.get`.
+subset, arrangement signatures from 3x2 and 3x3 `Fraction` ranks, full-width
+exact ranks for rigidity circuits, a (2,3)-pebble game for generic rigidity
+in the plane, variety membership by one exact rank per edge, the witness
+draws summed as `Fraction` products, polynomial text rendered factor by
+factor from each `Var`, and flattenings read state by state through
+`ProbTensor.get`.
 
 The builders write the test-only inputs the library only ever reads: CI
 statements and CI model files as text, and tensors from plain entries.
@@ -289,6 +290,30 @@ def brute_force_circuits(m) -> tuple[frozenset[int], ...]:
         if rank(column_submatrix(m, c)) < size
     ]
     return tuple(c for c in dependent if not any(d < c for d in dependent))
+
+
+def rank_arrangement_signature(m) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
+    """(points, lines, line sizes, multipoint degrees) of the columns of a
+    3 x n matrix by exact `Fraction` ranks: a nonzero column is a new point
+    unless a 3x2 rank with an earlier point is 1, and the line through two
+    points holds every point whose 3x3 rank with them is 2."""
+    cols = [list(col) for col in zip(*m)]
+    reps: list[list[Fraction]] = []
+    for col in cols:
+        if any(col) and not any(rank([[p[r], col[r]] for r in range(3)]) == 1 for p in reps):
+            reps.append(col)
+    lines = set()
+    for a, b in combinations(range(len(reps)), 2):
+        if rank([[reps[a][r], reps[b][r]] for r in range(3)]) != 2:
+            continue
+        flat = frozenset(
+            c for c in range(len(reps)) if rank([[reps[a][r], reps[b][r], reps[c][r]] for r in range(3)]) == 2
+        )
+        if len(flat) >= 3:
+            lines.add(flat)
+    degree = [sum(1 for ln in lines if p in ln) for p in range(len(reps))]
+    multi = tuple(sorted((d for d in degree if d >= 2), reverse=True))
+    return len(reps), len(lines), tuple(sorted((len(ln) for ln in lines), reverse=True)), multi
 
 
 def in_variety_by_edges(H, X) -> bool:

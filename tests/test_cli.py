@@ -103,7 +103,8 @@ def test_unknown_name_errors_print_without_repr_quotes(tmp_path, capsys):
     pm = tmp_path / "unknown.map"
     pm.write_text("params u_1\ncoord a u_1 * v_1\n")
     code, out, err = run(capsys, "matroid", "--parametrization", str(pm))
-    assert (code, out, err) == (2, "", "error: v_1 is not a variable of this ring\n")
+    misfit = "does not fit the format `coord <label> <polynomial>` in the `params` variables"
+    assert (code, out, err) == (2, "", f"error: parametrization line 'coord a u_1 * v_1' {misfit}\n")
 
 
 def test_matroid_identity_matrix(tmp_path, capsys):
@@ -269,17 +270,6 @@ def test_rigidity_framework_file(tmp_path, capsys):
     assert "rank 3" in out and "edges 3" in out
 
 
-def test_matroid_serialization_round_trip():
-    from cigrid.matroid import matroid_from_matrix, matroid_from_text, matroid_to_text
-    from cigrid import linalg
-
-    m = matroid_from_matrix(linalg.mat([[1, 2, 0], [1, 2, 1]]))
-    text = matroid_to_text(m)
-    assert text.splitlines()[0] == "3"
-    back = matroid_from_text(text)
-    assert back.circuits() == m.circuits()
-
-
 def test_matroid_grid_realization_is_seed_deterministic(capsys):
     argv = ["matroid", "--grid", "--s", "3", "--t", "3", "--k", "3", "--l", "3", "--d", "3", "--seed", "4"]
     _, out1, _ = run(capsys, *argv)
@@ -382,6 +372,11 @@ def test_zero_matrix_columns_are_loops(tmp_path, capsys):
         (["matroid", "--matrix"], "2 2\n1 0\n1/0 1\n", "'1/0 1'", "then one row of n rationals per line"),
         (["rigidity", "--framework"], "2 2\n0 0\n1 x\n1 2\n", "'1 x'", "n coordinate lines of d rationals"),
         (["matroid", "--parametrization"], "params u_1\ncoord a 1/0 * u_1\n", "'coord a 1/0 * u_1'", "`coord <label> <polynomial>`"),
+        (["matroid", "--parametrization"], "params u_1\ncoord a x_9\n", "'coord a x_9'", "`coord <label> <polynomial>`"),
+        (["matroid", "--parametrization"], "params\ncoord a 2\n", "'params'", "`params <variable> ...`"),
+        (["matroid", "--parametrization"], "params 1x\ncoord a 2\n", "'params 1x'", "`params <variable> ...`"),
+        (["matroid", "--parametrization"], "paramsu_1 u_2\ncoord a u_2\n", "'paramsu_1 u_2'", "`params <variable> ...`"),
+        (["matroid", "--parametrization"], "params u_1\ncoord a 2 ** u_1\n", "'coord a 2 ** u_1'", "`coord <label> <polynomial>`"),
     ],
     ids=[
         "hypergraph-header",
@@ -393,6 +388,11 @@ def test_zero_matrix_columns_are_loops(tmp_path, capsys):
         "matrix-zero-denominator",
         "framework-coordinate",
         "parametrization-zero-denominator",
+        "parametrization-unknown-variable",
+        "parametrization-no-parameter",
+        "parametrization-bad-parameter",
+        "parametrization-bad-keyword",
+        "parametrization-bad-factor",
     ],
 )
 def test_malformed_file_names_its_line_and_format(tmp_path, capsys, argv, text, line, fmt):

@@ -307,3 +307,24 @@ def test_column_submatrix_uses_one_based_indices():
 def test_transpose():
     a = linalg.mat([[1, 2], [3, 4]])
     assert linalg.transpose(a) == linalg.mat([[1, 3], [2, 4]])
+
+
+def test_det_of_matrices_with_row_denominators():
+    """Rows whose entries share no denominator: each row's scale differs, and
+    the determinant must come out divided by their product."""
+    rng = random.Random(76)
+    cases = []
+    for n in (1, 2, 3, 4, 5):
+        for _ in range(12):
+            cases.append([[Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 5, 7, 12])) for _ in range(n)] for _ in range(n)])
+    for n in (2, 3, 4):
+        m = [[Fraction(rng.randint(-9, 9), rng.choice([2, 3, 5])) for _ in range(n)] for _ in range(n - 1)]
+        cases.append(m + [[2 * x / 7 for x in m[0]]])  # a row parallel to the first
+    cases = [m for m in cases if any(lcm(*(x.denominator for x in row)) > 1 for row in m)]
+    assert len(cases) > 50
+    values = set()
+    for m in cases:
+        value = linalg.det(m)
+        assert value == det_by_permutations(m) == swap_tracking_det(m), m
+        values.add(value)
+    assert 0 in values and any(v.denominator > 1 for v in values)

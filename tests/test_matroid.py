@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_circuits, frozenset_is_circuit_family, rank_by_minors
+from helpers import brute_force_circuits, frozenset_is_circuit_family, rank_arrangement_signature, rank_by_minors
 from cigrid import linalg
 from cigrid import matroid as matroid_module
 from cigrid.hypergraph import GridSpec, Hypergraph, grid_hypergraph
@@ -23,7 +23,6 @@ from cigrid.matroid import (
     is_circuit_family,
     matrix_product_map,
     matroid_from_matrix,
-    matroid_from_text,
     realize_grid_matroid,
     segre_map,
 )
@@ -154,13 +153,10 @@ def test_is_circuit_family_at_the_cap():
             frozenset_is_circuit_family(15, family)
 
 
-def test_matroid_from_text_rejects_bad_circuits_at_every_n():
-    # above the axiom-check cap, circuits must still be nonempty and inside 1..n
-    for n in (3, AXIOM_CHECK_CAP, AXIOM_CHECK_CAP + 1, 20):
-        for bad in (f"1 2 {n + 1}", "0 1", "-1 2"):
-            with pytest.raises(ValueError):
-                matroid_from_text(f"{n}\n{bad}\n")
-    big = matroid_from_text("20\n1 2 20\n3 4\n")
+def test_circuit_matroid_above_the_axiom_check_cap():
+    # no axiom check runs at n = 20; circuits and ranks come from the family
+    assert 20 > AXIOM_CHECK_CAP
+    big = CircuitMatroid(tuple(range(1, 21)), (frozenset({1, 2, 20}), frozenset({3, 4})))
     assert big.circuits() == (frozenset({3, 4}), frozenset({1, 2, 20}))
     assert big.rank_of([1, 2, 20]) == 2
 
@@ -215,7 +211,7 @@ def test_linear_matroid_enumerates_its_circuits_once():
     assert first == Matroid.circuits(lines)
     assert lines.circuits() is first
     assert matroid_from_matrix(concurrent_lines_matrix()).circuits() == first
-    sub = matroid_from_matrix(linalg.column_submatrix(concurrent_lines_matrix(), [1, 2, 3]), labels=[1, 2, 3])
+    sub = matroid_from_matrix(linalg.column_submatrix(concurrent_lines_matrix(), [1, 2, 3]))
     assert sub.circuits() == (frozenset({1, 2, 3}),)
     assert free.circuits() == ()
 
@@ -385,7 +381,7 @@ def test_restriction_basics():
     empty = matroid_from_matrix([[], [], []])
     assert empty.ground == () and empty.full_rank() == 0 and empty.circuits() == ()
     kept = [1, 2, 3, 4]
-    sub = matroid_from_matrix(linalg.column_submatrix(concurrent_lines_matrix(), kept), labels=kept)
+    sub = matroid_from_matrix(linalg.column_submatrix(concurrent_lines_matrix(), kept))
     assert sub.full_rank() == m.rank_of(kept)
     assert sub.circuits() == tuple(c for c in m.circuits() if c <= set(kept))
 
@@ -503,7 +499,7 @@ def test_disagreeing_jacobian_matroids_name_both_circuit_families(monkeypatch):
     triangle = matroid_from_matrix(linalg.mat([[1, 0, 1, 0], [0, 1, 1, 0], [0, 0, 0, 1]]))
     made = []
 
-    def alternate(matrix, ground):
+    def alternate(matrix):
         made.append(matrix)
         return free if len(made) % 2 else triangle
 
@@ -554,3 +550,55 @@ def test_arrangement_signature_merges_parallel_columns_and_skips_loops():
     sig = arrangement_signature(mat)
     assert sig.points == 3
     assert sig.lines == 1 and sig.line_sizes == (3,)
+
+
+def arrangement_cases(seed: int) -> list[list[list[Fraction]]]:
+    """Seeded 3 x n matrices, and one with no columns.  The first column is a
+    fresh point; each later one is a zero column, a fractional multiple of an
+    earlier column (parallel), a combination of two earlier columns
+    (collinear), or a fresh point with small fractional entries."""
+    rng = random.Random(seed)
+
+    def nonzero() -> Fraction:
+        return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+
+    cases = [[[], [], []]]
+    for _ in range(150):
+        cols: list[list[Fraction]] = []
+        for _ in range(rng.randint(1, 9)):
+            kind = rng.randrange(4) if cols else 3
+            if kind == 0:
+                cols.append([Fraction(0)] * 3)
+            elif kind == 1:
+                c = nonzero()
+                cols.append([c * x for x in rng.choice(cols)])
+            elif kind == 2:
+                a, b, c1, c2 = nonzero(), nonzero(), rng.choice(cols), rng.choice(cols)
+                cols.append([a * x + b * y for x, y in zip(c1, c2)])
+            else:
+                cols.append([Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(3)])
+        cases.append([[col[r] for col in cols] for r in range(3)])
+    return cases
+
+
+def test_arrangement_signature_matches_the_rank_oracle():
+    cases = arrangement_cases(83)
+    signatures = [arrangement_signature(m) for m in cases]
+    assert any(sig.lines >= 2 for sig in signatures)
+    assert any(sig.multipoint_degrees for sig in signatures)
+    assert any(sig.points < len(m[0]) for sig, m in zip(signatures, cases))
+    for sig, m in zip(signatures, cases):
+        expected = rank_arrangement_signature(m)
+        assert (sig.points, sig.lines, sig.line_sizes, sig.multipoint_degrees) == expected, m
+
+
+def test_arrangement_signature_runs_no_exact_rank(monkeypatch):
+    def spy(m):
+        raise AssertionError("arrangement_signature called an exact rank")
+
+    monkeypatch.setattr(linalg, "rank", spy)
+    monkeypatch.setattr(matroid_module, "rank", spy)
+    sig = arrangement_signature(concurrent_lines_matrix())
+    assert (sig.points, sig.lines, sig.multipoint_degrees) == (7, 3, (3,))
+    for m in arrangement_cases(84)[:20]:
+        arrangement_signature(m)

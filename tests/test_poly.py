@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -200,7 +201,8 @@ def test_normalize_sign_makes_leading_coefficient_positive():
 def test_all_minors_counts():
     X = generic_matrix(3, 4)
     assert len(all_minors(X, 3)) == 4
-    assert len(all_minors(X, 2, col_pool=[1, 2])) == 3
+    pairs = [(rows, cols) for rows in combinations((1, 2, 3), 2) for cols in combinations((1, 2, 3, 4), 2)]
+    assert all_minors(X, 2) == [perm_minor(X, rows, cols) for rows, cols in pairs]
 
 
 def test_derivative_product_rule():
@@ -386,3 +388,20 @@ def test_minor_with_a_repeated_row_cancels_to_zero():
             f = minor(X, range(1, size + 1), range(1, size + 1))
             assert f.is_zero() and f.terms == {}
             assert perm_minor(X, range(1, size + 1), range(1, size + 1)).is_zero()
+
+
+def test_sums_and_products_that_cancel_have_no_terms():
+    R = small_ring()
+    x, y, z = (R.var(Var(n)) for n in "xyz")
+    f = Fraction(2, 3) * x * y - 5 * z + 1
+    assert (f + (-f)).terms == {}
+    assert (f - f).terms == {} and (f - f) == R.zero()
+    assert ((x + y) * (x - y) - x * x + y * y).terms == {}
+    # (x + y)(x - y): the xy cross terms cancel inside one product
+    assert (x + y) * (x - y) == x**2 - y**2 and len(((x + y) * (x - y)).terms) == 2
+    assert (f * R.zero()).terms == {} and (R.zero() * f).terms == {}
+    assert (f * 0).terms == {}
+    # rename that merges x and y into x: x - y becomes x - x = 0
+    merged = (x - y).rename({Var("y"): Var("x")}, R)
+    assert merged.terms == {} and merged.is_zero()
+    assert all(c != 0 for c in ((x + 2 * y) * (x - 2 * y) + 4 * y * y).terms.values())

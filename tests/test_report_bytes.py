@@ -80,3 +80,24 @@ def test_output_bytes_are_pinned(tmp_path, run):
         if path.is_file()
     }
     assert written == DIGESTS[run]
+
+
+# A 3-row matrix file with a zero column (6), columns parallel to others (5 to
+# 4, 8 to 1), fractional entries, and two collinear triples through column 1.
+COLUMNS = "3 9\n1 0 0 1 2 0 1/2 -3 1\n0 1 0 1 2 0 1/3 0 0\n0 0 1 0 0 0 1 0 1\n"
+
+MATRIX_DIGESTS = {
+    "matroid.json": "5dd45e61fc9e46d488500adf74e7f3dfd878d014f47e43e0265c5814ef184a5f",
+    "matroid.txt": "1f24ddfaf2f7eb3b2356117fcad89876545bd322b00f48c35f9e933063a5a928",
+}
+
+
+def test_matrix_matroid_bytes_are_pinned(tmp_path, monkeypatch):
+    """`matroid --matrix` on a file written here: its circuits and its
+    arrangement signature.  The run reads the file by a relative path, so the
+    path the JSON records does not depend on `tmp_path`."""
+    monkeypatch.chdir(tmp_path)
+    Path("columns.mat").write_text(COLUMNS)
+    assert main(["matroid", "--matrix", "columns.mat", "--seed", "7", "--out", "out"]) == 0
+    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in Path("out").iterdir()}
+    assert written == MATRIX_DIGESTS

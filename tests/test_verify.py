@@ -9,9 +9,10 @@ from helpers import fraction_bounded_rank_draw
 from cigrid.cimodel import CIStatement, mixture_parametrization_sample
 from cigrid.hypergraph import GridSpec, grid_ci_correspondence, grid_hypergraph
 from cigrid import verify
-from cigrid.linalg import integer_multiple, rank
+from cigrid.linalg import integer_multiple, parallel, rank
 from cigrid.matroid import matroid_from_matrix
 from cigrid.poly import Polynomial
+from cigrid.report import WitnessReport
 from cigrid.sampling import child_rng, rand_fraction, rand_nonzero_fraction
 from cigrid.verify import (
     VERIFICATIONS,
@@ -79,10 +80,10 @@ def test_integer_parallel_test_equals_the_rank_test():
     pairs += [([Fraction(0), Fraction(5, 7), Fraction(0)], [Fraction(0), Fraction(-1, 9), Fraction(0)])]
     verdicts = set()
     for u, v in pairs:
-        parallel = verify._parallel(integer_multiple(u)[1], integer_multiple(v)[1])
-        assert parallel == (rank([u, v]) < 2), (u, v)
-        assert parallel == verify._parallel(integer_multiple(v)[1], integer_multiple(u)[1])
-        verdicts.add(parallel)
+        verdict = parallel(integer_multiple(u)[1], integer_multiple(v)[1])
+        assert verdict == (rank([u, v]) < 2), (u, v)
+        assert verdict == parallel(integer_multiple(v)[1], integer_multiple(u)[1])
+        verdicts.add(verdict)
     assert verdicts == {True, False}
 
 
@@ -256,3 +257,23 @@ def test_a_full_rank_mixture_flattening_fails_the_intersection_axiom(monkeypatch
     assert len(report.counterexamples) == 5
     check = [c for c in report.checks if c.name.startswith("mixture flattenings have rank at most")]
     assert [(c.status, c.counts) for c in check] == [("fail", {"low_rank": 0, "trials": 5})]
+
+
+def test_theorem32_above_a_patched_enumeration_cap_is_inconclusive(monkeypatch):
+    """A 3 x 3 grid has nine elements; with the matroid module's cap at 8 the
+    circuit comparison is inconclusive instead of raising."""
+    from cigrid import matroid
+
+    monkeypatch.setattr(matroid, "ENUMERATION_CAP", 8)
+    report = verify_grid_realization(GridSpec(k=3, l=3, s=3, t=3, d=3), seed=7)
+    statuses = {c.name: c.status for c in report.checks}
+    assert statuses["circuits equal the minimal grid family"] == "inconclusive"
+    assert statuses["the grid family satisfies the circuit axioms"] == "pass"
+    assert report.status == "inconclusive" and report.exit_code == 3
+
+
+def test_report_log_keeps_the_first_five_counterexamples_rendered():
+    report = WitnessReport(name="log", seed=0, trials=7)
+    for i in range(7):
+        report.log(f"draw {i}", [[Fraction(i), Fraction(1, 2)]])
+    assert report.counterexamples == [f"draw {i}:\n1 2\n{i} 1/2\n" for i in range(5)]
