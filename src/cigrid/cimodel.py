@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from math import prod
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .ideals import Ideal
 from .linalg import Mat
-from .poly import PolyRing, Polynomial, SymbolicMatrix, Var, all_minors, normalize_sign
+from .poly import PolyRing, Polynomial, Rat, SymbolicMatrix, Var, all_minors, minor, normalize_sign
 from .sampling import mixture_matrix
 
 
@@ -102,7 +101,7 @@ class ProbTensor:
 
     names: tuple[str, ...]
     shape: tuple[int, ...]
-    entries: tuple[Fraction, ...]
+    entries: tuple[Rat, ...]
 
     def __post_init__(self):
         if len(self.names) != len(self.shape):
@@ -110,7 +109,7 @@ class ProbTensor:
         if len(self.entries) != prod(self.shape):
             raise ValueError("entry count does not match the shape")
 
-    def get(self, state: Sequence[int]) -> Fraction:
+    def get(self, state: Sequence[int]) -> Rat:
         """Entry at a 1-based joint state."""
         if len(state) != len(self.shape):
             raise IndexError(f"state {tuple(state)} needs {len(self.shape)} coordinates for shape {self.shape}")
@@ -170,12 +169,27 @@ def prob_ring(model: DiscreteModel) -> PolyRing:
     return PolyRing.of(Var("p", s) for s in _states(cards))
 
 
-def tensor_assignment(model: DiscreteModel, P: ProbTensor) -> dict[Var, Fraction]:
+def tensor_assignment(model: DiscreteModel, P: ProbTensor) -> dict[Var, Rat]:
     """Map each coordinate variable to the tensor entry it names."""
     obs = model.observed()
     if tuple(P.names) != tuple(v.name for v in obs) or tuple(P.shape) != tuple(v.card for v in obs):
         raise ValueError("tensor layout does not match the model's observed variables")
     return {Var("p", s): x for s, x in zip(_states(P.shape), P.entries)}
+
+
+def _block_layout(stmt: CIStatement, model: DiscreteModel) -> tuple[list[str], list[int], int]:
+    """The observed names and cardinalities, and h, the product of the hidden
+    cardinalities in C (1 when none), of a statement that must cover every
+    observed variable."""
+    stmt.validate(model)
+    obs = model.observed()
+    names = [v.name for v in obs]
+    covered = set(stmt.a) | set(stmt.b) | set(stmt.c)
+    missing = [n for n in names if n not in covered]
+    if missing:
+        raise ValueError(f"statement must mention every observed variable; missing {missing}")
+    h = prod(model.get(n).card for n in stmt.c if model.get(n).hidden)
+    return names, [v.card for v in obs], h
 
 
 def ci_minor_generators(stmt: CIStatement, model: DiscreteModel) -> list[Polynomial]:
@@ -187,17 +201,8 @@ def ci_minor_generators(stmt: CIStatement, model: DiscreteModel) -> list[Polynom
     the observed variables; marginal statements are rejected rather than
     silently summed.
     """
-    stmt.validate(model)
-    obs = model.observed()
-    names = [v.name for v in obs]
-    shape = [v.card for v in obs]
-    covered = set(stmt.a) | set(stmt.b) | set(stmt.c)
-    missing = [n for n in names if n not in covered]
-    if missing:
-        raise ValueError(f"statement must mention every observed variable; missing {missing}")
-
+    names, shape, h = _block_layout(stmt, model)
     ring = prob_ring(model)
-    h = prod(model.get(n).card for n in stmt.c if model.get(n).hidden)
     a_offsets = _offsets(names, shape, stmt.a)
     b_offsets = _offsets(names, shape, stmt.b)
     out: list[Polynomial] = []
@@ -209,6 +214,42 @@ def ci_minor_generators(stmt: CIStatement, model: DiscreteModel) -> list[Polynom
     return out
 
 
+def ci_minor_membership(stmt: CIStatement, model: DiscreteModel) -> Callable[[Polynomial], bool]:
+    """The test "g is one of `ci_minor_generators(stmt, model)`", made
+    without building them all.
+
+    A nonzero minor of a block of distinct variables has support exactly its
+    rows x columns.  So g can only be the minor on the A-states x B-states
+    its support spans, inside the one C-state it touches: the test builds
+    that one (h+1)-minor, sign-normalized, and compares."""
+    names, _, h = _block_layout(stmt, model)
+    ring = prob_ring(model)
+    parts = [[i for i, n in enumerate(names) if n in group] for group in (stmt.a, stmt.b, stmt.c)]
+    size = range(1, h + 2)
+
+    def entry(cell: tuple[tuple[int, ...], ...]) -> Polynomial:
+        state = [0] * len(names)
+        for part, sub in zip(parts, cell):
+            for i, x in zip(part, sub):
+                state[i] = x
+        return ring.var(Var("p", tuple(state)))
+
+    def test(g: Polynomial) -> bool:
+        if g.ring != ring:
+            return False
+        cells = [[tuple(v.index[i] for i in part) for part in parts] for v in g.support()]
+        rows = sorted({a for a, _, _ in cells})
+        cols = sorted({b for _, b, _ in cells})
+        slices = {c for _, _, c in cells}
+        if len(rows) != h + 1 or len(cols) != h + 1 or len(slices) != 1:
+            return False
+        (c,) = slices
+        block = SymbolicMatrix(ring, tuple(tuple(entry((a, b, c)) for b in cols) for a in rows))
+        return g == normalize_sign(minor(block, size, size))
+
+    return test
+
+
 def ci_ideal(statements: Sequence[CIStatement], model: DiscreteModel) -> Ideal:
     """Union of the statements' minor constraints, deduplicated up to sign."""
     return Ideal.of(prob_ring(model), [g for stmt in statements for g in ci_minor_generators(stmt, model)])
@@ -218,13 +259,15 @@ def mixture_parametrization_sample(
     model: DiscreteModel,
     conclusion: CIStatement,
     rng: random.Random,
-) -> ProbTensor:
+) -> tuple[int, ProbTensor]:
     """A fully supported rational distribution on the observed variables whose
     A x B flattening has rank at most the hidden cardinality of C.
 
     The conclusion must have the shape A _||_ B | H with C consisting of
     hidden variables only and A, B covering all observed variables; the
-    sample is a convex combination of h product distributions.
+    sample is a convex combination of h product distributions.  It is
+    returned as the common denominator of `mixture_matrix` and the tensor of
+    integer numerators over it: the distribution is P / den.
     """
     conclusion.validate(model)
     if any(not model.get(n).hidden for n in conclusion.c):
@@ -237,12 +280,12 @@ def mixture_parametrization_sample(
     h = prod(model.get(n).card for n in conclusion.c)
     a_offsets = _offsets(names, shape, conclusion.a)
     b_offsets = _offsets(names, shape, conclusion.b)
-    matrix = mixture_matrix(rng, len(a_offsets), len(b_offsets), h)
-    entries = [Fraction(0)] * prod(shape)
+    den, matrix = mixture_matrix(rng, len(a_offsets), len(b_offsets), h)
+    entries = [0] * prod(shape)
     for a, row in zip(a_offsets, matrix):
         for b, x in zip(b_offsets, row):
             entries[a + b] = x
-    return ProbTensor(names, shape, tuple(entries))
+    return den, ProbTensor(names, shape, tuple(entries))
 
 
 def parse_ci_file(text: str) -> tuple[DiscreteModel, list[CIStatement]]:

@@ -14,7 +14,7 @@ from typing import Iterable, TypeVar
 
 from .cimodel import CIStatement, DiscreteModel, ModelVar, ci_ideal
 from .ideals import Ideal
-from .linalg import Mat, column_submatrix, rank
+from .linalg import Mat, integer_multiple, integer_rank
 from .poly import Var, generic_matrix, minor, normalize_sign
 
 S = TypeVar("S", bound=Iterable[int])
@@ -168,13 +168,16 @@ def hypergraph_ideal(H: Hypergraph, d: int) -> Ideal:
 def in_variety(H: Hypergraph, X: Mat) -> bool:
     """Exact membership: every edge's column submatrix drops rank.
 
-    A column submatrix has rank at most rank(X), so one elimination of the
+    Each column is scaled once to integers (`integer_multiple`), which keeps
+    the rank of every column subset, and ranks are `integer_rank`s.  A
+    column submatrix has rank at most rank(X), so one elimination of the
     whole matrix settles every edge with more than rank(X) columns; only the
     smaller edges get an exact rank of their own."""
     if X and len(X[0]) < H.n:
         raise ValueError(f"matrix has {len(X[0])} columns, hypergraph needs {H.n}")
-    r = rank(X)
-    return all(len(edge) > r or rank(column_submatrix(X, edge)) < len(edge) for edge in H.edges)
+    cols = [integer_multiple(col)[1] for col in zip(*X)]
+    r = integer_rank(cols)
+    return all(len(edge) > r or integer_rank([cols[j - 1] for j in edge]) < len(edge) for edge in H.edges)
 
 
 def grid_ci_correspondence(spec: GridSpec) -> tuple[DiscreteModel, list[CIStatement]]:

@@ -82,30 +82,56 @@ def det(m: Sequence[Sequence[Fraction]]) -> Fraction:
     return Fraction(integer_det([ints for _, ints in scaled]), prod(scale for scale, _ in scaled))
 
 
-def integer_det(m: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of a square integer matrix by fraction-free
-    (Bareiss) elimination: every division is exact, so no `Fraction` is
-    built.  A zero pivot is swapped with a lower nonzero row, flipping the
-    sign; with none left the determinant is 0."""
+def _fraction_free(m: Sequence[Sequence[int]]) -> tuple[int, int, int]:
+    """Fraction-free (Bareiss) forward elimination of an integer matrix:
+    (rank, sign of the row swaps, last pivot).
+
+    The pivot in column c is the first nonzero entry at or below the current
+    row, swapped up; a column with none is skipped.  After k pivots every
+    entry below them is the (k+1)-minor on the pivot rows and columns plus
+    its own row and column, so each division by the previous pivot is exact
+    (Sylvester's identity) and no `Fraction` is built.  The last pivot is the
+    minor on all pivot rows and columns."""
     work = [list(row) for row in m]
-    n = len(work)
-    if any(len(row) != n for row in work):
-        raise ValueError("determinant of a non-square matrix")
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if not work[k][k]:
-            pivot = next((i for i in range(k + 1, n) if work[i][k]), None)
-            if pivot is None:
-                return 0
-            work[k], work[pivot] = work[pivot], work[k]
+    nrows = len(work)
+    ncols = len(work[0]) if work else 0
+    sign, prev, r = 1, 1, 0
+    for c in range(ncols):
+        if not work[r][c]:
+            for pivot in range(r + 1, nrows):
+                if work[pivot][c]:
+                    break
+            else:
+                continue  # no pivot in this column
+            work[r], work[pivot] = work[pivot], work[r]
             sign = -sign
-        row_k, a = work[k], work[k][k]
-        for row_i in work[k + 1 :]:
-            b = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * a - b * row_k[j]) // prev
+        row_r, a = work[r], work[r][c]
+        r += 1
+        if r == nrows:
+            return r, sign, a
+        for row_i in work[r:]:
+            b = row_i[c]
+            for j in range(c + 1, ncols):
+                row_i[j] = (row_i[j] * a - b * row_r[j]) // prev
         prev = a
-    return sign * work[-1][-1] if n else 1
+    return r, sign, prev
+
+
+def integer_det(m: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a square integer matrix by `_fraction_free`
+    elimination: the signed last pivot at full rank, otherwise 0."""
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("determinant of a non-square matrix")
+    r, sign, pivot = _fraction_free(m)
+    return sign * pivot if r == n else 0
+
+
+def integer_rank(m: Sequence[Sequence[int]]) -> int:
+    """Exact rank of an integer matrix by `_fraction_free` elimination.
+    Scaling rows or columns by nonzero integers keeps the rank, so a rational
+    matrix scaled to integers (`integer_multiple`) has the same rank here."""
+    return _fraction_free(m)[0]
 
 
 def parallel(u: Sequence[int], v: Sequence[int]) -> bool:

@@ -364,6 +364,8 @@ class PolyMap:
             parts = ln.split(None, 2)
             if len(parts) != 3 or parts[0] != "coord":
                 raise ValueError(f"parametrization line {ln!r} {misfit}")
+            if parts[1] in labels:
+                raise ValueError(f"parametrization line {ln!r} repeats label {parts[1]!r}; each `coord <label> <polynomial>` line needs its own label")
             labels.append(parts[1])
             try:
                 coords.append(parse_polynomial(parts[2], ring))

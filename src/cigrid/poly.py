@@ -414,6 +414,33 @@ class Polynomial:
         return f"Polynomial({self.to_text()})"
 
 
+def require_homogeneous(generators: Iterable[Polynomial], groups: Sequence[Iterable[Var]]) -> None:
+    """Raise ValueError naming the first generator whose terms do not all have
+    the same degree in each group's variables.
+
+    Such a generator g has degree D_G in group G, so dividing every variable
+    by the product of the scales s_G of the groups it lies in gives
+    g(x / s) = g(x) / prod_G s_G^D_G: g vanishes at a scaled point exactly
+    when it vanishes at the unscaled one.  Every minor is homogeneous in each
+    row's and each column's variables."""
+    member: dict[Var, list[int]] = {}
+    for k, group in enumerate(groups):
+        for v in group:
+            member.setdefault(v, []).append(k)
+    for g in generators:
+        groups_of = [member.get(v, ()) for v in g.ring.variables]
+        degrees = set()
+        for m in g.terms:
+            degree = [0] * len(groups)
+            for i, e in enumerate(m):
+                if e:
+                    for k in groups_of[i]:
+                        degree[k] += e
+            degrees.add(tuple(degree))
+        if len(degrees) > 1:
+            raise ValueError(f"generator {g} is not homogeneous in each of the {len(groups)} variable groups")
+
+
 def normalize_sign(f: Polynomial) -> Polynomial:
     """Flip the sign so the degrevlex leading coefficient is positive (0 stays 0)."""
     if f.is_zero():
@@ -495,27 +522,31 @@ class SymbolicMatrix:
         return self.entries[i - 1][j - 1]
 
     @cached_property
-    def _entry_vars(self) -> tuple[Var, ...] | None:
-        """The variable of each entry, row-major; None if some entry does not
-        involve exactly one variable."""
+    def _entry_vars(self) -> tuple[Var, ...]:
+        """The variable of each entry, row-major; a ValueError if some entry
+        does not involve exactly one variable."""
         out = []
         for row in self.entries:
             for e in row:
                 sup = e.support()
                 if len(sup) != 1:
-                    return None
+                    raise ValueError("assignment requires single-variable entries")
                 out.append(next(iter(sup)))
         return tuple(out)
 
-    def assignment(self, values: Sequence[Sequence[Rat]]) -> dict[Var, Fraction]:
-        """Map each single-variable entry to the matching value."""
+    def assignment(self, values: Sequence[Sequence[Rat]]) -> dict[Var, Rat]:
+        """Map each single-variable entry to the matching value, as given."""
         d, n = self.shape
         if len(values) != d or any(len(row) != n for row in values):
             raise ValueError("value matrix shape mismatch")
+        return dict(zip(self._entry_vars, (x for row in values for x in row)))
+
+    def row_and_column_variables(self) -> list[tuple[Var, ...]]:
+        """The variables of each row, then of each column: the groups in which
+        every minor is homogeneous (`require_homogeneous`)."""
+        d, n = self.shape
         variables = self._entry_vars
-        if variables is None:
-            raise ValueError("assignment requires single-variable entries")
-        return dict(zip(variables, (Fraction(x) for row in values for x in row)))
+        return [variables[i * n : (i + 1) * n] for i in range(d)] + [variables[j::n] for j in range(n)]
 
 
 def generic_matrix(d: int, n: int) -> SymbolicMatrix:

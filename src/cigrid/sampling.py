@@ -68,15 +68,15 @@ def rand_matrix(rng: random.Random, d: int, n: int) -> list[list[Fraction]]:
     return [rand_vector(rng, n) for _ in range(d)]
 
 
-def mixture_matrix(rng: random.Random, m: int, n: int, k: int) -> list[list[Fraction]]:
+def mixture_matrix(rng: random.Random, m: int, n: int, k: int) -> tuple[int, list[list[int]]]:
     """Sum of k >= 1 rank-one products lam_t * a_t b_t^T with every factor
     drawn from the open simplex: entries strictly positive, total exactly 1,
     and the rank is at most k.
 
     A simplex point is positive integer weights over their sum; lam is drawn
-    first, then a_t and b_t for each t in turn.  Entry (i, j) is one integer
-    numerator over the common denominator sum(lam) * prod_t sum(a_t) sum(b_t),
-    made into a single `Fraction`."""
+    first, then a_t and b_t for each t in turn.  Returned as the common
+    denominator sum(lam) * prod_t sum(a_t) sum(b_t) and the integer
+    numerators over it: entry (i, j) is numerators[i][j] / den."""
     lam = [rng.randint(1, DEFAULT_BOUND) for _ in range(k)]
     factors = []
     for _ in range(k):
@@ -89,7 +89,4 @@ def mixture_matrix(rng: random.Random, m: int, n: int, k: int) -> list[list[Frac
     lifted = [
         [lam[t] * prod(scales[:t] + scales[t + 1 :]) * x for x in a] for t, (a, _) in enumerate(factors)
     ]
-    return [
-        [Fraction(sum(la[i] * b[j] for la, (_, b) in zip(lifted, factors)), den) for j in range(n)]
-        for i in range(m)
-    ]
+    return den, [[sum(la[i] * b[j] for la, (_, b) in zip(lifted, factors)) for j in range(n)] for i in range(m)]

@@ -13,9 +13,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence
+from operator import mul
+from typing import Callable, NamedTuple, Sequence
 
-from .cimodel import CIStatement, ci_ideal, ci_minor_generators, flatten, mixture_parametrization_sample, tensor_assignment
+from .cimodel import CIStatement, ci_ideal, ci_minor_membership, flatten, mixture_parametrization_sample, tensor_assignment
 from .hypergraph import (
     GridSpec,
     Hypergraph,
@@ -25,7 +26,7 @@ from .hypergraph import (
     in_variety,
 )
 from .ideals import DEFAULT_MAX_DEGREE, DEFAULT_MAX_PAIRS, BudgetExceeded, Ideal, buchberger, intersect, normal_form
-from .linalg import Mat, integer_multiple, parallel, rank
+from .linalg import Mat, integer_multiple, integer_rank, parallel, rank
 from . import matroid
 from .matroid import (
     dependent_contains,
@@ -34,7 +35,7 @@ from .matroid import (
     matroid_from_matrix,
     realize_grid_matroid,
 )
-from .poly import Polynomial, SymbolicMatrix, generic_matrix, minor
+from .poly import Polynomial, Rat, SymbolicMatrix, generic_matrix, minor, require_homogeneous
 from .report import INCONCLUSIVE, CheckResult, WitnessReport
 from .sampling import GenericityError, child_rng, rand_fraction, rand_matrix, rand_nonzero_fraction
 from .secrig import generic_rigidity_check, secant_dimension, segre_tangent_model
@@ -42,12 +43,37 @@ from .secrig import generic_rigidity_check, secant_dimension, segre_tangent_mode
 GRID_REALIZATION_ATTEMPTS = 3
 
 
+class ScaledMatrix(NamedTuple):
+    """The exact matrix with entries values[i][j] / (row_scales[i] * col_scales[j]).
+
+    Scaling rows and columns by nonzero numbers keeps the rank of every
+    column subset, and a polynomial homogeneous in each row's and each
+    column's variables (`require_homogeneous`) vanishes at the matrix exactly
+    when it vanishes at `values`.  So tests of a draw run on `values`, in
+    integers when they are integers; only a logged draw is made rational."""
+
+    values: Sequence[Sequence[Rat]]
+    row_scales: Sequence[int]
+    col_scales: Sequence[int]
+
+    def rational(self) -> Mat:
+        return [
+            [Fraction(x, r * c) for x, c in zip(row, self.col_scales)]
+            for row, r in zip(self.values, self.row_scales)
+        ]
+
+
+def unscaled(m: Mat) -> ScaledMatrix:
+    """A rational matrix as it is, every scale 1."""
+    return ScaledMatrix(m, [1] * len(m), [1] * (len(m[0]) if m else 0))
+
+
 @dataclass(frozen=True)
 class ComponentSampler:
     """Named procedure drawing exact matrices on a prescribed component."""
 
     name: str
-    draw: Callable[[random.Random], Mat]
+    draw: Callable[[random.Random], ScaledMatrix]
 
 
 # -- fixtures -------------------------------------------------------------------
@@ -91,7 +117,7 @@ def sampler_loop_component() -> ComponentSampler:
         m = rand_matrix(rng, 3, 7)
         for row in m:
             row[0] = Fraction(0)
-        return m
+        return unscaled(m)
 
     return ComponentSampler("loop-component", draw)
 
@@ -118,33 +144,29 @@ def sampler_concurrent_lines() -> ComponentSampler:
                     a = rand_nonzero_fraction(rng)
                     b = rand_nonzero_fraction(rng)
                     cols.append([a * apex[r] + b * d[r] for r in range(3)])
-            return [[cols[j][r] for j in range(7)] for r in range(3)]
+            return unscaled([[cols[j][r] for j in range(7)] for r in range(3)])
 
     return ComponentSampler("concurrent-lines", draw)
 
 
-def _exact_dot(xs: Sequence[Fraction], ys: Sequence[Fraction]) -> Fraction:
-    """sum_t x_t y_t in integers over the product of the terms' denominators,
-    made into one `Fraction` at the end."""
-    num, den = 0, 1
-    for x, y in zip(xs, ys):
-        q = x.denominator * y.denominator
-        num, den = num * q + x.numerator * y.numerator * den, den * q
-    return Fraction(num, den)
-
-
 def sampler_bounded_rank(d: int, n: int, r: int, name: str | None = None) -> ComponentSampler:
     """Random d x n matrices of rank at most r, drawn as a product of random
-    d x r and r x n rational factors.
+    d x r and r x n rational factors L and R.
 
-    Entry (i, j) = sum_t l_it r_tj is summed in integers over the product of
-    its terms' denominators and made into a single `Fraction`."""
+    Each row of L and each column of R is scaled to integers by the lcm of
+    its denominators (`integer_multiple`), so the draw is the integer
+    product N = L'R' with row scales r_i and column scales c_j:
+    (LR)_ij = N_ij / (r_i c_j)."""
 
-    def draw(rng: random.Random) -> Mat:
-        left = rand_matrix(rng, d, r)
+    def draw(rng: random.Random) -> ScaledMatrix:
+        left = [integer_multiple(row) for row in rand_matrix(rng, d, r)]
         right = rand_matrix(rng, r, n)
-        cols = [[row[j] for row in right] for j in range(n)]
-        return [[_exact_dot(row, col) for col in cols] for row in left]
+        cols = [integer_multiple([row[j] for row in right]) for j in range(n)]
+        return ScaledMatrix(
+            [[sum(map(mul, a, b)) for _, b in cols] for _, a in left],
+            [scale for scale, _ in left],
+            [scale for scale, _ in cols],
+        )
 
     return ComponentSampler(name or f"rank<={r}", draw)
 
@@ -163,12 +185,12 @@ def _vanishing_checks(
     zeros = {name: 0 for name, _ in generators}
     for _ in range(trials):
         m = sampler.draw(rng)
-        point = X.assignment(m)
+        point = X.assignment(m.values)
         for name, g in generators:
             if g.evaluate(point) == 0:
                 zeros[name] += 1
             else:
-                report.log(f"{sampler.name} / {name}", m)
+                report.log(f"{sampler.name} / {name}", m.rational())
     for name, _ in generators:
         report.add(
             CheckResult.outcome(
@@ -195,12 +217,12 @@ def _separation_check(
     budget = 10 * trials
     while nonzero < trials and zero_draws + nonzero < budget:
         m = sampler.draw(rng)
-        point = X.assignment(m)
+        point = X.assignment(m.values)
         if predicate(point):
             nonzero += 1
         else:
             zero_draws += 1
-            report.log(f"{sampler.name} / zero draw for {name}", m)
+            report.log(f"{sampler.name} / zero draw for {name}", m.rational())
     report.add(
         CheckResult.outcome(
             f"{sampler.name}: {name} is nonzero on every accepted draw",
@@ -295,6 +317,8 @@ def verify_rank_two_component(trials: int = 100, seed: int = 0) -> WitnessReport
     H = twelve_vertex_triple_system()
     ideal = hypergraph_ideal(H, 3)
     X = generic_matrix(3, H.n)
+    # the draws are scaled matrices, tested on their integer values
+    require_homogeneous(ideal.generators, X.row_and_column_variables())
     report.add(CheckResult.outcome("fixture has 16 triple edges on 12 vertices", len(H.edges) == 16 and H.n == 12))
 
     rank2 = sampler_bounded_rank(3, 12, 2)
@@ -303,11 +327,11 @@ def verify_rank_two_component(trials: int = 100, seed: int = 0) -> WitnessReport
     vanishing = 0
     for _ in range(trials):
         m = rank2.draw(rng)
-        point = X.assignment(m)
-        if in_variety(H, m):
+        point = X.assignment(m.values)
+        if in_variety(H, m.values):
             members += 1
         else:
-            report.log(f"{rank2.name} outside the variety", m)
+            report.log(f"{rank2.name} outside the variety", m.rational())
         if all(g.evaluate(point) == 0 for g in ideal.generators):
             vanishing += 1
     report.add(
@@ -327,7 +351,7 @@ def verify_rank_two_component(trials: int = 100, seed: int = 0) -> WitnessReport
 
     rank1 = sampler_bounded_rank(3, 12, 1)
     m = rank1.draw(child_rng(seed, "example32/rank1"))
-    report.add(CheckResult.outcome("a rank<=1 sample is also a member", in_variety(H, m)))
+    report.add(CheckResult.outcome("a rank<=1 sample is also a member", in_variety(H, m.values)))
 
     generic = sampler_bounded_rank(3, 12, 3, name="rank3-generic")
     _separation_check(
@@ -360,9 +384,10 @@ def verify_intersection_axiom(
     report = WitnessReport(name="intersection-axiom", seed=seed, trials=trials)
 
     premise = ci_ideal(statements, model)
+    # the draws are integer numerators over one denominator
+    require_homogeneous(premise.generators, [premise.ring.variables])
     conclusion_stmt = CIStatement(("X",), ("Y1", "Y2"), ("H2",))
-    conclusion_minors = frozenset(ci_minor_generators(conclusion_stmt, model))
-    inside = sum(1 for g in premise.generators if g in conclusion_minors)
+    inside = sum(map(ci_minor_membership(conclusion_stmt, model), premise.generators))
     report.add(
         CheckResult.outcome(
             "every premise generator is a minor of the full flattening",
@@ -376,17 +401,17 @@ def verify_intersection_axiom(
     supported = 0
     low_rank = 0
     for _ in range(trials):
-        P = mixture_parametrization_sample(model, conclusion_stmt, rng)
+        den, P = mixture_parametrization_sample(model, conclusion_stmt, rng)
         point = tensor_assignment(model, P)
         if all(g.evaluate(point) == 0 for g in premise.generators):
             vanish += 1
-        if all(x > 0 for x in P.entries) and sum(P.entries) == 1:
+        if all(x > 0 for x in P.entries) and sum(P.entries) == den:
             supported += 1
         flat = flatten(P, ["X"], ["Y1", "Y2"])
-        if rank(flat) <= spec.t - 1:
+        if integer_rank(flat) <= spec.t - 1:
             low_rank += 1
         else:
-            report.log("mixture flattening rank too high", flat)
+            report.log("mixture flattening rank too high", [[Fraction(x, den) for x in row] for row in flat])
     report.add(
         CheckResult.outcome(
             "mixture samples kill every premise generator exactly",

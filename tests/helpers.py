@@ -343,6 +343,16 @@ def fraction_mixture_matrix(rng: random.Random, m: int, n: int, k: int):
     return out
 
 
+def rational_rows(den: int, rows) -> list[list[Fraction]]:
+    """Integer numerators over one denominator, as `Fraction`s."""
+    return [[Fraction(x, den) for x in row] for row in rows]
+
+
+def rational_tensor(den: int, P: ProbTensor) -> ProbTensor:
+    """A tensor of integer numerators over one denominator, as `Fraction`s."""
+    return ProbTensor(P.names, P.shape, tuple(Fraction(x, den) for x in P.entries))
+
+
 def fraction_bounded_rank_draw(rng: random.Random, d: int, n: int, r: int):
     """A d x n draw of rank at most r: random d x r and r x n factors and
     their product summed as `Fraction` products."""

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ci_file_text, rank_by_minors, state_flatten, statement_text, tensor_of
+from helpers import ci_file_text, rank_by_minors, rational_tensor, state_flatten, statement_text, tensor_of
 from cigrid import linalg
 from cigrid.cimodel import (
     CIStatement,
@@ -15,13 +15,15 @@ from cigrid.cimodel import (
     ModelVar,
     ci_ideal,
     ci_minor_generators,
+    ci_minor_membership,
     flatten,
     mixture_parametrization_sample,
     parse_ci_file,
     prob_ring,
     tensor_assignment,
 )
-from cigrid.poly import Var, normalize_sign
+from cigrid.hypergraph import GridSpec, grid_ci_correspondence
+from cigrid.poly import Polynomial, SymbolicMatrix, Var, all_minors, generic_matrix, normalize_sign
 
 
 def two_binary_model():
@@ -231,7 +233,7 @@ def test_multiple_hidden_conditioners_multiply_the_rank_bound():
     assert gens[0].total_degree() == 5
     # a rank-4 mixture kills the single 5-minor
     rng = random.Random(3)
-    P = mixture_parametrization_sample(model, CIStatement(("A",), ("B",), ("H1", "H2")), rng)
+    P = rational_tensor(*mixture_parametrization_sample(model, CIStatement(("A",), ("B",), ("H1", "H2")), rng))
     point = tensor_assignment(model, P)
     assert gens[0].evaluate(point) == 0
     assert linalg.rank(flatten(P, ["A"], ["B"])) <= 4
@@ -260,7 +262,7 @@ def test_mixture_sample_rank_one_kills_two_minors():
     model = DiscreteModel.of(ModelVar("X", 3), ModelVar("Y", 3), ModelVar("H", 1, hidden=True))
     conclusion = CIStatement(("X",), ("Y",), ("H",))
     rng = random.Random(5)
-    P = mixture_parametrization_sample(model, conclusion, rng)
+    P = rational_tensor(*mixture_parametrization_sample(model, conclusion, rng))
     M = flatten(P, ["X"], ["Y"])
     assert linalg.rank(M) <= 1
     gens = ci_minor_generators(CIStatement(("X",), ("Y",)), DiscreteModel.of(ModelVar("X", 3), ModelVar("Y", 3)))
@@ -272,7 +274,7 @@ def test_mixture_sample_is_fully_supported_and_normalized():
     model = eq21_model()
     conclusion = CIStatement(("X",), ("Y1", "Y2"), ("H2",))
     rng = random.Random(99)
-    P = mixture_parametrization_sample(model, conclusion, rng)
+    P = rational_tensor(*mixture_parametrization_sample(model, conclusion, rng))
     assert all(x > 0 for x in P.entries)
     assert sum(P.entries) == 1
 
@@ -287,7 +289,7 @@ def test_mixture_sample_kills_all_eq21_generators():
     conclusion = CIStatement(("X",), ("Y1", "Y2"), ("H2",))
     rng = random.Random(123)
     for _ in range(3):
-        P = mixture_parametrization_sample(model, conclusion, rng)
+        P = rational_tensor(*mixture_parametrization_sample(model, conclusion, rng))
         M = flatten(P, ["X"], ["Y1", "Y2"])
         assert linalg.rank(M) <= 2
         point = tensor_assignment(model, P)
@@ -306,7 +308,7 @@ def test_mixture_rank_bound_across_shapes(a_card, b_card, h, seed):
         ModelVar("A", a_card), ModelVar("B", b_card), ModelVar("H", h, hidden=True)
     )
     conclusion = CIStatement(("A",), ("B",), ("H",))
-    P = mixture_parametrization_sample(model, conclusion, random.Random(seed))
+    P = rational_tensor(*mixture_parametrization_sample(model, conclusion, random.Random(seed)))
     M = flatten(P, ["A"], ["B"])
     assert linalg.rank(M) <= h
     assert all(x > 0 for x in P.entries) and sum(P.entries) == 1
@@ -342,3 +344,44 @@ def test_ci_file_round_trip():
     model2, stmts2 = parse_ci_file(text)
     assert model2 == model
     assert stmts2 == stmts
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [GridSpec(k=3, l=4, s=3, t=3, d=3), GridSpec(k=2, l=3, s=2, t=2, d=2), GridSpec(k=3, l=3, s=2, t=3, d=2), GridSpec(k=2, l=2, s=2, t=2, d=3)],
+    ids=["campaign", "2x3-t2", "3x3-s2-t3", "2x2-d3"],
+)
+def test_ci_minor_membership_equals_membership_in_all_the_minors(spec):
+    """The one-minor test against the frozenset of every minor, for the
+    conclusion and both premise statements, on the premise generators, every
+    minor of the full X x (Y1, Y2) flattening, and non-minors: sign flips,
+    products, sums, a changed coefficient, the zero polynomial and a
+    polynomial of another ring."""
+    model, statements = grid_ci_correspondence(spec)
+    ring = prob_ring(model)
+    width = spec.k * spec.l
+    flat = SymbolicMatrix(
+        ring, tuple(tuple(ring.var(v) for v in ring.variables[x * width : (x + 1) * width]) for x in range(spec.d))
+    )
+    minors = [normalize_sign(g) for size in range(1, min(spec.d, width) + 1) for g in all_minors(flat, size)]
+    premise = list(ci_ideal(statements, model).generators)
+    a, b = minors[-1], minors[-2]
+    head = Polynomial(ring, dict([next(iter(a.terms.items()))]))
+    others = [-g for g in premise + minors[-3:]] + [
+        a * ring.var(ring.variables[0]),
+        a + b,
+        a + head,
+        a * b,
+        ring.zero(),
+        generic_matrix(2, 2).ring.var(Var("x", (1, 1))),
+    ]
+    candidates = premise + minors + others
+    for stmt in [CIStatement(("X",), ("Y1", "Y2"), ("H2",))] + statements:
+        member = ci_minor_membership(stmt, model)
+        expected = frozenset(ci_minor_generators(stmt, model))
+        verdicts = [member(g) for g in candidates]
+        assert verdicts == [g in expected for g in candidates], stmt
+        assert {g for g, v in zip(candidates, verdicts) if v} == expected
+    if spec.s == spec.t:
+        conclusion = ci_minor_membership(CIStatement(("X",), ("Y1", "Y2"), ("H2",)), model)
+        assert premise and all(map(conclusion, premise))

@@ -377,6 +377,7 @@ def test_zero_matrix_columns_are_loops(tmp_path, capsys):
         (["matroid", "--parametrization"], "params 1x\ncoord a 2\n", "'params 1x'", "`params <variable> ...`"),
         (["matroid", "--parametrization"], "paramsu_1 u_2\ncoord a u_2\n", "'paramsu_1 u_2'", "`params <variable> ...`"),
         (["matroid", "--parametrization"], "params u_1\ncoord a 2 ** u_1\n", "'coord a 2 ** u_1'", "`coord <label> <polynomial>`"),
+        (["matroid", "--parametrization"], "params u_1\ncoord a u_1\ncoord a u_1 * u_1\n", "'coord a u_1 * u_1'", "`coord <label> <polynomial>`"),
     ],
     ids=[
         "hypergraph-header",
@@ -393,6 +394,7 @@ def test_zero_matrix_columns_are_loops(tmp_path, capsys):
         "parametrization-bad-parameter",
         "parametrization-bad-keyword",
         "parametrization-bad-factor",
+        "parametrization-repeated-label",
     ],
 )
 def test_malformed_file_names_its_line_and_format(tmp_path, capsys, argv, text, line, fmt):

@@ -228,15 +228,16 @@ def test_in_variety_takes_one_rank_of_a_member_whose_edges_exceed_its_rank(monke
 
     def counting_rank(m):
         calls.append((len(m), len(m[0])))
-        return linalg.rank(m)
+        return linalg.integer_rank(m)
 
-    monkeypatch.setattr(hypergraph, "rank", counting_rank)
+    monkeypatch.setattr(hypergraph, "integer_rank", counting_rank)
     H = grid_hypergraph(GridSpec(k=3, l=4, s=3, t=3))
     rng = random.Random(32)
     left, right = rand_matrix(rng, 3, 2), rand_matrix(rng, 2, 12)
     X = [[left[i][0] * right[0][j] + left[i][1] * right[1][j] for j in range(12)] for i in range(3)]
     assert in_variety(H, X)
-    assert calls == [(3, 12)]
+    # one rank of the whole matrix, given as its 12 scaled columns
+    assert calls == [(12, 3)]
 
 
 def test_correspondence_model_cards():

@@ -138,6 +138,32 @@ def test_integer_det_matches_det_and_the_permutation_sum():
         linalg.integer_det([[1, 2]])
 
 
+def test_integer_rank_matches_rank_on_every_rank_and_shape():
+    """Seeded integer products of d x r and r x n factors for every d, n in
+    1..5 and every r in 0..min(d, n), plus empty and zero matrices; each also
+    under a zero top row (its first pivot needs a swap) and behind two
+    leading zero columns."""
+    rng = random.Random(76)
+    cases = [[], [[]], [[], []], [[0, 0, 0]], [[0], [0], [0]], [[0] * 4 for _ in range(3)]]
+    for d in range(1, 6):
+        for n in range(1, 6):
+            for r in range(min(d, n) + 1):
+                left = [[rng.randint(-9, 9) for _ in range(r)] for _ in range(d)]
+                right = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(r)]
+                m = [[sum(a * right[t][j] for t, a in enumerate(row)) for j in range(n)] for row in left]
+                cases += [m, [[0] * n] + m, [[0, 0] + row for row in m]]
+    seen = set()
+    for m in cases:
+        expected = linalg.rank(linalg.mat(m))
+        assert linalg.integer_rank(m) == expected, m
+        if m and m[0]:
+            seen.add((len(m), len(m[0]), expected))
+    assert all((d, n, r) in seen for d in range(1, 6) for n in range(1, 6) for r in range(min(d, n) + 1))
+    # the first column's top entry is zero, so its pivot comes from below
+    assert linalg.integer_rank([[0, 1, 2], [3, 4, 5], [6, 7, 8]]) == 2
+    assert linalg.integer_rank([[0, 0, 1], [0, 2, 3], [4, 5, 6]]) == 3
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 10**6))
 def test_mod_p_rank_never_exceeds_exact_rank(d, n, seed):

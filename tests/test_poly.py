@@ -20,6 +20,7 @@ from cigrid.poly import (
     minor,
     normalize_sign,
     parse_polynomial,
+    require_homogeneous,
     var,
 )
 
@@ -405,3 +406,24 @@ def test_sums_and_products_that_cancel_have_no_terms():
     merged = (x - y).rename({Var("y"): Var("x")}, R)
     assert merged.terms == {} and merged.is_zero()
     assert all(c != 0 for c in ((x + 2 * y) * (x - 2 * y) + 4 * y * y).terms.values())
+
+
+def test_minors_pass_the_grading_check_and_an_ungraded_generator_raises():
+    X = generic_matrix(3, 5)
+    groups = X.row_and_column_variables()
+    assert [len(g) for g in groups] == [5, 5, 5, 3, 3, 3, 3, 3]
+    assert groups[0][1] == Var("x", (1, 2)) and groups[3 + 1] == tuple(Var("x", (i, 2)) for i in (1, 2, 3))
+    minors = all_minors(X, 2) + all_minors(X, 3)
+    require_homogeneous(minors, groups)
+    require_homogeneous(minors, [X.ring.variables])
+    x = {(i, j): X.entry(i, j) for i in (1, 2, 3) for j in range(1, 6)}
+    # homogeneous of total degree 2, but of degrees (2, 0) and (1, 1) in rows 1 and 2
+    rows_differ = x[1, 1] * x[1, 2] - x[1, 1] * x[2, 2]
+    require_homogeneous([rows_differ], [X.ring.variables])
+    not_graded = [rows_differ, x[1, 1] + x[1, 1] * x[2, 2], minors[0] * minors[1] - minors[2]]
+    for g in not_graded:
+        with pytest.raises(ValueError, match="is not homogeneous") as info:
+            require_homogeneous(minors + [g], groups)
+        assert str(g) in str(info.value)
+    with pytest.raises(ValueError, match="is not homogeneous"):
+        require_homogeneous([x[1, 1] + 1], [X.ring.variables])

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import fraction_mixture_matrix
+from helpers import fraction_mixture_matrix, rational_rows
 from cigrid.sampling import GENERIC_ATTEMPTS, GenericityError, generic_draw, mixture_matrix
 
 
@@ -59,8 +59,10 @@ MIXTURE_SHAPES = [(1, 1, 1), (1, 1, 3), (3, 12, 1), (3, 12, 2), (2, 2, 5), (4, 3
 def test_mixture_matrix_matches_the_fraction_formula_and_the_rng_stream(m, n, k):
     for seed in range(25):
         rng, old = random.Random(seed), random.Random(seed)
-        drawn = mixture_matrix(rng, m, n, k)
+        den, numerators = mixture_matrix(rng, m, n, k)
+        drawn = rational_rows(den, numerators)
         assert drawn == fraction_mixture_matrix(old, m, n, k)
         assert rng.getstate() == old.getstate()
+        assert all(type(x) is int for row in numerators for x in row) and type(den) is int
         assert all(type(x) is Fraction and x > 0 for row in drawn for x in row)
         assert sum(x for row in drawn for x in row) == 1

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from helpers import full_width_subgraph_circuits, pebble_game_rank, rank_by_minors
+from helpers import full_width_subgraph_circuits, pebble_game_rank, rank_by_minors, rational_rows
 from cigrid import linalg, secrig
 from cigrid.matroid import matroid_from_matrix
 from cigrid.secrig import (
@@ -63,7 +63,7 @@ def test_secant_dimension_monotone_and_capped():
 
 def test_mixture_matrix_rank_and_positivity():
     rng = child_rng(4, "mixture")
-    m1 = mixture_matrix(rng, 3, 3, 1)
+    m1 = rational_rows(*mixture_matrix(rng, 3, 3, 1))
     assert linalg.rank(m1) <= 1
     assert all(x > 0 for row in m1 for x in row)
     assert sum(x for row in m1 for x in row) == 1
@@ -72,7 +72,7 @@ def test_mixture_matrix_rank_and_positivity():
         for c1, c2 in combinations(range(3), 2):
             assert m1[r1][c1] * m1[r2][c2] - m1[r1][c2] * m1[r2][c1] == 0
 
-    m2 = mixture_matrix(rng, 3, 3, 2)
+    m2 = rational_rows(*mixture_matrix(rng, 3, 3, 2))
     assert linalg.rank(m2) <= 2
     assert rank_by_minors(m2) <= 2
     for cols in combinations(range(1, 4), 3):

@@ -1,17 +1,19 @@
 import hashlib
 import inspect
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from helpers import fraction_bounded_rank_draw
-from cigrid.cimodel import CIStatement, mixture_parametrization_sample
-from cigrid.hypergraph import GridSpec, grid_ci_correspondence, grid_hypergraph
-from cigrid import verify
+from helpers import fraction_bounded_rank_draw, rational_tensor
+from cigrid.cimodel import CIStatement, DiscreteModel, ModelVar, ci_ideal, mixture_parametrization_sample, tensor_assignment
+from cigrid.hypergraph import GridSpec, grid_ci_correspondence, grid_hypergraph, hypergraph_ideal
+from cigrid import hypergraph, verify
+from cigrid.ideals import Ideal
 from cigrid.linalg import integer_multiple, parallel, rank
 from cigrid.matroid import matroid_from_matrix
-from cigrid.poly import Polynomial
+from cigrid.poly import Polynomial, generic_matrix
 from cigrid.report import WitnessReport
 from cigrid.sampling import child_rng, rand_fraction, rand_nonzero_fraction
 from cigrid.verify import (
@@ -41,7 +43,7 @@ def test_loop_sampler_kills_all_fixture_generators():
     rng = child_rng(0, "t")
     for _ in range(5):
         m = sampler.draw(rng)
-        point = X.assignment(m)
+        point = X.assignment(m.values)
         assert all(g.evaluate(point) == 0 for g in loop_ideal.generators)
         assert all(g.evaluate(point) == 0 for g in line_ideal.generators)
         assert deg6.evaluate(point) != 0  # generic separation witness
@@ -53,7 +55,7 @@ def test_concurrent_lines_sampler_lies_on_its_component():
     rng = child_rng(1, "t")
     for _ in range(5):
         m = sampler.draw(rng)
-        point = X.assignment(m)
+        point = X.assignment(m.values)
         assert all(g.evaluate(point) == 0 for g in lines_ideal.generators)
         assert any(g.evaluate(point) != 0 for g in loop_ideal.generators)
 
@@ -61,7 +63,7 @@ def test_concurrent_lines_sampler_lies_on_its_component():
 def test_concurrent_lines_sampler_realizes_the_expected_circuits():
     sampler = sampler_concurrent_lines()
     m = sampler.draw(child_rng(2, "t"))
-    matroid = matroid_from_matrix(m)
+    matroid = matroid_from_matrix(m.values)
     triples = sorted(sorted(c) for c in matroid.circuits() if len(c) == 3)
     assert triples == [[1, 2, 3], [1, 4, 5], [1, 6, 7]]
 
@@ -108,14 +110,15 @@ def test_concurrent_lines_draws_follow_the_rank_based_resampling_stream():
     for seed in range(20):
         ours, theirs = child_rng(seed, "lines"), child_rng(seed, "lines")
         for _ in range(3):
-            assert sampler.draw(ours) == rank_draw(theirs)
+            assert sampler.draw(ours).rational() == rank_draw(theirs)
         assert ours.random() == theirs.random()
 
 
 def test_bounded_rank_sampler_shapes():
     sampler = sampler_bounded_rank(3, 12, 2)
     m = sampler.draw(child_rng(3, "t"))
-    assert len(m) == 3 and len(m[0]) == 12
+    assert len(m.values) == 3 and len(m.values[0]) == 12
+    assert len(m.row_scales) == 3 and len(m.col_scales) == 12
 
 
 @pytest.mark.parametrize("d, n, r", [(3, 12, 2), (3, 12, 1), (3, 12, 3), (1, 1, 1), (2, 3, 5), (4, 2, 3), (3, 4, 0)])
@@ -124,9 +127,81 @@ def test_bounded_rank_draw_matches_the_fraction_formula_and_the_rng_stream(d, n,
     for seed in range(15):
         rng, old = random.Random(seed), random.Random(seed)
         drawn = sampler.draw(rng)
-        assert drawn == fraction_bounded_rank_draw(old, d, n, r)
+        assert drawn.rational() == fraction_bounded_rank_draw(old, d, n, r)
         assert rng.getstate() == old.getstate()
-        assert all(type(x) is Fraction for row in drawn for x in row)
+        assert all(type(x) is int for row in drawn.values for x in row)
+        assert all(type(s) is int and s > 0 for s in [*drawn.row_scales, *drawn.col_scales])
+
+
+def test_generators_vanish_at_integer_draws_exactly_where_at_rational_ones():
+    """200 seeded draws per sampler: bounded-rank matrices of rank 2 and 3
+    against the example32 generators, and mixture tensors of rank 2 and 3
+    against the intersection-axiom premise generators.  The zero pattern at
+    the integer values equals the one at the rationals they stand for; at
+    rank 3 the generators do not all vanish, at rank 2 they do."""
+    H = twelve_vertex_triple_system()
+    X = generic_matrix(3, H.n)
+    generators = hypergraph_ideal(H, 3).generators
+    for r in (2, 3):
+        sampler, rng = sampler_bounded_rank(3, 12, r), random.Random(r)
+        patterns = set()
+        for _ in range(200):
+            m = sampler.draw(rng)
+            at_integers = [g.evaluate(X.assignment(m.values)) == 0 for g in generators]
+            assert at_integers == [g.evaluate(X.assignment(m.rational())) == 0 for g in generators]
+            patterns.add(all(at_integers))
+        assert patterns == {r == 2}
+
+    spec = GridSpec(k=3, l=4, s=3, t=3, d=3)
+    model, statements = grid_ci_correspondence(spec)
+    premise = ci_ideal(statements, model).generators
+    for h in (2, 3):
+        sampled = DiscreteModel.of(*model.observed(), ModelVar("H", h, hidden=True))
+        conclusion, rng = CIStatement(("X",), ("Y1", "Y2"), ("H",)), random.Random(10 + h)
+        patterns = set()
+        for _ in range(200):
+            den, P = mixture_parametrization_sample(sampled, conclusion, rng)
+            at_integers = [g.evaluate(tensor_assignment(model, P)) == 0 for g in premise]
+            rational = tensor_assignment(model, rational_tensor(den, P))
+            assert at_integers == [g.evaluate(rational) == 0 for g in premise]
+            patterns.add(all(at_integers))
+        assert patterns == {h == 2}
+
+
+@pytest.mark.parametrize("campaign, target", [(verify_rank_two_component, "hypergraph_ideal"), (verify_intersection_axiom, "ci_ideal")])
+def test_a_campaign_with_an_ungraded_generator_raises(monkeypatch, campaign, target):
+    """The witness campaigns test their draws on integer values, which is
+    exact only for generators homogeneous in each scaled group."""
+    original = getattr(verify, target)
+
+    def with_an_ungraded_generator(*args):
+        ideal = original(*args)
+        g = ideal.generators[0]
+        bad = g + ideal.ring.var(ideal.ring.variables[0])
+        return Ideal.of(ideal.ring, (*ideal.generators, bad))
+
+    monkeypatch.setattr(verify, target, with_an_ungraded_generator)
+    with pytest.raises(ValueError, match="is not homogeneous"):
+        campaign(trials=1, seed=0)
+
+
+def test_the_witness_campaigns_run_no_fraction_rank(monkeypatch):
+    """Every module binding of `linalg.rank` is spied on; the two witness
+    campaigns make no call, and theorem32 shows the spy is live."""
+    calls = []
+
+    def spy(m):
+        calls.append(m)
+        return rank(m)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cigrid") and getattr(module, "rank", None) is rank:
+            monkeypatch.setattr(module, "rank", spy)
+    verify_rank_two_component(trials=20, seed=7)
+    verify_intersection_axiom(trials=20, seed=7)
+    assert calls == []
+    verify_grid_realization(seed=7)
+    assert calls
 
 
 def draws_digest(draws) -> str:
@@ -145,13 +220,13 @@ MIXTURE_DIGEST = "bf083a207b879ae050e3e0cc8745680c791a4f5bf58d0832239229a4c0f5a9
 def test_campaign_draws_are_pinned():
     rng = child_rng(7, "example32/rank2")
     sampler = sampler_bounded_rank(3, 12, 2)
-    rows = [row for _ in range(20) for row in sampler.draw(rng)]
+    rows = [row for _ in range(20) for row in sampler.draw(rng).rational()]
     assert draws_digest(rows) == BOUNDED_RANK_DIGEST
 
     model, _ = grid_ci_correspondence(GridSpec(k=3, l=4, s=3, t=3, d=3))
     conclusion = CIStatement(("X",), ("Y1", "Y2"), ("H2",))
     rng = child_rng(7, "intersection-axiom/mixture")
-    tensors = [mixture_parametrization_sample(model, conclusion, rng).entries for _ in range(20)]
+    tensors = [rational_tensor(*mixture_parametrization_sample(model, conclusion, rng)).entries for _ in range(20)]
     assert draws_digest(tensors) == MIXTURE_DIGEST
 
 
@@ -228,7 +303,8 @@ def test_reports_are_reproducible():
 # function the campaigns use to decide a witness.
 FAULTS = {
     "none": None,
-    "every rank is full": (verify, "rank", lambda m: min(len(m), len(m[0]))),
+    "every rank is full": (verify, "integer_rank", lambda m: min(len(m), len(m[0]))),
+    "every in-variety rank is full": (hypergraph, "integer_rank", lambda m: min(len(m), len(m[0]))),
     "no draw is in the variety": (verify, "in_variety", lambda H, X: False),
     "every polynomial value is 1": (Polynomial, "evaluate", lambda self, point: Fraction(1)),
     "every polynomial value is 0": (Polynomial, "evaluate", lambda self, point: Fraction(0)),
@@ -250,8 +326,53 @@ def test_a_report_listing_counterexamples_never_passes(monkeypatch, fault, seed)
     assert bool(listing) == (fault != "none")
 
 
+# sha256 of the report text of example32 and intersection-axiom at
+# --trials 5 under each fault.  A failing report lists its counterexamples,
+# so these digests also pin how a logged draw renders: as the rational
+# matrix it stands for, whatever values the campaign tested.
+FAULT_REPORT_DIGESTS = {
+    ('every polynomial value is 1', 'example32', 7): "9243603ec6c44127c73e5679a9a3478f7e1fcd587c0cf685163fadde2c07e38d",
+    ('every polynomial value is 1', 'example32', 123): "55883ebecf01a4bf3ff5e3cc2c5526a2048f9ac678c0b0d76e382e80088aff70",
+    ('every polynomial value is 1', 'intersection-axiom', 7): "77022c22d0bd9325913d232c5a9b79f58df0dbae2da6ff36b71606a000fc7d16",
+    ('every polynomial value is 1', 'intersection-axiom', 123): "a0f8d2a3728c352792224732eeaec15a497e5c5a49265ee7e872d51433af668e",
+    ('every polynomial value is 0', 'example32', 7): "d49b82fd56817795fb47d6a3562e4b1e7cae1b6be59e59b0518ceb753c839f7d",
+    ('every polynomial value is 0', 'example32', 123): "5ccfc8501699f5cefb31c2b90bda0dcd7cb4386325ff4774a171248b127f6dd6",
+    ('every polynomial value is 0', 'intersection-axiom', 7): "9cde911ecaf58a2f7487150b4e897464a361d244d7474598ac04489602fd88e0",
+    ('every polynomial value is 0', 'intersection-axiom', 123): "3a59dde98455076bbef5b767f9eee6cd19e577ec6cf11bf9bc2aab9eafacc08e",
+    ('no draw is in the variety', 'example32', 7): "a218bec3ec7211a1a83923cb5f2e7fe3d5f8313f909d46922ae7d23aab37b051",
+    ('no draw is in the variety', 'example32', 123): "718d4c62843f5c2b177a093d0c9d2c21daad5e97204e3537eb4bbd2d16e39293",
+    ('no draw is in the variety', 'intersection-axiom', 7): "9cde911ecaf58a2f7487150b4e897464a361d244d7474598ac04489602fd88e0",
+    ('no draw is in the variety', 'intersection-axiom', 123): "3a59dde98455076bbef5b767f9eee6cd19e577ec6cf11bf9bc2aab9eafacc08e",
+    ('every rank is full', 'example32', 7): "52416449d011e190230244fc0a49f6a552d9311c5fdcc5e5a61f89ab472d2aee",
+    ('every rank is full', 'example32', 123): "6122d8df4cf7d7ecf7d4c7d3aa9928344b1d8aa68ecea9b175706a56213204f3",
+    ('every rank is full', 'intersection-axiom', 7): "1182e3121ae5ffcd3fb2103815d7f0a9c6f85a4c23c5320a1b25584d28d5a605",
+    ('every rank is full', 'intersection-axiom', 123): "7590439de9c40a7c04eeaf28e33a637f0328087f4d4ac200baac9836eee75d06",
+    ('every in-variety rank is full', 'example32', 7): "a218bec3ec7211a1a83923cb5f2e7fe3d5f8313f909d46922ae7d23aab37b051",
+    ('every in-variety rank is full', 'example32', 123): "718d4c62843f5c2b177a093d0c9d2c21daad5e97204e3537eb4bbd2d16e39293",
+    ('every in-variety rank is full', 'intersection-axiom', 7): "9cde911ecaf58a2f7487150b4e897464a361d244d7474598ac04489602fd88e0",
+    ('every in-variety rank is full', 'intersection-axiom', 123): "3a59dde98455076bbef5b767f9eee6cd19e577ec6cf11bf9bc2aab9eafacc08e",
+}
+
+
+@pytest.mark.parametrize("fault, campaign, seed", sorted(FAULT_REPORT_DIGESTS))
+def test_fault_report_text_is_pinned(monkeypatch, fault, campaign, seed):
+    monkeypatch.setattr(*FAULTS[fault])
+    text = VERIFICATIONS[campaign](trials=5, seed=seed).to_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == FAULT_REPORT_DIGESTS[fault, campaign, seed]
+
+
+def test_some_pinned_fault_reports_render_counterexamples(monkeypatch):
+    logged = set()
+    for fault, campaign, seed in FAULT_REPORT_DIGESTS:
+        with monkeypatch.context() as patch:
+            patch.setattr(*FAULTS[fault])
+            if VERIFICATIONS[campaign](trials=5, seed=seed).counterexamples:
+                logged.add(campaign)
+    assert logged == {"example32", "intersection-axiom"}
+
+
 def test_a_full_rank_mixture_flattening_fails_the_intersection_axiom(monkeypatch):
-    monkeypatch.setattr(verify, "rank", lambda m: 3)
+    monkeypatch.setattr(verify, "integer_rank", lambda m: 3)
     report = verify_intersection_axiom(trials=5, seed=7)
     assert report.status == "fail"
     assert len(report.counterexamples) == 5
