@@ -169,12 +169,13 @@ def prob_ring(model: DiscreteModel) -> PolyRing:
     return PolyRing.of(Var("p", s) for s in _states(cards))
 
 
-def tensor_assignment(model: DiscreteModel, P: ProbTensor) -> dict[Var, Rat]:
-    """Map each coordinate variable to the tensor entry it names."""
+def tensor_assignment(model: DiscreteModel, P: ProbTensor) -> tuple[Rat, ...]:
+    """The point of `prob_ring(model)` at the tensor: its row-major entries,
+    which are the ring's variables in order (see `prob_ring`)."""
     obs = model.observed()
     if tuple(P.names) != tuple(v.name for v in obs) or tuple(P.shape) != tuple(v.card for v in obs):
         raise ValueError("tensor layout does not match the model's observed variables")
-    return {Var("p", s): x for s, x in zip(_states(P.shape), P.entries)}
+    return P.entries
 
 
 def _block_layout(stmt: CIStatement, model: DiscreteModel) -> tuple[list[str], list[int], int]:

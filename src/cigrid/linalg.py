@@ -55,7 +55,7 @@ def _echelon(m: Sequence[Sequence[Fraction]]) -> tuple[Mat, list[int]]:
         if pivot is None:
             continue
         work[r], work[pivot] = work[pivot], work[r]
-        inv = 1 / work[r][c]
+        inv = Fraction(1) / work[r][c]  # exact for an int pivot too
         for i in range(r + 1, nrows):
             f = work[i][c] * inv
             if f:
@@ -182,7 +182,10 @@ def rank_mod_p(m: Sequence[Sequence[Fraction]], p: int = SHADOW_PRIME) -> int | 
 
 def integer_multiple(v: Sequence[Fraction]) -> tuple[int, list[int]]:
     """The lcm of the vector's denominators, and the vector times it."""
-    scale = lcm(*(x.denominator for x in v))
+    # star-args from a list, not a generator: a generator's argument tuple is
+    # shrunk to fit, and CPython keeps each freed one in its tuple cache of
+    # that size (up to 2000 per size) without drawing on it again
+    scale = lcm(*[x.denominator for x in v])
     return scale, [x.numerator * (scale // x.denominator) for x in v]
 
 

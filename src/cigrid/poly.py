@@ -9,13 +9,14 @@ exact and all values are immutable after construction.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import lcm, prod
 from operator import add, itemgetter, neg
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable
 
 Rat = Fraction | int
 
@@ -71,8 +72,9 @@ class MonomialOrder:
         return self.kind
 
 
-def _picker(positions: tuple[int, ...]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
-    """Exponents at `positions`, always as a tuple."""
+def _picker(positions: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """The items at `positions` (exponents, or a point's values), always as a
+    tuple."""
     if len(positions) >= 2:
         return itemgetter(*positions)
     if positions:
@@ -152,14 +154,6 @@ class PolyRing:
         exps = [0] * len(self.variables)
         exps[self.position(v)] = 1
         return Polynomial(self, {tuple(exps): Fraction(1)})
-
-    def monomial(self, powers: Mapping[Var, int], coeff: Rat = 1) -> "Polynomial":
-        exps = [0] * len(self.variables)
-        for v, e in powers.items():
-            if e < 0:
-                raise ValueError("exponents must be nonnegative")
-            exps[self.position(v)] = e
-        return Polynomial(self, {tuple(exps): Fraction(coeff)}) if coeff else self.zero()
 
     def elimination_order(self, kill: Iterable[Var]) -> MonomialOrder:
         """Block order whose first block is `kill`: monomials touching `kill`
@@ -312,55 +306,56 @@ class Polynomial:
                 terms[m2] = terms.get(m2, Fraction(0)) + c * e
         return Polynomial(self.ring, terms)
 
-    def evaluate(self, assignment: Mapping[Var, Rat]) -> Fraction:
-        """Exact value at a point; every variable appearing in self must be
-        assigned.
+    def evaluate(self, point: Sequence[Rat] | Mapping[Var, Rat]) -> Fraction:
+        """Exact value at a point: a sequence aligned with `ring.variables`,
+        or a mapping that assigns every variable appearing in self.
 
-        Works in integers over the common denominator q * prod b_i^E_i, where
-        q is the lcm of the coefficient denominators, x_i = a_i / b_i, and E_i
-        is the largest exponent of x_i: each term contributes its integer
-        coefficient times prod a_i^e_i * b_i^(E_i - e_i), and one `Fraction`
-        is built at the end.
+        The plan, built on the first call, keeps each term as its coefficient
+        times q (the lcm of the coefficient denominators), an integer c, and
+        a picker of the ring positions it multiplies, with multiplicity.  At
+        an integer point the value is sum(c * prod(pick(point))) / q.  At
+        x_i = a_i / b_i it is the same sum on the numerators, each term
+        times its missing denominator powers D // prod(pick(b)), over q * D,
+        where D = prod b_i^E_i and E_i is the largest exponent of x_i.
         """
         if self._plan is None:
             self._plan = self._evaluation_plan()
-        support, tops, denominator, terms = self._plan
-        table = [1]
-        for v, top in zip(support, tops):
-            try:
-                x = assignment[v]
-            except KeyError:
-                raise ValueError(f"unassigned variable {v}") from None
-            if not isinstance(x, (int, Fraction)):
-                x = Fraction(x)
-            a, b = x.numerator, x.denominator
-            if top == 1:
-                table += (b, a)
-            else:
-                table += [a**e * b ** (top - e) for e in range(top + 1)]
-            denominator *= b**top
-        return Fraction(sum([c * prod(pick(table)) for c, pick in terms]), denominator)
+        support, tops, q, terms = self._plan
+        width = len(self.ring.variables)
+        if isinstance(point, Mapping):
+            values = [0] * width
+            for i in support:
+                v = self.ring.variables[i]
+                if v not in point:
+                    raise ValueError(f"unassigned variable {v}")
+                values[i] = point[v]
+            point = values
+        elif len(point) != width:
+            raise ValueError(f"point has {len(point)} values for a ring of {width} variables")
+        # The sum is an int exactly when every picked value is one.
+        if not support or type(point[support[0]]) is int:
+            total = sum([c * prod(pick(point)) for c, pick in terms])
+            if type(total) is int:
+                return Fraction(total, q)
+        numerators, denominators, scale = list(point), [1] * width, 1
+        for i, top in zip(support, tops):
+            x = point[i] if isinstance(point[i], (int, Fraction)) else Fraction(point[i])
+            numerators[i], denominators[i] = x.numerator, x.denominator
+            scale *= x.denominator**top
+        total = sum([c * prod(pick(numerators)) * (scale // prod(pick(denominators))) for c, pick in terms])
+        return Fraction(total, q * scale)
 
     def _evaluation_plan(self):
-        """(support variables, their largest exponents, lcm of the coefficient
-        denominators, [(integer coefficient, picker)]) where each picker takes
-        a term's factors a_i^e * b_i^(E_i - e) out of the table `evaluate`
-        builds: a leading 1, then E_i + 1 entries per support variable."""
-        positions = sorted({i for m in self.terms for i, e in enumerate(m) if e})
-        tops = [max(m[i] for m in self.terms) for i in positions]
-        offsets = []
-        start = 1
-        for top in tops:
-            offsets.append(start)
-            start += top + 1
-        denominator = lcm(*(c.denominator for c in self.terms.values()))
-        terms = []
-        for m, c in self.terms.items():
-            slots = [off + m[i] for off, i in zip(offsets, positions)]
-            slots += [0] * (2 - len(slots))  # itemgetter needs two items to return a tuple
-            terms.append((c.numerator * (denominator // c.denominator), itemgetter(*slots)))
-        support = tuple(self.ring.variables[i] for i in positions)
-        return support, tuple(tops), denominator, terms
+        """(support positions, their largest exponents, q, [(c, picker)])."""
+        # tuples come from lists, not generators: see linalg.integer_multiple
+        tops = list(map(max, zip(*self.terms)))
+        support = tuple([i for i, top in enumerate(tops) if top])
+        q = lcm(*[c.denominator for c in self.terms.values()])
+        terms = [
+            (c.numerator * (q // c.denominator), _picker([i for i in support for _ in range(m[i])]))
+            for m, c in self.terms.items()
+        ]
+        return support, tuple([tops[i] for i in support]), q, terms
 
     def rename(self, mapping: Mapping[Var, Var], target: PolyRing) -> "Polynomial":
         """Ring morphism sending each support variable through `mapping`."""
@@ -464,31 +459,20 @@ def parse_polynomial(text: str, ring: PolyRing) -> Polynomial:
         raise ValueError("empty polynomial text")
     if text == "0":
         return ring.zero()
-    # split into signed chunks at top level
-    chunks: list[tuple[int, str]] = []
-    sign, buf = 1, []
-    i = 0
-    if text[0] in "+-":
-        sign = -1 if text[0] == "-" else 1
-        i = 1
-    while i < len(text):
-        ch = text[i]
-        if ch in "+-":
-            chunks.append((sign, "".join(buf)))
-            sign = -1 if ch == "-" else 1
-            buf = []
-        else:
-            buf.append(ch)
-        i += 1
-    chunks.append((sign, "".join(buf)))
-
+    # signed chunks: a leading sign is optional, every later chunk has one
+    parts = re.split(r"([+-])", text)
+    if parts[0]:
+        parts.insert(0, "+")
+    else:
+        del parts[0]
+    width = len(ring.variables)
     total = ring.zero()
-    for sgn, chunk in chunks:
+    for sign, chunk in zip(parts[::2], parts[1::2]):
         chunk = chunk.strip()
         if not chunk:
             raise ValueError(f"malformed polynomial text: {text!r}")
-        coeff = Fraction(sgn)
-        powers: dict[Var, int] = {}
+        coeff = Fraction(-1 if sign == "-" else 1)
+        exps = [0] * width
         for factor in chunk.split("*"):
             factor = factor.strip()
             m = _TERM_RE.fullmatch(factor)
@@ -497,10 +481,8 @@ def parse_polynomial(text: str, ring: PolyRing) -> Polynomial:
             if m.group("coeff"):
                 coeff *= Fraction(m.group("coeff"))
             else:
-                v = Var.parse(m.group("var"))
-                e = int(m.group("exp") or 1)
-                powers[v] = powers.get(v, 0) + e
-        total = total + ring.monomial(powers, coeff)
+                exps[ring.position(Var.parse(m.group("var")))] += int(m.group("exp") or 1)
+        total = total + Polynomial(ring, {tuple(exps): coeff})
     return total
 
 
@@ -534,12 +516,16 @@ class SymbolicMatrix:
                 out.append(next(iter(sup)))
         return tuple(out)
 
-    def assignment(self, values: Sequence[Sequence[Rat]]) -> dict[Var, Rat]:
-        """Map each single-variable entry to the matching value, as given."""
+    def assignment(self, values: Sequence[Sequence[Rat]]) -> list[Rat]:
+        """The values, row-major: the point of `Polynomial.evaluate` that
+        gives each entry its value.  The entries must be the ring's
+        variables in ring order, as those of `generic_matrix` are."""
         d, n = self.shape
         if len(values) != d or any(len(row) != n for row in values):
             raise ValueError("value matrix shape mismatch")
-        return dict(zip(self._entry_vars, (x for row in values for x in row)))
+        if self._entry_vars != self.ring.variables:
+            raise ValueError("assignment requires entries that are the ring's variables in ring order")
+        return [x for row in values for x in row]
 
     def row_and_column_variables(self) -> list[tuple[Var, ...]]:
         """The variables of each row, then of each column: the groups in which
@@ -597,7 +583,9 @@ def _minor_rec(X: SymbolicMatrix, rows, cols, memo) -> Polynomial:
         result = X.entry(rows[0], cols[0])
     else:
         # Every Laplace term e_{i0,j} * M_j, its sign folded into the entry's
-        # coefficients, goes into one accumulator.
+        # coefficients, goes into one accumulator.  A unit coefficient, as
+        # every entry of a generic matrix has, takes or negates the sub-minor
+        # coefficients instead of multiplying them.
         i0, rest = rows[0], rows[1:]
         acc: dict[tuple[int, ...], Fraction] = {}
         for t, j in enumerate(cols):
@@ -608,10 +596,16 @@ def _minor_rec(X: SymbolicMatrix, rows, cols, memo) -> Polynomial:
             for m1, c1 in e.terms.items():
                 if t % 2:
                     c1 = -c1
-                for m2, c2 in sub:
+                if c1 == 1:
+                    products = sub
+                elif c1 == -1:
+                    products = [(m2, -c2) for m2, c2 in sub]
+                else:
+                    products = [(m2, c1 * c2) for m2, c2 in sub]
+                for m2, c in products:
                     m = tuple(map(add, m1, m2))
                     old = acc.get(m)
-                    acc[m] = c1 * c2 if old is None else old + c1 * c2
+                    acc[m] = c if old is None else old + c
         result = Polynomial(X.ring, acc)
     memo[key] = result
     return result

@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from operator import mul
 from typing import Callable, NamedTuple, Sequence
 
@@ -63,11 +64,6 @@ class ScaledMatrix(NamedTuple):
         ]
 
 
-def unscaled(m: Mat) -> ScaledMatrix:
-    """A rational matrix as it is, every scale 1."""
-    return ScaledMatrix(m, [1] * len(m), [1] * (len(m[0]) if m else 0))
-
-
 @dataclass(frozen=True)
 class ComponentSampler:
     """Named procedure drawing exact matrices on a prescribed component."""
@@ -111,40 +107,42 @@ def twelve_vertex_triple_system() -> Hypergraph:
 
 
 def sampler_loop_component() -> ComponentSampler:
-    """First column zero, remaining six columns random rational."""
+    """First column zero, remaining six columns random rational.
 
-    def draw(rng: random.Random) -> Mat:
-        m = rand_matrix(rng, 3, 7)
-        for row in m:
-            row[0] = Fraction(0)
-        return unscaled(m)
+    Each row's six entries are scaled to integers by the lcm of their
+    denominators (`integer_multiple`), which is that row's scale."""
+
+    def draw(rng: random.Random) -> ScaledMatrix:
+        rows = [integer_multiple(row[1:]) for row in rand_matrix(rng, 3, 7)]
+        return ScaledMatrix([[0] + ints for _, ints in rows], [scale for scale, _ in rows], [1] * 7)
 
     return ComponentSampler("loop-component", draw)
 
 
 def sampler_concurrent_lines() -> ComponentSampler:
     """An apex point and two further points on each of three lines through
-    it; degenerate draws (zero apex, parallel directions) are resampled."""
+    it; degenerate draws (zero apex, parallel directions) are resampled.
 
-    def draw(rng: random.Random) -> Mat:
+    In integers, the apex is p / s_apex and a direction q / s_d
+    (`integer_multiple`), and a point a * apex + b * d on its line, with
+    a, b = (k_a, k_b) / l, is the column k_a s_d p + k_b s_apex q over the
+    scale l s_apex s_d."""
+
+    def draw(rng: random.Random) -> ScaledMatrix:
         while True:
             apex = [rand_fraction(rng) for _ in range(3)]
             dirs = [[rand_fraction(rng) for _ in range(3)] for _ in range(3)]
-            if all(x == 0 for x in apex):
+            s_apex, p = integer_multiple(apex)
+            ds = [integer_multiple(d) for d in dirs]
+            if not any(p) or any(parallel(u, v) for u, v in combinations([p] + [q for _, q in ds], 2)):
                 continue
-            p = integer_multiple(apex)[1]
-            ds = [integer_multiple(d)[1] for d in dirs]
-            if any(parallel(p, d) for d in ds):
-                continue
-            if any(parallel(ds[a], ds[b]) for a in range(3) for b in range(a + 1, 3)):
-                continue
-            cols = [apex]
-            for d in dirs:
+            cols, scales = [p], [s_apex]
+            for s_d, q in ds:
                 for _ in range(2):
-                    a = rand_nonzero_fraction(rng)
-                    b = rand_nonzero_fraction(rng)
-                    cols.append([a * apex[r] + b * d[r] for r in range(3)])
-            return unscaled([[cols[j][r] for j in range(7)] for r in range(3)])
+                    l, (ka, kb) = integer_multiple([rand_nonzero_fraction(rng), rand_nonzero_fraction(rng)])
+                    cols.append([ka * s_d * x + kb * s_apex * y for x, y in zip(p, q)])
+                    scales.append(l * s_apex * s_d)
+            return ScaledMatrix([list(row) for row in zip(*cols)], [1] * 3, scales)
 
     return ComponentSampler("concurrent-lines", draw)
 
@@ -206,7 +204,7 @@ def _separation_check(
     sampler: ComponentSampler,
     X: SymbolicMatrix,
     name: str,
-    predicate: Callable[[dict], bool],
+    predicate: Callable[[Sequence[Rat]], bool],
     trials: int,
     rng: random.Random,
 ) -> None:
@@ -271,6 +269,8 @@ def verify_three_lines_decomposition(
     rng_sep_lines = child_rng(seed, "example31/lines-separation")
 
     loop_coords = [("x_1_1", X.entry(1, 1)), ("x_2_1", X.entry(2, 1)), ("x_3_1", X.entry(3, 1))]
+    # the draws are scaled matrices, tested on their integer values
+    require_homogeneous([g for _, g in loop_coords + line_minors] + [deg6], X.row_and_column_variables())
     _vanishing_checks(report, loop, X, loop_coords + line_minors, trials, rng_loop)
     _vanishing_checks(report, lines, X, line_minors + [("[234][567]-[235][467]", deg6)], trials, rng_lines)
 

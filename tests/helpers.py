@@ -9,9 +9,9 @@ filter written out with frozensets, circuits found by an exact rank of every
 subset, arrangement signatures from 3x2 and 3x3 `Fraction` ranks, full-width
 exact ranks for rigidity circuits, a (2,3)-pebble game for generic rigidity
 in the plane, variety membership by one exact rank per edge, the witness
-draws summed as `Fraction` products, polynomial text rendered factor by
-factor from each `Var`, and flattenings read state by state through
-`ProbTensor.get`.
+draws summed as `Fraction` products, the example 3.1 draws built in
+`Fraction`s, polynomial text rendered factor by factor from each `Var`, and
+flattenings read state by state through `ProbTensor.get`.
 
 The builders write the test-only inputs the library only ever reads: CI
 statements and CI model files as text, and tensors from plain entries.
@@ -26,7 +26,7 @@ from itertools import combinations, permutations, product
 from cigrid.cimodel import CIStatement, DiscreteModel, ProbTensor
 from cigrid.linalg import column_submatrix, rank
 from cigrid.poly import DEGREVLEX, Polynomial, SymbolicMatrix
-from cigrid.sampling import DEFAULT_BOUND, rand_matrix
+from cigrid.sampling import DEFAULT_BOUND, rand_fraction, rand_matrix, rand_nonzero_fraction
 from cigrid.secrig import complete_graph_edges, rigidity_matrix
 
 
@@ -93,7 +93,7 @@ def swap_tracking_det(m) -> Fraction:
             work[c], work[pivot] = work[pivot], work[c]
             sign = -sign
         result *= work[c][c]
-        inv = 1 / work[c][c]
+        inv = Fraction(1) / work[c][c]
         for i in range(c + 1, n):
             f = work[i][c] * inv
             if f:
@@ -119,7 +119,7 @@ def rref_kernel_basis(m) -> list[list[Fraction]]:
         if pivot is None:
             continue
         work[r], work[pivot] = work[pivot], work[r]
-        inv = 1 / work[r][c]
+        inv = Fraction(1) / work[r][c]
         work[r] = [x * inv for x in work[r]]
         for i in range(nrows):
             if i != r and work[i][c]:
@@ -359,6 +359,37 @@ def fraction_bounded_rank_draw(rng: random.Random, d: int, n: int, r: int):
     left = rand_matrix(rng, d, r)
     right = rand_matrix(rng, r, n)
     return [[sum(left[i][t] * right[t][j] for t in range(r)) for j in range(n)] for i in range(d)]
+
+
+def fraction_loop_draw(rng: random.Random):
+    """The loop-component draw as `Fraction`s: a random 3 x 7 matrix with
+    its first column set to zero."""
+    m = rand_matrix(rng, 3, 7)
+    for row in m:
+        row[0] = Fraction(0)
+    return m
+
+
+def fraction_concurrent_lines_draw(rng: random.Random):
+    """The concurrent-lines draw as `Fraction`s: an apex and three
+    directions, redrawn while the apex is zero or two of the four are
+    parallel (a 3 x 2 rank below 2), then columns a * apex + b * d, two per
+    direction, after the apex column."""
+    while True:
+        apex = [rand_fraction(rng) for _ in range(3)]
+        dirs = [[rand_fraction(rng) for _ in range(3)] for _ in range(3)]
+        if not any(apex):
+            continue
+        vectors = [apex] + dirs
+        if any(rank([u, v]) < 2 for u, v in combinations(vectors, 2)):
+            continue
+        cols = [apex]
+        for d in dirs:
+            for _ in range(2):
+                a = rand_nonzero_fraction(rng)
+                b = rand_nonzero_fraction(rng)
+                cols.append([a * apex[r] + b * d[r] for r in range(3)])
+        return [[col[r] for col in cols] for r in range(3)]
 
 
 def statement_text(stmt: CIStatement, model: DiscreteModel | None = None) -> str:

@@ -108,7 +108,9 @@ def test_prob_ring_orders_states_row_major_by_integer_index():
     assert sorted(variables, key=str) != list(variables)
     P = tensor_of(("X", "Y", "Z"), (2, 11, 3), range(len(states)))
     assert all(P.get(s) == i for i, s in enumerate(states))
-    assert tensor_assignment(model, P) == dict(zip(variables, P.entries))
+    point = tensor_assignment(model, P)
+    assert len(point) == len(variables)
+    assert {v: point[i] for i, v in enumerate(variables)} == dict(zip(variables, P.entries))
 
 
 def test_flatten_rejects_non_partition():

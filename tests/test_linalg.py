@@ -84,6 +84,17 @@ def test_kernel_basis_matches_the_rref_kernel():
         assert linalg.kernel_basis(m) == rref_kernel_basis(m)
 
 
+def test_rank_and_kernel_of_int_matrices_are_exact():
+    # 1 / pivot is a float for an int pivot: this rank came out 3, and this
+    # kernel held floats, before the elimination divided exactly
+    singular = [[1440, 7760, 1040], [594, 3201, 429], [69, 91, 78]]
+    assert det_by_permutations(singular) == 0
+    assert linalg.rank(singular) == 2 == rank_by_minors(singular)
+    kernel = linalg.kernel_basis([[3, 1, 1], [1, 2, 7]])
+    assert kernel == [[1, -4, 1]]
+    assert all(type(x) is Fraction for v in kernel for x in v)
+
+
 def test_det_matches_the_swap_tracking_elimination():
     square = [m for m in elimination_cases(72) if all(len(row) == len(m) for row in m)]
     assert len(square) > 60

@@ -117,8 +117,11 @@ def test_evaluate_two_by_two_minor_at_identity():
 def test_assignment_maps_entries_row_major_and_rejects_bad_input():
     X = generic_matrix(2, 3)
     point = X.assignment([[1, 2, 3], [4, 5, 6]])
-    assert point == {Var("x", (i, j)): Fraction(3 * (i - 1) + j) for i in (1, 2) for j in (1, 2, 3)}
-    assert X.assignment([[0, 0, 0], [7, 0, 0]])[Var("x", (2, 1))] == 7
+    assert len(point) == len(X.ring.variables)
+    assert {v: point[X.ring.position(v)] for v in X.ring.variables} == {
+        Var("x", (i, j)): Fraction(3 * (i - 1) + j) for i in (1, 2) for j in (1, 2, 3)
+    }
+    assert X.assignment([[0, 0, 0], [7, 0, 0]])[X.ring.position(Var("x", (2, 1)))] == 7
     for values in ([[1, 2, 3]], [[1, 2], [3, 4]], [[1, 2, 3], [4, 5]]):
         with pytest.raises(ValueError, match="shape mismatch"):
             X.assignment(values)
@@ -268,6 +271,45 @@ def test_evaluate_matches_term_by_term_fractions():
             ints = {v: rng.randint(-5, 5) for v in ring.variables}
             assert f.evaluate(ints) == naive_evaluate(f, ints)
             assert type(f.evaluate(ints)) is Fraction
+
+
+def test_positional_and_mapping_points_evaluate_like_term_by_term_fractions():
+    """A point aligned with the ring's variables and the same point as a
+    mapping give naive_evaluate's value: integer, rational, and mixed points
+    (an int first and a Fraction later, or the other way round), exponents
+    up to 4, zero and constant polynomials, and rational coefficients."""
+    ring = small_ring("wxyz")
+    rng = random.Random(47)
+    cases = [random_polynomial(rng, ring, max_terms=6, max_exp=4) for _ in range(60)]
+    cases += [ring.zero(), ring.const(Fraction(-7, 3)), ring.const(5), ring.var(Var("y")) ** 4 * Fraction(2, 9)]
+    assert max(f.total_degree() for f in cases) >= 8
+    for f in cases:
+        for kind in ("int", "rational", "int first", "rational first"):
+            values = [rng.randint(-6, 6) for _ in ring.variables]
+            if kind != "int":
+                values = [Fraction(x, rng.randint(1, 9)) for x in values]
+            if kind == "int first":
+                values[0] = rng.randint(-6, 6)
+            if kind == "rational first":
+                values[0] = Fraction(rng.randint(-6, 6), rng.randint(2, 9))
+            mapping = dict(zip(ring.variables, values))
+            expected = naive_evaluate(f, mapping)
+            for point in (values, tuple(values), mapping):
+                value = f.evaluate(point)
+                assert value == expected and type(value) is Fraction
+    with pytest.raises(ValueError, match="3 values for a ring of 4 variables"):
+        cases[0].evaluate([1, 2, 3])
+
+
+def test_building_and_printing_polynomials_builds_no_evaluation_plan():
+    X = generic_matrix(3, 7)
+    minors = [normalize_sign(g) for g in all_minors(X, 3)]
+    texts = [g.to_text() for g in minors]
+    product = minors[0] * minors[1] - minors[2]
+    assert texts and all(g._plan is None for g in minors + [product])
+    point = X.assignment([[i + 7 * r for i in range(7)] for r in range(3)])
+    assert product.evaluate(point) == naive_evaluate(product, dict(zip(X.ring.variables, point)))
+    assert product._plan is not None and all(g._plan is None for g in minors)
 
 
 def test_evaluate_needs_only_the_support_and_rejects_unassigned_variables():

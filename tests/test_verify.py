@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import fraction_bounded_rank_draw, rational_tensor
+from helpers import fraction_bounded_rank_draw, fraction_concurrent_lines_draw, fraction_loop_draw, rational_tensor
 from cigrid.cimodel import CIStatement, DiscreteModel, ModelVar, ci_ideal, mixture_parametrization_sample, tensor_assignment
 from cigrid.hypergraph import GridSpec, grid_ci_correspondence, grid_hypergraph, hypergraph_ideal
-from cigrid import hypergraph, verify
+from cigrid import hypergraph, sampling, verify
 from cigrid.ideals import Ideal
 from cigrid.linalg import integer_multiple, parallel, rank
 from cigrid.matroid import matroid_from_matrix
@@ -60,12 +60,36 @@ def test_concurrent_lines_sampler_lies_on_its_component():
         assert any(g.evaluate(point) != 0 for g in loop_ideal.generators)
 
 
+def test_three_lines_fixture_builds_no_evaluation_plan():
+    X, line_ideal, loop_ideal, lines_ideal, deg6 = three_lines_fixture.__wrapped__()
+    built = line_ideal.generators + loop_ideal.generators + lines_ideal.generators
+    assert all(g._plan is None for g in built)
+
+
 def test_concurrent_lines_sampler_realizes_the_expected_circuits():
     sampler = sampler_concurrent_lines()
     m = sampler.draw(child_rng(2, "t"))
     matroid = matroid_from_matrix(m.values)
     triples = sorted(sorted(c) for c in matroid.circuits() if len(c) == 3)
     assert triples == [[1, 2, 3], [1, 4, 5], [1, 6, 7]]
+
+
+def test_example31_samplers_keep_the_random_stream_of_the_fraction_draws(monkeypatch):
+    """Each integer draw stands for the matrix the `Fraction` construction
+    builds from an identically seeded rng, and leaves the rng in the same
+    state.  Seeds 60 and up draw entries with numerators in -2..2 over 1..2,
+    so some draws have a zero apex or parallel directions and are redrawn."""
+    cases = [(sampler_loop_component(), fraction_loop_draw), (sampler_concurrent_lines(), fraction_concurrent_lines_draw)]
+    for seed in range(120):
+        if seed == 60:
+            monkeypatch.setattr(sampling, "DEFAULT_BOUND", 2)
+        for sampler, reference in cases:
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            m = sampler.draw(rng)
+            assert m.rational() == reference(ref_rng)
+            assert rng.getstate() == ref_rng.getstate()
+            assert all(type(x) is int for row in m.values for x in row)
+            assert len(m.row_scales) == 3 and len(m.col_scales) == 7
 
 
 def test_integer_parallel_test_equals_the_rank_test():
