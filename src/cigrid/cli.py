@@ -25,7 +25,7 @@ from .linalg import matrix_from_text
 from .matroid import PolyMap, algebraic_matroid, arrangement_signature, matroid_from_matrix, realize_grid_matroid
 from .report import EXIT_CODES, WitnessReport, overall_status
 from .sampling import GenericityError, child_rng
-from .secrig import Framework, generic_rigidity_check, rigidity_matrix, rigidity_rank, secant_dimension, segre_tangent_model
+from .secrig import Framework, generic_rigidity_check, integer_framework, rigidity_matrix, rigidity_rank, secant_dimension, segre_tangent_model
 from .verify import VERIFICATIONS
 
 USAGE_EXIT = 2
@@ -328,7 +328,7 @@ def cmd_rigidity(args) -> int:
     if args.framework:
         if args.n is not None or args.d is not None:
             raise SystemExit("--framework replaces --n/--d")
-        fw = Framework.from_text(Path(args.framework).read_text())
+        fw = integer_framework(Framework.from_text(Path(args.framework).read_text()))
         R = rigidity_matrix(fw)
         r = rigidity_rank(fw, R)
         text = (

@@ -1,7 +1,12 @@
 """Exact linear algebra over the rationals (plus a prime-field shadow).
 
-Matrices are plain lists of lists of `Fraction`.  Everything here is small
-dense Gaussian elimination; answers are exact, never floating point.
+Matrices are plain lists of lists of `Fraction` or int.  Everything here is
+small dense elimination; answers are exact, never floating point.  There are
+two exact routes.  `rank` and `kernel_basis` run the `Fraction` pass
+(`_echelon`); callers that eliminate a rational matrix once take it.
+`integer_rank` and `integer_det` (and so `det`) run the fraction-free pass
+(`_fraction_free`) on integers; `certified_rank` takes it after scaling each
+column once, and so do `matroid.LinearMatroid` and `hypergraph.in_variety`.
 """
 
 from __future__ import annotations
@@ -55,12 +60,14 @@ def _echelon(m: Sequence[Sequence[Fraction]]) -> tuple[Mat, list[int]]:
         if pivot is None:
             continue
         work[r], work[pivot] = work[pivot], work[r]
-        inv = Fraction(1) / work[r][c]  # exact for an int pivot too
+        row_r = work[r]
+        inv = Fraction(1) / row_r[c]  # exact for an int pivot too
+        support = [j for j in range(c, ncols) if row_r[j]]  # a zero entry changes no row
         for i in range(r + 1, nrows):
             f = work[i][c] * inv
             if f:
-                row_i, row_r = work[i], work[r]
-                for j in range(c, ncols):
+                row_i = work[i]
+                for j in support:
                     row_i[j] -= f * row_r[j]
         pivots.append(c)
         r += 1
@@ -240,36 +247,50 @@ class CertifiedRank(NamedTuple):
 
 
 def certified_rank(m: Sequence[Sequence[Fraction]], witnesses: Iterable[Sequence[Fraction]]) -> CertifiedRank:
-    """Exact rank of m from two bounds, with `Fraction` elimination only
-    where they differ.
+    """Exact rank of m from two bounds, with exact elimination only where
+    they differ.
 
-    Each column is scaled once to integers by its denominator lcm.  A witness
-    w counts only after the exact integer check w.m = 0 on those columns (w
-    scaled by its own lcm), so every counted witness lies in the left kernel.
-    The upper bound is min(rows, cols, rows - r_w), with r_w the mod-p rank
-    of the counted witnesses; the lower bound is the mod-p rank of the scaled
-    columns.  A mod-p rank never exceeds the rank over Q, so both bounds are
+    A matrix of ints is taken as it is; otherwise each column is scaled once
+    to integers by its denominator lcm, which keeps the rank and the left
+    kernel.  A witness w counts only after the exact integer check w.m = 0
+    on those integers (w scaled by its own lcm, and zero entries of w and m
+    skipped), so every counted witness lies in the left kernel.  The upper
+    bound is min(rows, cols, rows - r_w), with r_w the mod-p rank of the
+    counted witnesses; the lower bound is the mod-p rank of the integer
+    matrix, reduced from whichever side has fewer vectors (rank m = rank
+    m^T).  A mod-p rank never exceeds the rank over Q, so both bounds are
     sound, and when they meet that is the rank.  Otherwise, or when p
-    divides a column's scale, the exact `rank` decides."""
-    nrows = len(m)
-    columns = [integer_multiple(col) for col in zip(*m)]
+    divides a column's scale, `integer_rank` of the same vectors decides."""
+    nrows, ncols = len(m), len(m[0]) if m else 0
+    if all(type(x) is int for row in m for x in row):
+        rows, shadow = m, True
+    else:
+        columns = [integer_multiple(col) for col in zip(*m)]
+        shadow = all(scale % SHADOW_PRIME for scale, _ in columns)
+        rows = list(zip(*[ints for _, ints in columns]))
+    nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in rows]
     kernel: list[Sequence[Fraction]] = []
     kernel_mod_p: list[list[int]] = []
     for w in witnesses:
         scale, ints = integer_multiple(w)
-        support = [(i, x) for i, x in enumerate(ints) if x]
-        if len(w) != nrows or not support:
+        if len(w) != nrows or not any(ints):
             continue
-        if all(sum(x * col[i] for i, x in support) == 0 for _, col in columns):
+        product = [0] * ncols
+        for x, row in zip(ints, nonzero):
+            if x:
+                for j, y in row:
+                    product[j] += x * y
+        if not any(product):
             kernel.append(w)
             if scale % SHADOW_PRIME:
                 kernel_mod_p.append([x % SHADOW_PRIME for x in ints])
-    upper = min(nrows, len(columns), nrows - rank_of_vectors_mod_p(kernel_mod_p))
-    if all(scale % SHADOW_PRIME for scale, _ in columns):
-        lower = rank_of_vectors_mod_p([x % SHADOW_PRIME for x in col] for _, col in columns)
+    upper = min(nrows, ncols, nrows - rank_of_vectors_mod_p(kernel_mod_p))
+    vectors = rows if nrows <= ncols else list(zip(*rows))
+    if shadow:
+        lower = rank_of_vectors_mod_p([x % SHADOW_PRIME for x in v] for v in vectors)
         if lower == upper:
             return CertifiedRank(lower, kernel)
-    return CertifiedRank(rank(m), kernel)
+    return CertifiedRank(integer_rank(vectors), kernel)
 
 
 def matrix_to_text(m: Sequence[Sequence[Fraction]]) -> str:

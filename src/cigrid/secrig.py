@@ -6,7 +6,12 @@ less.  Every randomized answer goes through `sampling.generic_draw`: two
 independent draws must agree or the computation fails loudly.  Ranks go
 through `linalg.certified_rank` with left-kernel witnesses from theory:
 Segre relations between stacked tangents, trivial motions of a framework,
-and the self-stress of d+2 points from their affine dependence.
+and the self-stress of d+2 points from their affine dependence; where the
+bounds differ, its exact route is `integer_rank`.  A framework is scaled to
+integer coordinates once (`integer_framework`), so its rigidity matrix,
+blocks, motions and stresses are ints and nothing is scaled again; the one
+`Fraction` elimination left is the exact left kernel of a circuit block
+that no checked stress decides.
 """
 
 from __future__ import annotations
@@ -166,16 +171,27 @@ def random_framework(n: int, d: int, rng: random.Random, edges=None) -> Framewor
     return Framework(d, coords, tuple(edges) if edges is not None else complete_graph_edges(n))
 
 
+def integer_framework(fw: Framework) -> Framework:
+    """fw with each axis multiplied by the lcm of its denominators
+    (`integer_multiple`), so its coordinates are ints.  Its rigidity matrix is
+    R times a positive diagonal matrix on the columns: the rank, the row
+    matroid and the left kernel (the self-stresses) are those of R, and the
+    affine dependences of the points are kept."""
+    axes = [integer_multiple(axis)[1] for axis in zip(*fw.coords)]
+    # a tuple from a list, not an iterator: see linalg.integer_multiple
+    return Framework(fw.d, tuple(list(zip(*axes))), fw.edges)
+
+
 def rigidity_matrix(fw: Framework) -> Mat:
     """One row per edge {u, v}: the block p_u - p_v in u's coordinates and
-    its negative in v's.  Coincident endpoints are rejected because the zero
-    row would silently change the rank semantics."""
+    its negative in v's, with 0 elsewhere.  Coincident endpoints are
+    rejected because the zero row would silently change the rank semantics."""
     rows: Mat = []
     for u, v in fw.edges:
         pu, pv = fw.coords[u - 1], fw.coords[v - 1]
         if pu == pv:
             raise ValueError(f"edge ({u}, {v}) has coincident endpoints")
-        row = [Fraction(0)] * (fw.d * fw.n)
+        row = [0] * (fw.d * fw.n)
         for c in range(fw.d):
             row[(u - 1) * fw.d + c] = pu[c] - pv[c]
             row[(v - 1) * fw.d + c] = pv[c] - pu[c]
@@ -191,15 +207,15 @@ def _edge_index(n: int) -> dict[tuple[int, int], int]:
     return {e: i + 1 for i, e in enumerate(complete_graph_edges(n))}
 
 
-def trivial_motions(fw: Framework) -> list[list[Fraction]]:
+def trivial_motions(fw: Framework) -> list[list[Fraction | int]]:
     """The C(d+1, 2) trivial infinitesimal motions, each a right-kernel
     vector of the rigidity matrix: d translations, and for each coordinate
     pair a < b the rotation moving p by p_b in coordinate a and -p_a in
     coordinate b (Asimow & Roth, Trans. AMS 245, 1978)."""
     d = fw.d
-    motions = [[Fraction(int(c == a)) for _ in fw.coords for c in range(d)] for a in range(d)]
+    motions = [[int(c == a) for _ in fw.coords for c in range(d)] for a in range(d)]
     for a, b in combinations(range(d), 2):
-        motion = [Fraction(0)] * (d * fw.n)
+        motion = [0] * (d * fw.n)
         for i, p in enumerate(fw.coords):
             motion[i * d + a] = p[b]
             motion[i * d + b] = -p[a]
@@ -213,23 +229,30 @@ def rigidity_rank(fw: Framework, R: Mat) -> int:
     return certified_rank(transpose(R), trivial_motions(fw)).rank
 
 
-def _affine_dependence_stress(fw: Framework, verts: tuple[int, ...]) -> list[int]:
+def _affine_minors(fw: Framework, verts: Sequence[int]) -> dict[tuple[int, ...], int]:
+    """det([p_j, 1] for j in S) for every (d+1)-subset S of `verts`, in
+    increasing order, with the points of `integer_framework(fw)`: scaling an
+    axis by its denominator lcm keeps every affine dependence, and
+    `integer_det` builds no `Fraction`."""
+    points = integer_framework(fw).coords
+    return {s: integer_det([[*points[j - 1], 1] for j in s]) for s in combinations(verts, fw.d + 1)}
+
+
+def _affine_dependence_stress(
+    fw: Framework, verts: tuple[int, ...], minors: dict[tuple[int, ...], int] | None = None
+) -> list[int]:
     """A self-stress of the complete graph on `verts`, one entry per edge in
     `combinations` order: w_uv = l_u l_v, where l is an affine dependence of
     the points (sum l_i p_i = 0, sum l_i = 0).
     At u, sum_v w_uv (p_u - p_v) = l_u (p_u sum_v l_v - sum_v l_v p_v) = 0.
 
-    Each axis is scaled to integers by its denominator lcm, which keeps every
-    affine dependence.  Then l_i = (-1)^i det([p_j; 1], j != i): expanding
-    along a repeated row shows that this l is a dependence.  It is 0 when
-    the points lie in a common hyperplane, and a zero stress is never
-    counted as a witness."""
-    points = [fw.coords[v - 1] for v in verts]
-    rows = [integer_multiple(axis)[1] for axis in zip(*points)] + [[1] * len(points)]
-    lam = [
-        (-1) ** i * integer_det([row[:i] + row[i + 1 :] for row in rows])
-        for i in range(len(points))
-    ]
+    l_i = (-1)^i det([p_j, 1], j != i), read from `minors` (by default
+    `_affine_minors(fw, verts)`): expanding along a repeated column shows
+    that this l is a dependence.  It is 0 when the points lie in a common
+    hyperplane, and a zero stress is never counted as a witness."""
+    if minors is None:
+        minors = _affine_minors(fw, verts)
+    lam = [(-1) ** i * minors[verts[:i] + verts[i + 1 :]] for i in range(len(verts))]
     weight = dict(zip(verts, lam))
     return [weight[u] * weight[v] for u, v in combinations(verts, 2)]
 
@@ -246,13 +269,16 @@ def _check_complete_subgraph_circuits(fw: Framework, R: Mat, size: int) -> tuple
     nullity 2 or more some kernel vector vanishes at any one row, so every
     one-smaller subset is dependent.  At size d+2 the affine-dependence
     stress is the witness; once checked, it spans a one-dimensional kernel.
-    Without a checked witness one exact left kernel decides."""
+    Its l_i are (d+1)-point minors, each computed once per call and shared
+    by every subgraph that holds those points.  Without a checked witness
+    one exact left kernel decides."""
     index = _edge_index(fw.n)
+    minors = _affine_minors(fw, range(1, fw.n + 1)) if size == fw.d + 2 else None
     for verts in combinations(range(1, fw.n + 1), size):
         rows = [index[(u, v)] for u, v in combinations(verts, 2)]
         cols = [(v - 1) * fw.d + c for v in verts for c in range(fw.d)]
         block = [[R[r - 1][c] for c in cols] for r in rows]
-        stresses = [_affine_dependence_stress(fw, verts)] if size == fw.d + 2 else []
+        stresses = [_affine_dependence_stress(fw, verts, minors)] if minors is not None else []
         r, kernel = certified_rank(block, stresses)
         nullity = len(rows) - r
         if nullity == 0:
@@ -273,7 +299,7 @@ def generic_rigidity_check(n: int, d: int, rng: random.Random, seed_note: int = 
     expected = rigidity_rank_formula(n, d)
 
     def draw() -> tuple[int, tuple[bool, str] | None]:
-        fw = random_framework(n, d, rng)
+        fw = integer_framework(random_framework(n, d, rng))
         R = rigidity_matrix(fw)
         return rigidity_rank(fw, R), _check_complete_subgraph_circuits(fw, R, d + 2) if d + 2 <= n <= 8 else None
 

@@ -163,8 +163,9 @@ def test_circuit_matroid_above_the_axiom_check_cap():
 
 def test_shadow_never_decides_dependence():
     # independent over Q, singular mod SHADOW_PRIME
-    m = matroid_from_matrix(linalg.mat([[1, 0], [0, linalg.SHADOW_PRIME]]))
-    assert linalg.rank_mod_p(m._submatrix([1, 2])) == 1
+    matrix = linalg.mat([[1, 0], [0, linalg.SHADOW_PRIME]])
+    m = matroid_from_matrix(matrix)
+    assert linalg.rank_mod_p(matrix) == 1
     assert m.rank_of([1, 2]) == 2
     assert m.is_independent([1, 2])
     assert m.circuits() == ()
@@ -187,6 +188,32 @@ def test_cached_shadow_rank_equals_exact_rank():
         d, n = rng.randint(1, 4), rng.randint(1, 6)
         matrix = [[Fraction(rng.choice(entries)) for _ in range(n)] for _ in range(d)]
         m = matroid_from_matrix(matrix)
+        for size in range(1, n + 1):
+            for subset in combinations(range(1, n + 1), size):
+                assert m.rank_of(subset) == linalg.rank(linalg.column_submatrix(matrix, subset)), (matrix, subset)
+
+
+def test_integer_columns_match_the_fractional_oracle():
+    """Seeded products of fractional factors with one column over a
+    denominator 3p, fresh or parallel to another column: the circuits equal
+    the brute-force oracle, and every `rank_of` equals `Fraction` `rank` of
+    the column submatrix.  The column's scale is a multiple of p, so it has
+    no shadow and every set through it takes the exact integer route."""
+    p = linalg.SHADOW_PRIME
+    rng = random.Random(43)
+    for trial in range(40):
+        d, n = rng.randint(1, 4), rng.randint(2, 6)
+        r = rng.randint(1, d)
+        a = [[rand_fraction_small(rng) for _ in range(r)] for _ in range(d)]
+        b = [[rand_fraction_small(rng) for _ in range(n)] for _ in range(r)]
+        matrix = [[sum((a[i][t] * b[t][j] for t in range(r)), Fraction(0)) for j in range(n)] for i in range(d)]
+        j, k = rng.sample(range(n), 2)
+        parallel = trial % 2 and any(row[k] for row in matrix)
+        for row in matrix:
+            row[j] = row[k] * Fraction(2, 3 * p) if parallel else Fraction(rng.randint(1, 9), 3 * p)
+        m = matroid_from_matrix(matrix)
+        assert m._shadow_columns[j] is None
+        assert m.circuits() == brute_force_circuits(matrix), matrix
         for size in range(1, n + 1):
             for subset in combinations(range(1, n + 1), size):
                 assert m.rank_of(subset) == linalg.rank(linalg.column_submatrix(matrix, subset)), (matrix, subset)
@@ -266,21 +293,25 @@ def test_circuit_enumeration_queries_no_set_the_rank_bound_settles(monkeypatch):
     assert queried and max(queried) == 0
 
 
-def _spy_exact_columns(monkeypatch) -> list[set[tuple[Fraction, ...]]]:
-    """Record the column set of every exact `rank` call made in `matroid`."""
-    calls: list[set[tuple[Fraction, ...]]] = []
-    real = matroid_module.rank
+def _spy_exact_columns(monkeypatch) -> list[set[tuple[int, ...]]]:
+    """Record the column set of every exact `integer_rank` call made in
+    `matroid`, the exact route of `LinearMatroid`: it eliminates on the
+    integer columns, one per row."""
+    calls: list[set[tuple[int, ...]]] = []
+    real = matroid_module.integer_rank
 
     def counted(m):
-        calls.append(set(zip(*m)))
+        calls.append(set(map(tuple, m)))
         return real(m)
 
-    monkeypatch.setattr(matroid_module, "rank", counted)
+    monkeypatch.setattr(matroid_module, "integer_rank", counted)
     return calls
 
 
-def _columns(matrix, c) -> set[tuple[Fraction, ...]]:
-    return {tuple(row[e - 1] for row in matrix) for e in c}
+def _columns(matrix, c) -> set[tuple[int, ...]]:
+    """The columns c of the matrix, each scaled to integers by its
+    denominator lcm."""
+    return {tuple(linalg.integer_multiple([row[e - 1] for row in matrix])[1]) for e in c}
 
 
 def rand_fraction_small(rng: random.Random) -> Fraction:

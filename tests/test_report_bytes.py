@@ -101,3 +101,20 @@ def test_matrix_matroid_bytes_are_pinned(tmp_path, monkeypatch):
     assert main(["matroid", "--matrix", "columns.mat", "--seed", "7", "--out", "out"]) == 0
     written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in Path("out").iterdir()}
     assert written == MATRIX_DIGESTS
+
+
+ALGEBRAIC_DIGESTS = {
+    "matroid.json": "d3daff89cb8f851e1efda04d7baea9427b58386bc4757fb2f8ae8a7fb8c944ef",
+    "matroid.txt": "0ae8ed6a742c5f6e231ce893257c7294eb9f5a04dd164a9e489589093e02a64f",
+}
+
+
+def test_algebraic_matroid_bytes_are_pinned(tmp_path, monkeypatch):
+    """`matroid --parametrization` on the Segre 3x4 map: the Jacobian
+    matroid's rank and circuits.  The JSON records the path as given, so the
+    run starts at the repository root and names the map relative to it."""
+    monkeypatch.chdir(INPUTS.parent.parent)
+    out = tmp_path / "out"
+    assert main(["matroid", "--parametrization", "bench/inputs/segre3x4.map", "--seed", "7", "--out", str(out)]) == 0
+    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
+    assert written == ALGEBRAIC_DIGESTS

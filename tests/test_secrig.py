@@ -13,6 +13,7 @@ from cigrid.secrig import (
     _check_complete_subgraph_circuits,
     complete_graph_edges,
     generic_rigidity_check,
+    integer_framework,
     random_framework,
     rigidity_matrix,
     rigidity_rank,
@@ -203,10 +204,11 @@ def _shadow_rows(fw: Framework) -> list[list[int] | None]:
 
 
 def _spy_exact(monkeypatch) -> dict[str, list[tuple[int, int]]]:
-    """Record the shape of every exact `rank` and `kernel_basis` call the
-    circuit check makes, directly or through `certified_rank`."""
-    calls: dict[str, list[tuple[int, int]]] = {"rank": [], "kernel_basis": []}
-    for module, name in [(linalg, "rank"), (secrig, "kernel_basis")]:
+    """Record the shape of every exact elimination the circuit check makes,
+    directly or through `certified_rank`: `integer_rank` (the exact route of
+    `certified_rank`), `Fraction` `rank`, and `kernel_basis`."""
+    calls: dict[str, list[tuple[int, int]]] = {"integer_rank": [], "rank": [], "kernel_basis": []}
+    for module, name in [(linalg, "integer_rank"), (linalg, "rank"), (secrig, "kernel_basis")]:
         real = getattr(module, name)
 
         def counted(m, real=real, name=name):
@@ -277,7 +279,7 @@ def test_zero_entry_in_the_shadow_kernel_defers_to_the_exact_kernel(monkeypatch)
     assert all(stress) and linalg.certified_rank(rigidity_matrix(fw), [stress]) == (2, [stress])
     calls = _spy_exact(monkeypatch)
     assert _subgraph_circuits(fw, 3) == full_width_subgraph_circuits(fw, 3) == (True, "")
-    assert calls == {"rank": [], "kernel_basis": []}
+    assert calls == {"integer_rank": [], "rank": [], "kernel_basis": []}
 
 
 def test_shadow_kernel_with_a_zero_entry_is_not_trusted(monkeypatch):
@@ -296,7 +298,7 @@ def test_shadow_kernel_with_a_zero_entry_is_not_trusted(monkeypatch):
     calls = _spy_exact(monkeypatch)
     expected = (False, "proper subset of the (1, 2, 3, 4) edge set is dependent")
     assert _subgraph_circuits(fw, 4) == expected
-    assert calls == {"rank": [], "kernel_basis": []}
+    assert calls == {"integer_rank": [], "rank": [], "kernel_basis": []}
     assert full_width_subgraph_circuits(fw, 4) == expected
 
 
@@ -312,7 +314,7 @@ def test_shadow_kernel_of_nullity_above_one_is_not_trusted(monkeypatch):
     assert full_width_subgraph_circuits(fw, 4) == expected
     calls = _spy_exact(monkeypatch)
     assert _subgraph_circuits(fw, 4) == expected
-    assert calls == {"rank": [(6, 8)], "kernel_basis": []}
+    assert calls == {"integer_rank": [(6, 8)], "rank": [], "kernel_basis": []}
 
 
 def test_denominators_divisible_by_the_shadow_prime_defer_to_the_exact_kernel(monkeypatch):
@@ -331,7 +333,7 @@ def test_denominators_divisible_by_the_shadow_prime_defer_to_the_exact_kernel(mo
         calls = _spy_exact(monkeypatch)
         assert _subgraph_circuits(fw, d + 2) == (True, "")
         # n = d + 2: one subgraph, one exact rank, no exact kernel
-        assert calls == {"rank": [(len(R), d * n)], "kernel_basis": []}
+        assert calls == {"integer_rank": [(len(R), d * n)], "rank": [], "kernel_basis": []}
         assert full_width_subgraph_circuits(fw, d + 2) == (True, "")
 
 
@@ -356,6 +358,49 @@ def test_rigidity_rank_matches_exact_rank_on_seeded_and_degenerate_frameworks():
         assert rigidity_rank(fw, R) == linalg.rank(R), fw
         if fw.n >= fw.d + 2 and fw.edges == complete_graph_edges(fw.n):
             assert _subgraph_circuits(fw, fw.d + 2) == full_width_subgraph_circuits(fw, fw.d + 2), fw
+
+
+def test_integer_framework_changes_no_rank_or_circuit_verdict():
+    """Scaling each axis to integers (`integer_framework`) against the
+    `Fraction` route on the framework as given: the rank of
+    `rigidity_rank`, against `linalg.rank(rigidity_matrix(fw))`, and the
+    circuit verdicts on d+1 and d+2 vertices, against
+    `full_width_subgraph_circuits`.  Seeded
+    frameworks on complete and sparse graphs, points in a common hyperplane
+    (integer and fractional), edges of length p, and p in a denominator.
+    The scaled points' stresses are self-stresses of the unscaled matrix."""
+    rng = child_rng(23, "integer-framework")
+    p = linalg.SHADOW_PRIME
+    frameworks = [
+        _framework(1, [(0,), (p,), (2 * p,)]),
+        _framework(1, [(0,), (1,), (1 + p,)]),
+        _framework(2, [(0, 0), (p, 0), (1, 3), (Fraction(2, 3), 5)]),
+        _framework(2, [(Fraction(1, 3), Fraction(1, 2)), (Fraction(2, 3), 1), (1, Fraction(3, 2)), (Fraction(5, 7), Fraction(15, 14))]),
+    ]
+    for n, d in [(3, 1), (4, 1), (4, 2), (5, 2), (5, 3), (6, 3)]:
+        fw = random_framework(n, d, rng)
+        frameworks.append(fw)
+        frameworks.append(random_framework(n, d, rng, [e for e in complete_graph_edges(n) if rng.random() < 0.5]))
+        if d in (2, 3):
+            frameworks.append(_degenerate_framework(rng, n, d))
+        frameworks.append(Framework(d, (tuple(x + Fraction(1, p) for x in fw.coords[0]),) + fw.coords[1:], fw.edges))
+    verdicts = set()
+    for fw in frameworks:
+        scaled = integer_framework(fw)
+        assert scaled.edges == fw.edges and all(type(x) is int for q in scaled.coords for x in q)
+        R, S = rigidity_matrix(fw), rigidity_matrix(scaled)
+        assert all(type(x) is int for row in S for x in row)
+        assert rigidity_rank(scaled, S) == rigidity_rank(fw, R) == linalg.rank(R), fw
+        if fw.n >= fw.d + 2 and fw.edges == complete_graph_edges(fw.n):
+            for size in (fw.d + 1, fw.d + 2):
+                got = _check_complete_subgraph_circuits(scaled, S, size)
+                assert got == full_width_subgraph_circuits(fw, size), (fw, size)
+                verdicts.add(got[1].split(" ")[0])
+            verts = tuple(range(1, fw.d + 3))
+            block = [R[i] for i, e in enumerate(complete_graph_edges(fw.n)) if set(e) <= set(verts)]
+            stress = _affine_dependence_stress(scaled, verts)
+            assert all(sum(w * row[c] for w, row in zip(stress, block)) == 0 for c in range(len(R[0])))
+    assert verdicts == {"", "edge", "proper"}
 
 
 def test_affine_dependence_stress_is_a_self_stress():
@@ -438,8 +483,10 @@ def test_segre_relations_are_independent_left_kernel_vectors():
 
 def test_generic_draws_make_no_exact_rank_call(monkeypatch):
     """On generic seeded draws the witnesses from theory close every gap:
-    no exact `rank` call in `secant_dimension` or `generic_rigidity_check`."""
+    no exact `integer_rank` (the exact route of `certified_rank`) and no
+    `Fraction` `rank` call in `secant_dimension` or `generic_rigidity_check`."""
     calls = []
+    monkeypatch.setattr(linalg, "integer_rank", lambda m: calls.append(m) or 0)
     monkeypatch.setattr(linalg, "rank", lambda m: calls.append(m) or 0)
     rng = child_rng(20, "no-exact-rank")
     for m, n, k in [(3, 3, 1), (3, 3, 2), (3, 4, 2), (4, 4, 3), (6, 6, 4), (2, 3, 3)]:
