@@ -76,6 +76,9 @@ class Hypergraph:
                 raise ValueError(f"hypergraph line {ln!r} {misfit}") from None
         if len(rows[0]) != 1:
             raise ValueError(f"hypergraph line {lines[0]!r} {misfit}")
+        for ln, edge in zip(lines[1:], rows[1:]):
+            if len(set(edge)) != len(edge):
+                raise ValueError(f"hypergraph line {ln!r} repeats a vertex; an edge lists each vertex once")
         return Hypergraph.of(rows[0][0], rows[1:])
 
 

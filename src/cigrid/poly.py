@@ -9,11 +9,12 @@ exact and all values are immutable after construction.
 from __future__ import annotations
 
 import re
+import struct
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, compress, count
 from math import lcm, prod
 from operator import add, itemgetter, neg
 from typing import Any, Callable, Iterable
@@ -70,6 +71,14 @@ class MonomialOrder:
 
     def __str__(self) -> str:
         return self.kind
+
+    def largest(self, monomials: Iterable[tuple[int, ...]]) -> tuple[int, ...]:
+        """The largest monomial.  Under lex that is the largest plain tuple;
+        otherwise it is the smallest under `descending_key`, which negates
+        nothing per monomial."""
+        if self.kind == "lex":
+            return max(monomials)
+        return min(monomials, key=self.descending_key)
 
 
 def _picker(positions: Sequence[int]) -> Callable[[Sequence], tuple]:
@@ -211,7 +220,7 @@ class Polynomial:
             return cached[1]
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        m = max(self.terms, key=order.key)
+        m = order.largest(self.terms)
         lead = (m, self.terms[m])
         self._lead = (order, lead)
         return lead
@@ -224,8 +233,10 @@ class Polynomial:
         return self.ring == other.ring and self.terms == other.terms
 
     def __hash__(self) -> int:
+        # The monomials alone: equal polynomials have equal monomial sets, and
+        # a frozenset of a dict reuses the hashes the dict stores.
         if self._hash is None:
-            self._hash = hash((self.ring, frozenset(self.terms.items())))
+            self._hash = hash(frozenset(self.terms))
         return self._hash
 
     def __bool__(self) -> bool:
@@ -390,7 +401,7 @@ class Polynomial:
             negative = body[0] == "-"
             if negative:
                 body = body[1:]
-            factors = [names[i] if e == 1 else f"{names[i]}^{e}" for i, e in enumerate(m) if e]
+            factors = [names[i] if m[i] == 1 else f"{names[i]}^{m[i]}" for i in compress(count(), m)]
             if factors:
                 if body != "1":
                     factors.insert(0, body)
@@ -527,6 +538,35 @@ class SymbolicMatrix:
             raise ValueError("assignment requires entries that are the ring's variables in ring order")
         return [x for row in values for x in row]
 
+    @cached_property
+    def _packed(self) -> tuple[tuple, int, struct.Struct]:
+        """(entries, q, codec): the entries as packed integers, the form
+        `minor` expands.
+
+        Each exponent tuple is one int with a fixed-width digit per ring
+        position, position i at digit i (`codec` converts), so multiplying
+        monomials is adding ints.  A digit holds size x the largest entry
+        exponent for the largest minor the matrix has, so no product's digit
+        carries into the next.  Each coefficient is an integer over q, the
+        lcm of the entries' denominators, so a size-s minor over these
+        integers is q^s times the minor over Q."""
+        polys = [e for row in self.entries for e in row]
+        top = max([max(m, default=0) for e in polys for m in e.terms], default=0)
+        bits = (min(self.shape) * top).bit_length()
+        code = next((code for code, size in (("B", 8), ("H", 16), ("I", 32), ("Q", 64)) if bits <= size), None)
+        if code is None:
+            raise ValueError(f"entry exponent {top} is too large to expand minors of")
+        codec = struct.Struct(f"<{len(self.ring.variables)}{code}")
+        q = lcm(*[c.denominator for e in polys for c in e.terms.values()])
+        entries = tuple(
+            tuple(
+                tuple((int.from_bytes(codec.pack(*m), "little"), c.numerator * (q // c.denominator)) for m, c in e.terms.items())
+                for e in row
+            )
+            for row in self.entries
+        )
+        return entries, q, codec
+
     def row_and_column_variables(self) -> list[tuple[Var, ...]]:
         """The variables of each row, then of each column: the groups in which
         every minor is homogeneous (`require_homogeneous`)."""
@@ -546,7 +586,8 @@ def generic_matrix(d: int, n: int) -> SymbolicMatrix:
     return SymbolicMatrix(ring, entries)
 
 
-MinorMemo = dict[tuple[tuple[int, ...], tuple[int, ...]], Polynomial]
+# A packed sub-minor: packed monomial -> integer coefficient (see `SymbolicMatrix._packed`).
+MinorMemo = dict[tuple[tuple[int, ...], tuple[int, ...]], dict[int, int]]
 
 
 def minor(
@@ -558,55 +599,57 @@ def minor(
     """Determinant of the submatrix on 1-based row/column index sets.
 
     Expanded by Laplace recursion along the first row; the sign convention is
-    the Leibniz formula with both index sets taken in increasing order.
+    the Leibniz formula with both index sets taken in increasing order.  The
+    expansion runs on `X`'s packed entries; `memo` holds packed sub-minors of
+    `X` and may be shared by calls on the same matrix.
     """
-    rows = tuple(sorted(set(rows)))
-    cols = tuple(sorted(set(cols)))
+    rows = tuple(sorted(rows))
+    cols = tuple(sorted(cols))
     d, n = X.shape
     if len(rows) != len(cols):
         raise ValueError("row and column sets must have equal size")
     if not rows:
         raise ValueError("empty index sets")
+    if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
+        raise ValueError(f"repeated row or column index in rows {list(rows)}, columns {list(cols)}")
     if rows[0] < 1 or rows[-1] > d or cols[0] < 1 or cols[-1] > n:
         raise ValueError("index out of range")
     if memo is None:
         memo = {}
-    return _minor_rec(X, rows, cols, memo)
+    entries, q, codec = X._packed
+    packed = _minor_rec(entries, rows, cols, memo)
+    # one Fraction per distinct coefficient, not per term
+    values = {c: Fraction(c, q ** len(rows)) for c in set(packed.values()) if c}
+    decode, nbytes = codec.unpack, codec.size
+    return Polynomial(X.ring, {decode(k.to_bytes(nbytes, "little")): values[c] for k, c in packed.items() if c})
 
 
-def _minor_rec(X: SymbolicMatrix, rows, cols, memo) -> Polynomial:
+def _minor_rec(entries, rows, cols, memo) -> dict[int, int]:
     key = (rows, cols)
     cached = memo.get(key)
     if cached is not None:
         return cached
     if len(rows) == 1:
-        result = X.entry(rows[0], cols[0])
+        result = dict(entries[rows[0] - 1][cols[0] - 1])
     else:
         # Every Laplace term e_{i0,j} * M_j, its sign folded into the entry's
-        # coefficients, goes into one accumulator.  A unit coefficient, as
-        # every entry of a generic matrix has, takes or negates the sub-minor
-        # coefficients instead of multiplying them.
-        i0, rest = rows[0], rows[1:]
-        acc: dict[tuple[int, ...], Fraction] = {}
+        # coefficients, goes into one accumulator.  Multiplying packed
+        # monomials is one int addition.
+        row, rest = entries[rows[0] - 1], rows[1:]
+        acc: dict[int, int] = {}
+        get = acc.get
         for t, j in enumerate(cols):
-            e = X.entry(i0, j)
-            if e.is_zero():
+            e = row[j - 1]
+            if not e:
                 continue
-            sub = _minor_rec(X, rest, cols[:t] + cols[t + 1:], memo).terms.items()
-            for m1, c1 in e.terms.items():
+            sub = _minor_rec(entries, rest, cols[:t] + cols[t + 1:], memo).items()
+            for k1, c1 in e:
                 if t % 2:
                     c1 = -c1
-                if c1 == 1:
-                    products = sub
-                elif c1 == -1:
-                    products = [(m2, -c2) for m2, c2 in sub]
-                else:
-                    products = [(m2, c1 * c2) for m2, c2 in sub]
-                for m2, c in products:
-                    m = tuple(map(add, m1, m2))
-                    old = acc.get(m)
-                    acc[m] = c if old is None else old + c
-        result = Polynomial(X.ring, acc)
+                for k2, c2 in sub:
+                    k = k1 + k2
+                    acc[k] = get(k, 0) + c1 * c2
+        result = acc
     memo[key] = result
     return result
 

@@ -365,6 +365,7 @@ def test_zero_matrix_columns_are_loops(tmp_path, capsys):
     [
         (["ideal", "--d", "2", "--hypergraph"], "3 4\n1 2\n", "'3 4'", "an `n` line, then one edge of vertex numbers per line"),
         (["ideal", "--d", "2", "--hypergraph"], "3\n1 1/2\n", "'1 1/2'", "an `n` line, then one edge of vertex numbers per line"),
+        (["ideal", "--d", "3", "--hypergraph"], "4\n1 2\n1 2 2 3\n", "'1 2 2 3'", "repeats a vertex; an edge lists each vertex once"),
         (["rigidity", "--framework"], "4 x\n0 0\n", "'4 x'", "`n d` header of two non-negative integers"),
         (["ideal", "--ci"], "X=a Y=2\nX _||_ Y\n", "'X=a'", "name=states with an integer state count"),
         (["ideal", "--ci"], "X Y=2\nX _||_ Y\n", "'X'", "name=states with an integer state count"),
@@ -382,6 +383,7 @@ def test_zero_matrix_columns_are_loops(tmp_path, capsys):
     ids=[
         "hypergraph-header",
         "hypergraph-edge",
+        "hypergraph-repeated-vertex",
         "framework-header",
         "ci-state-count",
         "ci-no-state-count",

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from helpers import in_variety_by_edges, quadratic_minimal_edges, statement_text
+from helpers import in_variety_by_edges, perm_minor, quadratic_minimal_edges, reference_to_text, statement_text
 from cigrid import hypergraph, linalg
 from cigrid.hypergraph import (
     GridSpec,
@@ -19,7 +19,7 @@ from cigrid.hypergraph import (
     hypergraph_ideal,
     in_variety,
 )
-from cigrid.poly import generic_matrix, minor, normalize_sign
+from cigrid.poly import DEGREVLEX, generic_matrix, minor, normalize_sign
 from cigrid.sampling import rand_matrix
 
 
@@ -112,6 +112,22 @@ def test_normalization_preserves_variety_membership():
             linalg.rank(linalg.column_submatrix(m, e)) < len(e) for e in map(sorted, raw_edges)
         )
         assert raw_member == in_variety(minimal, m)
+
+
+def test_ideal_of_the_four_by_six_grid_matches_leibniz_expansions():
+    # the 96-variable ring of the construct benchmark's grid
+    spec = GridSpec(4, 6, 4, 4, 4)
+    H = grid_hypergraph(spec)
+    X = generic_matrix(spec.d, spec.n)
+    assert len(X.ring.variables) == 96
+    expected = []
+    for edge in H.edges:
+        for rows in combinations(range(1, spec.d + 1), len(edge)):
+            g = perm_minor(X, rows, edge)
+            lead = max(g.terms, key=DEGREVLEX.key)
+            expected.append(reference_to_text(-g if g.terms[lead] < 0 else g))
+    assert len(expected) == 66
+    assert hypergraph_ideal(H, spec.d).generator_texts() == expected
 
 
 def test_hypergraph_text_round_trip():

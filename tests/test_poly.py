@@ -63,6 +63,10 @@ def test_minor_rejects_mismatched_index_sets():
         minor(X, [1, 2], [1])
     with pytest.raises(ValueError):
         minor(X, [1, 4], [1, 2])
+    # repeated indices are not collapsed into a smaller minor
+    for rows, cols in [([1, 1], [2, 2]), ([1, 2], [3, 3]), ([2, 2], [1, 3]), ([1, 2, 1], [1, 2, 3])]:
+        with pytest.raises(ValueError, match="repeated row or column index"):
+            minor(X, rows, cols)
 
 
 @settings(max_examples=30, deadline=None)
@@ -343,6 +347,52 @@ def test_leading_term_cache_follows_the_queried_order():
             assert f.leading(twin) == (m, f.terms[m])
 
 
+def test_leading_is_the_largest_monomial_under_the_order_key():
+    ring = PolyRing.of(Var("x", (i,)) for i in range(1, 7))
+    orders = [
+        LEX,
+        DEGREVLEX,
+        ring.elimination_order(ring.variables[:2]),
+        ring.elimination_order(ring.variables[3:4]),
+        ring.elimination_order(ring.variables[::2]),
+    ]
+    rng = random.Random(47)
+    homogeneous = 0
+    for trial in range(120):
+        f = random_polynomial(rng, ring, max_terms=15, max_exp=3)
+        if trial % 2:
+            # every term of degree 4, so degree never decides
+            terms = {}
+            for _ in range(rng.randint(2, 12)):
+                m = [0] * 6
+                for _ in range(4):
+                    m[rng.randrange(6)] += 1
+                terms[tuple(m)] = Fraction(rng.randint(1, 9) * rng.choice([-1, 1]), rng.randint(1, 5))
+            f = Polynomial(ring, terms)
+            homogeneous += len(f.terms) > 1
+        if f.is_zero():
+            continue
+        for order in orders:
+            m = max(f.terms, key=order.key)
+            assert order.largest(f.terms) == m
+            assert Polynomial(ring, f.terms).leading(order) == (m, f.terms[m])
+    assert homogeneous >= 50
+
+
+def test_equal_polynomials_hash_equal():
+    rng = random.Random(53)
+    names = [Var("p", (i, j)) for i in (1, 2) for j in (1, 2, 3)]
+    ring, twin = PolyRing.of(names), PolyRing.of(reversed(names))
+    assert ring == twin and ring is not twin
+    for _ in range(60):
+        f = random_polynomial(rng, ring, max_terms=6)
+        g = random_polynomial(rng, ring, max_terms=6)
+        same = [Polynomial(twin, dict(reversed(f.terms.items()))), (f + g) - g, f.transfer(twin)]
+        for h in same:
+            assert h == f and hash(h) == hash(f)
+        assert len({f, *same}) == 1
+
+
 def test_to_text_matches_the_reference_rendering():
     ring = PolyRing.of([var("p", 2, 1, 3), var("p", 1, 1, 1), var("x", 1, 2), var("y")])
     assert ring.names == ("p_1_1_1", "p_2_1_3", "x_1_2", "y")
@@ -418,6 +468,38 @@ def test_minor_of_general_entries_equals_the_permutation_sum():
         f = minor(X, rows, cols)
         assert f == perm_minor(X, rows, cols)
         assert all(c != 0 for c in f.terms.values())
+
+
+def test_minor_of_high_powers_equals_the_permutation_sum():
+    # size x the largest entry exponent sets the packed digit: 1, 2, 4 and 8
+    # bytes, with entry exponents that overflow a narrower digit
+    ring = small_ring("wxyz")
+    w, x, y, z = (ring.var(Var(n)) for n in "wxyz")
+    rng = random.Random(79)
+    for top in (85, 200, 30000, 2**31):
+        for size in (2, 3):
+            for _ in range(6):
+                pool = [
+                    ring.zero(),
+                    ring.const(Fraction(rng.randint(-5, 5), rng.randint(1, 7))),
+                    _power(x, top).scale(Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 9))),
+                    _power(y, top) * Fraction(2, 3) + _power(x, top // 2) * w * Fraction(-5, 7),
+                    _power(z, top - 1) * y - Fraction(1, 4),
+                ]
+                X = _symbolic(ring, [[rng.choice(pool) for _ in range(size)] for _ in range(size)])
+                f = minor(X, range(1, size + 1), range(1, size + 1))
+                assert f == perm_minor(X, range(1, size + 1), range(1, size + 1))
+                assert all(c != 0 for c in f.terms.values())
+    # no digit wide enough: 3 x 2^63 needs more than 64 bits
+    X = _symbolic(ring, [[_power(x, 2**63) if i == j else ring.zero() for j in range(3)] for i in range(3)])
+    with pytest.raises(ValueError, match="too large"):
+        minor(X, [1, 2], [1, 2])
+
+
+def _power(v, e):
+    """v^e built directly, without e - 1 multiplications."""
+    ((m, c),) = v.terms.items()
+    return Polynomial(v.ring, {tuple(e * k for k in m): c})
 
 
 def test_minor_with_a_repeated_row_cancels_to_zero():
