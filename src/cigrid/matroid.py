@@ -75,7 +75,8 @@ class Matroid:
         every facet is in the level: a set with a dependent facet contains a
         smaller circuit, and a set whose facets are all independent is a
         circuit exactly when it is dependent.  At size full_rank() + 1 every
-        set is dependent by the rank bound, so no query is made there."""
+        set is dependent by the rank bound, so no query is made there, and
+        the independent full_rank()-sets are kept with no state."""
         n = len(self.ground)
         if n > ENUMERATION_CAP:
             raise ValueError(f"circuit enumeration is capped at {ENUMERATION_CAP} elements, got {n}")
@@ -94,7 +95,8 @@ class Matroid:
                         continue
                     independent, kept = self._extend(state, c)
                     if independent:
-                        following[c] = kept
+                        # a full_rank()-set is never extended: keep no state for it
+                        following[c] = kept if size < r else None
                     else:
                         found.append(c)
             level = following
@@ -241,9 +243,15 @@ def is_circuit_family(n: int, family: Iterable[Iterable[int]]) -> bool:
         if any(contains_a_circuit[mask ^ bit] for bit in _bits(mask)):
             return False
     # Elimination: for each element, every pair of circuits through it leaves
-    # a circuit in their union once the element is removed.
+    # a circuit in their union once the element is removed.  Every set of
+    # more than r elements contains a circuit, r being the largest size of a
+    # set that contains none.  Two distinct circuits of an antichain have
+    # |C1 | C2| >= max(|C1|, |C2|) + 1, so a pair with a circuit larger than
+    # r leaves more than r elements: only circuits of size <= r are paired.
+    r = max(mask.bit_count() for mask in range(1 << n) if not contains_a_circuit[mask])
+    small = [mask for mask in masks if mask.bit_count() <= r]
     for bit in _bits((1 << n) - 1):
-        through = [mask for mask in masks if mask & bit]
+        through = [mask for mask in small if mask & bit]
         for i, c1 in enumerate(through):
             if not all(contains_a_circuit[(c1 | c2) ^ bit] for c2 in through[i + 1:]):
                 return False

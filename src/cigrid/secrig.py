@@ -3,13 +3,17 @@ rigidity-matrix rank checks.
 
 Dimensions are reported for affine cones; the projective dimension is one
 less.  Every randomized answer goes through `sampling.generic_draw`: two
-independent draws must agree or the computation fails loudly.  Ranks go
-through `linalg.certified_rank` with left-kernel witnesses from theory:
-Segre relations between stacked tangents, trivial motions of a framework,
-and the self-stress of d+2 points from their affine dependence; where the
-bounds differ, its exact route is `integer_rank`.  A framework is scaled to
-integer coordinates once (`integer_framework`), so its rigidity matrix,
-blocks, motions and stresses are ints and nothing is scaled again; the one
+independent draws must agree or the computation fails loudly.  Secant and
+rigidity-matrix ranks go through `linalg.certified_rank` with left-kernel
+witnesses from theory: Segre relations between stacked tangents and the
+trivial motions of a framework; where the bounds differ, its exact route is
+`integer_rank`.  A complete subgraph on d+2 vertices is a circuit when its
+d+2 affine minors are nonzero (a lower bound on the rank) and the
+self-stress from its affine dependence passes an exact check (the upper
+bound), with no elimination; any other subgraph goes to `certified_rank`
+with that stress as its witness.  A framework is scaled to integer
+coordinates once (`integer_framework`), so its rigidity matrix, blocks,
+motions and stresses are ints and nothing is scaled again; the one
 `Fraction` elimination left is the exact left kernel of a circuit block
 that no checked stress decides.
 """
@@ -21,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
+from operator import mul
 from typing import Callable, Sequence
 
 from .linalg import Mat, certified_rank, integer_det, integer_multiple, kernel_basis, rationals, transpose
@@ -263,22 +268,46 @@ def _check_complete_subgraph_circuits(fw: Framework, R: Mat, size: int) -> tuple
     one-smaller subsets independent.
 
     Each subgraph's rows are cut down to its own vertices' columns, the only
-    nonzero ones, and `certified_rank` gives the nullity of the block.  The
-    rows are a circuit exactly when the nullity is 1 and the left kernel
-    vector has no zero entry: with nullity 0 they are independent, and with
-    nullity 2 or more some kernel vector vanishes at any one row, so every
-    one-smaller subset is dependent.  At size d+2 the affine-dependence
-    stress is the witness; once checked, it spans a one-dimensional kernel.
-    Its l_i are (d+1)-point minors, each computed once per call and shared
-    by every subgraph that holds those points.  Without a checked witness
-    one exact left kernel decides."""
+    nonzero ones.  At size d+2 the (d+1)-point affine minors, computed once
+    per call and shared by every subgraph that holds those points, decide a
+    subgraph with no elimination when all d+2 of its minors are nonzero and
+    its affine-dependence stress w passes the exact check w.block = 0:
+    - K_{d+1} on verts[:d+1] has C(d+1, 2) independent rows exactly when
+      those points are affinely independent (Asimow & Roth, Trans. AMS 245,
+      1978), that is, when their minor is nonzero.
+    - Attaching verts[d+1] to verts[:d] adds d rows (a Henneberg
+      0-extension; Tay & Whiteley, Structural Topology 11, 1985).  Only
+      they are nonzero in that vertex's columns, and there they form the
+      d x d matrix [p_{d+2} - p_i], nonsingular exactly when the minor of
+      verts[:d] + (verts[d+1],) is nonzero.  So the rank is at least
+      C(d+2, 2) - 1.
+    - Every l_u is a nonzero minor up to sign, so the stress is nonzero and,
+      once checked, gives rank <= rows - 1.  It spans the one-dimensional
+      left kernel, and its entries l_u l_v are all nonzero: the rows form a
+      circuit.
+
+    Any other subgraph (a zero minor, a stress that fails the check, or
+    size d+1) goes to `certified_rank` for the block's nullity, with the
+    stress as its witness at size d+2.  The rows are a circuit exactly when
+    the nullity is 1 and the left kernel vector has no zero entry: with
+    nullity 0 they are independent, and with nullity 2 or more some kernel
+    vector vanishes at any one row, so every one-smaller subset is
+    dependent.  A checked stress spans a one-dimensional kernel; without
+    one, one exact left kernel decides."""
     index = _edge_index(fw.n)
     minors = _affine_minors(fw, range(1, fw.n + 1)) if size == fw.d + 2 else None
     for verts in combinations(range(1, fw.n + 1), size):
         rows = [index[(u, v)] for u, v in combinations(verts, 2)]
         cols = [(v - 1) * fw.d + c for v in verts for c in range(fw.d)]
         block = [[R[r - 1][c] for c in cols] for r in rows]
-        stresses = [_affine_dependence_stress(fw, verts, minors)] if minors is not None else []
+        stresses = []
+        if minors is not None:
+            stress = _affine_dependence_stress(fw, verts, minors)
+            if all(minors[s] for s in combinations(verts, size - 1)) and not any(
+                sum(map(mul, stress, column)) for column in zip(*block)
+            ):
+                continue
+            stresses.append(stress)
         r, kernel = certified_rank(block, stresses)
         nullity = len(rows) - r
         if nullity == 0:

@@ -5,7 +5,8 @@ library: permutation-sum determinants, a determinant that tracks its sign
 swap by swap, kernels read off the reduced row echelon form, minor-search
 ranks, a naive textbook Groebner routine with none of the library's
 selection strategy or criteria, the circuit checks and the minimal-edge
-filter written out with frozensets, circuits found by an exact rank of every
+filter written out with frozensets, the bitmask circuit-axiom check with
+every pair of circuits eliminated, circuits found by an exact rank of every
 subset, arrangement signatures from 3x2 and 3x3 `Fraction` ranks, full-width
 exact ranks for rigidity circuits, a (2,3)-pebble game for generic rigidity
 in the plane, variety membership by one exact rank per edge, the witness
@@ -267,6 +268,34 @@ def frozenset_is_circuit_family(n: int, family) -> bool:
                 rest = (c1 | c2) - {e}
                 if not any(c3 <= rest for c3 in circuits):
                     return False
+    return True
+
+
+def all_pairs_is_circuit_family(n: int, family) -> bool:
+    """The bitmask circuit-axiom check that pairs every two circuits through
+    each element in the elimination axiom, whatever their sizes."""
+    if n > 14:
+        raise ValueError("circuit-axiom checking is capped at 14 elements")
+    circuits = [frozenset(c) for c in family]
+    if len(set(circuits)) != len(circuits):
+        return False
+    if any(not c or min(c) < 1 or max(c) > n for c in circuits):
+        return False
+    masks = [sum(1 << (e - 1) for e in c) for c in circuits]
+    bits = [1 << i for i in range(n)]
+    contains_a_circuit = bytearray(1 << n)
+    for mask in masks:
+        contains_a_circuit[mask] = 1
+    for mask in range(1, 1 << n):
+        if not contains_a_circuit[mask] and any(contains_a_circuit[mask ^ b] for b in bits if mask & b):
+            contains_a_circuit[mask] = 1
+    if any(contains_a_circuit[mask ^ b] for mask in masks for b in bits if mask & b):
+        return False
+    for b in bits:
+        through = [mask for mask in masks if mask & b]
+        for i, c1 in enumerate(through):
+            if not all(contains_a_circuit[(c1 | c2) ^ b] for c2 in through[i + 1:]):
+                return False
     return True
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_circuits, frozenset_is_circuit_family, rank_arrangement_signature, rank_by_minors
+from helpers import all_pairs_is_circuit_family, brute_force_circuits, frozenset_is_circuit_family, rank_arrangement_signature, rank_by_minors
 from cigrid import linalg
 from cigrid import matroid as matroid_module
 from cigrid.hypergraph import GridSpec, Hypergraph, grid_hypergraph
@@ -134,6 +134,31 @@ def test_is_circuit_family_agrees_with_the_frozenset_definition():
         assert verdict == frozenset_is_circuit_family(n, family), (n, family)
         verdicts.append(verdict)
     assert 60 <= sum(verdicts) <= 240
+
+
+def test_pairing_only_small_circuits_agrees_with_the_all_pairs_check():
+    """Elimination pairs only circuits no larger than the largest
+    circuit-free set.  Against the check that pairs every two circuits:
+    seeded true and spoiled families (dropped circuits, supersets, subsets,
+    duplicates, random sets), families that fail only the elimination
+    axiom, and the grid families the suite builds, whole and with one
+    circuit dropped."""
+    rng = random.Random(20241)
+    cases = [_random_family(rng) for _ in range(400)]
+    # elimination fails twice; then U(2, 4), where no circuit is small enough to pair
+    cases += [(3, [{1, 2}, {2, 3}]), (4, [{1, 2, 3}, {1, 4}]), (4, list(combinations(range(1, 5), 3)))]
+    for spec in (GridSpec(k=3, l=3, s=3, t=3, d=3), GridSpec(k=3, l=4, s=3, t=3, d=3)):
+        family = list(grid_circuit_family(spec))
+        cases.append((spec.n, family))
+        for drop in (0, len(family) // 2, len(family) - 1):
+            cases.append((spec.n, family[:drop] + family[drop + 1 :]))
+    verdicts = []
+    for n, family in cases:
+        verdict = is_circuit_family(n, family)
+        assert verdict == all_pairs_is_circuit_family(n, family), (n, family)
+        verdicts.append(verdict)
+    assert verdicts[400:] == [False, False, True] + [True, False, False, False] * 2
+    assert 80 <= sum(verdicts) <= len(verdicts) - 80
 
 
 def test_is_circuit_family_at_the_cap():

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -318,9 +319,11 @@ def test_shadow_kernel_of_nullity_above_one_is_not_trusted(monkeypatch):
 
 
 def test_denominators_divisible_by_the_shadow_prime_defer_to_the_exact_kernel(monkeypatch):
-    """A first point shifted by 1/p leaves the block with no shadow: one
-    exact rank gives the nullity, and the checked stress, an exact kernel
-    vector, gives the verdict without an exact left kernel of the block."""
+    """A first point shifted by 1/p leaves the block with no shadow, so
+    `certified_rank` would need one exact rank.  The subgraph never reaches
+    it: its d+2 affine minors (of the integer-scaled points) are nonzero and
+    its stress passes the exact check, so the minors decide it with no
+    exact rank and no exact left kernel of the block."""
     p = linalg.SHADOW_PRIME
     rng = child_rng(16, "shadow-denominators")
     for n, d in [(3, 1), (4, 2), (5, 3)]:
@@ -332,9 +335,90 @@ def test_denominators_divisible_by_the_shadow_prime_defer_to_the_exact_kernel(mo
         assert rigidity_rank(fw, R) == linalg.rank(R)
         calls = _spy_exact(monkeypatch)
         assert _subgraph_circuits(fw, d + 2) == (True, "")
-        # n = d + 2: one subgraph, one exact rank, no exact kernel
-        assert calls == {"integer_rank": [(len(R), d * n)], "rank": [], "kernel_basis": []}
+        # n = d + 2: one subgraph, decided by its minors and checked stress
+        assert calls == {"integer_rank": [], "rank": [], "kernel_basis": []}
         assert full_width_subgraph_circuits(fw, d + 2) == (True, "")
+
+
+def _spy_elimination(monkeypatch) -> dict[str, int]:
+    """Count the block rank routes the circuit check can take:
+    `certified_rank` as secrig calls it, and inside it the mod-p rank,
+    `integer_rank`, `Fraction` `rank` and the exact left kernel."""
+    calls = dict.fromkeys(["certified_rank", "rank_of_vectors_mod_p", "integer_rank", "rank", "kernel_basis"], 0)
+    for module, name in [
+        (secrig, "certified_rank"),
+        (linalg, "rank_of_vectors_mod_p"),
+        (linalg, "integer_rank"),
+        (linalg, "rank"),
+        (secrig, "kernel_basis"),
+    ]:
+        real = getattr(module, name)
+
+        def counted(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_nonzero_minors_and_a_checked_stress_decide_with_no_elimination(monkeypatch):
+    """Seeded complete frameworks, as drawn and scaled to integers: every
+    (d+2)-subgraph has d+2 nonzero minors and a stress that passes the
+    check, so the circuit check makes no `certified_rank`, mod-p rank,
+    exact rank or exact left kernel call, and its verdict is the
+    full-width one."""
+    rng = child_rng(24, "minor-certificate")
+    for n, d in [(4, 2), (6, 2), (5, 3), (8, 3)]:
+        fw = random_framework(n, d, rng)
+        expected = full_width_subgraph_circuits(fw, d + 2)
+        assert expected == (True, "")
+        for framework in (fw, integer_framework(fw)):
+            calls = _spy_elimination(monkeypatch)
+            assert _subgraph_circuits(framework, d + 2) == expected, (n, d)
+            assert not any(calls.values()), (n, d, calls)
+            monkeypatch.undo()
+
+
+def test_a_zero_minor_takes_the_certified_rank_route(monkeypatch):
+    """Points in a common hyperplane (every minor 0), and seeded frameworks
+    whose last point is moved to the centroid of the first d (some minors
+    0): the first subgraph with a zero minor goes to `certified_rank`, is
+    not a circuit, and gives the full-width verdict; the subgraphs before
+    it are decided by their minors."""
+    rng = child_rng(25, "zero-minor")
+    cases = [_degenerate_framework(rng, n, d) for n, d in [(4, 2), (6, 2), (5, 3), (6, 3)]]
+    cases.append(_framework(2, [(0, 0), (1, 0), (3, 0), (1, 2)]))
+    for n, d in [(5, 2), (6, 2), (6, 3)]:
+        fw = random_framework(n, d, rng)
+        centroid = tuple(sum(axis, Fraction(0)) / d for axis in zip(*fw.coords[:d]))
+        cases.append(Framework(d, fw.coords[:-1] + (centroid,), fw.edges))
+    for fw in cases:
+        size = fw.d + 2
+        expected = full_width_subgraph_circuits(fw, size)
+        assert not expected[0]
+        calls = _spy_elimination(monkeypatch)
+        assert _subgraph_circuits(fw, size) == expected, fw
+        assert calls["certified_rank"] == 1, (fw, calls)
+        monkeypatch.undo()
+
+
+def test_a_stress_that_fails_the_check_is_not_trusted(monkeypatch):
+    """With `_affine_dependence_stress` replaced by an all-nonzero vector
+    that is no self-stress, nonzero minors alone decide nothing: every
+    subgraph goes to `certified_rank`, which rejects the vector and runs an
+    exact rank and an exact left kernel, and the verdict is still the
+    full-width one."""
+    rng = child_rng(26, "false-stress")
+    for n, d in [(4, 2), (5, 2), (5, 3)]:
+        fw = random_framework(n, d, rng)
+        expected = full_width_subgraph_circuits(fw, d + 2)
+        monkeypatch.setattr(secrig, "_affine_dependence_stress", lambda fw, verts, minors=None: [1] * comb(len(verts), 2))
+        calls = _spy_elimination(monkeypatch)
+        assert _subgraph_circuits(fw, d + 2) == expected == (True, ""), (n, d)
+        subgraphs = comb(n, d + 2)
+        assert calls["certified_rank"] == calls["integer_rank"] == calls["kernel_basis"] == subgraphs, calls
+        monkeypatch.undo()
 
 
 def test_rigidity_rank_matches_exact_rank_on_seeded_and_degenerate_frameworks():
