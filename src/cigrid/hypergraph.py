@@ -119,24 +119,24 @@ def grid_vertex(k: int, i: int, j: int) -> int:
     return (j - 1) * k + i
 
 
-def grid_matrix(k: int, l: int) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """The k x l integer grid, its rows, and its columns (all 1-based)."""
+def grid_matrix(k: int, l: int) -> tuple[list[list[int]], list[list[int]]]:
+    """The k x l integer grid as its rows, and its columns (all 1-based)."""
     if k < 1 or l < 1:
         raise ValueError("grid needs k, l >= 1")
     rows = [[grid_vertex(k, i, j) for j in range(1, l + 1)] for i in range(1, k + 1)]
     cols = [[grid_vertex(k, i, j) for i in range(1, k + 1)] for j in range(1, l + 1)]
-    return rows, rows, cols
+    return rows, cols
 
 
 def grid_matrix_text(k: int, l: int) -> str:
-    Y, _, _ = grid_matrix(k, l)
-    return "\n".join(" ".join(str(x) for x in row) for row in Y) + "\n"
+    rows, _ = grid_matrix(k, l)
+    return "\n".join(" ".join(str(x) for x in row) for row in rows) + "\n"
 
 
 def grid_hypergraph(spec: GridSpec) -> Hypergraph:
     """All t-subsets of each grid row and s-subsets of each grid column,
     normalized to inclusion-minimal edges."""
-    _, rows, cols = grid_matrix(spec.k, spec.l)
+    rows, cols = grid_matrix(spec.k, spec.l)
     edges: list[tuple[int, ...]] = []
     for r in rows:
         edges.extend(combinations(r, spec.t))

@@ -7,6 +7,12 @@ two exact routes.  `rank` and `kernel_basis` run the `Fraction` pass
 `integer_rank` and `integer_det` (and so `det`) run the fraction-free pass
 (`_fraction_free`) on integers; `certified_rank` takes it after scaling each
 column once, and so do `matroid.LinearMatroid` and `hypergraph.in_variety`.
+
+The mod-p shadow reads vectors already scaled to integers: their residues
+mod p are defined for every vector, and a minor nonzero mod p is a nonzero
+integer, so a mod-p rank is always a lower bound on the rank over Q.
+`certified_rank` is the one place that pairs that bound with exact
+elimination.
 """
 
 from __future__ import annotations
@@ -172,19 +178,15 @@ def kernel_basis(m: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     return basis
 
 
-def rank_mod_p(m: Sequence[Sequence[Fraction]], p: int = SHADOW_PRIME) -> int | None:
-    """Rank of the matrix reduced mod p, or None when p divides a denominator.
+def rank_mod_p(m: Sequence[Sequence[Fraction]], p: int = SHADOW_PRIME) -> int:
+    """Rank of the matrix with each column scaled to integers by its
+    denominator lcm, reduced mod p.
 
-    Column scaling by denominator lcms keeps the rank unchanged, so the mod-p
-    rank never exceeds the exact rank; equality with the column count
-    certifies linear independence over Q.
+    Column scaling keeps the rank over Q, so the mod-p rank never exceeds
+    the exact rank; equality with the column count certifies linear
+    independence over Q.
     """
-    if not m or not m[0]:
-        return 0
-    cols = [vector_mod_p(col, p) for col in zip(*m)]
-    if None in cols:
-        return None
-    return rank_of_vectors_mod_p(cols, p)
+    return rank_of_vectors_mod_p([vector_mod_p(col, p) for col in zip(*m)], p)
 
 
 def integer_multiple(v: Sequence[Fraction]) -> tuple[int, list[int]]:
@@ -196,15 +198,12 @@ def integer_multiple(v: Sequence[Fraction]) -> tuple[int, list[int]]:
     return scale, [x.numerator * (scale // x.denominator) for x in v]
 
 
-def vector_mod_p(v: Sequence[Fraction], p: int = SHADOW_PRIME) -> list[int] | None:
-    """The vector times the lcm of its denominators, reduced mod p; None when
-    p divides that lcm.  A nonzero scale changes neither ranks nor which
-    combinations vanish, so a caller may reduce each vector once and
-    eliminate on the results many times."""
-    scale, ints = integer_multiple(v)
-    if scale % p == 0:
-        return None
-    return [x % p for x in ints]
+def vector_mod_p(v: Sequence[Fraction], p: int = SHADOW_PRIME) -> list[int]:
+    """The vector times the lcm of its denominators, reduced mod p.  A
+    nonzero scale changes neither ranks nor which combinations vanish, so a
+    caller may reduce each vector once and eliminate on the results many
+    times."""
+    return [x % p for x in integer_multiple(v)[1]]
 
 
 EchelonRow = tuple[int, list[int]]
@@ -258,21 +257,19 @@ def certified_rank(m: Sequence[Sequence[Fraction]], witnesses: Iterable[Sequence
     bound is min(rows, cols, rows - r_w), with r_w the mod-p rank of the
     counted witnesses; the lower bound is the mod-p rank of the integer
     matrix, reduced from whichever side has fewer vectors (rank m = rank
-    m^T).  A mod-p rank never exceeds the rank over Q, so both bounds are
-    sound, and when they meet that is the rank.  Otherwise, or when p
-    divides a column's scale, `integer_rank` of the same vectors decides."""
+    m^T).  A mod-p rank of integer vectors never exceeds their rank over Q,
+    so both bounds are sound, and when they meet that is the rank.
+    Otherwise `integer_rank` of the same vectors decides."""
     nrows, ncols = len(m), len(m[0]) if m else 0
     if all(type(x) is int for row in m for x in row):
-        rows, shadow = m, True
+        rows = m
     else:
-        columns = [integer_multiple(col) for col in zip(*m)]
-        shadow = all(scale % SHADOW_PRIME for scale, _ in columns)
-        rows = list(zip(*[ints for _, ints in columns]))
+        rows = list(zip(*[integer_multiple(col)[1] for col in zip(*m)]))
     nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in rows]
     kernel: list[Sequence[Fraction]] = []
     kernel_mod_p: list[list[int]] = []
     for w in witnesses:
-        scale, ints = integer_multiple(w)
+        ints = integer_multiple(w)[1]
         if len(w) != nrows or not any(ints):
             continue
         product = [0] * ncols
@@ -282,14 +279,12 @@ def certified_rank(m: Sequence[Sequence[Fraction]], witnesses: Iterable[Sequence
                     product[j] += x * y
         if not any(product):
             kernel.append(w)
-            if scale % SHADOW_PRIME:
-                kernel_mod_p.append([x % SHADOW_PRIME for x in ints])
+            kernel_mod_p.append([x % SHADOW_PRIME for x in ints])
     upper = min(nrows, ncols, nrows - rank_of_vectors_mod_p(kernel_mod_p))
     vectors = rows if nrows <= ncols else list(zip(*rows))
-    if shadow:
-        lower = rank_of_vectors_mod_p([x % SHADOW_PRIME for x in v] for v in vectors)
-        if lower == upper:
-            return CertifiedRank(lower, kernel)
+    lower = rank_of_vectors_mod_p([x % SHADOW_PRIME for x in v] for v in vectors)
+    if lower == upper:
+        return CertifiedRank(lower, kernel)
     return CertifiedRank(integer_rank(vectors), kernel)
 
 

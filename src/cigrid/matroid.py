@@ -1,17 +1,18 @@
 """Matroids from exact matrices, circuit machinery, grid realizations,
 algebraic matroids via Jacobians, and plane-arrangement signatures.
 
-A linear matroid scales each column to integers once.  Rank queries first
-try the mod-p shadow of those integers (full rank mod p certifies
-independence over Q); anything else is settled by exact fraction-free
-elimination (`integer_rank`) of the same integer columns, so no reported
-answer ever depends on the shadow alone.
+A linear matroid scales each column to integers once.  Rank queries are
+`linalg.certified_rank` of those integer columns: the mod-p shadow gives a
+lower bound, and exact fraction-free elimination (`integer_rank`) decides
+wherever it falls short, so no reported answer ever depends on the shadow
+alone.
 
 Circuits are enumerated level by level: each independent set keeps the
-mod-p echelon rows of its columns, so testing a one-larger candidate
-reduces one shadow column against them, and only a zero remainder (a
-candidate circuit) costs an exact rank.  Grid realizations use the
-`Fraction` `rank` and `kernel_basis`: they eliminate each matrix once.
+mod-p echelon rows of its columns (residues of the integer columns, reduced
+once per matroid), so testing a one-larger candidate reduces one shadow
+column against them, and only a zero remainder (a candidate circuit) costs
+an exact rank.  Grid realizations use the `Fraction` `rank` and
+`kernel_basis`: they eliminate each matrix once.
 """
 
 from __future__ import annotations
@@ -28,13 +29,13 @@ from .linalg import (
     SHADOW_PRIME,
     EchelonRow,
     Mat,
+    certified_rank,
     integer_det,
     integer_multiple,
     integer_rank,
     kernel_basis,
     parallel,
     rank,
-    rank_of_vectors_mod_p,
     reduce_mod_p,
     transpose,
 )
@@ -128,43 +129,33 @@ class LinearMatroid(Matroid):
         return {e: i for i, e in enumerate(self.ground)}
 
     @cached_property
-    def _integer_columns(self) -> tuple[tuple[int, list[int]], ...]:
-        """Each column's denominator lcm and the column times it
-        (`integer_multiple`), computed once: scaling a column keeps every
-        rank, so the shadow and the exact route both read these."""
-        return tuple([integer_multiple(col) for col in self.columns])
+    def _integer_columns(self) -> tuple[list[int], ...]:
+        """Each column times the lcm of its denominators (`integer_multiple`),
+        computed once: scaling a column keeps every rank, so the shadow and
+        the exact route both read these."""
+        return tuple([integer_multiple(col)[1] for col in self.columns])
 
     @cached_property
-    def _shadow_columns(self) -> tuple[list[int] | None, ...]:
-        """Each integer column reduced mod SHADOW_PRIME once; None where the
-        prime divides the column's scale."""
-        return tuple(
-            [[x % SHADOW_PRIME for x in ints] if scale % SHADOW_PRIME else None for scale, ints in self._integer_columns]
-        )
+    def _shadow_columns(self) -> tuple[list[int], ...]:
+        """Each integer column reduced mod SHADOW_PRIME once."""
+        return tuple([[x % SHADOW_PRIME for x in ints] for ints in self._integer_columns])
 
     def rank_of(self, subset: Iterable[int]) -> int:
-        subset = sorted(set(subset))
-        if not subset:
-            return 0
-        pos, shadow = self._positions, self._shadow_columns
-        cols = [shadow[pos[e]] for e in subset]
-        if None not in cols and rank_of_vectors_mod_p(cols) == len(subset):
-            return len(subset)
-        return integer_rank([self._integer_columns[pos[e]][1] for e in subset])
+        pos = self._positions
+        return certified_rank([self._integer_columns[pos[e]] for e in sorted(set(subset))], []).rank
 
     def _extend(self, state: tuple[EchelonRow, ...] | None, c: tuple[int, ...]) -> tuple[bool, object]:
         """The state is the mod-p echelon rows of c[:-1]'s shadow columns, or
-        None where the shadow cannot be trusted.  A nonzero remainder of the
-        last shadow column certifies independence over Q, and c keeps the
+        None where those columns are dependent mod p.  A nonzero remainder of
+        the last shadow column certifies independence over Q, and c keeps the
         prefix rows plus that one.  Anything else goes to `integer_rank` of
-        c's integer columns, and c keeps None: its shadow is missing or
-        dependent mod p."""
-        column = self._shadow_columns[c[-1]]
-        if state is not None and column is not None:
-            row = reduce_mod_p(column, state)
+        c's integer columns, and c keeps None: its shadow is dependent mod
+        p."""
+        if state is not None:
+            row = reduce_mod_p(self._shadow_columns[c[-1]], state)
             if row is not None:
                 return True, state + (row,)
-        return integer_rank([self._integer_columns[i][1] for i in c]) == len(c), None
+        return integer_rank([self._integer_columns[i] for i in c]) == len(c), None
 
     def circuits(self) -> tuple[frozenset[int], ...]:
         return self._circuits

@@ -7,15 +7,14 @@ independent draws must agree or the computation fails loudly.  Secant and
 rigidity-matrix ranks go through `linalg.certified_rank` with left-kernel
 witnesses from theory: Segre relations between stacked tangents and the
 trivial motions of a framework; where the bounds differ, its exact route is
-`integer_rank`.  A complete subgraph on d+2 vertices is a circuit when its
-d+2 affine minors are nonzero (a lower bound on the rank) and the
-self-stress from its affine dependence passes an exact check (the upper
-bound), with no elimination; any other subgraph goes to `certified_rank`
-with that stress as its witness.  A framework is scaled to integer
-coordinates once (`integer_framework`), so its rigidity matrix, blocks,
-motions and stresses are ints and nothing is scaled again; the one
-`Fraction` elimination left is the exact left kernel of a circuit block
-that no checked stress decides.
+`integer_rank`.  Whether a complete subgraph on d+2 vertices is a circuit
+is decided by its d+2 affine minors alone: a zero minor puts d+1 of its
+points in a hyperplane, so a proper subset of its rows is dependent, and
+with every minor nonzero the self-stress from its affine dependence, once
+it passes an exact check, certifies the circuit.  No elimination runs
+there.  A framework is scaled to integer coordinates once
+(`integer_framework`), so its rigidity matrix, blocks, motions and
+stresses are ints and nothing is scaled again.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from math import comb
 from operator import mul
 from typing import Callable, Sequence
 
-from .linalg import Mat, certified_rank, integer_det, integer_multiple, kernel_basis, rationals, transpose
+from .linalg import Mat, certified_rank, integer_det, integer_multiple, rationals, transpose
 from .report import CheckResult, WitnessReport
 from .sampling import generic_draw, rand_fraction, rand_nonzero_fraction
 
@@ -243,78 +242,61 @@ def _affine_minors(fw: Framework, verts: Sequence[int]) -> dict[tuple[int, ...],
     return {s: integer_det([[*points[j - 1], 1] for j in s]) for s in combinations(verts, fw.d + 1)}
 
 
-def _affine_dependence_stress(
-    fw: Framework, verts: tuple[int, ...], minors: dict[tuple[int, ...], int] | None = None
-) -> list[int]:
+def _affine_dependence_stress(verts: tuple[int, ...], minors: dict[tuple[int, ...], int]) -> list[int]:
     """A self-stress of the complete graph on `verts`, one entry per edge in
     `combinations` order: w_uv = l_u l_v, where l is an affine dependence of
     the points (sum l_i p_i = 0, sum l_i = 0).
     At u, sum_v w_uv (p_u - p_v) = l_u (p_u sum_v l_v - sum_v l_v p_v) = 0.
 
-    l_i = (-1)^i det([p_j, 1], j != i), read from `minors` (by default
-    `_affine_minors(fw, verts)`): expanding along a repeated column shows
-    that this l is a dependence.  It is 0 when the points lie in a common
-    hyperplane, and a zero stress is never counted as a witness."""
-    if minors is None:
-        minors = _affine_minors(fw, verts)
+    l_i = (-1)^i det([p_j, 1], j != i), read from `minors` (the
+    `_affine_minors` of `verts` or of a superset): expanding along a
+    repeated column shows that this l is a dependence.  It is 0 when the
+    points lie in a common hyperplane."""
     lam = [(-1) ** i * minors[verts[:i] + verts[i + 1 :]] for i in range(len(verts))]
     weight = dict(zip(verts, lam))
     return [weight[u] * weight[v] for u, v in combinations(verts, 2)]
 
 
-def _check_complete_subgraph_circuits(fw: Framework, R: Mat, size: int) -> tuple[bool, str]:
-    """Whether the edge rows of every `size`-vertex complete subgraph of the
+def _check_complete_subgraph_circuits(fw: Framework, R: Mat) -> tuple[bool, str]:
+    """Whether the edge rows of every (d+2)-vertex complete subgraph of the
     rigidity matrix R form a circuit of the row matroid: dependent, all
     one-smaller subsets independent.
 
-    Each subgraph's rows are cut down to its own vertices' columns, the only
-    nonzero ones.  At size d+2 the (d+1)-point affine minors, computed once
-    per call and shared by every subgraph that holds those points, decide a
-    subgraph with no elimination when all d+2 of its minors are nonzero and
-    its affine-dependence stress w passes the exact check w.block = 0:
-    - K_{d+1} on verts[:d+1] has C(d+1, 2) independent rows exactly when
-      those points are affinely independent (Asimow & Roth, Trans. AMS 245,
-      1978), that is, when their minor is nonzero.
-    - Attaching verts[d+1] to verts[:d] adds d rows (a Henneberg
+    The (d+1)-point affine minors, computed once per call and shared by
+    every subgraph that holds those points, decide each subgraph with no
+    elimination:
+    - A zero minor puts those d+1 points in a common hyperplane.  There they
+      have an affine dependence, so their K_{d+1} rows carry a nonzero
+      self-stress and are dependent (Asimow & Roth, Trans. AMS 245, 1978):
+      a proper subset of the edge set is dependent, and it is no circuit.
+    - With every minor nonzero, K_{d+1} on verts[:d+1] has C(d+1, 2)
+      independent rows, as those points are affinely independent (Asimow &
+      Roth).  Attaching verts[d+1] to verts[:d] adds d rows (a Henneberg
       0-extension; Tay & Whiteley, Structural Topology 11, 1985).  Only
       they are nonzero in that vertex's columns, and there they form the
-      d x d matrix [p_{d+2} - p_i], nonsingular exactly when the minor of
+      d x d matrix [p_{d+2} - p_i], nonsingular as the minor of
       verts[:d] + (verts[d+1],) is nonzero.  So the rank is at least
-      C(d+2, 2) - 1.
-    - Every l_u is a nonzero minor up to sign, so the stress is nonzero and,
-      once checked, gives rank <= rows - 1.  It spans the one-dimensional
-      left kernel, and its entries l_u l_v are all nonzero: the rows form a
-      circuit.
+      C(d+2, 2) - 1.  Every l_u is a nonzero minor up to sign, so the
+      affine-dependence stress is nonzero, and once it passes the exact
+      check w.block = 0 it gives rank <= rows - 1.  It spans the
+      one-dimensional left kernel, and its entries l_u l_v are all nonzero:
+      the rows form a circuit.
 
-    Any other subgraph (a zero minor, a stress that fails the check, or
-    size d+1) goes to `certified_rank` for the block's nullity, with the
-    stress as its witness at size d+2.  The rows are a circuit exactly when
-    the nullity is 1 and the left kernel vector has no zero entry: with
-    nullity 0 they are independent, and with nullity 2 or more some kernel
-    vector vanishes at any one row, so every one-smaller subset is
-    dependent.  A checked stress spans a one-dimensional kernel; without
-    one, one exact left kernel decides."""
+    Each subgraph's rows are cut down to its own vertices' columns, the
+    only nonzero ones.  A stress that fails its check contradicts the
+    proof above, so it can only mean a fault: it is a failed verdict that
+    names the subgraph, never a pass."""
     index = _edge_index(fw.n)
-    minors = _affine_minors(fw, range(1, fw.n + 1)) if size == fw.d + 2 else None
-    for verts in combinations(range(1, fw.n + 1), size):
+    minors = _affine_minors(fw, range(1, fw.n + 1))
+    for verts in combinations(range(1, fw.n + 1), fw.d + 2):
+        if not all(minors[s] for s in combinations(verts, fw.d + 1)):
+            return False, f"proper subset of the {verts} edge set is dependent"
         rows = [index[(u, v)] for u, v in combinations(verts, 2)]
         cols = [(v - 1) * fw.d + c for v in verts for c in range(fw.d)]
         block = [[R[r - 1][c] for c in cols] for r in rows]
-        stresses = []
-        if minors is not None:
-            stress = _affine_dependence_stress(fw, verts, minors)
-            if all(minors[s] for s in combinations(verts, size - 1)) and not any(
-                sum(map(mul, stress, column)) for column in zip(*block)
-            ):
-                continue
-            stresses.append(stress)
-        r, kernel = certified_rank(block, stresses)
-        nullity = len(rows) - r
-        if nullity == 0:
-            return False, f"edge set of vertices {verts} is independent"
-        if nullity == 1 and all((kernel or kernel_basis(transpose(block)))[0]):
-            continue
-        return False, f"proper subset of the {verts} edge set is dependent"
+        stress = _affine_dependence_stress(verts, minors)
+        if any(sum(map(mul, stress, column)) for column in zip(*block)):
+            return False, f"the affine-dependence stress of the {verts} edge set fails its exact check"
     return True, ""
 
 
@@ -330,7 +312,7 @@ def generic_rigidity_check(n: int, d: int, rng: random.Random, seed_note: int = 
     def draw() -> tuple[int, tuple[bool, str] | None]:
         fw = integer_framework(random_framework(n, d, rng))
         R = rigidity_matrix(fw)
-        return rigidity_rank(fw, R), _check_complete_subgraph_circuits(fw, R, d + 2) if d + 2 <= n <= 8 else None
+        return rigidity_rank(fw, R), _check_complete_subgraph_circuits(fw, R) if d + 2 <= n <= 8 else None
 
     r, circuit_outcome = generic_draw(draw, lambda x: (x[0], x[1] and x[1][0]), "rigidity (rank, circuit verdict)")
     report.add(

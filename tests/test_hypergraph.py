@@ -24,26 +24,26 @@ from cigrid.sampling import rand_matrix
 
 
 def test_grid_matrix_four_by_seven():
-    Y, rows, cols = grid_matrix(4, 7)
-    assert Y[0] == [1, 5, 9, 13, 17, 21, 25]
-    assert Y[1] == [2, 6, 10, 14, 18, 22, 26]
-    assert Y[2] == [3, 7, 11, 15, 19, 23, 27]
-    assert Y[3] == [4, 8, 12, 16, 20, 24, 28]
+    rows, cols = grid_matrix(4, 7)
+    assert rows == [
+        [1, 5, 9, 13, 17, 21, 25],
+        [2, 6, 10, 14, 18, 22, 26],
+        [3, 7, 11, 15, 19, 23, 27],
+        [4, 8, 12, 16, 20, 24, 28],
+    ]
     assert cols[0] == [1, 2, 3, 4] and cols[6] == [25, 26, 27, 28]
-    assert rows[0] == [1, 5, 9, 13, 17, 21, 25]
     assert grid_matrix_text(4, 7).splitlines()[0] == "1 5 9 13 17 21 25"
 
 
 def test_grid_matrix_trivial_and_three_by_four():
-    Y, _, _ = grid_matrix(1, 1)
-    assert Y == [[1]]
-    _, _, cols = grid_matrix(3, 4)
+    assert grid_matrix(1, 1) == ([[1]], [[1]])
+    _, cols = grid_matrix(3, 4)
     assert cols == [[1, 2, 3], [4, 5, 6], [7, 8, 9], [10, 11, 12]]
 
 
 def test_grid_rows_and_columns_partition_the_vertex_set():
     for k, l in [(2, 2), (3, 4), (4, 7), (1, 5)]:
-        _, rows, cols = grid_matrix(k, l)
+        rows, cols = grid_matrix(k, l)
         assert sorted(v for r in rows for v in r) == list(range(1, k * l + 1))
         assert sorted(v for c in cols for v in c) == list(range(1, k * l + 1))
         for r in rows:
@@ -61,7 +61,7 @@ def test_grid_hypergraph_three_three_on_three_by_four():
 
 def test_grid_hypergraph_two_three_on_four_by_seven():
     H = grid_hypergraph(GridSpec(k=4, l=7, s=2, t=3))
-    _, rows, cols = grid_matrix(4, 7)
+    rows, cols = grid_matrix(4, 7)
     expected = {frozenset(e) for r in rows for e in combinations(r, 3)}
     expected |= {frozenset(e) for c in cols for e in combinations(c, 2)}
     # 2-subsets of columns never sit inside a row, and vice versa: all minimal

@@ -182,16 +182,25 @@ def test_mod_p_rank_never_exceeds_exact_rank(d, n, seed):
     m = rand_mat(rng, d, n)
     rp = linalg.rank_mod_p(m)
     rq = linalg.rank(m)
-    assert rp is not None
     assert rp <= rq
     if rp == n:
         assert rq == n
 
 
-def test_mod_p_declines_when_prime_divides_denominator():
+def test_mod_p_rank_scales_a_prime_denominator_away():
+    """p in a denominator is scaled away with the column's lcm, so the
+    residues are still a lower bound on the rank over Q: here they reach
+    it, and `certified_rank` needs no exact elimination."""
     p = linalg.SHADOW_PRIME
-    m = [[Fraction(1, p)]]
-    assert linalg.rank_mod_p(m, p) is None
+    one = [[Fraction(1, p)]]
+    assert linalg.rank_mod_p(one, p) == 1 == linalg.rank(one)
+    # columns (1/p, 1) and (1, 1/p) scale to (1, p) and (p, 1): the identity mod p
+    m = [[Fraction(1, p), Fraction(1)], [Fraction(1), Fraction(1, p)]]
+    assert linalg.rank_mod_p(m, p) == 2 == linalg.rank(m)
+    # (1/p, 1/p) and (1, 1) are parallel over Q and mod p
+    m = [[Fraction(1, p), Fraction(1)], [Fraction(1, p), Fraction(1)]]
+    assert linalg.rank_mod_p(m, p) == 1 == linalg.rank(m)
+    assert linalg.rank_mod_p([], p) == linalg.rank_mod_p([[]], p) == 0
 
 
 def _product(rng, d, r, n):
@@ -298,13 +307,14 @@ def test_certified_rank_of_empty_shapes():
     assert linalg.certified_rank([], []) == (0, [])
     assert linalg.certified_rank([[], []], [[Fraction(1), Fraction(0)]]) == (0, [[Fraction(1), Fraction(0)]])
     p = linalg.SHADOW_PRIME
-    # p in a column denominator: no shadow, so the exact rank decides
+    # p in a column denominator: the column scales to 1, and the shadow decides
     assert linalg.certified_rank([[Fraction(1, p), Fraction(1)]], []) == (1, [])
 
 
 def test_vector_mod_p_scales_by_the_denominator_lcm():
     assert linalg.vector_mod_p([Fraction(1, 2), Fraction(-1, 3), Fraction(0)], 7) == [3, 5, 0]
-    assert linalg.vector_mod_p([Fraction(1, 14), Fraction(1)], 7) is None
+    # p divides the lcm 14: the scaled vector (1, 14) still has residues
+    assert linalg.vector_mod_p([Fraction(1, 14), Fraction(1)], 7) == [1, 0]
     assert linalg.vector_mod_p([], 7) == []
 
 
@@ -324,8 +334,7 @@ def test_rank_and_kernel_match_sympy(m):
         assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in m)
     assert linalg.rank(basis + [[Fraction(int(x.p), int(x.q)) for x in v] for v in theirs.nullspace()]) == len(basis)
     for p in (2, 3, 5, linalg.SHADOW_PRIME):
-        shadow = linalg.rank_mod_p(m, p)
-        assert shadow is None or shadow <= r
+        assert linalg.rank_mod_p(m, p) <= r
 
 
 def test_matrix_text_round_trip():

@@ -196,11 +196,11 @@ def test_shadow_never_decides_dependence():
     assert m.circuits() == ()
 
 
-def test_shadow_columns_with_the_prime_in_a_denominator_are_none():
+def test_shadow_columns_with_the_prime_in_a_denominator_are_residues():
+    # column (1/p, 1) scales to (1, p), whose residues are (1, 0)
     p = linalg.SHADOW_PRIME
     m = matroid_from_matrix([[Fraction(1, p), Fraction(1), Fraction(2)], [Fraction(1), Fraction(1, 3), Fraction(2, 3)]])
-    assert m._shadow_columns[0] is None
-    assert m._shadow_columns[1:] == ([3, 1], [6, 2])
+    assert m._shadow_columns == ([1, 0], [3, 1], [6, 2])
     assert [m.rank_of(s) for s in ([1], [1, 2], [2, 3], [1, 2, 3])] == [1, 2, 1, 2]
     assert m.circuits() == (frozenset({2, 3}),)
 
@@ -222,8 +222,8 @@ def test_integer_columns_match_the_fractional_oracle():
     """Seeded products of fractional factors with one column over a
     denominator 3p, fresh or parallel to another column: the circuits equal
     the brute-force oracle, and every `rank_of` equals `Fraction` `rank` of
-    the column submatrix.  The column's scale is a multiple of p, so it has
-    no shadow and every set through it takes the exact integer route."""
+    the column submatrix.  The column's scale is a multiple of p, and its
+    shadow is still the residues of its integer multiple."""
     p = linalg.SHADOW_PRIME
     rng = random.Random(43)
     for trial in range(40):
@@ -237,7 +237,7 @@ def test_integer_columns_match_the_fractional_oracle():
         for row in matrix:
             row[j] = row[k] * Fraction(2, 3 * p) if parallel else Fraction(rng.randint(1, 9), 3 * p)
         m = matroid_from_matrix(matrix)
-        assert m._shadow_columns[j] is None
+        assert m._shadow_columns[j] == linalg.vector_mod_p([row[j] for row in matrix])
         assert m.circuits() == brute_force_circuits(matrix), matrix
         for size in range(1, n + 1):
             for subset in combinations(range(1, n + 1), size):
@@ -372,8 +372,11 @@ def test_level_wise_circuits_match_the_oracle_on_fractional_matrices(monkeypatch
 
 
 def test_circuits_with_a_column_the_shadow_cannot_reduce(monkeypatch):
-    """Column 1 has denominator p, so it has no shadow: every set through it
-    goes to an exact rank, and the circuits still equal the oracle."""
+    """Columns 1 and 5 have denominator p.  Scaled to integers they have
+    residues like any other column, so single columns and sets independent
+    mod p are decided by the shadow; only sets dependent mod p, the parallel
+    pair {1, 2} among them, cost an exact rank, and the circuits equal the
+    oracle."""
     p = linalg.SHADOW_PRIME
     matrix = [
         [Fraction(1, p), Fraction(1), Fraction(0), Fraction(2), Fraction(1)],
@@ -381,12 +384,12 @@ def test_circuits_with_a_column_the_shadow_cannot_reduce(monkeypatch):
         [Fraction(0), Fraction(0), Fraction(3), Fraction(1), Fraction(1, p)],
     ]
     m = matroid_from_matrix(matrix)
-    assert m._shadow_columns[0] is None and m._shadow_columns[4] is None
+    assert m._shadow_columns[0] == m._shadow_columns[1] == [1, 0, 0] and m._shadow_columns[4] == [0, 0, 1]
     exact = _spy_exact_columns(monkeypatch)
     assert m.circuits() == brute_force_circuits(matrix)
     assert frozenset({1, 2}) in m.circuits()
-    assert _columns(matrix, [1]) in exact
-    assert _columns(matrix, [1, 3]) in exact and _columns(matrix, [1, 3, 4]) in exact
+    assert _columns(matrix, [1, 2]) in exact
+    assert _columns(matrix, [1, 3]) not in exact and _columns(matrix, [1, 3, 4]) not in exact
 
 
 def test_circuits_when_the_shadow_rank_falls_below_the_rank_over_q(monkeypatch):
