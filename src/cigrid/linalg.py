@@ -265,13 +265,15 @@ def certified_rank(m: Sequence[Sequence[Fraction]], witnesses: Iterable[Sequence
         rows = m
     else:
         rows = list(zip(*[integer_multiple(col)[1] for col in zip(*m)]))
-    nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in rows]
+    nonzero = None  # each row's nonzero entries, built for the first witness
     kernel: list[Sequence[Fraction]] = []
     kernel_mod_p: list[list[int]] = []
     for w in witnesses:
         ints = integer_multiple(w)[1]
         if len(w) != nrows or not any(ints):
             continue
+        if nonzero is None:
+            nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in rows]
         product = [0] * ncols
         for x, row in zip(ints, nonzero):
             if x:

@@ -27,7 +27,7 @@ from .hypergraph import (
     in_variety,
 )
 from .ideals import DEFAULT_MAX_DEGREE, DEFAULT_MAX_PAIRS, BudgetExceeded, Ideal, buchberger, intersect, normal_form
-from .linalg import Mat, integer_multiple, integer_rank, parallel, rank
+from .linalg import Mat, integer_rank, parallel, rank
 from . import matroid
 from .matroid import (
     dependent_contains,
@@ -38,7 +38,7 @@ from .matroid import (
 )
 from .poly import Polynomial, Rat, SymbolicMatrix, generic_matrix, minor, require_homogeneous
 from .report import INCONCLUSIVE, CheckResult, WitnessReport
-from .sampling import GenericityError, child_rng, rand_fraction, rand_matrix, rand_nonzero_fraction
+from .sampling import GenericityError, child_rng, common_denominator, rand_fraction_pairs
 from .secrig import generic_rigidity_check, secant_dimension, segre_tangent_model
 
 GRID_REALIZATION_ATTEMPTS = 3
@@ -109,11 +109,14 @@ def twelve_vertex_triple_system() -> Hypergraph:
 def sampler_loop_component() -> ComponentSampler:
     """First column zero, remaining six columns random rational.
 
-    Each row's six entries are scaled to integers by the lcm of their
-    denominators (`integer_multiple`), which is that row's scale."""
+    The 3 x 7 rationals are drawn as pairs (`rand_fraction_pairs`), the
+    first of each row discarded, and each row's six scaled to integers by
+    the lcm of their denominators (`common_denominator`), which is that
+    row's scale."""
 
     def draw(rng: random.Random) -> ScaledMatrix:
-        rows = [integer_multiple(row[1:]) for row in rand_matrix(rng, 3, 7)]
+        pairs = rand_fraction_pairs(rng, 21)
+        rows = [common_denominator(pairs[i + 1 : i + 7]) for i in (0, 7, 14)]
         return ScaledMatrix([[0] + ints for _, ints in rows], [scale for scale, _ in rows], [1] * 7)
 
     return ComponentSampler("loop-component", draw)
@@ -124,22 +127,22 @@ def sampler_concurrent_lines() -> ComponentSampler:
     it; degenerate draws (zero apex, parallel directions) are resampled.
 
     In integers, the apex is p / s_apex and a direction q / s_d
-    (`integer_multiple`), and a point a * apex + b * d on its line, with
-    a, b = (k_a, k_b) / l, is the column k_a s_d p + k_b s_apex q over the
-    scale l s_apex s_d."""
+    (`common_denominator` of its drawn pairs), and a point a * apex + b * d
+    on its line, with nonzero a, b = (k_a, k_b) / l, is the column
+    k_a s_d p + k_b s_apex q over the scale l s_apex s_d."""
 
     def draw(rng: random.Random) -> ScaledMatrix:
         while True:
-            apex = [rand_fraction(rng) for _ in range(3)]
-            dirs = [[rand_fraction(rng) for _ in range(3)] for _ in range(3)]
-            s_apex, p = integer_multiple(apex)
-            ds = [integer_multiple(d) for d in dirs]
+            pairs = rand_fraction_pairs(rng, 12)
+            s_apex, p = common_denominator(pairs[:3])
+            ds = [common_denominator(pairs[i : i + 3]) for i in (3, 6, 9)]
             if not any(p) or any(parallel(u, v) for u, v in combinations([p] + [q for _, q in ds], 2)):
                 continue
+            coeffs = rand_fraction_pairs(rng, 12, nonzero=True)
             cols, scales = [p], [s_apex]
-            for s_d, q in ds:
-                for _ in range(2):
-                    l, (ka, kb) = integer_multiple([rand_nonzero_fraction(rng), rand_nonzero_fraction(rng)])
+            for i, (s_d, q) in enumerate(ds):
+                for j in (4 * i, 4 * i + 2):
+                    l, (ka, kb) = common_denominator(coeffs[j : j + 2])
                     cols.append([ka * s_d * x + kb * s_apex * y for x, y in zip(p, q)])
                     scales.append(l * s_apex * s_d)
             return ScaledMatrix([list(row) for row in zip(*cols)], [1] * 3, scales)
@@ -152,14 +155,14 @@ def sampler_bounded_rank(d: int, n: int, r: int, name: str | None = None) -> Com
     d x r and r x n rational factors L and R.
 
     Each row of L and each column of R is scaled to integers by the lcm of
-    its denominators (`integer_multiple`), so the draw is the integer
-    product N = L'R' with row scales r_i and column scales c_j:
-    (LR)_ij = N_ij / (r_i c_j)."""
+    its denominators (`common_denominator` of its drawn pairs), so the draw
+    is the integer product N = L'R' with row scales r_i and column scales
+    c_j: (LR)_ij = N_ij / (r_i c_j)."""
 
     def draw(rng: random.Random) -> ScaledMatrix:
-        left = [integer_multiple(row) for row in rand_matrix(rng, d, r)]
-        right = rand_matrix(rng, r, n)
-        cols = [integer_multiple([row[j] for row in right]) for j in range(n)]
+        pairs = rand_fraction_pairs(rng, d * r + r * n)
+        left = [common_denominator(pairs[i * r : i * r + r]) for i in range(d)]
+        cols = [common_denominator(pairs[d * r + j :: n]) for j in range(n)]
         return ScaledMatrix(
             [[sum(map(mul, a, b)) for _, b in cols] for _, a in left],
             [scale for scale, _ in left],

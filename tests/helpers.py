@@ -10,9 +10,10 @@ every pair of circuits eliminated, circuits found by an exact rank of every
 subset, arrangement signatures from 3x2 and 3x3 `Fraction` ranks, full-width
 exact ranks for rigidity circuits, a (2,3)-pebble game for generic rigidity
 in the plane, variety membership by one exact rank per edge, the witness
-draws summed as `Fraction` products, the example 3.1 draws built in
-`Fraction`s, polynomial text rendered factor by factor from each `Var`, and
-flattenings read state by state through `ProbTensor.get`.
+draws summed as `Fraction` products of `rng.randint` values, the example
+3.1 draws built in `Fraction`s from the same calls, polynomial text
+rendered factor by factor from each `Var`, and flattenings read state by
+state through `ProbTensor.get`.
 
 The builders write the test-only inputs the library only ever reads: CI
 statements and CI model files as text, and tensors from plain entries.
@@ -27,7 +28,7 @@ from itertools import combinations, permutations, product
 from cigrid.cimodel import CIStatement, DiscreteModel, ProbTensor
 from cigrid.linalg import column_submatrix, rank
 from cigrid.poly import DEGREVLEX, Polynomial, SymbolicMatrix
-from cigrid.sampling import DEFAULT_BOUND, rand_fraction, rand_matrix, rand_nonzero_fraction
+from cigrid import sampling
 from cigrid.secrig import complete_graph_edges, rigidity_matrix
 
 
@@ -357,7 +358,7 @@ def fraction_mixture_matrix(rng: random.Random, m: int, n: int, k: int):
     entry (i, j) accumulated as sum_t lam_t * a_t[i] * b_t[j]."""
 
     def simplex(size):
-        weights = [rng.randint(1, DEFAULT_BOUND) for _ in range(size)]
+        weights = [rng.randint(1, sampling.DEFAULT_BOUND) for _ in range(size)]
         total = sum(weights)
         return [Fraction(w, total) for w in weights]
 
@@ -382,18 +383,37 @@ def rational_tensor(den: int, P: ProbTensor) -> ProbTensor:
     return ProbTensor(P.names, P.shape, tuple(Fraction(x, den) for x in P.entries))
 
 
+def randint_fraction(rng: random.Random) -> Fraction:
+    """A random rational from two `rng.randint` calls, numerator first, with
+    the library's bound read at call time: the stream the library's draws
+    must reproduce from the rng's bits."""
+    bound = sampling.DEFAULT_BOUND
+    return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+
+
+def randint_nonzero_fraction(rng: random.Random) -> Fraction:
+    while True:
+        x = randint_fraction(rng)
+        if x:
+            return x
+
+
+def randint_matrix(rng: random.Random, d: int, n: int) -> list[list[Fraction]]:
+    return [[randint_fraction(rng) for _ in range(n)] for _ in range(d)]
+
+
 def fraction_bounded_rank_draw(rng: random.Random, d: int, n: int, r: int):
     """A d x n draw of rank at most r: random d x r and r x n factors and
     their product summed as `Fraction` products."""
-    left = rand_matrix(rng, d, r)
-    right = rand_matrix(rng, r, n)
+    left = randint_matrix(rng, d, r)
+    right = randint_matrix(rng, r, n)
     return [[sum(left[i][t] * right[t][j] for t in range(r)) for j in range(n)] for i in range(d)]
 
 
 def fraction_loop_draw(rng: random.Random):
     """The loop-component draw as `Fraction`s: a random 3 x 7 matrix with
     its first column set to zero."""
-    m = rand_matrix(rng, 3, 7)
+    m = randint_matrix(rng, 3, 7)
     for row in m:
         row[0] = Fraction(0)
     return m
@@ -405,8 +425,8 @@ def fraction_concurrent_lines_draw(rng: random.Random):
     parallel (a 3 x 2 rank below 2), then columns a * apex + b * d, two per
     direction, after the apex column."""
     while True:
-        apex = [rand_fraction(rng) for _ in range(3)]
-        dirs = [[rand_fraction(rng) for _ in range(3)] for _ in range(3)]
+        apex = [randint_fraction(rng) for _ in range(3)]
+        dirs = [[randint_fraction(rng) for _ in range(3)] for _ in range(3)]
         if not any(apex):
             continue
         vectors = [apex] + dirs
@@ -415,8 +435,8 @@ def fraction_concurrent_lines_draw(rng: random.Random):
         cols = [apex]
         for d in dirs:
             for _ in range(2):
-                a = rand_nonzero_fraction(rng)
-                b = rand_nonzero_fraction(rng)
+                a = randint_nonzero_fraction(rng)
+                b = randint_nonzero_fraction(rng)
                 cols.append([a * apex[r] + b * d[r] for r in range(3)])
         return [[col[r] for col in cols] for r in range(3)]
 

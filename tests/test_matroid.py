@@ -318,25 +318,26 @@ def test_circuit_enumeration_queries_no_set_the_rank_bound_settles(monkeypatch):
     assert queried and max(queried) == 0
 
 
-def _spy_exact_columns(monkeypatch) -> list[set[tuple[int, ...]]]:
-    """Record the column set of every exact `integer_rank` call made in
+def _spy_exact_columns(monkeypatch) -> list[list[tuple[int, ...]]]:
+    """Record the columns of every exact `integer_rank` call made in
     `matroid`, the exact route of `LinearMatroid`: it eliminates on the
-    integer columns, one per row."""
-    calls: list[set[tuple[int, ...]]] = []
+    integer columns, one per row, in ground order.  A list per call keeps
+    equal columns apart, so a parallel pair does not read as one column."""
+    calls: list[list[tuple[int, ...]]] = []
     real = matroid_module.integer_rank
 
     def counted(m):
-        calls.append(set(map(tuple, m)))
+        calls.append([tuple(col) for col in m])
         return real(m)
 
     monkeypatch.setattr(matroid_module, "integer_rank", counted)
     return calls
 
 
-def _columns(matrix, c) -> set[tuple[int, ...]]:
-    """The columns c of the matrix, each scaled to integers by its
-    denominator lcm."""
-    return {tuple(linalg.integer_multiple([row[e - 1] for row in matrix])[1]) for e in c}
+def _columns(matrix, c) -> list[tuple[int, ...]]:
+    """The columns c of the matrix in ground order, each scaled to integers
+    by its denominator lcm."""
+    return [tuple(linalg.integer_multiple([row[e - 1] for row in matrix])[1]) for e in sorted(c)]
 
 
 def rand_fraction_small(rng: random.Random) -> Fraction:
@@ -373,10 +374,10 @@ def test_level_wise_circuits_match_the_oracle_on_fractional_matrices(monkeypatch
 
 def test_circuits_with_a_column_the_shadow_cannot_reduce(monkeypatch):
     """Columns 1 and 5 have denominator p.  Scaled to integers they have
-    residues like any other column, so single columns and sets independent
-    mod p are decided by the shadow; only sets dependent mod p, the parallel
-    pair {1, 2} among them, cost an exact rank, and the circuits equal the
-    oracle."""
+    residues like any other column, so single columns, the singleton {1}
+    among them, and sets independent mod p are decided by the shadow; only
+    sets dependent mod p, the parallel pair {1, 2} among them, cost an exact
+    rank, and the circuits equal the oracle."""
     p = linalg.SHADOW_PRIME
     matrix = [
         [Fraction(1, p), Fraction(1), Fraction(0), Fraction(2), Fraction(1)],
@@ -390,6 +391,7 @@ def test_circuits_with_a_column_the_shadow_cannot_reduce(monkeypatch):
     assert frozenset({1, 2}) in m.circuits()
     assert _columns(matrix, [1, 2]) in exact
     assert _columns(matrix, [1, 3]) not in exact and _columns(matrix, [1, 3, 4]) not in exact
+    assert _columns(matrix, [1]) not in exact
 
 
 def test_circuits_when_the_shadow_rank_falls_below_the_rank_over_q(monkeypatch):

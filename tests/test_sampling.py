@@ -1,5 +1,6 @@
-"""The two-draw genericity guard, driven by scripted draws, and the mixture
-draw against its `Fraction` formula."""
+"""The two-draw genericity guard, driven by scripted draws, the draws from
+the rng's bits against `rng.randint`, and the mixture draw against its
+`Fraction` formula."""
 
 import random
 from fractions import Fraction
@@ -7,7 +8,15 @@ from fractions import Fraction
 import pytest
 
 from helpers import fraction_mixture_matrix, rational_rows
-from cigrid.sampling import GENERIC_ATTEMPTS, GenericityError, generic_draw, mixture_matrix
+from cigrid import sampling
+from cigrid.sampling import (
+    GENERIC_ATTEMPTS,
+    GenericityError,
+    generic_draw,
+    mixture_matrix,
+    rand_fraction_pairs,
+    rand_positive_ints,
+)
 
 
 def scripted(keys):
@@ -50,6 +59,34 @@ def test_every_pair_disagreeing_raises_naming_the_last_keys():
     message = str(info.value)
     assert message.startswith("test keys")
     assert "k6 vs k7" in message
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 5, 2**31, 2**31 + 1, 2**40])
+def test_draws_from_the_bits_repeat_randint(monkeypatch, bound):
+    """Pairs, nonzero pairs and positive ints equal what `rng.randint` gives
+    at the same bound, drawn in the same order, and leave the rng in the
+    same state.  At bounds 1 and 2 every draw of 0 is seen and redrawn."""
+    monkeypatch.setattr(sampling, "DEFAULT_BOUND", bound)
+
+    def randint_pair(rng):
+        x = Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+        return x.numerator, x.denominator
+
+    zeros = 0
+    for seed in range(12):
+        for count in (0, 1, 7, 40):
+            rng, ref = random.Random(seed), random.Random(seed)
+            assert rand_fraction_pairs(rng, count) == [randint_pair(ref) for _ in range(count)]
+            assert rand_positive_ints(rng, count) == [ref.randint(1, bound) for _ in range(count)]
+            nonzero = []
+            while len(nonzero) < count:
+                pair = randint_pair(ref)
+                zeros += pair[0] == 0
+                if pair[0]:
+                    nonzero.append(pair)
+            assert rand_fraction_pairs(rng, count, nonzero=True) == nonzero
+            assert rng.getstate() == ref.getstate()
+    assert zeros > 0 or bound > 5
 
 
 MIXTURE_SHAPES = [(1, 1, 1), (1, 1, 3), (3, 12, 1), (3, 12, 2), (2, 2, 5), (4, 3, 2), (1, 6, 4), (5, 1, 2)]
