@@ -15,7 +15,7 @@ from math import prod
 from typing import Callable, Iterable, Sequence
 
 from .ideals import Ideal
-from .linalg import Mat
+from .linalg import Mat, content_lines
 from .poly import PolyRing, Polynomial, Rat, SymbolicMatrix, Var, all_minors, minor, normalize_sign
 from .sampling import mixture_matrix
 
@@ -299,7 +299,7 @@ def parse_ci_file(text: str) -> tuple[DiscreteModel, list[CIStatement]]:
     The first non-comment line declares variables (a trailing * on the name
     marks a hidden variable); each further line is one statement.
     """
-    lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln and not ln.startswith("#")]
+    lines = content_lines(text)
     if not lines:
         raise ValueError("empty model file")
     variables = []

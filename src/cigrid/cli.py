@@ -16,12 +16,13 @@ import argparse
 import inspect
 import json
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from .cimodel import ci_ideal, parse_ci_file
 from .hypergraph import GridSpec, Hypergraph, grid_hypergraph, grid_matrix_text, hypergraph_ideal
 from .ideals import Ideal, ideal_to_cas, ideal_to_text
-from .linalg import matrix_from_text
+from .linalg import content_lines, matrix_from_text
 from .matroid import PolyMap, algebraic_matroid, arrangement_signature, matroid_from_matrix, realize_grid_matroid
 from .report import EXIT_CODES, WitnessReport, overall_status
 from .sampling import GenericityError, child_rng
@@ -45,10 +46,7 @@ def _load_config(argv: list[str]) -> list[str]:
     path = argv[idx + 1]
     rest = argv[:idx] + argv[idx + 2:]
     extra: list[str] = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line in content_lines(Path(path).read_text()):
         key, _, value = line.partition("=")
         key = key.strip().replace("_", "-")
         value = value.strip()
@@ -70,33 +68,23 @@ def _grid_spec(args) -> GridSpec:
     return GridSpec(k=args.k, l=args.l, s=args.s, t=args.t, d=args.d)
 
 
-def _emit(args, stem: str, text: str, payload: dict) -> None:
-    """Write <stem>.txt and <stem>.json under --out, or print to stdout."""
-    blob = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _emit(args, stem: str, text: str, payload: dict | str) -> None:
+    """The one writer: <stem>.txt and <stem>.json under --out, else the JSON
+    on stdout under --json, else the text.  A str payload is JSON already
+    rendered (a report's `to_json`); a dict is dumped with sorted keys."""
+    blob = payload if isinstance(payload, str) else json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / f"{stem}.txt").write_text(text)
-        (out / f"{stem}.json").write_text(blob)
+        Path(args.out, stem).parent.mkdir(parents=True, exist_ok=True)
+        Path(args.out, f"{stem}.txt").write_text(text)
+        Path(args.out, f"{stem}.json").write_text(blob)
     elif args.json:
         sys.stdout.write(blob)
     else:
         sys.stdout.write(text)
 
 
-def _write_report(out: Path, report: WitnessReport) -> None:
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "report.txt").write_text(report.to_text())
-    (out / "report.json").write_text(report.to_json())
-
-
 def _emit_report(args, report: WitnessReport) -> int:
-    if args.out:
-        _write_report(Path(args.out), report)
-    elif args.json:
-        sys.stdout.write(report.to_json())
-    else:
-        sys.stdout.write(report.to_text())
+    _emit(args, "report", report.to_text(), report.to_json())
     return report.exit_code
 
 
@@ -114,6 +102,9 @@ def _add_grid_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--d", type=int, help="ambient matrix row count")
 
 
+# Built once: `main` may run many times in one process, and every parser is
+# some 450 objects in reference cycles that wait for the cyclic collector.
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cigrid", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -295,12 +286,10 @@ def cmd_verify(args) -> int:
         return _emit_report(args, reports[args.name])
     if args.out:
         for name, report in reports.items():
-            _write_report(Path(args.out) / name, report)
-    elif args.json:
-        payload = {name: report.to_json_dict() for name, report in reports.items()}
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+            _emit(args, f"{name}/report", report.to_text(), report.to_json())
     else:
-        sys.stdout.write("".join(report.to_text() for report in reports.values()))
+        text = "".join(report.to_text() for report in reports.values())
+        _emit(args, "report", text, {name: report.to_json_dict() for name, report in reports.items()})
     return EXIT_CODES[overall_status(report.status for report in reports.values())]
 
 

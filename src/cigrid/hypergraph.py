@@ -14,7 +14,7 @@ from typing import Iterable, TypeVar
 
 from .cimodel import CIStatement, DiscreteModel, ModelVar, ci_ideal
 from .ideals import Ideal
-from .linalg import Mat, integer_multiple, integer_rank
+from .linalg import Mat, content_lines, integer_multiple, integer_rank
 from .poly import Var, generic_matrix, minor, normalize_sign
 
 S = TypeVar("S", bound=Iterable[int])
@@ -64,7 +64,7 @@ class Hypergraph:
     @staticmethod
     def from_text(text: str) -> "Hypergraph":
         """An `n` line, then one edge of vertex numbers per line."""
-        lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln and not ln.startswith("#")]
+        lines = content_lines(text)
         if not lines:
             raise ValueError("empty hypergraph text")
         misfit = "does not fit the format: an `n` line, then one edge of vertex numbers per line"
@@ -116,6 +116,8 @@ class GridSpec:
 
 
 def grid_vertex(k: int, i: int, j: int) -> int:
+    """The label of cell (i, j) of a grid with k rows, all 1-based: cells
+    are numbered down each column in turn."""
     return (j - 1) * k + i
 
 

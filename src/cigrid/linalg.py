@@ -300,8 +300,13 @@ def matrix_to_text(m: Sequence[Sequence[Fraction]]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def content_lines(text: str) -> list[str]:
+    """The stripped lines of an input file, less blank lines and `#` comments."""
+    return [ln for ln in (s.strip() for s in text.splitlines()) if ln and not ln.startswith("#")]
+
+
 def matrix_from_text(text: str) -> Mat:
-    lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln and not ln.startswith("#")]
+    lines = content_lines(text)
     if not lines:
         raise ValueError("empty matrix text")
     header = lines[0].split()

@@ -24,12 +24,13 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .hypergraph import GridSpec, Hypergraph, grid_hypergraph
+from .hypergraph import GridSpec, Hypergraph, grid_hypergraph, grid_vertex
 from .linalg import (
     SHADOW_PRIME,
     EchelonRow,
     Mat,
     certified_rank,
+    content_lines,
     integer_det,
     integer_multiple,
     integer_rank,
@@ -308,7 +309,7 @@ def realize_grid_matroid(spec: GridSpec, rng: random.Random) -> Mat:
                 if all(x == 0 for x in point):
                     ok = False
                     break
-                vertex = (j) * spec.k + i  # 0-based position of cell (i+1, j+1)
+                vertex = grid_vertex(spec.k, i + 1, j + 1) - 1
                 for r in range(d):
                     matrix[r][vertex] = point[r]
             if not ok:
@@ -354,7 +355,7 @@ class PolyMap:
     @staticmethod
     def parse(text: str) -> "PolyMap":
         """Format: a `params` line, then `coord <label> <polynomial>` lines."""
-        lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln and not ln.startswith("#")]
+        lines = content_lines(text)
         if not lines:
             raise ValueError("expected a leading 'params' line")
         head = lines[0].split()

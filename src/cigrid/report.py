@@ -1,9 +1,12 @@
 """Structured verification reports with deterministic serialization.
 
 A report aggregates named checks; the overall status is "fail" if any check
-failed, else "inconclusive" if any check hit a budget, else "pass".  Text and
-JSON output contain no timestamps and use fixed ordering, so identical seeds
-give byte-identical artifacts.
+failed, else "inconclusive" if any check hit a budget or counted nothing,
+else "pass".  Every counted check (draws, generators) is built by
+`CheckResult.tally`, the one place its rule is written: it passes only when
+every counted item held, and never on zero evidence.  Text and JSON output
+contain no timestamps and use fixed ordering, so identical seeds give
+byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -43,6 +46,14 @@ class CheckResult:
     @staticmethod
     def outcome(name: str, ok: bool, detail: str = "", counts: dict[str, int] | None = None) -> "CheckResult":
         return CheckResult(name, PASS if ok else FAIL, detail, counts or {})
+
+    @staticmethod
+    def tally(name: str, key: str, hits: int, total: int, total_key: str = "trials") -> "CheckResult":
+        """The check that `hits` of `total` counted items held, with counts
+        {key: hits, total_key: total}: "pass" when every item held, "fail"
+        when some did not, and "inconclusive" when nothing was counted."""
+        status = INCONCLUSIVE if total == 0 else PASS if hits == total else FAIL
+        return CheckResult(name, status, counts={key: hits, total_key: total})
 
 
 @dataclass

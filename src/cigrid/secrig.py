@@ -27,7 +27,7 @@ from math import comb
 from operator import mul
 from typing import Callable, Sequence
 
-from .linalg import Mat, certified_rank, integer_det, integer_multiple, rationals, transpose
+from .linalg import Mat, certified_rank, content_lines, integer_det, integer_multiple, rationals, transpose
 from .report import CheckResult, WitnessReport
 from .sampling import generic_draw, rand_fraction, rand_nonzero_fraction
 
@@ -141,7 +141,7 @@ class Framework:
         """Parse the `n d` header, exactly n coordinate lines of d rationals,
         then `u v` edge lines with endpoints in 1..n; anything else is a
         ValueError, never a silently reinterpreted line."""
-        lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln and not ln.startswith("#")]
+        lines = content_lines(text)
         header = lines[0].split() if lines else []
         if len(header) != 2 or not all(t.isdigit() for t in header):
             raise ValueError(

@@ -193,13 +193,7 @@ def _vanishing_checks(
             else:
                 report.log(f"{sampler.name} / {name}", m.rational())
     for name, _ in generators:
-        report.add(
-            CheckResult.outcome(
-                f"{sampler.name}: {name} vanishes on every draw",
-                zeros[name] == trials,
-                counts={"zeros": zeros[name], "trials": trials},
-            )
-        )
+        report.add(CheckResult.tally(f"{sampler.name}: {name} vanishes on every draw", "zeros", zeros[name], trials))
 
 
 def _separation_check(
@@ -224,13 +218,13 @@ def _separation_check(
         else:
             zero_draws += 1
             report.log(f"{sampler.name} / zero draw for {name}", m.rational())
-    report.add(
-        CheckResult.outcome(
-            f"{sampler.name}: {name} is nonzero on every accepted draw",
-            nonzero == trials and zero_draws == 0,
-            counts={"nonzero": nonzero, "zero_draws_resampled": zero_draws, "trials": trials},
-        )
+    # Every draw counts, so a zero draw fails the check although it was
+    # resampled; the counts still report the trials asked for.
+    check = CheckResult.tally(
+        f"{sampler.name}: {name} is nonzero on every accepted draw", "nonzero", nonzero, nonzero + zero_draws
     )
+    check.counts.update(zero_draws_resampled=zero_draws, trials=trials)
+    report.add(check)
 
 
 # -- verifications ---------------------------------------------------------------
@@ -289,26 +283,15 @@ def verify_three_lines_decomposition(
     )
 
     # reverse containment, attempted under budget
+    name = "intersection of the two components reduces into the minor ideal"
     try:
         line_gb = buchberger(line_ideal, max_pairs=max_pairs, max_degree=max_degree)
         meet = intersect(loop_ideal, lines_ideal, max_pairs=max_pairs, max_degree=max_degree)
         residues = [normal_form(g, line_gb) for g in meet.generators]
         ok = all(r.is_zero() for r in residues)
-        report.add(
-            CheckResult.outcome(
-                "intersection of the two components reduces into the minor ideal",
-                ok,
-                detail=f"{len(meet.generators)} intersection generators checked",
-            )
-        )
+        report.add(CheckResult.outcome(name, ok, detail=f"{len(meet.generators)} intersection generators checked"))
     except BudgetExceeded as exc:
-        report.add(
-            CheckResult(
-                "intersection of the two components reduces into the minor ideal",
-                INCONCLUSIVE,
-                detail=f"budget exhausted: {exc}",
-            )
-        )
+        report.add(CheckResult(name, INCONCLUSIVE, detail=f"budget exhausted: {exc}"))
     return report
 
 
@@ -337,20 +320,8 @@ def verify_rank_two_component(trials: int = 100, seed: int = 0) -> WitnessReport
             report.log(f"{rank2.name} outside the variety", m.rational())
         if all(g.evaluate(point) == 0 for g in ideal.generators):
             vanishing += 1
-    report.add(
-        CheckResult.outcome(
-            "rank<=2 samples lie in the variety",
-            members == trials,
-            counts={"members": members, "trials": trials},
-        )
-    )
-    report.add(
-        CheckResult.outcome(
-            "rank<=2 samples kill all 16 generators exactly",
-            vanishing == trials,
-            counts={"vanishing": vanishing, "trials": trials},
-        )
-    )
+    report.add(CheckResult.tally("rank<=2 samples lie in the variety", "members", members, trials))
+    report.add(CheckResult.tally("rank<=2 samples kill all 16 generators exactly", "vanishing", vanishing, trials))
 
     rank1 = sampler_bounded_rank(3, 12, 1)
     m = rank1.draw(child_rng(seed, "example32/rank1"))
@@ -392,10 +363,8 @@ def verify_intersection_axiom(
     conclusion_stmt = CIStatement(("X",), ("Y1", "Y2"), ("H2",))
     inside = sum(map(ci_minor_membership(conclusion_stmt, model), premise.generators))
     report.add(
-        CheckResult.outcome(
-            "every premise generator is a minor of the full flattening",
-            inside == len(premise.generators),
-            counts={"inside": inside, "generators": len(premise.generators)},
+        CheckResult.tally(
+            "every premise generator is a minor of the full flattening", "inside", inside, len(premise.generators), "generators"
         )
     )
 
@@ -415,27 +384,9 @@ def verify_intersection_axiom(
             low_rank += 1
         else:
             report.log("mixture flattening rank too high", [[Fraction(x, den) for x in row] for row in flat])
-    report.add(
-        CheckResult.outcome(
-            "mixture samples kill every premise generator exactly",
-            vanish == trials,
-            counts={"vanishing": vanish, "trials": trials},
-        )
-    )
-    report.add(
-        CheckResult.outcome(
-            "mixture samples are fully supported rational distributions",
-            supported == trials,
-            counts={"supported": supported, "trials": trials},
-        )
-    )
-    report.add(
-        CheckResult.outcome(
-            f"mixture flattenings have rank at most t-1 = {spec.t - 1}",
-            low_rank == trials,
-            counts={"low_rank": low_rank, "trials": trials},
-        )
-    )
+    report.add(CheckResult.tally("mixture samples kill every premise generator exactly", "vanishing", vanish, trials))
+    report.add(CheckResult.tally("mixture samples are fully supported rational distributions", "supported", supported, trials))
+    report.add(CheckResult.tally(f"mixture flattenings have rank at most t-1 = {spec.t - 1}", "low_rank", low_rank, trials))
     return report
 
 

@@ -1,5 +1,7 @@
 import functools
+import gc
 import json
+from pathlib import Path
 
 import pytest
 
@@ -579,3 +581,56 @@ def test_verify_all_exit_code_puts_a_failure_above_an_inconclusive(monkeypatch, 
 
     monkeypatch.setitem(verify.VERIFICATIONS, "example32", _campaign_with_status(PASS))
     assert run(capsys, "verify", "all")[0] == 3
+
+
+INPUTS = Path(__file__).resolve().parent.parent / "bench" / "inputs"
+GRID_FLAGS_3x4 = ("--k", "3", "--l", "4", "--s", "3", "--t", "3", "--d", "3")
+# Each command, the stem of the artifacts it writes under --out, and the
+# input file it reads from the test's directory, if any.
+WRITER_CASES = {
+    "grid": (("grid", "--k", "3", "--l", "4"), "grid", None),
+    "grid-edges": (("grid", "--k", "3", "--l", "4", "--s", "3", "--t", "3", "--edges"), "edges", None),
+    "ideal-grid": (("ideal", "--grid", *GRID_FLAGS_3x4), "generators", None),
+    "ideal-cas": (("ideal", "--grid", *GRID_FLAGS_3x4, "--format", "cas"), "generators_cas", None),
+    "ideal-ci": (("ideal", "--ci", str(INPUTS / "grid4x6.ci")), "generators", None),
+    "ideal-hypergraph": (("ideal", "--hypergraph", str(INPUTS / "cyclic10.hg"), "--d", "5"), "generators", None),
+    "matroid-grid": (("matroid", "--grid", *GRID_FLAGS_3x4), "matroid", None),
+    "matroid-matrix": (("matroid", "--matrix", "in.txt"), "matroid", "3 4\n1 0 0 1\n0 1 0 1/2\n0 0 1 -1\n"),
+    "matroid-parametrization": (("matroid", "--parametrization", str(INPUTS / "segre3x4.map")), "matroid", None),
+    "secant": (("secant", "--m", "3", "--n", "3", "--k", "2"), "secant", None),
+    "rigidity-complete": (("rigidity", "--n", "5", "--d", "2"), "report", None),
+    "rigidity-framework": (("rigidity", "--framework", "in.txt"), "rigidity", "3 2\n0 0\n1 0\n0 1\n1 2\n2 3\n1 3\n"),
+    **{
+        f"verify-{name}": (("verify", name, *(("--trials", "3") if "--trials" in flags else ())), "report", None)
+        for name, flags in CAMPAIGN_FLAGS.items()
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRITER_CASES))
+def test_stdout_is_the_file_the_one_writer_puts_under_out(tmp_path, monkeypatch, capsys, case):
+    """--json prints the bytes of <stem>.json, and plain output those of
+    <stem>.txt, that the same command writes under --out."""
+    argv, stem, text = WRITER_CASES[case]
+    monkeypatch.chdir(tmp_path)
+    if text is not None:
+        Path("in.txt").write_text(text)
+    code, out, _ = run(capsys, *argv, "--seed", "4", "--out", "out")
+    assert out == ""
+    assert sorted(p.name for p in Path("out").iterdir()) == [f"{stem}.json", f"{stem}.txt"]
+    assert run(capsys, *argv, "--seed", "4", "--json") == (code, Path("out", f"{stem}.json").read_text(), "")
+    assert run(capsys, *argv, "--seed", "4") == (code, Path("out", f"{stem}.txt").read_text(), "")
+
+
+def test_repeated_calls_leave_no_parser_for_the_cyclic_collector(capsys):
+    """The parser is built once per process; a fresh one per call left some
+    450 objects in reference cycles, and a process calling `main` many times
+    held them until a full collection."""
+    run(capsys, "grid", "--k", "2", "--l", "2")
+    gc.collect()
+    gc.disable()
+    try:
+        run(capsys, "grid", "--k", "2", "--l", "2")
+        assert gc.collect() < 100
+    finally:
+        gc.enable()

@@ -374,3 +374,36 @@ def test_det_of_matrices_with_row_denominators():
         assert value == det_by_permutations(m) == swap_tracking_det(m), m
         values.add(value)
     assert 0 in values and any(v.denominator > 1 for v in values)
+
+
+def test_content_lines_strip_and_skip_blank_and_comment_lines():
+    text = "# header comment\n  2 2 \n\n\t1 0\n   # indented comment\n0 1 # kept: not at the start\n  \n"
+    assert linalg.content_lines(text) == ["2 2", "1 0", "0 1 # kept: not at the start"]
+    assert linalg.content_lines("") == linalg.content_lines("\n # only\n\n") == []
+
+
+@pytest.mark.parametrize(
+    "read, text",
+    [
+        ("matrix", "  # m\n 2 2\n\n 1 0 \n  0 1\n"),
+        ("framework", "# f\n 2 1 \n  0\n\n 1 \n # edge\n 1 2 \n"),
+        ("hypergraph", " # h\n 3 \n\n 1 2 \n"),
+        ("map", "\n # p\n params u_1 \n\n  coord a u_1 \n"),
+        ("ci", " # c\n X=2 Y=2 \n\n  X _||_ Y \n"),
+    ],
+)
+def test_every_input_reader_skips_indented_comments_and_blank_lines(read, text):
+    from cigrid.cimodel import parse_ci_file
+    from cigrid.hypergraph import Hypergraph
+    from cigrid.matroid import PolyMap
+    from cigrid.secrig import Framework
+
+    readers = {
+        "matrix": linalg.matrix_from_text,
+        "framework": Framework.from_text,
+        "hypergraph": Hypergraph.from_text,
+        "map": PolyMap.parse,
+        "ci": parse_ci_file,
+    }
+    bare = "\n".join(linalg.content_lines(text)) + "\n"
+    assert readers[read](text) == readers[read](bare)

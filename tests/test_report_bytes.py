@@ -1,5 +1,5 @@
 """Pinned output bytes: the sha256 of every file eight CLI runs write at
-`--seed 7 --out D`.
+`--seed 7 --out D`, and of what three runs print to stdout.
 
 A refactor of the exact core must leave these files byte for byte as they
 were.  A deliberate change to a report format or to the draws behind it
@@ -118,3 +118,18 @@ def test_algebraic_matroid_bytes_are_pinned(tmp_path, monkeypatch):
     assert main(["matroid", "--parametrization", "bench/inputs/segre3x4.map", "--seed", "7", "--out", str(out)]) == 0
     written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
     assert written == ALGEBRAIC_DIGESTS
+
+
+STDOUT_DIGESTS = {
+    ("verify", "all", "--trials", "5"): "4451182e8403de4a30b3d3e9bce2c262ad3b0be8396f609281c39c4d73850f1d",
+    ("verify", "all", "--trials", "5", "--json"): "77246846e2cc02385a3ec728160ad273c1e896db1717c06e138c32b27ebb4acc",
+    ("rigidity", "--n", "8", "--d", "3", "--json"): "a5b9cdc36851eeb8790defa12aac2738ff3337636ec0a09f01f2246f681a9bf5",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(STDOUT_DIGESTS), ids=" ".join)
+def test_stdout_bytes_are_pinned(capsys, argv):
+    """Without --out, the same writer prints the text, or under --json the
+    JSON (for `verify all`, one object keyed by campaign name)."""
+    assert main([*argv, "--seed", "7"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == STDOUT_DIGESTS[argv]

@@ -8,16 +8,20 @@ import pytest
 
 from helpers import fraction_bounded_rank_draw, fraction_concurrent_lines_draw, fraction_loop_draw, rational_tensor
 from cigrid.cimodel import CIStatement, DiscreteModel, ModelVar, ci_ideal, mixture_parametrization_sample, tensor_assignment
+from cigrid.cli import main
 from cigrid.hypergraph import GridSpec, grid_ci_correspondence, grid_hypergraph, hypergraph_ideal
 from cigrid import hypergraph, sampling, verify
 from cigrid.ideals import Ideal
 from cigrid.linalg import integer_multiple, parallel, rank
 from cigrid.matroid import matroid_from_matrix
 from cigrid.poly import Polynomial, generic_matrix
-from cigrid.report import WitnessReport
+from cigrid.report import FAIL, INCONCLUSIVE, PASS, CheckResult, WitnessReport
 from cigrid.sampling import child_rng, rand_fraction, rand_nonzero_fraction
 from cigrid.verify import (
     VERIFICATIONS,
+    ComponentSampler,
+    ScaledMatrix,
+    _separation_check,
     sampler_bounded_rank,
     sampler_concurrent_lines,
     sampler_loop_component,
@@ -422,3 +426,52 @@ def test_report_log_keeps_the_first_five_counterexamples_rendered():
     for i in range(7):
         report.log(f"draw {i}", [[Fraction(i), Fraction(1, 2)]])
     assert report.counterexamples == [f"draw {i}:\n1 2\n{i} 1/2\n" for i in range(5)]
+
+
+@pytest.mark.parametrize(
+    "hits, total, status", [(3, 3, PASS), (2, 3, FAIL), (0, 3, FAIL), (0, 0, INCONCLUSIVE)]
+)
+def test_a_tally_passes_only_when_every_counted_item_held(hits, total, status):
+    check = CheckResult.tally("counted", "held", hits, total, "items")
+    assert (check.status, check.counts, check.detail) == (status, {"held": hits, "items": total}, "")
+    assert CheckResult.tally("counted", "held", hits, total).counts == {"held": hits, "trials": total}
+
+
+# Each campaign's trial-counted checks, and how many of them are separations:
+# example31's ten vanishing checks and two separations; example32's members,
+# vanishing and one separation; intersection-axiom's three mixture counts.
+TRIAL_COUNTED = {"example31": (12, 2), "example32": (3, 1), "intersection-axiom": (3, 0)}
+
+
+@pytest.mark.parametrize("campaign", sorted(TRIAL_COUNTED))
+def test_a_campaign_with_zero_trials_is_inconclusive_never_pass(capsys, campaign):
+    report = VERIFICATIONS[campaign](trials=0, seed=7)
+    counted = [c for c in report.checks if "trials" in c.counts]
+    assert len(counted) == TRIAL_COUNTED[campaign][0]
+    for check in counted:
+        assert check.status == INCONCLUSIVE, check
+        assert set(check.counts.values()) == {0}, check
+    separations = [c for c in counted if "nonzero on every accepted draw" in c.name]
+    assert len(separations) == TRIAL_COUNTED[campaign][1]
+    for check in separations:
+        assert check.counts == {"nonzero": 0, "zero_draws_resampled": 0, "trials": 0}
+    assert all(c.status == PASS for c in report.checks if c not in counted)
+    assert report.status == INCONCLUSIVE and report.exit_code == 3
+    assert report.counterexamples == []
+    # the CLI refuses the zero trials that the library reports as inconclusive
+    assert main(["verify", campaign, "--trials", "0"]) == 2
+    assert capsys.readouterr().err == "error: --trials must be at least 1\n"
+
+
+@pytest.mark.parametrize("answers, status", [([True] * 4, PASS), ([False] + [True] * 4, FAIL), ([False] * 40, FAIL)])
+def test_a_separation_check_fails_on_any_zero_draw_although_it_resamples(answers, status):
+    """A zero draw is resampled, so the accepted draws still reach `trials`,
+    but the check counts every draw and fails."""
+    report = WitnessReport(name="separation", seed=0, trials=4)
+    sampler = ComponentSampler("constant", lambda rng: ScaledMatrix([[1, 2], [3, 4]], [1, 1], [1, 1]))
+    answer = iter(answers)
+    _separation_check(report, sampler, generic_matrix(2, 2), "f", lambda point: next(answer), 4, random.Random(0))
+    zero_draws = answers.count(False)
+    assert report.checks[0].status == status
+    assert report.checks[0].counts == {"nonzero": answers.count(True), "zero_draws_resampled": zero_draws, "trials": 4}
+    assert len(report.counterexamples) == min(zero_draws, 5)
