@@ -47,8 +47,10 @@ def _load_config(argv: list[str]) -> list[str]:
     rest = argv[:idx] + argv[idx + 2:]
     extra: list[str] = []
     for line in content_lines(Path(path).read_text()):
-        key, _, value = line.partition("=")
+        key, eq, value = line.partition("=")
         key = key.strip().replace("_", "-")
+        if not eq or not key:
+            raise ValueError(f"config line {line!r} in {path} is not `key = value`")
         value = value.strip()
         flag = f"--{key}"
         if flag in rest:

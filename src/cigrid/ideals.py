@@ -4,20 +4,33 @@ The Groebner machinery is deliberately small: it targets ideals in at most a
 couple dozen variables with short generator lists.  Budgets (maximum S-pairs
 reduced, maximum degree touched) are hard limits; exceeding one raises
 `BudgetExceeded` rather than returning anything partial.
+
+The engine runs on packed monomials (Bachmann & Schoenemann, ISSAC 1998).
+`Polynomial`s are packed on entry and only remainders and reduced bases are
+unpacked, once, at the end; `normal_form` keeps its packed basis on the
+`Ideal`.  A monomial is one int: a digit per variable and one for the total
+degree, each with a guard bit on top.  A product is one addition, and a
+divides b exactly when b - a sets no guard bit.  A digit that reaches its
+guard bit, on packing or in a new product term, raises `_Overflow` and the
+computation reruns at twice the width, so no digit wraps.  Each term carries
+the order's descending key, a linear function of the exponents, so the key
+of m * q is key(m) + key(q).  Coefficients are `int` while integral, else
+`Fraction`.  `_update` works on exponent tuples.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add, le, sub
+from operator import le, lshift, mul
 from typing import Iterable, Sequence
 
 from .poly import DEGREVLEX, MonomialOrder, PolyRing, Polynomial, Var, normalize_sign
 
 DEFAULT_MAX_PAIRS = 4000
 DEFAULT_MAX_DEGREE = 24
+DIGIT_BITS = 8  # starting width of a packed exponent or degree digit, guard bit included
 
 
 class BudgetExceeded(RuntimeError):
@@ -32,6 +45,8 @@ class Ideal:
     generators: tuple[Polynomial, ...]
     basis: tuple[Polynomial, ...] | None = None
     basis_order: MonomialOrder | None = None
+    # digit width -> (packing, packed basis), filled by buchberger and normal_form
+    _packed: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for g in self.generators:
@@ -50,79 +65,135 @@ class Ideal:
         return frozenset(normalize_sign(g) for g in self.generators if not g.is_zero())
 
 
-def _divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    return all(map(le, a, b))
+class _Overflow(Exception):
+    """A packed digit reached its guard bit: repack wider and start over."""
 
 
-def _mono_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(map(add, a, b))
+class _Packing:
+    """Monomials of an n-variable ring as ints: digit i holds exponent i and
+    digit n the total degree, each `bits` wide with a guard bit on top; and
+    the descending key of one order, a linear function of the exponents."""
+
+    def __init__(self, order: MonomialOrder, n: int, bits: int):
+        self.bits, self.top, self.mask = bits, n * bits, (1 << bits) - 1
+        self.shifts = range(0, n * bits, bits)
+        self.guard = sum(1 << (s + bits - 1) for s in range(0, self.top + 1, bits))
+        # The key packs the order's comparison into `bits`-wide fields, most
+        # significant first: lex compares the negated exponents; a graded
+        # block compares its negated degree, then its exponents from the last
+        # one back.  A field holds the degree of any product of two packed
+        # monomials, so the key of an overflowed product equals no other key.
+        if order.kind == "lex":
+            self.weights = [-1 << (bits * (n - 1 - i)) for i in range(n)]
+            return
+        self.weights, shift = [0] * n, 0
+        for block in reversed(order.blocks if order.kind == "block" else (range(n),)):
+            for i in block:
+                self.weights[i], shift = 1 << shift, shift + bits
+            for i in block:
+                self.weights[i] -= 1 << shift
+            shift += bits
+
+    def pack(self, m: tuple[int, ...]) -> tuple[int, int]:
+        """(descending key, packed monomial)."""
+        degree = sum(m)
+        if degree >> (self.bits - 1):
+            raise _Overflow
+        return sum(map(mul, m, self.weights)), sum(map(lshift, m, self.shifts)) | degree << self.top
+
+    def unpack(self, mono: int) -> tuple[int, ...]:
+        return tuple([(mono >> s) & self.mask for s in self.shifts])
+
+    def terms(self, f: Polynomial) -> list:
+        """f's terms as (key, monomial, coefficient), largest monomial first."""
+        return sorted([(*self.pack(m), c.numerator if c.denominator == 1 else c) for m, c in f.terms.items()])
+
+    def polynomial(self, ring: PolyRing, terms: list) -> Polynomial:
+        return Polynomial(ring, {self.unpack(m): Fraction(c) for _, m, c in terms})
 
 
-def _mono_div(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(map(sub, a, b))
+def _widening(run):
+    """run(bits) from DIGIT_BITS, doubling the width on each overflow."""
+    bits = DIGIT_BITS
+    while True:
+        try:
+            return run(bits)
+        except _Overflow:
+            bits *= 2
 
 
-def _mono_lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(map(max, a, b))
+def _quotient(a, b):
+    """a / b exactly: an int when integral, else a Fraction."""
+    q = Fraction(a, b)
+    return q.numerator if q.denominator == 1 else q
 
 
-def _term_times(f: Polynomial, mono: tuple[int, ...], coeff: Fraction) -> Polynomial:
-    return Polynomial(f.ring, {_mono_mul(m, mono): c * coeff for m, c in f.terms.items()})
+def _monic(terms: list) -> list:
+    c = terms[0][2]
+    return terms if c == 1 else [(k, m, _quotient(tc, c)) for k, m, tc in terms]
+
+
+def _divisor(terms: list) -> tuple:
+    """(head key, head monomial, head coefficient, tail terms)."""
+    return (*terms[0], terms[1:])
+
+
+def _reduce(terms: list, divisors: list, guard: int, first: list = ()) -> list:
+    """Fully reduced remainder of the terms, largest first, by heap division
+    (Monagan & Pearce, CASC 2007): a min-heap of descending keys yields the
+    largest pending term, which the first divisor whose head divides it
+    cancels, or else the remainder takes.  Heap entries of terms that
+    cancelled to zero are skipped.  `first`, if given, replaces `divisors`
+    for the largest term alone: an S-polynomial is f times its cofactor,
+    with its head cancelled by g."""
+    work = {k: c for k, _, c in terms}
+    monos = {k: m for k, m, _ in terms}
+    if any(m & guard for m in monos.values()):
+        raise _Overflow
+    heap = list(work)
+    heapq.heapify(heap)
+    remainder = []
+    get = work.get
+    while heap:
+        k = heapq.heappop(heap)
+        c = work.pop(k, None)
+        if c is None:
+            continue
+        m = monos[k]
+        for gk, gm, gc, tail in first or divisors:
+            q = m - gm
+            if q & guard:
+                continue
+            kq = k - gk
+            scale = -c if gc == 1 else _quotient(-c, gc)
+            for tk, tm, tc in tail:
+                tk += kq
+                old = get(tk)
+                if old is None:
+                    tm += q
+                    if tm & guard:
+                        raise _Overflow
+                    work[tk] = scale * tc
+                    monos[tk] = tm
+                    heapq.heappush(heap, tk)
+                else:
+                    s = old + scale * tc
+                    if s:
+                        work[tk] = s
+                    else:
+                        del work[tk]
+            break
+        else:
+            remainder.append((k, m, c))
+        first = ()
+    return remainder
 
 
 def reduce_poly(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder) -> Polynomial:
-    """Fully reduced remainder of f modulo the basis (multivariate division).
-
-    Heap division (Monagan & Pearce, CASC 2007): the pending terms live in a
-    dict, and a min-heap of descending keys yields the largest pending
-    monomial.  Each step cancels that monomial with the first basis element
-    whose leading monomial divides it, or moves it to the remainder.  Every
-    monomial a step adds is smaller than the one it cancels, so a monomial
-    that leaves the dict never comes back; heap entries whose monomial
-    cancelled to zero are skipped when popped.
-    """
-    if not basis:
-        return f
-    divisors = [(*g.leading(order), g.terms) for g in basis]
-    key = order.descending_key
-    work = dict(f.terms)
-    heap = [(key(m), m) for m in work]
-    heapq.heapify(heap)
-    remainder: dict[tuple[int, ...], Fraction] = {}
-    while heap:
-        m = heapq.heappop(heap)[1]
-        c = work.pop(m, None)
-        if c is None:
-            continue
-        for gm, gc, gterms in divisors:
-            if _divides(gm, m):
-                q = _mono_div(m, gm)
-                scale = -c / gc
-                for tm, tc in gterms.items():
-                    if tm == gm:
-                        continue
-                    tm = _mono_mul(tm, q)
-                    old = work.get(tm)
-                    if old is None:
-                        work[tm] = scale * tc
-                        heapq.heappush(heap, (key(tm), tm))
-                    else:
-                        s = old + scale * tc
-                        if s:
-                            work[tm] = s
-                        else:
-                            del work[tm]
-                break
-        else:
-            remainder[m] = c
-    return Polynomial(f.ring, remainder)
-
-
-def _s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
-    fm, fc = f.leading(order)
-    gm, gc = g.leading(order)
-    l = _mono_lcm(fm, gm)
-    return _term_times(f, _mono_div(l, fm), 1 / fc) - _term_times(g, _mono_div(l, gm), 1 / gc)
+    """Fully reduced remainder of f modulo the basis (multivariate division),
+    with the divisor choice of textbook division: the first basis element
+    whose leading monomial divides the largest pending one."""
+    return normal_form(f, Ideal(f.ring, (), tuple(basis), order)) if basis else f
 
 
 def buchberger(
@@ -144,23 +215,25 @@ def buchberger(
     for g in gens:
         if g.total_degree() > max_degree:
             raise BudgetExceeded(f"generator degree {g.total_degree()} exceeds budget {max_degree}")
-    basis: list[Polynomial] = []
-    heads: list[tuple[int, ...]] = []
-    active: list[int] = []
-    live: dict[tuple[int, int], tuple[int, ...]] = {}
-    # normal selection: smallest lcm under the order, then smallest indices;
-    # each pair's key is computed once, when the pair is created
-    queue: list[tuple] = []
+    width = len(ideal.ring.variables)
+    return _widening(lambda bits: _buchberger(ideal, gens, order, _Packing(order, width, bits), max_pairs, max_degree))
 
-    def join(f: Polynomial) -> None:
-        m, c = f.leading(order)
-        basis.append(f.scale(1 / c))
-        heads.append(m)
+
+def _buchberger(ideal, gens, order, packing, max_pairs, max_degree) -> Ideal:
+    guard = packing.guard
+    # monic divisors, their heads as tuples, and `_update`'s state; the queue
+    # is in normal selection: smallest lcm under the order, then smallest
+    # indices, each pair's key computed once, when the pair is created
+    basis, heads, active, live, queue = [], [], [], {}, []
+
+    def join(terms: list) -> None:
+        basis.append(_divisor(_monic(terms)))
+        heads.append(packing.unpack(terms[0][1]))
         for i, j in _update(heads, active, live):
             heapq.heappush(queue, (order.key(live[i, j]), i, j))
 
     for g in gens:
-        join(g)
+        join(packing.terms(g))
     processed = 0
     while queue:
         _, i, j = heapq.heappop(queue)
@@ -172,15 +245,23 @@ def buchberger(
         processed += 1
         if processed > max_pairs:
             raise BudgetExceeded(f"S-pair budget {max_pairs} exhausted")
-        r = reduce_poly(_s_polynomial(basis[i], basis[j], order), basis, order)
-        if r.is_zero():
+        # S(f, g): f times the cofactor of its head in the lcm, its head
+        # cancelled by g in the reduction's first step
+        key, mono = packing.pack(l)
+        fk, fm, _, tail = basis[i]
+        s_terms = [(key, mono, 1)] + [(tk + key - fk, tm + mono - fm, tc) for tk, tm, tc in tail]
+        r = _reduce(s_terms, basis, guard, [basis[j]])
+        if not r:
             continue
-        if r.total_degree() > max_degree:
-            raise BudgetExceeded(f"basis degree {r.total_degree()} exceeds budget {max_degree}")
+        degree = max([m >> packing.top for _, m, _ in r])
+        if degree > max_degree:
+            raise BudgetExceeded(f"basis degree {degree} exceeds budget {max_degree}")
         join(r)
 
-    reduced = _interreduce(basis, order)
-    return Ideal(ideal.ring, ideal.generators, tuple(reduced), order)
+    reduced = _interreduce(basis, guard)
+    out = Ideal(ideal.ring, ideal.generators, tuple(packing.polynomial(ideal.ring, t) for t in reduced), order)
+    out._packed[packing.bits] = (packing, [_divisor(t) for t in reduced])
+    return out
 
 
 def _update(
@@ -206,61 +287,66 @@ def _update(
     - Product criterion: a surviving pair with coprime heads is dropped; it
       still shadows the pairs above it, as in Becker & Weispfenning.
     - An element whose head is divisible by head k takes no new pairs; it
-      stays a divisor for `reduce_poly`.
+      stays a divisor.
     """
     k = len(heads) - 1
     m = heads[k]
     for (i, j), l in list(live.items()):
-        if _divides(m, l) and _mono_lcm(heads[i], m) != l and _mono_lcm(heads[j], m) != l:
+        if all(map(le, m, l)) and tuple(map(max, heads[i], m)) != l and tuple(map(max, heads[j], m)) != l:
             del live[i, j]
     candidates = []
     for i in active:
-        l = _mono_lcm(heads[i], m)
-        candidates.append((sum(l), l != _mono_mul(heads[i], m), i, l))
+        l = tuple(map(max, heads[i], m))
+        candidates.append((sum(l), any(map(min, heads[i], m)), i, l))
     candidates.sort()
     minimal: list[tuple[int, ...]] = []
     new: list[tuple[int, int]] = []
     for _, shared, i, l in candidates:
-        if any(_divides(low, l) for low in minimal):
+        if any(all(map(le, low, l)) for low in minimal):
             continue
         minimal.append(l)
         if shared:
             live[i, k] = l
             new.append((i, k))
-    active[:] = [i for i in active if not _divides(m, heads[i])]
+    active[:] = [i for i in active if not all(map(le, m, heads[i]))]
     active.append(k)
     return new
 
 
-def _interreduce(basis: list[Polynomial], order: MonomialOrder) -> list[Polynomial]:
+def _interreduce(basis: list[tuple], guard: int) -> list[list]:
+    """The reduced basis, as term lists, smallest leading monomial first."""
     # minimalize: walk in ascending leading-term order, drop anything whose
     # leading monomial an already-kept element divides (divisors sort first)
-    basis = sorted((g for g in basis if not g.is_zero()), key=lambda g: order.key(g.leading(order)[0]))
-    kept: list[Polynomial] = []
-    for g in basis:
-        gm = g.leading(order)[0]
-        if any(_divides(h.leading(order)[0], gm) for h in kept):
-            continue
-        kept.append(g)
+    kept: list[tuple] = []
+    for g in sorted(basis, key=lambda g: -g[0]):
+        if all((g[1] - h[1]) & guard for h in kept):
+            kept.append(g)
     # fully reduce each survivor against the others
-    out: list[Polynomial] = []
-    for idx, g in enumerate(kept):
-        others = kept[:idx] + kept[idx + 1:]
-        r = reduce_poly(g, others, order) if others else g
-        if not r.is_zero():
-            _, c = r.leading(order)
-            out.append(r.scale(1 / c))
-    out.sort(key=lambda g: order.key(g.leading(order)[0]))
+    out = []
+    for idx, (k, m, c, tail) in enumerate(kept):
+        r = _reduce([(k, m, c), *tail], kept[:idx] + kept[idx + 1:], guard)
+        if r:
+            out.append(_monic(r))
+    out.sort(key=lambda t: -t[0][0])
     return out
 
 
 def normal_form(f: Polynomial, ideal: Ideal) -> Polynomial:
-    """Fully reduced remainder; zero exactly when f lies in the ideal."""
+    """Fully reduced remainder; zero exactly when f lies in the ideal.  The
+    packed basis is kept on the ideal for the next call."""
     if ideal.basis is None or ideal.basis_order is None:
         raise ValueError("ideal has no cached Groebner basis; run buchberger first")
     if f.ring != ideal.ring:
         raise ValueError("polynomial outside the ideal's ring")
-    return reduce_poly(f, ideal.basis, ideal.basis_order)
+
+    def run(bits):
+        if bits not in ideal._packed:
+            packing = _Packing(ideal.basis_order, len(f.ring.variables), bits)
+            ideal._packed[bits] = (packing, [_divisor(packing.terms(g)) for g in ideal.basis])
+        packing, divisors = ideal._packed[bits]
+        return packing.polynomial(f.ring, _reduce(packing.terms(f), divisors, packing.guard))
+
+    return _widening(run)
 
 
 def eliminate(
@@ -274,13 +360,11 @@ def eliminate(
     kill = set(kill)
     order = ideal.ring.elimination_order(kill)
     gb = buchberger(ideal, order, max_pairs=max_pairs, max_degree=max_degree)
-    keep = [v for v in ideal.ring.variables if v not in kill]
-    small = PolyRing.of(keep) if keep else PolyRing(())
-    out = []
-    for g in gb.basis or ():
-        if all(v not in kill for v in g.support()):
-            out.append(g.transfer(small))
-    return Ideal.of(small, out)
+    keep = [i for i, v in enumerate(ideal.ring.variables) if v not in kill]
+    small = PolyRing.of([ideal.ring.variables[i] for i in keep])
+    # an element lies in the subring when its monomials keep their degree
+    out = [g for g in gb.basis or () if all(sum(m) == sum([m[i] for i in keep]) for m in g.terms)]
+    return Ideal.of(small, [Polynomial(small, {tuple([m[i] for i in keep]): c for m, c in g.terms.items()}) for g in out])
 
 
 def intersect(

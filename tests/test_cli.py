@@ -535,6 +535,14 @@ def test_config_without_a_path_is_a_usage_error(capsys):
     assert (code, out, err) == (2, "", "error: --config needs a file path\n")
 
 
+@pytest.mark.parametrize("line", ["json", "trials", "= 5"])
+def test_config_line_without_a_key_and_value_is_a_usage_error(tmp_path, capsys, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"seed = 3\n{line}\n")
+    code, out, err = run(capsys, "verify", "example32", "--config", str(cfg))
+    assert (code, out, err) == (2, "", f"error: config line {line!r} in {cfg} is not `key = value`\n")
+
+
 def test_verify_cli_and_library_share_one_budget_default(capsys):
     code, out, _ = run(capsys, "verify", "example31", "--trials", "2", "--seed", "1")
     assert code == 0

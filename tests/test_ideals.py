@@ -1,6 +1,10 @@
+import gc
 import hashlib
 import random
+import weakref
 from fractions import Fraction
+from itertools import permutations, product
+from operator import add
 
 import pytest
 
@@ -344,3 +348,79 @@ def test_reduced_bases_match_the_all_pairs_oracle(monkeypatch):
         ours = buchberger(Ideal.of(ring, gens), order, max_degree=60)
         assert set(ours.basis) == naive_reduced_groebner(gens, order, cap=100000)
     assert all(fired.values()), fired
+
+
+def _split(rng, degree, parts):
+    cuts = sorted(rng.randint(0, degree) for _ in range(parts - 1))
+    return tuple(b - a for a, b in zip([0, *cuts], [*cuts, degree]))
+
+
+def test_packed_key_and_divisibility_follow_the_order_and_the_exponents():
+    # every monomial of degree 3 (ties in degree), and monomials whose
+    # exponents and degree reach the largest value a digit holds
+    ring = PolyRing.of([Var("w"), Var("x"), Var("y"), Var("z")])
+    orders = [LEX, DEGREVLEX, ring.elimination_order({Var("x"), Var("z")})]
+    rng = random.Random(43)
+    for bits in (4, 8):
+        top = (1 << (bits - 1)) - 1
+        monos = {m for m in product(range(4), repeat=4) if sum(m) == 3}
+        for near in ((top, 0, 0, 0), (top - 1, 1, 0, 0), (top - 2, 1, 1, 0), (top - 1, 0, 0, 0)):
+            monos |= set(permutations(near))
+        monos |= {_split(rng, rng.choice([top, top - 1, rng.randint(0, top)]), 4) for _ in range(150)}
+        monos = sorted(monos)
+        with pytest.raises(ideals._Overflow):
+            ideals._Packing(LEX, 4, bits).pack((top, 0, 1, 0))
+        for order in orders:
+            packing = ideals._Packing(order, 4, bits)
+            keys = {m: packing.pack(m)[0] for m in monos}
+            assert len(set(keys.values())) == len(monos)
+            assert sorted(monos, key=keys.get) == sorted(monos, key=order.descending_key)
+            # the key of a product is the sum of the keys, past the digit limit too
+            pairs = zip(monos, rng.sample(monos, len(monos)))
+            products = {tuple(map(add, a, b)): keys[a] + keys[b] for a, b in pairs}
+            assert len(set(products.values())) == len(products)
+            assert sorted(products, key=products.get) == sorted(products, key=order.descending_key)
+        packed = {m: packing.pack(m)[1] for m in monos}
+        for a, b in zip(monos, rng.sample(monos, len(monos))):
+            assert packing.unpack(packed[a]) == a
+            assert (not (packed[b] - packed[a]) & packing.guard) == all(i <= j for i, j in zip(a, b))
+
+
+def test_a_digit_that_reaches_its_guard_bit_repacks_wider(monkeypatch):
+    # under lex, x^3 modulo x - y^3 leaves y^9: past the 7 that a 4-bit digit holds
+    widths = []
+
+    class RecordingPacking(ideals._Packing):
+        def __init__(self, order, n, bits):
+            widths.append(bits)
+            super().__init__(order, n, bits)
+
+    monkeypatch.setattr(ideals, "_Packing", RecordingPacking)
+    monkeypatch.setattr(ideals, "DIGIT_BITS", 4)
+    ring = PolyRing.of([Var("x"), Var("y")])
+    x, y = ring.var(Var("x")), ring.var(Var("y"))
+    f, divisors = x**3 + Fraction(1, 2) * x * y, [2 * x - y**3]
+    r = reduce_poly(f, divisors, LEX)
+    assert widths == [4, 8]
+    assert max(max(m) for m in r.terms) == 9
+    assert r == naive_division(f, divisors, LEX)
+    gens = [x - y**3, x**3 - y]
+    assert set(buchberger(Ideal.of(ring, gens), LEX).basis) == naive_reduced_groebner(gens, LEX)
+
+
+def test_normal_form_keeps_its_packed_basis_on_the_ideal_alone():
+    ring = ring_xyz()
+    x, y, z = (ring.var(Var(n)) for n in "xyz")
+    gb = buchberger(Ideal.of(ring, [x * x - y, x * y - z]))
+    # a hand-built ideal whose basis is not monic
+    hand = Ideal(ring, gb.generators, tuple(g.scale(Fraction(-3, 2)) for g in gb.basis), DEGREVLEX)
+    f = x**3 * y + Fraction(2, 3) * x * z - y * y + 5
+    for ideal in (gb, hand):
+        expected = reduce_poly(f, ideal.basis, ideal.basis_order)
+        assert normal_form(f, ideal) == expected
+        assert normal_form(f, ideal) == expected
+    assert normal_form(f, gb) == normal_form(f, hand)
+    ref = weakref.ref(hand)
+    del hand, ideal
+    gc.collect()
+    assert ref() is None
