@@ -47,10 +47,12 @@ class DiscreteModel:
         return DiscreteModel(tuple(variables))
 
     def observed(self) -> tuple[ModelVar, ...]:
-        return tuple(v for v in self.variables if not v.hidden)
+        # tuples here and on the witness path come from lists, not generators:
+        # see linalg.integer_multiple
+        return tuple([v for v in self.variables if not v.hidden])
 
     def hidden(self) -> tuple[ModelVar, ...]:
-        return tuple(v for v in self.variables if v.hidden)
+        return tuple([v for v in self.variables if v.hidden])
 
     def get(self, name: str) -> ModelVar:
         for v in self.variables:
@@ -173,7 +175,7 @@ def tensor_assignment(model: DiscreteModel, P: ProbTensor) -> tuple[Rat, ...]:
     """The point of `prob_ring(model)` at the tensor: its row-major entries,
     which are the ring's variables in order (see `prob_ring`)."""
     obs = model.observed()
-    if tuple(P.names) != tuple(v.name for v in obs) or tuple(P.shape) != tuple(v.card for v in obs):
+    if tuple(P.names) != tuple([v.name for v in obs]) or tuple(P.shape) != tuple([v.card for v in obs]):
         raise ValueError("tensor layout does not match the model's observed variables")
     return P.entries
 
@@ -209,7 +211,7 @@ def ci_minor_generators(stmt: CIStatement, model: DiscreteModel) -> list[Polynom
     out: list[Polynomial] = []
     for c in _offsets(names, shape, stmt.c):
         block = SymbolicMatrix(
-            ring, tuple(tuple(ring.var(ring.variables[a + b + c]) for b in b_offsets) for a in a_offsets)
+            ring, tuple([tuple([ring.var(ring.variables[a + b + c]) for b in b_offsets]) for a in a_offsets])
         )
         out.extend(normalize_sign(g) for g in all_minors(block, h + 1))
     return out
@@ -238,14 +240,14 @@ def ci_minor_membership(stmt: CIStatement, model: DiscreteModel) -> Callable[[Po
     def test(g: Polynomial) -> bool:
         if g.ring != ring:
             return False
-        cells = [[tuple(v.index[i] for i in part) for part in parts] for v in g.support()]
+        cells = [[tuple([v.index[i] for i in part]) for part in parts] for v in g.support()]
         rows = sorted({a for a, _, _ in cells})
         cols = sorted({b for _, b, _ in cells})
         slices = {c for _, _, c in cells}
         if len(rows) != h + 1 or len(cols) != h + 1 or len(slices) != 1:
             return False
         (c,) = slices
-        block = SymbolicMatrix(ring, tuple(tuple(entry((a, b, c)) for b in cols) for a in rows))
+        block = SymbolicMatrix(ring, tuple([tuple([entry((a, b, c)) for b in cols]) for a in rows]))
         return g == normalize_sign(minor(block, size, size))
 
     return test
@@ -274,8 +276,8 @@ def mixture_parametrization_sample(
     if any(not model.get(n).hidden for n in conclusion.c):
         raise ValueError("the conditioning set of the conclusion must be hidden")
     obs = model.observed()
-    names = tuple(v.name for v in obs)
-    shape = tuple(v.card for v in obs)
+    names = tuple([v.name for v in obs])
+    shape = tuple([v.card for v in obs])
     if set(conclusion.a) | set(conclusion.b) != set(names):
         raise ValueError("A and B must cover the observed variables")
     h = prod(model.get(n).card for n in conclusion.c)

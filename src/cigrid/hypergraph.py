@@ -22,19 +22,33 @@ S = TypeVar("S", bound=Iterable[int])
 
 def minimal_sets(sets: Iterable[S]) -> list[S]:
     """The sets, which must come in nondecreasing size, that contain no
-    earlier kept set, in the order given.  Elements are nonnegative ints, one
-    bitmask bit each.
+    earlier kept set, in the order given.
 
     A proper subset comes before its superset, and a set dropped for
     containing a kept set has that kept set inside it, so testing against
-    kept sets suffices."""
+    kept sets suffices.  Kept set j is bit j, and `avoid[v]` holds the kept
+    sets without v, for each v in some kept set: the kept sets inside e are
+    those that avoid every such v outside e."""
     kept: list[S] = []
-    kept_masks: list[int] = []
+    avoid: dict[int, int] = {}
     for e in sets:
-        mask = sum(1 << v for v in e)
-        if all(k & mask != k for k in kept_masks):
-            kept.append(e)
-            kept_masks.append(mask)
+        members = set(e)
+        inside = (1 << len(kept)) - 1
+        for v, sets_without_v in avoid.items():
+            if v not in members:
+                inside &= sets_without_v
+                if not inside:
+                    break
+        if inside:
+            continue
+        bit = 1 << len(kept)
+        for v in avoid:
+            if v not in members:
+                avoid[v] |= bit
+        for v in members:
+            if v not in avoid:
+                avoid[v] = bit - 1
+        kept.append(e)
     return kept
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .hypergraph import GridSpec, Hypergraph, grid_hypergraph, grid_vertex
 from .linalg import (
@@ -199,20 +199,17 @@ def matroid_from_matrix(m: Mat) -> LinearMatroid:
     return LinearMatroid(tuple(range(1, n + 1)), cols)
 
 
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low
-        mask ^= low
-
-
 def is_circuit_family(n: int, family: Iterable[Iterable[int]]) -> bool:
     """Circuit axioms, checked exhaustively: no empty circuit, antichain, and
     circuit elimination.  Capped at n <= 14.
 
-    Element e is bit e-1.  `contains_a_circuit[mask]` is filled in increasing
-    mask order, so every one-smaller subset is final before its superset
-    reads it; both axioms are then answered by lookups.
+    Element e is bit e-1 of a mask.  One 2^n-bit int, `table`, holds bit m
+    for each mask m that contains a circuit: it starts as the circuits' bits,
+    and for each element i the bits of the masks that lack i are shifted up
+    by 2^i and ORed in, which adds i to each of those masks, so after n such
+    passes every superset of a circuit is in.  n more passes give the masks
+    that properly contain a circuit, and elimination reads single bits of
+    `table`'s bytes.
     """
     if n > AXIOM_CHECK_CAP:
         raise ValueError(f"circuit-axiom checking is capped at {AXIOM_CHECK_CAP} elements")
@@ -223,29 +220,37 @@ def is_circuit_family(n: int, family: Iterable[Iterable[int]]) -> bool:
         if not c or min(c) < 1 or max(c) > n:
             return False
     masks = [sum(1 << (e - 1) for e in c) for c in circuits]
-    contains_a_circuit = bytearray(1 << n)
-    for mask in masks:
-        contains_a_circuit[mask] = 1
-    for mask in range(1, 1 << n):
-        if not contains_a_circuit[mask] and any(contains_a_circuit[mask ^ bit] for bit in _bits(mask)):
-            contains_a_circuit[mask] = 1
+    size = 1 << n
+    every_mask = (1 << size) - 1
+    # the masks that lack bit i: runs of 2^i set bits, period 2^(i+1)
+    lacking = [every_mask // ((1 << 2 * step) - 1) * ((1 << step) - 1) for step in (1 << i for i in range(n))]
+    circuit_bits = sum([1 << mask for mask in masks])
+    table = circuit_bits
+    for i, low in enumerate(lacking):
+        table |= (table & low) << (1 << i)
     # Circuits are distinct, so one lies properly inside another exactly when
     # some one-smaller subset of the larger contains a circuit.
-    for mask in masks:
-        if any(contains_a_circuit[mask ^ bit] for bit in _bits(mask)):
-            return False
+    inside = 0
+    for i, low in enumerate(lacking):
+        inside |= (table & low) << (1 << i)
+    if inside & circuit_bits:
+        return False
+    contains = table.to_bytes(max(size >> 3, 1), "little")
     # Elimination: for each element, every pair of circuits through it leaves
     # a circuit in their union once the element is removed.  Every set of
     # more than r elements contains a circuit, r being the largest size of a
     # set that contains none.  Two distinct circuits of an antichain have
     # |C1 | C2| >= max(|C1|, |C2|) + 1, so a pair with a circuit larger than
     # r leaves more than r elements: only circuits of size <= r are paired.
-    r = max(mask.bit_count() for mask in range(1 << n) if not contains_a_circuit[mask])
+    # Mask 8j + k (k < 8) lies in byte j and has j.bit_count() +
+    # k.bit_count() elements.
+    free = (every_mask ^ table).to_bytes(len(contains), "little")
+    r = max(j.bit_count() + max(k.bit_count() for k in range(8) if byte >> k & 1) for j, byte in enumerate(free) if byte)
     small = [mask for mask in masks if mask.bit_count() <= r]
-    for bit in _bits((1 << n) - 1):
+    for bit in (1 << i for i in range(n)):
         through = [mask for mask in small if mask & bit]
         for i, c1 in enumerate(through):
-            if not all(contains_a_circuit[(c1 | c2) ^ bit] for c2 in through[i + 1:]):
+            if not all(contains[m >> 3] >> (m & 7) & 1 for m in [(c1 | c2) ^ bit for c2 in through[i + 1:]]):
                 return False
     return True
 
@@ -345,12 +350,15 @@ class PolyMap:
     def display_labels(self) -> tuple[str, ...]:
         return self.labels or tuple(str(i) for i in range(1, len(self.coords) + 1))
 
+    @cached_property
+    def _gradients(self) -> tuple[tuple[Polynomial, ...], ...]:
+        """Each coordinate's partial derivatives, built once, so each keeps
+        its evaluation plan across `jacobian_at` calls."""
+        return tuple(tuple(f.derivative(v) for v in self.ring.variables) for f in self.coords)
+
     def jacobian_at(self, point: dict[Var, Fraction]) -> Mat:
         """Rows are coordinate gradients with respect to the parameters."""
-        return [
-            [f.derivative(v).evaluate(point) for v in self.ring.variables]
-            for f in self.coords
-        ]
+        return [[g.evaluate(point) for g in row] for row in self._gradients]
 
     @staticmethod
     def parse(text: str) -> "PolyMap":

@@ -4,18 +4,22 @@ Variables carry structured integer indices (``x_1_2``, ``p_2_1_3``) and are
 totally ordered row-major by (base, index), so polynomial output is
 deterministic.  Coefficients are `fractions.Fraction`; all operations are
 exact and all values are immutable after construction.
+
+`Polynomial.evaluate` compiles each polynomial, once, into straight-line Python
+code: its greedy multivariate Horner form, exact on int and `Fraction` values.
 """
 
 from __future__ import annotations
 
 import re
 import struct
+from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, compress, count
-from math import lcm, prod
+from math import lcm
 from operator import add, itemgetter, neg
 from typing import Any, Callable, Iterable
 
@@ -207,12 +211,7 @@ class Polynomial:
         return max(map(sum, self.terms), default=0)
 
     def support(self) -> set[Var]:
-        out: set[Var] = set()
-        for m in self.terms:
-            for i, e in enumerate(m):
-                if e:
-                    out.add(self.ring.variables[i])
-        return out
+        return {self.ring.variables[i] for m in self.terms for i in compress(count(), m)}
 
     def leading(self, order: MonomialOrder = DEGREVLEX) -> tuple[tuple[int, ...], Fraction]:
         cached = self._lead
@@ -308,65 +307,51 @@ class Polynomial:
     # -- calculus / evaluation ----------------------------------------------
 
     def derivative(self, v: Var) -> "Polynomial":
+        # lowering the exponent at pos is one-to-one on the terms that have it
         pos = self.ring.position(v)
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for m, c in self.terms.items():
-            e = m[pos]
-            if e:
-                m2 = m[:pos] + (e - 1,) + m[pos + 1:]
-                terms[m2] = terms.get(m2, Fraction(0)) + c * e
-        return Polynomial(self.ring, terms)
+        return Polynomial(self.ring, {m[:pos] + (m[pos] - 1,) + m[pos + 1 :]: c * m[pos] for m, c in self.terms.items() if m[pos]})
 
     def evaluate(self, point: Sequence[Rat] | Mapping[Var, Rat]) -> Fraction:
         """Exact value at a point: a sequence aligned with `ring.variables`,
-        or a mapping that assigns every variable appearing in self.
-
-        The plan, built on the first call, keeps each term as its coefficient
-        times q (the lcm of the coefficient denominators), an integer c, and
-        a picker of the ring positions it multiplies, with multiplicity.  At
-        an integer point the value is sum(c * prod(pick(point))) / q.  At
-        x_i = a_i / b_i it is the same sum on the numerators, each term
-        times its missing denominator powers D // prod(pick(b)), over q * D,
-        where D = prod b_i^E_i and E_i is the largest exponent of x_i.
-        """
+        or a mapping that assigns every variable appearing in self.  It is
+        `Fraction(plan(point), q)` for every kind of point (`_evaluation_plan`),
+        and a value neither int nor `Fraction` counts as `Fraction(value)`."""
         if self._plan is None:
             self._plan = self._evaluation_plan()
-        support, tops, q, terms = self._plan
-        width = len(self.ring.variables)
+        support, q, plan = self._plan
         if isinstance(point, Mapping):
-            values = [0] * width
-            for i in support:
-                v = self.ring.variables[i]
-                if v not in point:
-                    raise ValueError(f"unassigned variable {v}")
-                values[i] = point[v]
-            point = values
-        elif len(point) != width:
-            raise ValueError(f"point has {len(point)} values for a ring of {width} variables")
-        # The sum is an int exactly when every picked value is one.
-        if not support or type(point[support[0]]) is int:
-            total = sum([c * prod(pick(point)) for c, pick in terms])
-            if type(total) is int:
-                return Fraction(total, q)
-        numerators, denominators, scale = list(point), [1] * width, 1
-        for i, top in zip(support, tops):
-            x = point[i] if isinstance(point[i], (int, Fraction)) else Fraction(point[i])
-            numerators[i], denominators[i] = x.numerator, x.denominator
-            scale *= x.denominator**top
-        total = sum([c * prod(pick(numerators)) * (scale // prod(pick(denominators))) for c, pick in terms])
-        return Fraction(total, q * scale)
+            names = self.ring.variables
+            if missing := [names[i] for i in support if names[i] not in point]:
+                raise ValueError(f"unassigned variable {missing[0]}")
+            point = {i: point[names[i]] for i in support}
+        elif len(point) != len(self.ring.variables):
+            raise ValueError(f"point has {len(point)} values for a ring of {len(self.ring.variables)} variables")
+        if plan is None:
+            return Fraction(next(iter(self.terms.values()), 0))
+        try:
+            return Fraction(plan(point), q)
+        except (TypeError, OverflowError):
+            return Fraction(plan({i: x if isinstance(x := point[i], (int, Fraction)) else Fraction(x) for i in support}), q)
 
     def _evaluation_plan(self):
-        """(support positions, their largest exponents, q, [(c, picker)])."""
-        # tuples come from lists, not generators: see linalg.integer_multiple
-        tops = list(map(max, zip(*self.terms)))
-        support = tuple([i for i, top in enumerate(tops) if top])
+        """(support positions, q, plan): q is the lcm of the coefficient
+        denominators and plan(x) = q * self(x), the Horner code of `_horner`
+        compiled once with no builtins (None when nothing varies), popped from
+        its namespace so that no cycle keeps it alive.  It only adds,
+        subtracts, multiplies and takes int powers: exact on int and
+        `Fraction` values, while a float makes `Fraction(plan(x), q)` or the
+        run fail, and `evaluate` reruns on `Fraction(value)`s."""
         q = lcm(*[c.denominator for c in self.terms.values()])
-        terms = [
-            (c.numerator * (q // c.denominator), _picker([i for i in support for _ in range(m[i])]))
-            for m, c in self.terms.items()
-        ]
-        return support, tuple([tops[i] for i in support]), q, terms
+        # one sparse monomial dict per term, built here and divided in place
+        terms = [({i: m[i] for i in compress(count(), m)}, c.numerator * (q // c.denominator)) for m, c in self.terms.items()]
+        support = tuple(sorted({i for mono, _ in terms for i in mono}))
+        if not support:
+            return support, q, None
+        lines: list[str] = []
+        negative, product = _horner(terms, lines)
+        namespace: dict[str, Any] = {"__builtins__": {}}
+        exec(compile("def plan(x):\n " + "\n ".join(lines + [f"return {'-' * negative}{product}"]), "<plan>", "exec"), namespace)
+        return support, q, namespace.pop("plan")
 
     def rename(self, mapping: Mapping[Var, Var], target: PolyRing) -> "Polynomial":
         """Ring morphism sending each support variable through `mapping`."""
@@ -418,6 +403,46 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self.to_text()})"
+
+
+def _horner(terms: list[tuple[dict[int, int], int]], lines: list[str]) -> tuple[bool, str]:
+    """Append the code of the greedy Horner form of `terms` (position ->
+    exponent dicts, divided in place, with int coefficients) to `lines`, and
+    return (negative, product) with the form's value -product if negative.
+    The code holds positions, exponents, ints and x[ ] + - * ** = t<k>."""
+    if len(terms) == 1:
+        [(mono, c)] = terms
+        factors = [f"x[{i}]" + f"**{e}" * (e > 1) for i, e in mono.items()]
+        # hex past 64 bits: the decimal text of a huge int is capped (int_max_str_digits)
+        return c < 0, "*".join([hex(abs(c)) if abs(c) >> 64 else str(abs(c))] * (abs(c) != 1 or not factors) + factors)
+    parts: list[tuple[bool, str]] = []
+    while terms:
+        # the variable in the most terms left (max() keeps the first, lowest
+        # position of a tie) at its least power there; only the quotient
+        # recurses, so the depth is at most the total degree
+        counts = Counter(sorted([i for mono, _ in terms for i in mono]))
+        i = max(counts, key=counts.__getitem__, default=None)
+        if counts[i] < 2:  # no variable is shared (or none is left): each term is a part alone
+            parts += [_horner([term], lines) for term in terms]
+            break
+        inner = [term for term in terms if i in term[0]]
+        terms = [term for term in terms if i not in term[0]]
+        e = min([mono[i] for mono, _ in inner])
+        for mono, _ in inner:
+            mono[i] -= e
+            if not mono[i]:
+                del mono[i]
+        negative, product = _horner(inner, lines)
+        parts.append((negative, f"x[{i}]" + f"**{e}" * (e > 1) + f"*{product}" * (product != "1")))
+    # one assignment per sum; if every part is negative, negate them all, and
+    # put a positive part first, so the code has no unary minus
+    negative = all(neg for neg, _ in parts)
+    parts = sorted([(neg != negative, p) for neg, p in parts], key=itemgetter(0))
+    text = [parts[0][1]] + [("- " if neg else "+ ") + p for neg, p in parts[1:]]
+    name = f"t{len(lines)}"
+    # 64 parts per line: the compiler recurses once per `+` of a chain
+    lines += [f"{name} = {name + ' ' if k else ''}" + " ".join(text[k : k + 64]) for k in range(0, len(text), 64)]
+    return negative, name
 
 
 def require_homogeneous(generators: Iterable[Polynomial], groups: Sequence[Iterable[Var]]) -> None:
@@ -558,12 +583,12 @@ class SymbolicMatrix:
             raise ValueError(f"entry exponent {top} is too large to expand minors of")
         codec = struct.Struct(f"<{len(self.ring.variables)}{code}")
         q = lcm(*[c.denominator for e in polys for c in e.terms.values()])
+        # tuples from lists, not generators: see linalg.integer_multiple
         entries = tuple(
-            tuple(
-                tuple((int.from_bytes(codec.pack(*m), "little"), c.numerator * (q // c.denominator)) for m, c in e.terms.items())
-                for e in row
-            )
-            for row in self.entries
+            [
+                tuple([tuple([(int.from_bytes(codec.pack(*m), "little"), c.numerator * (q // c.denominator)) for m, c in e.terms.items()]) for e in row])
+                for row in self.entries
+            ]
         )
         return entries, q, codec
 

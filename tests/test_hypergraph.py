@@ -98,6 +98,39 @@ def test_minimal_edges_match_the_quadratic_definition():
         assert Hypergraph.of(n, family).edges == quadratic_minimal_edges(family), (n, family)
 
 
+def test_minimal_sets_keep_exactly_the_sets_containing_no_earlier_set():
+    """Against the definition: a set is kept when no earlier set lies inside
+    it.  Tuples and frozensets over vertices 0..n, in nondecreasing size,
+    with duplicates, nested pairs, the empty set, and families of more than
+    64 kept sets (several machine words of kept bits)."""
+    rng = random.Random(29)
+    kept_sizes = []
+    for trial in range(400):
+        n = rng.randint(0, 12)
+        family = [tuple(rng.sample(range(n + 1), rng.randint(0, n + 1))) for _ in range(rng.randint(0, 15))]
+        if trial % 10 == 0:
+            # many sets of one size: mostly an antichain
+            n, size = 12, rng.randint(3, 6)
+            family = [tuple(rng.sample(range(n + 1), size)) for _ in range(120)]
+        for e in list(family):
+            kind = rng.randrange(4)
+            if kind == 0:
+                family.append(e)
+            elif kind == 1 and e:
+                family.append(e[1:])
+            elif kind == 2:
+                family.append(e + tuple({rng.randint(0, n)} - set(e)))
+        if trial % 3 == 0:
+            family = [frozenset(e) for e in family]
+        rng.shuffle(family)
+        family.sort(key=len)
+        expected = [e for i, e in enumerate(family) if not any(set(f) <= set(e) for f in family[:i])]
+        kept = hypergraph.minimal_sets(family)
+        assert kept == expected and all(a is b for a, b in zip(kept, expected)), (n, family)
+        kept_sizes.append(len(kept))
+    assert max(kept_sizes) > 64 and 1 in kept_sizes
+
+
 def test_normalization_preserves_variety_membership():
     raw_edges = [{1, 2}, {1, 2, 3}, {2, 4}, {2, 4, 5}]
     minimal = Hypergraph.of(5, raw_edges)

@@ -518,6 +518,20 @@ def test_segre_two_by_two_has_a_single_four_circuit():
     assert m.full_rank() == 3
 
 
+def test_jacobian_gradients_keep_their_plans_across_draws():
+    pm = matrix_product_map(2, 3, 2)
+    rng = random.Random(61)
+    points = [{v: Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for v in pm.ring.variables} for _ in range(2)]
+    jacobians, plans = [], []
+    for point in points:
+        jacobians.append(pm.jacobian_at(point))
+        plans.append([g._plan for row in pm._gradients for g in row])
+    assert all(plan is not None for plan in plans[0])
+    assert all(a is b for a, b in zip(*plans))
+    for point, jacobian in zip(points, jacobians):
+        assert jacobian == [[f.derivative(v).evaluate(point) for v in pm.ring.variables] for f in pm.coords]
+
+
 def test_identity_parametrization_is_free():
     ring = PolyRing.of(Var("u", (i,)) for i in range(1, 6))
     pm = PolyMap(ring, tuple(ring.var(v) for v in ring.variables))

@@ -1,4 +1,8 @@
+import gc
 import random
+import sys
+import weakref
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 
@@ -329,6 +333,82 @@ def test_evaluate_needs_only_the_support_and_rejects_unassigned_variables():
         f.evaluate({Var("x"): 1, Var("z"): 2})
     # a failed call leaves nothing behind that changes the next one
     assert f.evaluate({Var("x"): 1, Var("y"): 1}) == Fraction(2, 3) - 5 + Fraction(1, 7)
+
+
+def test_points_with_floats_and_other_numbers_evaluate_exactly():
+    """A value that is neither int nor Fraction counts as Fraction(value),
+    also where the plan's own run on it fails: a float times a huge int
+    overflows, and a Decimal does not mix with a Fraction."""
+    ring = small_ring("xy")
+    x, y = ring.var(Var("x")), ring.var(Var("y"))
+    f = x * y + 1
+    assert f.evaluate([0.1, 3]) == Fraction(46837436124653159, 36028797018963968)
+    assert f.evaluate({Var("x"): 0.1, Var("y"): 3}) == Fraction(46837436124653159, 36028797018963968)
+    g = Fraction(1, 3) * x**3 * y - 2 * y**2
+    huge = 10**400 + 7
+    for point in ([0.5, huge], [huge, 0.25], [Decimal("0.1"), Fraction(2, 3)], [True, 2.5], [Fraction(1, 3), 1e-5]):
+        expected = naive_evaluate(g, dict(zip(ring.variables, point)))
+        for value in (g.evaluate(point), g.evaluate(tuple(point)), g.evaluate(dict(zip(ring.variables, point)))):
+            assert value == expected and type(value) is Fraction
+
+
+def test_wide_and_deep_polynomials_evaluate_without_recursion_errors():
+    """A 2000-variable linear form (one Horner sum of 2001 parts) and a dense
+    univariate polynomial of degree 300 (300 nested Horner steps), with a
+    coefficient past the decimal-digit cap of int parsing."""
+    rng = random.Random(53)
+    width = 2000
+    ring = PolyRing.of(Var("x", (i,)) for i in range(width))
+    coefficients = [rng.randint(-9, 9) or 1 for _ in range(width)]
+    zero = (0,) * width
+    linear = Polynomial(ring, {zero[:i] + (1,) + zero[i + 1 :]: Fraction(c) for i, c in enumerate(coefficients)} | {zero: Fraction(-5, 7)})
+    point = [rng.randint(-10**30, 10**30) for _ in range(width)]
+    # the compiler's own recursion limit scales with the interpreter's: at 500
+    # it cannot compile one expression of 2001 summands
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(500)
+    try:
+        value = linear.evaluate(point)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert value == sum(map(lambda c, v: c * v, coefficients, point)) - Fraction(5, 7)
+    del linear
+    ring = small_ring("x")
+    dense = Polynomial(ring, {(e,): Fraction(rng.randint(-50, 50) or 1, rng.randint(1, 9)) for e in range(301)})
+    dense = dense + 10**5000 + 1
+    for value in (3, Fraction(-7, 5), 10**20):
+        assert dense.evaluate([value]) == naive_evaluate(dense, {Var("x"): value})
+
+
+def test_variable_names_never_reach_the_plan():
+    """Variables named like the plan's parameter and temporaries evaluate
+    correctly; the compiled plan reads no global name and sees no builtins."""
+    ring = PolyRing.of([Var("p"), Var("f"), Var("t", (0,)), Var("t", (1,)), Var("x")])
+    rng = random.Random(59)
+    for _ in range(20):
+        g = random_polynomial(rng, ring, max_terms=8, max_exp=3)
+        point = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in ring.variables]
+        assert g.evaluate(point) == naive_evaluate(g, dict(zip(ring.variables, point)))
+        support, q, plan = g._plan
+        if plan is not None:
+            assert plan.__code__.co_names == ()
+            assert plan.__globals__ == {"__builtins__": {}}
+    for constant in (ring.zero(), ring.const(Fraction(3, 4))):
+        value = constant.evaluate([1] * 5)
+        assert value == sum(constant.terms.values()) and type(value) is Fraction and constant._plan[2] is None
+
+
+def test_a_plan_dies_with_its_polynomial():
+    X = generic_matrix(3, 3)
+    f = minor(X, [1, 2, 3], [1, 2, 3])
+    assert f.evaluate(list(range(9))) == 0
+    gc.disable()
+    try:
+        plan = weakref.ref(f._plan[2])
+        del f
+        assert plan() is None
+    finally:
+        gc.enable()
 
 
 def test_leading_term_cache_follows_the_queried_order():
