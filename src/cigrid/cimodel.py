@@ -311,8 +311,9 @@ def parse_ci_file(text: str) -> tuple[DiscreteModel, list[CIStatement]]:
             raise ValueError(
                 f"variable declaration {tok!r} in line {lines[0]!r} is not name=states with an integer state count"
             )
-        hidden = name.endswith("*")
-        variables.append(ModelVar(name.rstrip("*"), int(c), hidden))
+        if not name.rstrip("*"):
+            raise ValueError(f"variable declaration {tok!r} in line {lines[0]!r} has no variable name")
+        variables.append(ModelVar(name.rstrip("*"), int(c), name.endswith("*")))
     model = DiscreteModel(tuple(variables))
     statements = [CIStatement.parse(ln) for ln in lines[1:]]
     for stmt in statements:

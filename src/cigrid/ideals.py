@@ -13,9 +13,10 @@ degree, each with a guard bit on top.  A product is one addition, and a
 divides b exactly when b - a sets no guard bit.  A digit that reaches its
 guard bit, on packing or in a new product term, raises `_Overflow` and the
 computation reruns at twice the width, so no digit wraps.  Each term carries
-the order's descending key, a linear function of the exponents, so the key
-of m * q is key(m) + key(q).  Coefficients are `int` while integral, else
-`Fraction`.  `_update` works on exponent tuples.
+the order's descending key, the linear function of the exponents that
+`MonomialOrder.weights` defines, so the key of m * q is key(m) + key(q), and
+the pair queue ranks each pair by its lcm's key.  Coefficients are `int`
+while integral, else `Fraction`.  `_update` works on exponent tuples.
 """
 
 from __future__ import annotations
@@ -72,27 +73,15 @@ class _Overflow(Exception):
 class _Packing:
     """Monomials of an n-variable ring as ints: digit i holds exponent i and
     digit n the total degree, each `bits` wide with a guard bit on top; and
-    the descending key of one order, a linear function of the exponents."""
+    the descending key of one order, `MonomialOrder.weights`.  A key field
+    holds the degree of any product of two packed monomials, so the key of
+    an overflowed product equals no other key."""
 
     def __init__(self, order: MonomialOrder, n: int, bits: int):
         self.bits, self.top, self.mask = bits, n * bits, (1 << bits) - 1
         self.shifts = range(0, n * bits, bits)
         self.guard = sum(1 << (s + bits - 1) for s in range(0, self.top + 1, bits))
-        # The key packs the order's comparison into `bits`-wide fields, most
-        # significant first: lex compares the negated exponents; a graded
-        # block compares its negated degree, then its exponents from the last
-        # one back.  A field holds the degree of any product of two packed
-        # monomials, so the key of an overflowed product equals no other key.
-        if order.kind == "lex":
-            self.weights = [-1 << (bits * (n - 1 - i)) for i in range(n)]
-            return
-        self.weights, shift = [0] * n, 0
-        for block in reversed(order.blocks if order.kind == "block" else (range(n),)):
-            for i in block:
-                self.weights[i], shift = 1 << shift, shift + bits
-            for i in block:
-                self.weights[i] -= 1 << shift
-            shift += bits
+        self.weights = order.weights(n, bits)
 
     def pack(self, m: tuple[int, ...]) -> tuple[int, int]:
         """(descending key, packed monomial)."""
@@ -222,21 +211,23 @@ def buchberger(
 def _buchberger(ideal, gens, order, packing, max_pairs, max_degree) -> Ideal:
     guard = packing.guard
     # monic divisors, their heads as tuples, and `_update`'s state; the queue
-    # is in normal selection: smallest lcm under the order, then smallest
-    # indices, each pair's key computed once, when the pair is created
+    # is in normal selection: smallest lcm under the order (largest packed
+    # key), then smallest indices, each lcm packed once, when the pair is
+    # created
     basis, heads, active, live, queue = [], [], [], {}, []
 
     def join(terms: list) -> None:
         basis.append(_divisor(_monic(terms)))
         heads.append(packing.unpack(terms[0][1]))
         for i, j in _update(heads, active, live):
-            heapq.heappush(queue, (order.key(live[i, j]), i, j))
+            key, mono = packing.pack(live[i, j])
+            heapq.heappush(queue, (-key, i, j, mono))
 
     for g in gens:
         join(packing.terms(g))
     processed = 0
     while queue:
-        _, i, j = heapq.heappop(queue)
+        neg_key, i, j, mono = heapq.heappop(queue)
         l = live.pop((i, j), None)
         if l is None:  # dropped by criterion B after it was queued
             continue
@@ -247,7 +238,7 @@ def _buchberger(ideal, gens, order, packing, max_pairs, max_degree) -> Ideal:
             raise BudgetExceeded(f"S-pair budget {max_pairs} exhausted")
         # S(f, g): f times the cofactor of its head in the lcm, its head
         # cancelled by g in the reduction's first step
-        key, mono = packing.pack(l)
+        key = -neg_key
         fk, fm, _, tail = basis[i]
         s_terms = [(key, mono, 1)] + [(tk + key - fk, tm + mono - fm, tc) for tk, tm, tc in tail]
         r = _reduce(s_terms, basis, guard, [basis[j]])

@@ -5,6 +5,10 @@ totally ordered row-major by (base, index), so polynomial output is
 deterministic.  Coefficients are `fractions.Fraction`; all operations are
 exact and all values are immutable after construction.
 
+Each monomial order has one definition, the linear weights of
+`MonomialOrder.weights` that the packed Groebner engine (`ideals`) sorts by.
+Text and leading terms use the one degrevlex key `_descending`.
+
 `Polynomial.evaluate` compiles each polynomial, once, into straight-line Python
 code: its greedy multivariate Horner form, exact on int and `Fraction` values.
 """
@@ -20,8 +24,8 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, compress, count
 from math import lcm
-from operator import add, itemgetter, neg
-from typing import Any, Callable, Iterable
+from operator import add, itemgetter
+from typing import Any, Iterable
 
 Rat = Fraction | int
 
@@ -51,73 +55,54 @@ def var(base: str, *index: int) -> Var:
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """Total order on monomials given as a key function on exponent tuples.
+    """A total order on the monomials (exponent tuples) of a ring.
 
     kind: "lex" (first variable dominates), "degrevlex" (graded, ties broken
     by the reversed exponent vector), or "block" (compare block by block,
     degrevlex inside each block; the first block is the elimination block).
-    blocks holds variable positions for "block" orders.
-
-    Both keys are compiled once per order: `key` sorts ascending, and
-    `descending_key` orders monomials the opposite way, so a min-heap on it
-    pops the largest monomial first.
+    blocks holds variable positions for "block" orders, and must partition
+    the ring's positions.  `weights` is the order's one definition.
     """
 
     kind: str
     blocks: tuple[tuple[int, ...], ...] = ()
-    key: Callable[[tuple[int, ...]], Any] = field(init=False, repr=False, compare=False)
-    descending_key: Callable[[tuple[int, ...]], Any] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        key, descending_key = _compile_order(self.kind, self.blocks)
-        object.__setattr__(self, "key", key)
-        object.__setattr__(self, "descending_key", descending_key)
 
     def __str__(self) -> str:
         return self.kind
 
-    def largest(self, monomials: Iterable[tuple[int, ...]]) -> tuple[int, ...]:
-        """The largest monomial.  Under lex that is the largest plain tuple;
-        otherwise it is the smallest under `descending_key`, which negates
-        nothing per monomial."""
+    def weights(self, n: int, bits: int) -> list[int]:
+        """Weights w of the descending key sum(w[i] * m[i]) on an n-variable
+        ring: the larger the monomial, the smaller its key.
+
+        The key packs the order's comparison into `bits`-wide fields, most
+        significant first: lex compares the negated exponents; a graded
+        block compares its negated degree, then its exponents from the last
+        one back.  The key is linear, so key(m * q) = key(m) + key(q), and
+        it orders every monomial whose degree fits in a field."""
         if self.kind == "lex":
-            return max(monomials)
-        return min(monomials, key=self.descending_key)
+            return [-1 << (bits * (n - 1 - i)) for i in range(n)]
+        if self.kind == "degrevlex":
+            blocks = (range(n),)
+        elif self.kind == "block":
+            blocks = self.blocks
+            if sorted([i for block in blocks for i in block]) != list(range(n)):
+                raise ValueError(f"blocks {blocks} do not partition the positions 0..{n - 1} of the ring")
+        else:
+            raise ValueError(f"unknown monomial order kind {self.kind!r}")
+        weights, shift = [0] * n, 0
+        for block in reversed(blocks):
+            for i in block:
+                weights[i], shift = 1 << shift, shift + bits
+            for i in block:
+                weights[i] -= 1 << shift
+            shift += bits
+        return weights
 
 
-def _picker(positions: Sequence[int]) -> Callable[[Sequence], tuple]:
-    """The items at `positions` (exponents, or a point's values), always as a
-    tuple."""
-    if len(positions) >= 2:
-        return itemgetter(*positions)
-    if positions:
-        (p,) = positions
-        return lambda exps: (exps[p],)
-    return lambda exps: ()
-
-
-def _compile_order(kind: str, blocks: tuple[tuple[int, ...], ...]):
-    """(ascending key, descending key) of a monomial order.  Within a graded
-    block, the ascending key is (degree, negated reversed exponents); its
-    exact negation (-degree, reversed exponents) sorts the other way."""
-    if kind == "lex":
-        return (lambda exps: exps), (lambda exps: tuple(map(neg, exps)))
-    if kind == "degrevlex":
-        return (
-            lambda exps: (sum(exps), tuple(map(neg, reversed(exps)))),
-            lambda exps: (-sum(exps), exps[::-1]),
-        )
-    if kind == "block":
-        pickers = [_picker(tuple(reversed(blk))) for blk in blocks]
-
-        def key(exps):
-            return tuple([(sum(part), tuple(map(neg, part))) for part in [pick(exps) for pick in pickers]])
-
-        def descending_key(exps):
-            return tuple([(-sum(part), part) for part in [pick(exps) for pick in pickers]])
-
-        return key, descending_key
-    raise ValueError(f"unknown monomial order kind {kind!r}")
+def _descending(m: tuple[int, ...]) -> tuple:
+    """The degrevlex sort key of text and leading terms: the larger the
+    monomial, the smaller its key."""
+    return (-sum(m), m[::-1])
 
 
 LEX = MonomialOrder("lex")
@@ -187,9 +172,9 @@ class Polynomial:
     """Map from exponent tuples to nonzero rational coefficients.
 
     Never mutate `terms` after construction; arithmetic returns new values.
-    That is what makes the cached leading term (per order, last queried), the
-    evaluation plan (built on the first `evaluate`) and the text (rendered on
-    the first `to_text`) safe to keep.
+    That is what makes the cached degrevlex leading term, the evaluation plan
+    (built on the first `evaluate`) and the text (rendered on the first
+    `to_text`) safe to keep.
     """
 
     __slots__ = ("ring", "terms", "_hash", "_lead", "_plan", "_text")
@@ -198,7 +183,7 @@ class Polynomial:
         self.ring = ring
         self.terms = {m: c for m, c in terms.items() if c != 0}
         self._hash: int | None = None
-        self._lead: tuple[MonomialOrder, tuple[tuple[int, ...], Fraction]] | None = None
+        self._lead: tuple[tuple[int, ...], Fraction] | None = None
         self._plan: tuple | None = None
         self._text: str | None = None
 
@@ -213,16 +198,14 @@ class Polynomial:
     def support(self) -> set[Var]:
         return {self.ring.variables[i] for m in self.terms for i in compress(count(), m)}
 
-    def leading(self, order: MonomialOrder = DEGREVLEX) -> tuple[tuple[int, ...], Fraction]:
-        cached = self._lead
-        if cached is not None and (cached[0] is order or cached[0] == order):
-            return cached[1]
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        m = order.largest(self.terms)
-        lead = (m, self.terms[m])
-        self._lead = (order, lead)
-        return lead
+    def leading(self) -> tuple[tuple[int, ...], Fraction]:
+        """The degrevlex leading term, the first term of the text form."""
+        if self._lead is None:
+            if not self.terms:
+                raise ValueError("zero polynomial has no leading term")
+            m = min(self.terms, key=_descending)
+            self._lead = (m, self.terms[m])
+        return self._lead
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -381,7 +364,7 @@ class Polynomial:
             return self._text
         names = self.ring.names
         parts: list[str] = []
-        for m in sorted(self.terms, key=DEGREVLEX.descending_key):
+        for m in sorted(self.terms, key=_descending):
             body = str(self.terms[m])
             negative = body[0] == "-"
             if negative:
@@ -476,7 +459,7 @@ def normalize_sign(f: Polynomial) -> Polynomial:
     """Flip the sign so the degrevlex leading coefficient is positive (0 stays 0)."""
     if f.is_zero():
         return f
-    _, c = f.leading(DEGREVLEX)
+    _, c = f.leading()
     return -f if c < 0 else f
 
 

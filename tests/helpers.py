@@ -3,7 +3,8 @@
 The oracles deliberately re-derive answers by routes different from the
 library: permutation-sum determinants, a determinant that tracks its sign
 swap by swap, kernels read off the reduced row echelon form, minor-search
-ranks, a naive textbook Groebner routine with none of the library's
+ranks, monomial-order keys written out from their definitions, a naive
+textbook Groebner routine on those keys with none of the library's
 selection strategy or criteria, the circuit checks and the minimal-edge
 filter written out with frozensets, the bitmask circuit-axiom check with
 every pair of circuits eliminated, circuits found by an exact rank of every
@@ -24,6 +25,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from operator import le
 
 from cigrid.cimodel import CIStatement, DiscreteModel, ProbTensor
 from cigrid.linalg import column_submatrix, rank
@@ -138,17 +140,60 @@ def rref_kernel_basis(m) -> list[list[Fraction]]:
     return basis
 
 
+def reference_key(order, exps):
+    """The monomial-order keys written out directly from their definitions."""
+    if order.kind == "lex":
+        return exps
+    if order.kind == "degrevlex":
+        return (sum(exps), tuple(-e for e in reversed(exps)))
+    return tuple(
+        (sum(exps[p] for p in blk), tuple(-exps[p] for p in reversed(blk))) for blk in order.blocks
+    )
+
+
+# Both memos are keyed by identity, so nothing is hashed but the monomials;
+# each entry keeps what its ids name alive, so no id is reused.
+_KEYS: dict = {}  # id(order) -> (order, {monomial: reference key})
+_LEADING: dict = {}  # (id(f), id(order)) -> (f, order, leading term)
+
+
+def _reference_lead(f: Polynomial, order) -> tuple[tuple[int, ...], Fraction]:
+    """f's leading term under `reference_key`, each key memoized per (order,
+    monomial): most monomials of a division step are those of the step
+    before."""
+    entry = _KEYS.get(id(order))
+    if entry is None:
+        entry = _KEYS[id(order)] = (order, {})
+    keys = entry[1]
+    for m in f.terms:
+        if m not in keys:
+            keys[m] = reference_key(order, m)
+    m = max(f.terms, key=keys.__getitem__)
+    return m, f.terms[m]
+
+
+def reference_leading(f: Polynomial, order) -> tuple[tuple[int, ...], Fraction]:
+    """`_reference_lead` memoized per (polynomial, order), for the divisors
+    and basis elements that the oracles below ask about again and again."""
+    hit = _LEADING.get((id(f), id(order)))
+    if hit is None:
+        if len(_LEADING) >= 4096:
+            _LEADING.clear()
+        hit = _LEADING[id(f), id(order)] = (f, order, _reference_lead(f, order))
+    return hit[2]
+
+
 def naive_division(f: Polynomial, divisors, order=DEGREVLEX) -> Polynomial:
     """Textbook multivariate division, written without reusing the library's
     reducer internals."""
     rem = f.ring.zero()
     p = f
+    heads = [(g, *reference_leading(g, order)) for g in divisors]
     while not p.is_zero():
-        m, c = p.leading(order)
+        m, c = _reference_lead(p, order)
         reduced = False
-        for g in divisors:
-            gm, gc = g.leading(order)
-            if all(a <= b for a, b in zip(gm, m)):
+        for g, gm, gc in heads:
+            if all(map(le, gm, m)):
                 quot_mono = tuple(b - a for a, b in zip(gm, m))
                 q = Polynomial(f.ring, {quot_mono: c / gc})
                 p = p - q * g
@@ -162,8 +207,8 @@ def naive_division(f: Polynomial, divisors, order=DEGREVLEX) -> Polynomial:
 
 
 def naive_s_poly(f: Polynomial, g: Polynomial, order=DEGREVLEX) -> Polynomial:
-    fm, fc = f.leading(order)
-    gm, gc = g.leading(order)
+    fm, fc = reference_leading(f, order)
+    gm, gc = reference_leading(g, order)
     l = tuple(max(a, b) for a, b in zip(fm, gm))
     qf = Polynomial(f.ring, {tuple(b - a for a, b in zip(fm, l)): 1 / fc})
     qg = Polynomial(f.ring, {tuple(b - a for a, b in zip(gm, l)): 1 / gc})
@@ -192,16 +237,16 @@ def naive_reduced_groebner(gens, order=DEGREVLEX, cap: int = 200) -> set[Polynom
     """The reduced basis from `naive_groebner`: keep each element whose head
     no kept head divides (divisors have lower degree, so visit by degree),
     reduce each survivor by the others, and scale it to leading coefficient 1."""
-    basis = sorted(naive_groebner(gens, order, cap), key=lambda g: sum(g.leading(order)[0]))
+    basis = sorted(naive_groebner(gens, order, cap), key=lambda g: sum(reference_leading(g, order)[0]))
     kept = []
     for g in basis:
-        gm = g.leading(order)[0]
-        if not any(all(a <= b for a, b in zip(h.leading(order)[0], gm)) for h in kept):
+        gm = reference_leading(g, order)[0]
+        if not any(all(a <= b for a, b in zip(reference_leading(h, order)[0], gm)) for h in kept):
             kept.append(g)
     out = set()
     for idx, g in enumerate(kept):
         r = naive_division(g, kept[:idx] + kept[idx + 1:], order)
-        out.add(r.scale(1 / r.leading(order)[1]))
+        out.add(r.scale(1 / reference_leading(r, order)[1]))
     return out
 
 
@@ -223,7 +268,7 @@ def reference_to_text(f: Polynomial) -> str:
     if not f.terms:
         return "0"
     parts: list[str] = []
-    for m in sorted(f.terms, key=DEGREVLEX.key, reverse=True):
+    for m in sorted(f.terms, key=lambda m: reference_key(DEGREVLEX, m), reverse=True):
         c = f.terms[m]
         factors = [str(f.ring.variables[i]) + (f"^{e}" if e > 1 else "") for i, e in enumerate(m) if e]
         mag = abs(c)

@@ -371,6 +371,8 @@ def test_zero_matrix_columns_are_loops(tmp_path, capsys):
         (["rigidity", "--framework"], "4 x\n0 0\n", "'4 x'", "`n d` header of two non-negative integers"),
         (["ideal", "--ci"], "X=a Y=2\nX _||_ Y\n", "'X=a'", "name=states with an integer state count"),
         (["ideal", "--ci"], "X Y=2\nX _||_ Y\n", "'X'", "name=states with an integer state count"),
+        (["ideal", "--ci"], "X=2 Y=2 *=2\nX _||_ Y\n", "'*=2'", "has no variable name"),
+        (["ideal", "--ci"], "=3 X=2 Y=2\nX _||_ Y\n", "'=3'", "has no variable name"),
         (["matroid", "--matrix"], "2 2\n1 x\n0 1\n", "'1 x'", "then one row of n rationals per line"),
         (["matroid", "--matrix"], "2 2\n1 0\n1/0 1\n", "'1/0 1'", "then one row of n rationals per line"),
         (["rigidity", "--framework"], "2 2\n0 0\n1 x\n1 2\n", "'1 x'", "n coordinate lines of d rationals"),
@@ -389,6 +391,8 @@ def test_zero_matrix_columns_are_loops(tmp_path, capsys):
         "framework-header",
         "ci-state-count",
         "ci-no-state-count",
+        "ci-hidden-no-name",
+        "ci-no-name",
         "matrix-entry",
         "matrix-zero-denominator",
         "framework-coordinate",

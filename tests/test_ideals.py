@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import random
+import re
 import weakref
 from fractions import Fraction
 from itertools import permutations, product
@@ -8,7 +9,7 @@ from operator import add
 
 import pytest
 
-from helpers import naive_division, naive_groebner, naive_reduced_groebner, naive_s_poly, random_polynomial
+from helpers import naive_division, naive_groebner, naive_reduced_groebner, naive_s_poly, random_polynomial, reference_key
 from cigrid import ideals
 from cigrid.ideals import (
     BudgetExceeded,
@@ -21,7 +22,7 @@ from cigrid.ideals import (
     normal_form,
     reduce_poly,
 )
-from cigrid.poly import DEGREVLEX, LEX, PolyRing, Polynomial, Var, generic_matrix, minor, parse_polynomial
+from cigrid.poly import DEGREVLEX, LEX, MonomialOrder, PolyRing, Polynomial, Var, generic_matrix, minor, parse_polynomial
 
 
 def ring_xyz():
@@ -189,13 +190,32 @@ def test_contains_uses_membership():
 
 def test_reduce_poly_matches_textbook_division_under_every_order_kind():
     ring = PolyRing.of([Var("w"), Var("x"), Var("y"), Var("z")])
-    orders = [LEX, DEGREVLEX, ring.elimination_order({Var("x"), Var("z")})]
+    orders = [LEX, DEGREVLEX, ring.elimination_order({Var("x"), Var("z")}), MonomialOrder("block", ((2, 0, 3, 1),))]
     rng = random.Random(29)
     for _ in range(40):
         f = random_polynomial(rng, ring, max_terms=6, max_exp=4)
         divisors = [g for g in (random_polynomial(rng, ring, max_terms=3, max_exp=2) for _ in range(3)) if g]
         for order in orders:
             assert reduce_poly(f, divisors, order) == naive_division(f, divisors, order)
+
+
+def test_a_block_order_that_is_no_partition_is_rejected():
+    # with y in no block, y would weigh 0 and share its key with 1: the basis
+    # of (x - y, y^2 - 1) came out as [y^2], and x*y - 1 did not reduce to 0
+    ring = PolyRing.of([Var("x"), Var("y")])
+    x, y = ring.var(Var("x")), ring.var(Var("y"))
+    gens = [x - y, y * y - 1]
+    for blocks in (((0,),), ((0, 1), (1,)), ((0, 2), (1,))):
+        order = MonomialOrder("block", blocks)
+        with pytest.raises(ValueError, match=re.escape(f"blocks {blocks} do not partition")):
+            buchberger(Ideal.of(ring, gens), order)
+        with pytest.raises(ValueError, match=re.escape(f"blocks {blocks} do not partition")):
+            reduce_poly(x * y - 1, gens, order)
+    with pytest.raises(ValueError, match="unknown monomial order kind 'grlex'"):
+        buchberger(Ideal.of(ring, gens), MonomialOrder("grlex"))
+    gb = buchberger(Ideal.of(ring, gens), MonomialOrder("block", ((1,), (0,))))
+    assert set(gb.basis) == {y - x, x * x - 1}
+    assert normal_form(x * y - 1, gb).is_zero()
 
 
 def _basis_set(polys):
@@ -359,7 +379,7 @@ def test_packed_key_and_divisibility_follow_the_order_and_the_exponents():
     # every monomial of degree 3 (ties in degree), and monomials whose
     # exponents and degree reach the largest value a digit holds
     ring = PolyRing.of([Var("w"), Var("x"), Var("y"), Var("z")])
-    orders = [LEX, DEGREVLEX, ring.elimination_order({Var("x"), Var("z")})]
+    orders = [LEX, DEGREVLEX, ring.elimination_order({Var("x"), Var("z")}), MonomialOrder("block", ((2, 0, 3, 1),))]
     rng = random.Random(43)
     for bits in (4, 8):
         top = (1 << (bits - 1)) - 1
@@ -374,12 +394,12 @@ def test_packed_key_and_divisibility_follow_the_order_and_the_exponents():
             packing = ideals._Packing(order, 4, bits)
             keys = {m: packing.pack(m)[0] for m in monos}
             assert len(set(keys.values())) == len(monos)
-            assert sorted(monos, key=keys.get) == sorted(monos, key=order.descending_key)
+            assert sorted(monos, key=keys.get) == sorted(monos, key=lambda m: reference_key(order, m), reverse=True)
             # the key of a product is the sum of the keys, past the digit limit too
             pairs = zip(monos, rng.sample(monos, len(monos)))
             products = {tuple(map(add, a, b)): keys[a] + keys[b] for a, b in pairs}
             assert len(set(products.values())) == len(products)
-            assert sorted(products, key=products.get) == sorted(products, key=order.descending_key)
+            assert sorted(products, key=products.get) == sorted(products, key=lambda m: reference_key(order, m), reverse=True)
         packed = {m: packing.pack(m)[1] for m in monos}
         for a, b in zip(monos, rng.sample(monos, len(monos))):
             assert packing.unpack(packed[a]) == a
