@@ -85,16 +85,24 @@ class CIStatement:
                 raise ValueError(f"hidden variable {name} may only appear in the conditioning set")
 
     @staticmethod
-    def parse(text: str) -> "CIStatement":
+    def parse(text: str, model: DiscreteModel) -> "CIStatement":
+        """The statement `text` over the model's variables, validated.  A
+        hidden variable's name may carry its mark, one trailing *; any other
+        token that is not a declared name, starred or not, is a KeyError
+        naming it."""
         lhs, sep, rest = text.partition("_||_")
         if not sep:
             raise ValueError(f"missing _||_ in statement {text!r}")
         rhs, _, cond = rest.partition("|")
 
-        def names(chunk: str) -> tuple[str, ...]:
-            return tuple(tok.rstrip("*") for tok in chunk.replace(",", " ").split())
+        marks = {v.name + "*": v.name for v in model.hidden()}
 
-        return CIStatement(names(lhs), names(rhs), names(cond))
+        def names(chunk: str) -> tuple[str, ...]:
+            return tuple([marks.get(tok, tok) for tok in chunk.replace(",", " ").split()])
+
+        stmt = CIStatement(names(lhs), names(rhs), names(cond))
+        stmt.validate(model)
+        return stmt
 
 
 @dataclass(frozen=True)
@@ -298,8 +306,9 @@ def parse_ci_file(text: str) -> tuple[DiscreteModel, list[CIStatement]]:
         X _||_ Y1 | Y2 H1*
         X _||_ Y2 | Y1 H2*
 
-    The first non-comment line declares variables (a trailing * on the name
-    marks a hidden variable); each further line is one statement.
+    The first non-comment line declares variables (one trailing * on the name
+    marks a hidden variable); each further line is one statement, in which a
+    hidden variable may carry its mark and no other name may.
     """
     lines = content_lines(text)
     if not lines:
@@ -311,11 +320,9 @@ def parse_ci_file(text: str) -> tuple[DiscreteModel, list[CIStatement]]:
             raise ValueError(
                 f"variable declaration {tok!r} in line {lines[0]!r} is not name=states with an integer state count"
             )
-        if not name.rstrip("*"):
-            raise ValueError(f"variable declaration {tok!r} in line {lines[0]!r} has no variable name")
-        variables.append(ModelVar(name.rstrip("*"), int(c), name.endswith("*")))
+        base = name.removesuffix("*")
+        if not base or "*" in base:
+            raise ValueError(f"variable declaration {tok!r} in line {lines[0]!r} {'misplaces a *: one trailing * marks a hidden variable' if base else 'has no variable name'}")
+        variables.append(ModelVar(base, int(c), base != name))
     model = DiscreteModel(tuple(variables))
-    statements = [CIStatement.parse(ln) for ln in lines[1:]]
-    for stmt in statements:
-        stmt.validate(model)
-    return model, statements
+    return model, [CIStatement.parse(ln, model) for ln in lines[1:]]

@@ -5,18 +5,18 @@ couple dozen variables with short generator lists.  Budgets (maximum S-pairs
 reduced, maximum degree touched) are hard limits; exceeding one raises
 `BudgetExceeded` rather than returning anything partial.
 
-The engine runs on packed monomials (Bachmann & Schoenemann, ISSAC 1998).
-`Polynomial`s are packed on entry and only remainders and reduced bases are
-unpacked, once, at the end; `normal_form` keeps its packed basis on the
-`Ideal`.  A monomial is one int: a digit per variable and one for the total
-degree, each with a guard bit on top.  A product is one addition, and a
-divides b exactly when b - a sets no guard bit.  A digit that reaches its
-guard bit, on packing or in a new product term, raises `_Overflow` and the
-computation reruns at twice the width, so no digit wraps.  Each term carries
-the order's descending key, the linear function of the exponents that
-`MonomialOrder.weights` defines, so the key of m * q is key(m) + key(q), and
-the pair queue ranks each pair by its lcm's key.  Coefficients are `int`
-while integral, else `Fraction`.  `_update` works on exponent tuples.
+The engine runs on monomials packed by `poly.Packing`, whose docstring holds
+the layout: a product is one addition and a divisibility test one
+subtraction.  `Polynomial`s are packed on entry and only remainders and
+reduced bases are unpacked, once, at the end; `normal_form` keeps its packed
+basis on the `Ideal`.  A digit that reaches its guard bit, on packing or in a
+new product term, raises `DigitOverflow` and the computation reruns at the
+next of `Packing.WIDTHS`, so no digit wraps; past 64 bits it is a
+`ValueError`.  Each term carries the order's descending key, the linear
+function of the exponents that `MonomialOrder.weights` defines, so the key of
+m * q is key(m) + key(q), and the pair queue ranks each pair by its lcm's
+key.  Coefficients are `int` while integral, else `Fraction`.  `_update`
+works on exponent tuples.
 """
 
 from __future__ import annotations
@@ -24,14 +24,13 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import le, lshift, mul
+from operator import le, mul
 from typing import Iterable, Sequence
 
-from .poly import DEGREVLEX, MonomialOrder, PolyRing, Polynomial, Var, normalize_sign
+from .poly import DEGREVLEX, DigitOverflow, MonomialOrder, Packing, PolyRing, Polynomial, Var, normalize_sign
 
 DEFAULT_MAX_PAIRS = 4000
 DEFAULT_MAX_DEGREE = 24
-DIGIT_BITS = 8  # starting width of a packed exponent or degree digit, guard bit included
 
 
 class BudgetExceeded(RuntimeError):
@@ -46,7 +45,7 @@ class Ideal:
     generators: tuple[Polynomial, ...]
     basis: tuple[Polynomial, ...] | None = None
     basis_order: MonomialOrder | None = None
-    # digit width -> (packing, packed basis), filled by buchberger and normal_form
+    # digit width -> (packing, order weights, packed basis), filled by buchberger and normal_form
     _packed: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -66,49 +65,23 @@ class Ideal:
         return frozenset(normalize_sign(g) for g in self.generators if not g.is_zero())
 
 
-class _Overflow(Exception):
-    """A packed digit reached its guard bit: repack wider and start over."""
-
-
-class _Packing:
-    """Monomials of an n-variable ring as ints: digit i holds exponent i and
-    digit n the total degree, each `bits` wide with a guard bit on top; and
-    the descending key of one order, `MonomialOrder.weights`.  A key field
-    holds the degree of any product of two packed monomials, so the key of
-    an overflowed product equals no other key."""
-
-    def __init__(self, order: MonomialOrder, n: int, bits: int):
-        self.bits, self.top, self.mask = bits, n * bits, (1 << bits) - 1
-        self.shifts = range(0, n * bits, bits)
-        self.guard = sum(1 << (s + bits - 1) for s in range(0, self.top + 1, bits))
-        self.weights = order.weights(n, bits)
-
-    def pack(self, m: tuple[int, ...]) -> tuple[int, int]:
-        """(descending key, packed monomial)."""
-        degree = sum(m)
-        if degree >> (self.bits - 1):
-            raise _Overflow
-        return sum(map(mul, m, self.weights)), sum(map(lshift, m, self.shifts)) | degree << self.top
-
-    def unpack(self, mono: int) -> tuple[int, ...]:
-        return tuple([(mono >> s) & self.mask for s in self.shifts])
-
-    def terms(self, f: Polynomial) -> list:
-        """f's terms as (key, monomial, coefficient), largest monomial first."""
-        return sorted([(*self.pack(m), c.numerator if c.denominator == 1 else c) for m, c in f.terms.items()])
-
-    def polynomial(self, ring: PolyRing, terms: list) -> Polynomial:
-        return Polynomial(ring, {self.unpack(m): Fraction(c) for _, m, c in terms})
+def _terms(packing: Packing, weights: list[int], f: Polynomial) -> list:
+    """f's terms as (descending key, packed monomial, coefficient), largest
+    monomial first.  A key field of `weights` holds the degree of any
+    product of two packed monomials, so the key of an overflowed product
+    equals no other key."""
+    pack = packing.pack
+    return sorted([(sum(map(mul, m, weights)), pack(m), c.numerator if c.denominator == 1 else c) for m, c in f.terms.items()])
 
 
 def _widening(run):
-    """run(bits) from DIGIT_BITS, doubling the width on each overflow."""
-    bits = DIGIT_BITS
-    while True:
+    """run(bits) at each width of `Packing.WIDTHS` in turn, until no digit overflows."""
+    for bits in Packing.WIDTHS:
         try:
             return run(bits)
-        except _Overflow:
-            bits *= 2
+        except DigitOverflow:
+            pass
+    raise ValueError(f"a monomial degree reaches 2^{bits - 1}, past the widest packed digit")
 
 
 def _quotient(a, b):
@@ -138,7 +111,7 @@ def _reduce(terms: list, divisors: list, guard: int, first: list = ()) -> list:
     work = {k: c for k, _, c in terms}
     monos = {k: m for k, m, _ in terms}
     if any(m & guard for m in monos.values()):
-        raise _Overflow
+        raise DigitOverflow
     heap = list(work)
     heapq.heapify(heap)
     remainder = []
@@ -161,7 +134,7 @@ def _reduce(terms: list, divisors: list, guard: int, first: list = ()) -> list:
                 if old is None:
                     tm += q
                     if tm & guard:
-                        raise _Overflow
+                        raise DigitOverflow
                     work[tk] = scale * tc
                     monos[tk] = tm
                     heapq.heappush(heap, tk)
@@ -205,11 +178,11 @@ def buchberger(
         if g.total_degree() > max_degree:
             raise BudgetExceeded(f"generator degree {g.total_degree()} exceeds budget {max_degree}")
     width = len(ideal.ring.variables)
-    return _widening(lambda bits: _buchberger(ideal, gens, order, _Packing(order, width, bits), max_pairs, max_degree))
+    return _widening(lambda bits: _buchberger(ideal, gens, order, Packing(width, bits), order.weights(width, bits), max_pairs, max_degree))
 
 
-def _buchberger(ideal, gens, order, packing, max_pairs, max_degree) -> Ideal:
-    guard = packing.guard
+def _buchberger(ideal, gens, order, packing, weights, max_pairs, max_degree) -> Ideal:
+    guard, pack, unpack = packing.guard, packing.pack, packing.unpack
     # monic divisors, their heads as tuples, and `_update`'s state; the queue
     # is in normal selection: smallest lcm under the order (largest packed
     # key), then smallest indices, each lcm packed once, when the pair is
@@ -218,13 +191,13 @@ def _buchberger(ideal, gens, order, packing, max_pairs, max_degree) -> Ideal:
 
     def join(terms: list) -> None:
         basis.append(_divisor(_monic(terms)))
-        heads.append(packing.unpack(terms[0][1]))
+        heads.append(unpack(terms[0][1]))
         for i, j in _update(heads, active, live):
-            key, mono = packing.pack(live[i, j])
-            heapq.heappush(queue, (-key, i, j, mono))
+            l = live[i, j]
+            heapq.heappush(queue, (-sum(map(mul, l, weights)), i, j, pack(l)))
 
     for g in gens:
-        join(packing.terms(g))
+        join(_terms(packing, weights, g))
     processed = 0
     while queue:
         neg_key, i, j, mono = heapq.heappop(queue)
@@ -250,8 +223,8 @@ def _buchberger(ideal, gens, order, packing, max_pairs, max_degree) -> Ideal:
         join(r)
 
     reduced = _interreduce(basis, guard)
-    out = Ideal(ideal.ring, ideal.generators, tuple(packing.polynomial(ideal.ring, t) for t in reduced), order)
-    out._packed[packing.bits] = (packing, [_divisor(t) for t in reduced])
+    out = Ideal(ideal.ring, ideal.generators, tuple(Polynomial(ideal.ring, {unpack(m): Fraction(c) for _, m, c in t}) for t in reduced), order)
+    out._packed[packing.bits] = (packing, weights, [_divisor(t) for t in reduced])
     return out
 
 
@@ -332,10 +305,11 @@ def normal_form(f: Polynomial, ideal: Ideal) -> Polynomial:
 
     def run(bits):
         if bits not in ideal._packed:
-            packing = _Packing(ideal.basis_order, len(f.ring.variables), bits)
-            ideal._packed[bits] = (packing, [_divisor(packing.terms(g)) for g in ideal.basis])
-        packing, divisors = ideal._packed[bits]
-        return packing.polynomial(f.ring, _reduce(packing.terms(f), divisors, packing.guard))
+            n = len(f.ring.variables)
+            packing, weights = Packing(n, bits), ideal.basis_order.weights(n, bits)
+            ideal._packed[bits] = (packing, weights, [_divisor(_terms(packing, weights, g)) for g in ideal.basis])
+        packing, weights, divisors = ideal._packed[bits]
+        return Polynomial(f.ring, {packing.unpack(m): Fraction(c) for _, m, c in _reduce(_terms(packing, weights, f), divisors, packing.guard)})
 
     return _widening(run)
 

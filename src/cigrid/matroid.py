@@ -373,6 +373,8 @@ class PolyMap:
             params = []
         if not params:
             raise ValueError(f"parametrization line {lines[0]!r} does not fit the format `params <variable> ...`")
+        if repeated := [tok for k, tok in enumerate(head[2:], 1) if params[k] in params[:k]]:
+            raise ValueError(f"parametrization line {lines[0]!r} repeats parameter {repeated[0]!r}; each `params` variable is listed once")
         ring = PolyRing.of(params)
         misfit = "does not fit the format `coord <label> <polynomial>` in the `params` variables"
         labels, coords = [], []

@@ -65,7 +65,7 @@ def test_statement_text_round_trip():
     stmt = CIStatement(("X",), ("Y1",), ("Y2", "H1"))
     text = statement_text(stmt, model)
     assert text == "X _||_ Y1 | Y2 H1*"
-    assert CIStatement.parse(text) == stmt
+    assert CIStatement.parse(text, model) == stmt
 
 
 def test_flatten_two_slice_sum():

@@ -373,6 +373,10 @@ def test_zero_matrix_columns_are_loops(tmp_path, capsys):
         (["ideal", "--ci"], "X Y=2\nX _||_ Y\n", "'X'", "name=states with an integer state count"),
         (["ideal", "--ci"], "X=2 Y=2 *=2\nX _||_ Y\n", "'*=2'", "has no variable name"),
         (["ideal", "--ci"], "=3 X=2 Y=2\nX _||_ Y\n", "'=3'", "has no variable name"),
+        (["ideal", "--ci"], "X=2 Y=2 H**=2\nX _||_ Y | H\n", "'H**=2'", "one trailing * marks a hidden variable"),
+        (["ideal", "--ci"], "*H=2 X=2 Y=2\nX _||_ Y | H\n", "'*H=2'", "one trailing * marks a hidden variable"),
+        (["ideal", "--ci"], "X=2 Y=2 Z=2\nX* _||_ Y | Z\n", "'X*'", "no variable named"),
+        (["ideal", "--ci"], "X=2 Y=2 H1*=2\nX _||_ Y | H1**\n", "'H1**'", "no variable named"),
         (["matroid", "--matrix"], "2 2\n1 x\n0 1\n", "'1 x'", "then one row of n rationals per line"),
         (["matroid", "--matrix"], "2 2\n1 0\n1/0 1\n", "'1/0 1'", "then one row of n rationals per line"),
         (["rigidity", "--framework"], "2 2\n0 0\n1 x\n1 2\n", "'1 x'", "n coordinate lines of d rationals"),
@@ -383,6 +387,7 @@ def test_zero_matrix_columns_are_loops(tmp_path, capsys):
         (["matroid", "--parametrization"], "paramsu_1 u_2\ncoord a u_2\n", "'paramsu_1 u_2'", "`params <variable> ...`"),
         (["matroid", "--parametrization"], "params u_1\ncoord a 2 ** u_1\n", "'coord a 2 ** u_1'", "`coord <label> <polynomial>`"),
         (["matroid", "--parametrization"], "params u_1\ncoord a u_1\ncoord a u_1 * u_1\n", "'coord a u_1 * u_1'", "`coord <label> <polynomial>`"),
+        (["matroid", "--parametrization"], "params u_1 u_01\ncoord a u_1\n", "'params u_1 u_01'", "repeats parameter 'u_01'"),
     ],
     ids=[
         "hypergraph-header",
@@ -393,6 +398,10 @@ def test_zero_matrix_columns_are_loops(tmp_path, capsys):
         "ci-no-state-count",
         "ci-hidden-no-name",
         "ci-no-name",
+        "ci-hidden-double-star",
+        "ci-hidden-leading-star",
+        "ci-starred-observed",
+        "ci-statement-double-star",
         "matrix-entry",
         "matrix-zero-denominator",
         "framework-coordinate",
@@ -403,6 +412,7 @@ def test_zero_matrix_columns_are_loops(tmp_path, capsys):
         "parametrization-bad-keyword",
         "parametrization-bad-factor",
         "parametrization-repeated-label",
+        "parametrization-repeated-parameter",
     ],
 )
 def test_malformed_file_names_its_line_and_format(tmp_path, capsys, argv, text, line, fmt):

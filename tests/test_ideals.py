@@ -5,7 +5,7 @@ import re
 import weakref
 from fractions import Fraction
 from itertools import permutations, product
-from operator import add
+from operator import add, mul
 
 import pytest
 
@@ -22,7 +22,7 @@ from cigrid.ideals import (
     normal_form,
     reduce_poly,
 )
-from cigrid.poly import DEGREVLEX, LEX, MonomialOrder, PolyRing, Polynomial, Var, generic_matrix, minor, parse_polynomial
+from cigrid.poly import DEGREVLEX, LEX, DigitOverflow, MonomialOrder, Packing, PolyRing, Polynomial, Var, generic_matrix, minor, parse_polynomial
 
 
 def ring_xyz():
@@ -381,18 +381,19 @@ def test_packed_key_and_divisibility_follow_the_order_and_the_exponents():
     ring = PolyRing.of([Var("w"), Var("x"), Var("y"), Var("z")])
     orders = [LEX, DEGREVLEX, ring.elimination_order({Var("x"), Var("z")}), MonomialOrder("block", ((2, 0, 3, 1),))]
     rng = random.Random(43)
-    for bits in (4, 8):
+    for bits in (8, 16):
         top = (1 << (bits - 1)) - 1
         monos = {m for m in product(range(4), repeat=4) if sum(m) == 3}
         for near in ((top, 0, 0, 0), (top - 1, 1, 0, 0), (top - 2, 1, 1, 0), (top - 1, 0, 0, 0)):
             monos |= set(permutations(near))
         monos |= {_split(rng, rng.choice([top, top - 1, rng.randint(0, top)]), 4) for _ in range(150)}
         monos = sorted(monos)
-        with pytest.raises(ideals._Overflow):
-            ideals._Packing(LEX, 4, bits).pack((top, 0, 1, 0))
+        packing = Packing(4, bits)
+        with pytest.raises(DigitOverflow):
+            packing.pack((top, 0, 1, 0))
         for order in orders:
-            packing = ideals._Packing(order, 4, bits)
-            keys = {m: packing.pack(m)[0] for m in monos}
+            weights = order.weights(4, bits)
+            keys = {m: sum(map(mul, m, weights)) for m in monos}
             assert len(set(keys.values())) == len(monos)
             assert sorted(monos, key=keys.get) == sorted(monos, key=lambda m: reference_key(order, m), reverse=True)
             # the key of a product is the sum of the keys, past the digit limit too
@@ -400,32 +401,41 @@ def test_packed_key_and_divisibility_follow_the_order_and_the_exponents():
             products = {tuple(map(add, a, b)): keys[a] + keys[b] for a, b in pairs}
             assert len(set(products.values())) == len(products)
             assert sorted(products, key=products.get) == sorted(products, key=lambda m: reference_key(order, m), reverse=True)
-        packed = {m: packing.pack(m)[1] for m in monos}
+        packed = {m: packing.pack(m) for m in monos}
         for a, b in zip(monos, rng.sample(monos, len(monos))):
             assert packing.unpack(packed[a]) == a
             assert (not (packed[b] - packed[a]) & packing.guard) == all(i <= j for i, j in zip(a, b))
 
 
 def test_a_digit_that_reaches_its_guard_bit_repacks_wider(monkeypatch):
-    # under lex, x^3 modulo x - y^3 leaves y^9: past the 7 that a 4-bit digit holds
+    # under lex, x^3 modulo 2x - y^43 leaves y^129: past the 127 that an 8-bit digit holds
     widths = []
 
-    class RecordingPacking(ideals._Packing):
-        def __init__(self, order, n, bits):
+    class RecordingPacking(Packing):
+        def __init__(self, n, bits):
             widths.append(bits)
-            super().__init__(order, n, bits)
+            super().__init__(n, bits)
 
-    monkeypatch.setattr(ideals, "_Packing", RecordingPacking)
-    monkeypatch.setattr(ideals, "DIGIT_BITS", 4)
+    monkeypatch.setattr(ideals, "Packing", RecordingPacking)
     ring = PolyRing.of([Var("x"), Var("y")])
     x, y = ring.var(Var("x")), ring.var(Var("y"))
-    f, divisors = x**3 + Fraction(1, 2) * x * y, [2 * x - y**3]
+    f, divisors = x**3 + Fraction(1, 2) * x * y, [2 * x - y**43]
     r = reduce_poly(f, divisors, LEX)
-    assert widths == [4, 8]
-    assert max(max(m) for m in r.terms) == 9
+    assert widths == [8, 16]
+    assert max(max(m) for m in r.terms) == 129
     assert r == naive_division(f, divisors, LEX)
-    gens = [x - y**3, x**3 - y]
-    assert set(buchberger(Ideal.of(ring, gens), LEX).basis) == naive_reduced_groebner(gens, LEX)
+    gens = [x - y**43, x**3 - y]
+    assert set(buchberger(Ideal.of(ring, gens), LEX, max_degree=129).basis) == naive_reduced_groebner(gens, LEX)
+
+
+def test_a_monomial_past_the_widest_digit_is_a_value_error():
+    # built directly: degree 2^63 - 1 packs into 64-bit digits, 2^63 into none
+    ring = PolyRing.of([Var("x"), Var("y")])
+    gb = buchberger(Ideal.of(ring, [ring.var(Var("y")) - 1]))
+    widest = Polynomial(ring, {(2**63 - 2, 1): Fraction(1)})
+    assert normal_form(widest, gb) == Polynomial(ring, {(2**63 - 2, 0): Fraction(1)})
+    with pytest.raises(ValueError, match="past the widest packed digit"):
+        normal_form(Polynomial(ring, {(2**63, 0): Fraction(1)}), gb)
 
 
 def test_normal_form_keeps_its_packed_basis_on_the_ideal_alone():

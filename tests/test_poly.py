@@ -5,7 +5,7 @@ import weakref
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
-from operator import add, mul
+from operator import add, le, mul, sub
 
 import pytest
 from hypothesis import given, settings
@@ -542,7 +542,7 @@ def test_minor_of_general_entries_equals_the_permutation_sum():
 
 
 def test_minor_of_high_powers_equals_the_permutation_sum():
-    # size x the largest entry exponent sets the packed digit: 1, 2, 4 and 8
+    # size x the largest entry degree sets the packed digit: 2, 4 and 8
     # bytes, with entry exponents that overflow a narrower digit
     ring = small_ring("wxyz")
     w, x, y, z = (ring.var(Var(n)) for n in "wxyz")
@@ -565,6 +565,58 @@ def test_minor_of_high_powers_equals_the_permutation_sum():
     X = _symbolic(ring, [[_power(x, 2**63) if i == j else ring.zero() for j in range(3)] for i in range(3)])
     with pytest.raises(ValueError, match="too large"):
         minor(X, [1, 2], [1, 2])
+
+
+def test_minor_digits_are_the_narrowest_whose_guard_bit_the_degree_cannot_reach():
+    # a 2 x 2 minor of degree-63 entries has degree 126, below the guard bit
+    # of an 8-bit digit; of degree-64 entries, 128, which needs 16 bits
+    ring = small_ring("wxyz")
+    w, x, y, z = (ring.var(Var(n)) for n in "wxyz")
+    rng = random.Random(83)
+    for top, bits in ((63, 8), (64, 16)):
+        for _ in range(6):
+            pool = [
+                _power(x, top).scale(Fraction(rng.choice([-3, 1, 2]), rng.randint(1, 5))),
+                _power(y, top - 1) * w + Fraction(1, 3),
+                _power(z, top // 2) * _power(x, top - top // 2) - _power(w, top),
+                ring.const(rng.randint(-4, 4)),
+            ]
+            X = _symbolic(ring, [[rng.choice(pool) for _ in range(2)] for _ in range(2)])
+            assert X._packed[2].bits == bits
+            f = minor(X, [1, 2], [1, 2])
+            assert f == perm_minor(X, [1, 2], [1, 2])
+
+
+@pytest.mark.parametrize("bits", poly.Packing.WIDTHS)
+@pytest.mark.parametrize("n", [1, 4, 96])
+def test_packing_round_trips_adds_and_divides_below_the_guard_bit(n, bits):
+    packing, limit = poly.Packing(n, bits), 1 << (bits - 1)
+    rng = random.Random(1000 * n + bits)
+
+    def split(degree):
+        cuts = sorted(rng.randint(0, degree) for _ in range(n - 1))
+        return tuple(b - a for a, b in zip([0, *cuts], [*cuts, degree]))
+
+    for _ in range(40):
+        b = split(rng.choice([0, 1, limit - 1, rng.randrange(limit)]))
+        a = tuple(rng.randint(0, e) for e in b)
+        other = split(rng.randrange(limit))
+        packed = {m: packing.pack(m) for m in (a, b, other)}
+        assert all(packing.unpack(k) == m for m, k in packed.items())
+        # a product is one addition
+        assert packed[a] + packing.pack(tuple(map(sub, b, a))) == packed[b]
+        # divisibility is one subtraction and one guard-bit test
+        for lo, hi in ((a, b), (b, a), (a, other), (other, b)):
+            assert (not (packed[hi] - packed[lo]) & packing.guard) == all(map(le, lo, hi))
+        # a sum sets a guard bit exactly when its degree reaches the limit
+        assert bool((packed[b] + packed[other]) & packing.guard) == (sum(b) + sum(other) >= limit)
+        # a monomial packs up to degree limit - 1 and overflows at the guard bit
+        top = split(limit - 1)
+        assert packing.unpack(packing.pack(top)) == top
+        assert (packing.pack(top) + packing.pack(split(1))) & packing.guard
+        i = rng.randrange(n)
+        with pytest.raises(poly.DigitOverflow):
+            packing.pack(top[:i] + (top[i] + 1,) + top[i + 1:])
 
 
 def _power(v, e):
