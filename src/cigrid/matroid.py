@@ -18,9 +18,10 @@ an exact rank.  Grid realizations use the `Fraction` `rank` and
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterable
 
@@ -266,9 +267,11 @@ def dependent_contains(m: Matroid, H: Hypergraph) -> bool:
     return True
 
 
+@lru_cache(maxsize=4)
 def grid_circuit_family(spec: GridSpec) -> tuple[frozenset[int], ...]:
     """Inclusion-minimal members of the grid edges together with all
-    (d+1)-subsets of the vertex set."""
+    (d+1)-subsets of the vertex set.  The family depends on the spec alone,
+    so it is built once per spec and process."""
     H = grid_hypergraph(spec)
     candidates = set(H.edges)
     candidates.update(frozenset(c) for c in combinations(range(1, spec.n + 1), spec.d + 1))
@@ -376,6 +379,7 @@ class PolyMap:
         if repeated := [tok for k, tok in enumerate(head[2:], 1) if params[k] in params[:k]]:
             raise ValueError(f"parametrization line {lines[0]!r} repeats parameter {repeated[0]!r}; each `params` variable is listed once")
         ring = PolyRing.of(params)
+        spelling = dict(zip(params, head[1:]))
         misfit = "does not fit the format `coord <label> <polynomial>` in the `params` variables"
         labels, coords = [], []
         for ln in lines[1:]:
@@ -389,6 +393,13 @@ class PolyMap:
                 coords.append(parse_polynomial(parts[2], ring))
             except (ValueError, KeyError, ZeroDivisionError):
                 raise ValueError(f"parametrization line {ln!r} {misfit}") from None
+            # `Var.parse` reads indices as integers, so u_01 would be u_1
+            for tok in re.findall(r"[A-Za-z]+(?:_\d+)*", parts[2]):
+                if (declared := spelling[Var.parse(tok)]) != tok:
+                    raise ValueError(
+                        f"parametrization line {ln!r} spells parameter {declared!r} as {tok!r}; "
+                        "a `coord` line uses the `params` spelling"
+                    )
         return PolyMap(ring, tuple(coords), tuple(labels))
 
 

@@ -5,6 +5,15 @@ Each campaign is the triple (symbolic containment, exact vanishing witnesses,
 exact separation witnesses); full symbolic reverse containments are attempted
 under an explicit Groebner budget and reported as verified or inconclusive,
 never silently assumed.  All randomness derives from the report seed.
+
+A campaign's fixed inputs are built once per process by a bounded
+`lru_cache`d fixture, keyed by its spec: `three_lines_fixture`,
+`rank_two_fixture` and `intersection_fixture` hold the generators (with
+their compiled evaluation plans) and run their grading and membership checks
+when they build, and theorem32 reads the cached `grid_circuit_family`.
+Inputs only, never verdicts: no Groebner basis, intersection, rank or
+anything computed from a draw is cached, so every call still draws,
+evaluates and tallies afresh.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ from itertools import combinations
 from operator import mul
 from typing import Callable, NamedTuple, Sequence
 
-from .cimodel import CIStatement, ci_ideal, ci_minor_membership, flatten, mixture_parametrization_sample, tensor_assignment
+from .cimodel import CIStatement, DiscreteModel, ci_ideal, ci_minor_membership, flatten, mixture_parametrization_sample, tensor_assignment
 from .hypergraph import (
     GridSpec,
     Hypergraph,
@@ -92,6 +101,34 @@ def three_lines_fixture():
     loop_ideal = Ideal.of(X.ring, [X.entry(1, 1), X.entry(2, 1), X.entry(3, 1)])
     lines_ideal = Ideal.of(X.ring, line_minors + (deg6,))
     return X, Ideal.of(X.ring, line_minors), loop_ideal, lines_ideal, deg6
+
+
+@lru_cache(maxsize=1)
+def rank_two_fixture() -> tuple[Hypergraph, Ideal, SymbolicMatrix]:
+    """The twelve-vertex triple system, its ideal of 3-minors, and the
+    generic 3 x 12 matrix whose minors they are.  The draws are scaled
+    matrices, tested on their integer values, so the build checks that every
+    minor is homogeneous in each row's and each column's variables."""
+    H = twelve_vertex_triple_system()
+    ideal = hypergraph_ideal(H, 3)
+    X = generic_matrix(3, H.n)
+    require_homogeneous(ideal.generators, X.row_and_column_variables())
+    return H, ideal, X
+
+
+@lru_cache(maxsize=4)
+def intersection_fixture(spec: GridSpec) -> tuple[DiscreteModel, Ideal, CIStatement, int]:
+    """The grid instance's model, its premise CI ideal, the conclusion
+    statement X _||_ (Y1, Y2) | H2, and how many premise generators are
+    minors of the conclusion's flattening.  The draws are integer numerators
+    over one denominator, so the build checks that the premise is
+    homogeneous."""
+    model, statements = grid_ci_correspondence(spec)
+    premise = ci_ideal(statements, model)
+    require_homogeneous(premise.generators, [premise.ring.variables])
+    conclusion_stmt = CIStatement(("X",), ("Y1", "Y2"), ("H2",))
+    inside = sum(map(ci_minor_membership(conclusion_stmt, model), premise.generators))
+    return model, premise, conclusion_stmt, inside
 
 
 def twelve_vertex_triple_system() -> Hypergraph:
@@ -300,11 +337,7 @@ def verify_rank_two_component(trials: int = 100, seed: int = 0) -> WitnessReport
     triple system and kill all sixteen of its minors, with a full-rank
     separation sanity check."""
     report = WitnessReport(name="example32", seed=seed, trials=trials)
-    H = twelve_vertex_triple_system()
-    ideal = hypergraph_ideal(H, 3)
-    X = generic_matrix(3, H.n)
-    # the draws are scaled matrices, tested on their integer values
-    require_homogeneous(ideal.generators, X.row_and_column_variables())
+    H, ideal, X = rank_two_fixture()
     report.add(CheckResult.outcome("fixture has 16 triple edges on 12 vertices", len(H.edges) == 16 and H.n == 12))
 
     rank2 = sampler_bounded_rank(3, 12, 2)
@@ -354,14 +387,8 @@ def verify_intersection_axiom(
         spec = GridSpec(k=3, l=4, s=3, t=3, d=3)
     if spec.s != spec.t:
         raise ValueError("the minor comparison needs s = t; use a square-size spec")
-    model, statements = grid_ci_correspondence(spec)
     report = WitnessReport(name="intersection-axiom", seed=seed, trials=trials)
-
-    premise = ci_ideal(statements, model)
-    # the draws are integer numerators over one denominator
-    require_homogeneous(premise.generators, [premise.ring.variables])
-    conclusion_stmt = CIStatement(("X",), ("Y1", "Y2"), ("H2",))
-    inside = sum(map(ci_minor_membership(conclusion_stmt, model), premise.generators))
+    model, premise, conclusion_stmt, inside = intersection_fixture(spec)
     report.add(
         CheckResult.tally(
             "every premise generator is a minor of the full flattening", "inside", inside, len(premise.generators), "generators"

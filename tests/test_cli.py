@@ -388,6 +388,7 @@ def test_zero_matrix_columns_are_loops(tmp_path, capsys):
         (["matroid", "--parametrization"], "params u_1\ncoord a 2 ** u_1\n", "'coord a 2 ** u_1'", "`coord <label> <polynomial>`"),
         (["matroid", "--parametrization"], "params u_1\ncoord a u_1\ncoord a u_1 * u_1\n", "'coord a u_1 * u_1'", "`coord <label> <polynomial>`"),
         (["matroid", "--parametrization"], "params u_1 u_01\ncoord a u_1\n", "'params u_1 u_01'", "repeats parameter 'u_01'"),
+        (["matroid", "--parametrization"], "params u_1 u_2\ncoord a u_01 - u_1\n", "'coord a u_01 - u_1'", "spells parameter 'u_1' as 'u_01'"),
     ],
     ids=[
         "hypergraph-header",
@@ -413,6 +414,7 @@ def test_zero_matrix_columns_are_loops(tmp_path, capsys):
         "parametrization-bad-factor",
         "parametrization-repeated-label",
         "parametrization-repeated-parameter",
+        "parametrization-respelled-parameter",
     ],
 )
 def test_malformed_file_names_its_line_and_format(tmp_path, capsys, argv, text, line, fmt):

@@ -11,6 +11,8 @@ from pathlib import Path
 import pytest
 
 from cigrid.cli import main
+from cigrid.matroid import grid_circuit_family
+from cigrid.verify import intersection_fixture, rank_two_fixture, three_lines_fixture
 
 INPUTS = Path(__file__).resolve().parent.parent / "bench" / "inputs"
 
@@ -71,15 +73,29 @@ DIGESTS = {
 }
 
 
+def written_digests(out: Path) -> dict[str, str]:
+    return {
+        path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in out.rglob("*")
+        if path.is_file()
+    }
+
+
 @pytest.mark.parametrize("run", sorted(RUNS))
 def test_output_bytes_are_pinned(tmp_path, run):
     assert main([*RUNS[run], "--seed", "7", "--out", str(tmp_path)]) == 0
-    written = {
-        path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in tmp_path.rglob("*")
-        if path.is_file()
-    }
-    assert written == DIGESTS[run]
+    assert written_digests(tmp_path) == DIGESTS[run]
+
+
+def test_a_repeated_verify_run_in_one_process_writes_the_pinned_bytes(tmp_path):
+    """The campaigns' fixtures are cached per process; from cleared caches,
+    a first and a second `verify all` both write the pinned bytes, so no
+    state leaks from one run to the next through a cache."""
+    for cached in (three_lines_fixture, rank_two_fixture, intersection_fixture, grid_circuit_family):
+        cached.cache_clear()
+    for run in ("first", "second"):
+        assert main([*RUNS["verify"], "--seed", "7", "--out", str(tmp_path / run)]) == 0
+        assert written_digests(tmp_path / run) == DIGESTS["verify"]
 
 
 # A 3-row matrix file with a zero column (6), columns parallel to others (5 to

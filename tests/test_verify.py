@@ -13,7 +13,7 @@ from cigrid.hypergraph import GridSpec, grid_ci_correspondence, grid_hypergraph,
 from cigrid import hypergraph, sampling, verify
 from cigrid.ideals import Ideal
 from cigrid.linalg import integer_multiple, parallel, rank
-from cigrid.matroid import matroid_from_matrix
+from cigrid.matroid import grid_circuit_family, matroid_from_matrix
 from cigrid.poly import Polynomial, generic_matrix
 from cigrid.report import FAIL, INCONCLUSIVE, PASS, CheckResult, WitnessReport
 from cigrid.sampling import child_rng, rand_fraction, rand_nonzero_fraction
@@ -22,6 +22,8 @@ from cigrid.verify import (
     ComponentSampler,
     ScaledMatrix,
     _separation_check,
+    intersection_fixture,
+    rank_two_fixture,
     sampler_bounded_rank,
     sampler_concurrent_lines,
     sampler_loop_component,
@@ -197,9 +199,12 @@ def test_generators_vanish_at_integer_draws_exactly_where_at_rational_ones():
 
 
 @pytest.mark.parametrize("campaign, target", [(verify_rank_two_component, "hypergraph_ideal"), (verify_intersection_axiom, "ci_ideal")])
-def test_a_campaign_with_an_ungraded_generator_raises(monkeypatch, campaign, target):
+def test_a_campaign_with_an_ungraded_generator_raises(request, monkeypatch, campaign, target):
     """The witness campaigns test their draws on integer values, which is
-    exact only for generators homogeneous in each scaled group."""
+    exact only for generators homogeneous in each scaled group.  The check
+    runs when the cached fixture builds, so the cache is cleared before the
+    patched call and again after the test, and no patched fixture outlives
+    it."""
     original = getattr(verify, target)
 
     def with_an_ungraded_generator(*args):
@@ -208,9 +213,57 @@ def test_a_campaign_with_an_ungraded_generator_raises(monkeypatch, campaign, tar
         bad = g + ideal.ring.var(ideal.ring.variables[0])
         return Ideal.of(ideal.ring, (*ideal.generators, bad))
 
+    fixture = {"hypergraph_ideal": rank_two_fixture, "ci_ideal": intersection_fixture}[target]
+    request.addfinalizer(fixture.cache_clear)
+    fixture.cache_clear()
     monkeypatch.setattr(verify, target, with_an_ungraded_generator)
     with pytest.raises(ValueError, match="is not homogeneous"):
         campaign(trials=1, seed=0)
+
+
+@pytest.mark.parametrize(
+    "campaign, fixture", [(verify_rank_two_component, rank_two_fixture), (verify_intersection_axiom, intersection_fixture)], ids=["example32", "intersection-axiom"]
+)
+def test_a_second_campaign_call_builds_no_evaluation_plan(monkeypatch, campaign, fixture):
+    """The first call after a cleared cache compiles the generators' plans;
+    a second call in the same process reuses them and writes the same
+    report."""
+    built = []
+    compile_plan = Polynomial._evaluation_plan
+
+    def counting(self):
+        built.append(self)
+        return compile_plan(self)
+
+    monkeypatch.setattr(Polynomial, "_evaluation_plan", counting)
+    fixture.cache_clear()
+    first = campaign(trials=5, seed=7).to_text()
+    assert len(built) >= 16
+    built.clear()
+    assert campaign(trials=5, seed=7).to_text() == first
+    assert built == []
+
+
+def test_cached_fixtures_equal_a_fresh_build():
+    def same_ideal(a, b):
+        return a.ring == b.ring and [g.terms for g in a.generators] == [g.terms for g in b.generators]
+
+    (H, ideal, X), (H0, ideal0, X0) = rank_two_fixture(), rank_two_fixture.__wrapped__()
+    assert (H, X) == (H0, X0) and same_ideal(ideal, ideal0)
+    spec = GridSpec(k=3, l=4, s=3, t=3, d=3)
+    (model, premise, stmt, inside), (model0, premise0, stmt0, inside0) = intersection_fixture(spec), intersection_fixture.__wrapped__(spec)
+    assert (model, stmt, inside) == (model0, stmt0, inside0) and same_ideal(premise, premise0)
+    assert grid_circuit_family(spec) == grid_circuit_family.__wrapped__(spec)
+
+
+def test_the_intersection_fixture_is_keyed_by_its_spec():
+    """A non-default square spec run after the default one in the same
+    process writes what it writes from a cleared cache."""
+    other = GridSpec(k=2, l=3, s=2, t=2, d=2)
+    default = verify_intersection_axiom(trials=5, seed=7).to_text()
+    warm = verify_intersection_axiom(other, trials=5, seed=7).to_text()
+    intersection_fixture.cache_clear()
+    assert verify_intersection_axiom(other, trials=5, seed=7).to_text() == warm != default
 
 
 def test_the_witness_campaigns_run_no_fraction_rank(monkeypatch):
