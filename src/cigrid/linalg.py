@@ -25,7 +25,11 @@ Mat = list[list[Fraction]]
 
 # Prime of the mod-p shadow.  A mod-p rank is a lower bound on the rank over
 # Q; `certified_rank` pairs it with an upper bound from checked witnesses.
-SHADOW_PRIME = 2**31 - 1
+# The largest prime below 2^30: CPython stores ints in 30-bit digits
+# (`sys.int_info.bits_per_digit`), so every residue is one digit and each
+# `% p` of a product takes the one-digit divisor path, where 2^31 - 1 made
+# every residue two digits and every reduction a long division.
+SHADOW_PRIME = 2**30 - 35
 
 
 def mat(rows: Sequence[Sequence]) -> Mat:
@@ -214,16 +218,21 @@ def reduce_mod_p(v: Sequence[int], basis: Iterable[EchelonRow], p: int = SHADOW_
     echelon rows (pivot position, row with entry 1 there): None when it lies
     in their span mod p, otherwise the new echelon row, pivoted at the
     remainder's first nonzero position."""
-    v = list(v)
     for c, b in basis:
         f = v[c]
         if f:
             v = [(x - f * y) % p for x, y in zip(v, b)]
-    c = next((j for j, x in enumerate(v) if x), None)
-    if c is None:
-        return None
-    inv = pow(v[c], -1, p)
-    return c, [x * inv % p for x in v]
+    return echelon_row(v, p)
+
+
+def echelon_row(v: Sequence[int], p: int = SHADOW_PRIME) -> EchelonRow | None:
+    """A remainder mod p as an echelon row: its first nonzero position, and
+    the vector scaled to 1 there; None for the zero vector."""
+    for c, x in enumerate(v):
+        if x:
+            inv = pow(x, -1, p)
+            return c, [y * inv % p for y in v]
+    return None
 
 
 def rank_of_vectors_mod_p(vectors: Iterable[Sequence[int]], p: int = SHADOW_PRIME) -> int:

@@ -8,11 +8,11 @@ wherever it falls short, so no reported answer ever depends on the shadow
 alone.
 
 Circuits are enumerated level by level: each independent set keeps the
-mod-p echelon rows of its columns (residues of the integer columns, reduced
-once per matroid), so testing a one-larger candidate reduces one shadow
-column against them, and only a zero remainder (a candidate circuit) costs
-an exact rank.  Grid realizations use the `Fraction` `rank` and
-`kernel_basis`: they eliminate each matrix once.
+remainders mod p of the later shadow columns (residues of the integer
+columns, reduced once per matroid) against its echelon rows, so testing a
+one-larger candidate reads one remainder, and only a zero remainder (a
+candidate circuit) costs an exact rank.  Grid realizations use the
+`Fraction` `rank` and `kernel_basis`: they eliminate each matrix once.
 """
 
 from __future__ import annotations
@@ -23,22 +23,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .hypergraph import GridSpec, Hypergraph, grid_hypergraph, grid_vertex
 from .linalg import (
     SHADOW_PRIME,
-    EchelonRow,
     Mat,
     certified_rank,
     content_lines,
+    echelon_row,
     integer_det,
     integer_multiple,
     integer_rank,
     kernel_basis,
     parallel,
     rank,
-    reduce_mod_p,
     transpose,
 )
 from .poly import PolyRing, Polynomial, Var, parse_polynomial
@@ -72,44 +71,54 @@ class Matroid:
         """Minimal dependent sets, enumerated level by level over ground
         positions.  Refuses ground sets above the enumeration cap.
 
-        Level s maps every independent s-set (a sorted position tuple) to the
-        state `_extend` keeps for it.  A size-s candidate is an independent
-        (s-1)-set extended by a larger position, and it is tested only when
-        every facet is in the level: a set with a dependent facet contains a
-        smaller circuit, and a set whose facets are all independent is a
-        circuit exactly when it is dependent.  At size full_rank() + 1 every
-        set is dependent by the rank bound, so no query is made there, and
-        the independent full_rank()-sets are kept with no state."""
+        Level s maps the bitmask of every independent s-set to its sorted
+        positions and the state `_extend` keeps for it; only the level being
+        extended and the next one are held.  A size-s candidate is an
+        independent (s-1)-set extended by a larger position, and it is tested
+        only when every facet's mask is in the level: a set with a dependent
+        facet contains a smaller circuit, and a set whose facets are all
+        independent is a circuit exactly when it is dependent.  At size
+        full_rank() + 1 every set is dependent by the rank bound, so no query
+        is made there."""
         n = len(self.ground)
         if n > ENUMERATION_CAP:
             raise ValueError(f"circuit enumeration is capped at {ENUMERATION_CAP} elements, got {n}")
         r = self.full_rank()
         found: list[tuple[int, ...]] = []
-        level: dict[tuple[int, ...], object] = {(): ()}  # the empty set, with no echelon rows
+        level: dict[int, tuple[tuple[int, ...], object]] = {0: ((), self._empty_state())}
         for size in range(1, min(n, r + 1) + 1):
-            following: dict[tuple[int, ...], object] = {}
-            for prefix, state in level.items():
+            following: dict[int, tuple[tuple[int, ...], object]] = {}
+            for mask, (prefix, state) in level.items():
+                facets = [mask ^ 1 << i for i in prefix]  # the prefix less one position
                 for j in range(prefix[-1] + 1 if prefix else 0, n):
-                    c = prefix + (j,)
-                    if any(c[:i] + c[i + 1 :] not in level for i in range(size - 1)):
-                        continue
-                    if size > r:
-                        found.append(c)
-                        continue
-                    independent, kept = self._extend(state, c)
-                    if independent:
-                        # a full_rank()-set is never extended: keep no state for it
-                        following[c] = kept if size < r else None
+                    bit = 1 << j
+                    for f in facets:
+                        if f | bit not in level:
+                            break  # a dependent facet
                     else:
-                        found.append(c)
+                        c = prefix + (j,)
+                        if size > r:
+                            found.append(c)
+                            continue
+                        independent, kept = self._extend(state, c)
+                        if independent:
+                            following[mask | bit] = c, kept
+                        else:
+                            found.append(c)
+                level[mask] = prefix, None  # its children hold all they need
             level = following
         circuits = [frozenset(self.ground[i] for i in c) for c in found]
         return tuple(sorted(circuits, key=lambda c: (len(c), sorted(c))))
 
+    def _empty_state(self) -> object:
+        """The state kept for the empty set."""
+        return None
+
     def _extend(self, state: object, c: tuple[int, ...]) -> tuple[bool, object]:
         """Whether the positions c are independent, given the state kept for
-        the independent set c[:-1]; with the state to keep for c.  Here the
-        state is unused and every query is a rank."""
+        the independent set c[:-1]; with the state to keep for c, which is
+        None for a full_rank()-set: it is never extended.  Here the state is
+        unused and every query is a rank."""
         return self.rank_of([self.ground[i] for i in c]) == len(c), None
 
 
@@ -146,17 +155,37 @@ class LinearMatroid(Matroid):
         pos = self._positions
         return certified_rank([self._integer_columns[pos[e]] for e in sorted(set(subset))], []).rank
 
-    def _extend(self, state: tuple[EchelonRow, ...] | None, c: tuple[int, ...]) -> tuple[bool, object]:
-        """The state is the mod-p echelon rows of c[:-1]'s shadow columns, or
-        None where those columns are dependent mod p.  A nonzero remainder of
-        the last shadow column certifies independence over Q, and c keeps the
-        prefix rows plus that one.  Anything else goes to `integer_rank` of
-        c's integer columns, and c keeps None: its shadow is dependent mod
-        p."""
+    def full_rank(self) -> int:
+        return self._full_rank
+
+    @cached_property
+    def _full_rank(self) -> int:
+        return self.rank_of(self.ground)
+
+    def _empty_state(self) -> tuple[list[int], ...]:
+        """No echelon rows: every shadow column is its own remainder."""
+        return self._shadow_columns
+
+    def _extend(self, state: Sequence[list[int]] | None, c: tuple[int, ...]) -> tuple[bool, object]:
+        """The state of an independent set S is the remainders mod p of the
+        shadow columns after S's last position, in position order, against
+        the echelon rows of S's shadow columns; or None where S's shadow
+        columns are dependent mod p.  A nonzero remainder of c's last column
+        certifies independence over Q.  Normalised at its first nonzero
+        entry it is c's new echelon row, and c keeps the later remainders
+        after one row operation each against it: the same reduction, in the
+        same row order, as reducing each column against all of c's rows.  A
+        full_rank()-set keeps nothing.  A zero remainder, or no state, goes
+        to `integer_rank` of c's integer columns, and c keeps None: its
+        shadow is dependent mod p."""
         if state is not None:
-            row = reduce_mod_p(self._shadow_columns[c[-1]], state)
-            if row is not None:
-                return True, state + (row,)
+            at = c[-1] - (c[-2] + 1 if len(c) > 1 else 0)
+            if any(state[at]):
+                if len(c) == self.full_rank():
+                    return True, None
+                pivot, b = echelon_row(state[at])
+                p = SHADOW_PRIME
+                return True, [[(x - f * y) % p for x, y in zip(v, b)] if (f := v[pivot]) else v for v in state[at + 1 :]]
         return integer_rank([self._integer_columns[i] for i in c]) == len(c), None
 
     def circuits(self) -> tuple[frozenset[int], ...]:

@@ -31,7 +31,7 @@ from .linalg import Mat, certified_rank, content_lines, integer_det, integer_mul
 from .report import CheckResult, WitnessReport
 from .sampling import generic_draw, rand_fraction, rand_nonzero_fraction
 
-Point = tuple[Fraction, ...]
+Point = tuple[Fraction | int, ...]
 
 
 @dataclass(frozen=True)
@@ -43,35 +43,40 @@ class TangentModel:
     name: str
     ambient: int
     draw: Callable[[random.Random], tuple[Point, list[Point]]]
-    relations: Callable[[Sequence[list[Point]]], list[list[Fraction]]]
+    relations: Callable[[Sequence[list[Point]]], list[list[Fraction | int]]]
 
 
 def segre_tangent_model(m: int, n: int) -> TangentModel:
     """Rank-one m x n matrices u v^T, flattened row-major into m*n space.
 
     The tangent space at u v^T is spanned by the u x e_j and e_i x v slabs.
+    u and v are drawn as rationals and scaled to integers by their
+    denominator lcms (`integer_multiple`): that scales whole slabs, which
+    keeps the rank, and the relations hold for any u and v.  So the point,
+    the tangents and the relations are ints, and `certified_rank` takes
+    them as they are.
     """
     if m < 1 or n < 1:
         raise ValueError(f"need m, n >= 1, got m={m}, n={n}")
 
     def draw(rng: random.Random) -> tuple[Point, list[Point]]:
-        u = [rand_nonzero_fraction(rng) for _ in range(m)]
-        v = [rand_nonzero_fraction(rng) for _ in range(n)]
+        u = integer_multiple([rand_nonzero_fraction(rng) for _ in range(m)])[1]
+        v = integer_multiple([rand_nonzero_fraction(rng) for _ in range(n)])[1]
         point = tuple(ui * vj for ui in u for vj in v)
         tangents: list[Point] = []
         for j in range(n):
-            vec = [Fraction(0)] * (m * n)
+            vec = [0] * (m * n)
             for i in range(m):
                 vec[i * n + j] = u[i]
             tangents.append(tuple(vec))
         for i in range(m):
-            vec = [Fraction(0)] * (m * n)
+            vec = [0] * (m * n)
             for j in range(n):
                 vec[i * n + j] = v[j]
             tangents.append(tuple(vec))
         return point, tangents
 
-    def relations(bases: Sequence[list[Point]]) -> list[list[Fraction]]:
+    def relations(bases: Sequence[list[Point]]) -> list[list[int]]:
         """For each ordered pair (a, b) of points, sum_j v_b[j] (u_a x e_j)
         - sum_i u_a[i] (e_i x v_b) = 0, since both sums are u_a x v_b.  u is
         read off the first slab u x e_1 and v off the slab e_1 x v."""
@@ -79,13 +84,21 @@ def segre_tangent_model(m: int, n: int) -> TangentModel:
         vs = [list(t[n][:n]) for t in bases]
         out = []
         for a, b in product(range(len(bases)), repeat=2):
-            w = [Fraction(0)] * ((m + n) * len(bases))
+            w = [0] * ((m + n) * len(bases))
             w[a * (m + n) : a * (m + n) + n] = vs[b]
             w[b * (m + n) + n : (b + 1) * (m + n)] = [-x for x in us[a]]
             out.append(w)
         return out
 
     return TangentModel(f"rank-one {m}x{n}", m * n, draw, relations)
+
+
+def expected_secant_dimension(m: int, n: int, k: int) -> int:
+    """Affine-cone dimension of the k-th secant of rank-one m x n matrices:
+    the matrices of rank <= r = min(k, m, n), which have dimension
+    r(m + n - r)."""
+    r = min(k, m, n)
+    return r * (m + n - r)
 
 
 def secant_dimension(model: TangentModel, k: int, rng: random.Random) -> int:

@@ -48,7 +48,7 @@ from .matroid import (
 from .poly import Polynomial, Rat, SymbolicMatrix, generic_matrix, minor, require_homogeneous
 from .report import INCONCLUSIVE, CheckResult, WitnessReport
 from .sampling import GenericityError, child_rng, common_denominator, rand_fraction_pairs
-from .secrig import generic_rigidity_check, secant_dimension, segre_tangent_model
+from .secrig import expected_secant_dimension, generic_rigidity_check, secant_dimension, segre_tangent_model
 
 GRID_REALIZATION_ATTEMPTS = 3
 
@@ -490,13 +490,13 @@ TERRACINI_CASES = ((3, 3, 1), (3, 3, 2), (3, 4, 2), (4, 4, 3))
 
 def verify_secant_battery(seed: int = 0) -> WitnessReport:
     """Stacked-tangent secant dimensions of rank-one matrix cones against
-    min(mn, k(m+n-k)), each recomputed exactly."""
+    `expected_secant_dimension`, each recomputed exactly."""
     report = WitnessReport(name="terracini", seed=seed, trials=len(TERRACINI_CASES))
     for m, n, k in TERRACINI_CASES:
         rng = child_rng(seed, f"terracini/m{m}n{n}k{k}")
         model = segre_tangent_model(m, n)
         dim = secant_dimension(model, k, rng)
-        expected = min(m * n, k * (m + n - k))
+        expected = expected_secant_dimension(m, n, k)
         report.add(
             CheckResult.outcome(
                 f"secant {k} of rank-one {m}x{n} has cone dimension {expected} (projective {expected - 1})",

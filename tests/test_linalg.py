@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from itertools import permutations
 from math import lcm
@@ -185,6 +186,23 @@ def test_mod_p_rank_never_exceeds_exact_rank(d, n, seed):
     assert rp <= rq
     if rp == n:
         assert rq == n
+
+
+def test_shadow_prime_is_a_prime_of_one_int_digit():
+    """Trial division up to the square root, and below 2^bits_per_digit, so
+    every residue is a one-digit CPython int."""
+    p = linalg.SHADOW_PRIME
+    assert p < 2**sys.int_info.bits_per_digit
+    assert p > 2 and p % 2 and all(p % d for d in range(3, int(p**0.5) + 1, 2))
+
+
+def test_echelon_row_normalises_the_first_nonzero_entry():
+    p = linalg.SHADOW_PRIME
+    assert linalg.echelon_row([0, 0, 0]) is None
+    c, row = linalg.echelon_row([0, 3, p - 1, 7])
+    assert c == 1 and row[:2] == [0, 1]
+    assert all(x * 3 % p == y % p for x, y in zip(row, [0, 3, p - 1, 7]))
+    assert linalg.reduce_mod_p([0, 3, p - 1, 7], []) == (c, row)
 
 
 def test_mod_p_rank_scales_a_prime_denominator_away():

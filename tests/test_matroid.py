@@ -318,6 +318,47 @@ def test_circuit_enumeration_queries_no_set_the_rank_bound_settles(monkeypatch):
     assert queried and max(queried) == 0
 
 
+def _raw_remainder(v, rows, p):
+    """v reduced against echelon rows (pivot, row with 1 there) in order,
+    left unnormalised."""
+    for c, b in rows:
+        f = v[c]
+        v = [(x - f * y) % p for x, y in zip(v, b)]
+    return v
+
+
+def test_carried_remainders_equal_a_fresh_reduction():
+    """Along seeded chains of positions, the state `_extend` keeps for each
+    independent prefix holds, for every later column, exactly the remainder
+    of that column's shadow against the prefix's echelon rows: what a fresh
+    `reduce_mod_p` gives, before and after normalising."""
+    p = linalg.SHADOW_PRIME
+    rng = random.Random(47)
+    checked = 0
+    for _ in range(30):
+        d, n = rng.randint(2, 6), rng.randint(3, 9)
+        matrix = [[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)] for _ in range(d)]
+        m = matroid_from_matrix(matrix)
+        chain = sorted(rng.sample(range(n), rng.randint(1, min(n, m.full_rank()))))
+        state, rows = m._empty_state(), []
+        for k in range(1, len(chain) + 1):
+            c = tuple(chain[:k])
+            independent, state = m._extend(state, c)
+            row = linalg.reduce_mod_p(m._shadow_columns[c[-1]], rows)
+            assert independent == (m.rank_of([e + 1 for e in c]) == len(c))
+            if row is None or len(c) == m.full_rank():
+                assert state is None
+                break
+            rows.append(row)
+            later = range(c[-1] + 1, n)
+            assert len(state) == len(later)
+            for j, carried in zip(later, state):
+                assert carried == _raw_remainder(m._shadow_columns[j], rows, p), (matrix, c, j)
+                assert linalg.echelon_row(carried) == linalg.reduce_mod_p(m._shadow_columns[j], rows)
+                checked += 1
+    assert checked > 100
+
+
 def _spy_exact_columns(monkeypatch) -> list[list[tuple[int, ...]]]:
     """Record the columns of every exact `integer_rank` call made in
     `matroid`, the exact route of `LinearMatroid`: it eliminates on the

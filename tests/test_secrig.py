@@ -14,6 +14,7 @@ from cigrid.secrig import (
     _affine_minors,
     _check_complete_subgraph_circuits,
     complete_graph_edges,
+    expected_secant_dimension,
     generic_rigidity_check,
     integer_framework,
     random_framework,
@@ -24,7 +25,7 @@ from cigrid.secrig import (
     segre_tangent_model,
     trivial_motions,
 )
-from cigrid.sampling import child_rng, mixture_matrix, rand_fraction
+from cigrid.sampling import child_rng, mixture_matrix, rand_fraction, rand_nonzero_fraction
 
 
 def as_matrix(point, m, n):
@@ -51,6 +52,39 @@ def test_secant_dimension_formula_on_more_shapes():
     rng = child_rng(2, "secant")
     assert secant_dimension(segre_tangent_model(3, 4), 2, rng) == 10
     assert secant_dimension(segre_tangent_model(4, 4), 3, rng) == 15
+
+
+def test_expected_secant_dimension_matches_the_stacked_tangent_rank():
+    """r(m+n-r) with r = min(k, m, n), for k past max(m, n): once k reaches
+    min(m, n) the secant fills all m*n dimensions.  The former
+    min(mn, k(m+n-k)) gave 3 for k = 3 on 2x2 and went negative past m+n."""
+    rng = child_rng(6, "secant-expected")
+    for m, n in [(2, 2), (2, 3), (3, 3)]:
+        for k in range(1, max(m, n) + 3):
+            expected = expected_secant_dimension(m, n, k)
+            assert secant_dimension(segre_tangent_model(m, n), k, rng) == expected, (m, n, k)
+            assert expected == (m * n if k >= min(m, n) else k * (m + n - k))
+    assert expected_secant_dimension(2, 2, 3) == 4
+
+
+def test_segre_tangents_are_ints_drawn_from_the_same_stream():
+    """u and v take the same `rand_nonzero_fraction` calls as before and are
+    scaled to integers, so the rng ends in the same state, and the point,
+    tangents and relations are ints: proportional to the rational ones."""
+    m, n = 3, 4
+    rng, twin = child_rng(8, "int-tangents"), child_rng(8, "int-tangents")
+    point, tangents = segre_tangent_model(m, n).draw(rng)
+    u = [rand_nonzero_fraction(twin) for _ in range(m)]
+    v = [rand_nonzero_fraction(twin) for _ in range(n)]
+    assert rng.getstate() == twin.getstate()
+    rows = [list(t) for t in tangents]
+    assert all(type(x) is int for x in point) and all(type(x) is int for row in rows for x in row)
+    su, sv = linalg.integer_multiple(u)[0], linalg.integer_multiple(v)[0]
+    assert list(point) == [ui * vj * su * sv for ui in u for vj in v]
+    assert rows[0][::n] == [ui * su for ui in u] and rows[n][:n] == [vj * sv for vj in v]
+    relations = segre_tangent_model(m, n).relations([tangents])
+    assert all(type(x) is int for w in relations for x in w)
+    assert linalg.certified_rank(rows, relations).rank == m + n - 1
 
 
 def test_secant_dimension_monotone_and_capped():
