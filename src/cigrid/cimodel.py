@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from math import prod
 from typing import Callable, Iterable, Sequence
@@ -170,11 +171,14 @@ def flatten(
     return [[sum([E[r + c + z] for z in sum_offsets]) for c in col_offsets] for r in row_offsets]
 
 
+@lru_cache(maxsize=4)
 def prob_ring(model: DiscreteModel) -> PolyRing:
     """Coordinate ring with one variable p_<joint state> per observed outcome.
 
     `Var` orders equal-length indices lexicographically, so the ring's i-th
-    variable names the state at row-major offset i."""
+    variable names the state at row-major offset i.  Cached per model, an
+    input and never a verdict: one model's generators and ideal share one
+    ring object, so comparing their rings is an identity check."""
     cards = [v.card for v in model.observed()]
     return PolyRing.of(Var("p", s) for s in _states(cards))
 

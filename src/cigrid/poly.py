@@ -7,8 +7,10 @@ exact and all values are immutable after construction.
 
 Each monomial order has one definition, the linear weights of
 `MonomialOrder.weights` that the packed Groebner engine (`ideals`) sorts by.
-Text and leading terms use the one degrevlex key `_descending`.  Minors and
-the Groebner engine pack monomials into ints the one way `Packing` defines.
+Text and leading terms follow the one degrevlex key `_descending`.  Minors and
+the Groebner engine pack monomials into ints the one way `Packing` defines;
+a minor arrives with its terms already in that order, from one int sort of
+its packed monomials, so its text and leading term sort nothing.
 
 `Polynomial.evaluate` compiles each polynomial, once, into straight-line Python
 code: its greedy multivariate Horner form, exact on int and `Fraction` values.
@@ -214,10 +216,12 @@ class Polynomial:
     Never mutate `terms` after construction; arithmetic returns new values.
     That is what makes the cached degrevlex leading term, the evaluation plan
     (built on the first `evaluate`) and the text (rendered on the first
-    `to_text`) safe to keep.
+    `to_text`) safe to keep.  `_ordered` is true when `terms` iterate in text
+    order, largest monomial first under `_descending`, as a minor's and its
+    negation's do.
     """
 
-    __slots__ = ("ring", "terms", "_hash", "_lead", "_plan", "_text")
+    __slots__ = ("ring", "terms", "_hash", "_lead", "_plan", "_text", "_ordered")
 
     def __init__(self, ring: PolyRing, terms: dict[tuple[int, ...], Fraction]):
         self.ring = ring
@@ -226,6 +230,16 @@ class Polynomial:
         self._lead: tuple[tuple[int, ...], Fraction] | None = None
         self._plan: tuple | None = None
         self._text: str | None = None
+        self._ordered = False
+
+    @classmethod
+    def _nonzero(cls, ring: PolyRing, terms: dict[tuple[int, ...], Fraction], ordered: bool) -> "Polynomial":
+        """A polynomial on `terms`, taken as they are: every coefficient must
+        be nonzero, and the terms in text order if `ordered`."""
+        f = cls.__new__(cls)
+        f.ring, f.terms, f._ordered = ring, terms, ordered
+        f._hash = f._lead = f._plan = f._text = None
+        return f
 
     # -- basic structure ---------------------------------------------------
 
@@ -243,7 +257,7 @@ class Polynomial:
         if self._lead is None:
             if not self.terms:
                 raise ValueError("zero polynomial has no leading term")
-            m = min(self.terms, key=_descending)
+            m = next(iter(self.terms)) if self._ordered else min(self.terms, key=_descending)
             self._lead = (m, self.terms[m])
         return self._lead
 
@@ -288,7 +302,8 @@ class Polynomial:
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.ring, {m: -c for m, c in self.terms.items()})
+        # no coefficient becomes zero, and the terms keep their order
+        return Polynomial._nonzero(self.ring, {m: -c for m, c in self.terms.items()}, self._ordered)
 
     def __sub__(self, other) -> "Polynomial":
         other = self._coerce(other)
@@ -404,7 +419,7 @@ class Polynomial:
             return self._text
         names = self.ring.names
         parts: list[str] = []
-        for m in sorted(self.terms, key=_descending):
+        for m in self.terms if self._ordered else sorted(self.terms, key=_descending):
             body = str(self.terms[m])
             negative = body[0] == "-"
             if negative:
@@ -661,9 +676,14 @@ def minor(
     packed = _minor_rec(entries, rows, cols, memo)
     # one Fraction per distinct coefficient, not per term
     values = {c: Fraction(c, q ** len(rows)) for c in set(packed.values()) if c}
-    # `Packing.unpack` inlined: a method call per term made the grid ideals about 1.5% slower
-    decode, size = packing._unpack, packing.size
-    return Polynomial(X.ring, {decode(k.to_bytes(size, "little")): values[c] for k, c in packed.items() if c})
+    # With its degree digit flipped, a packed key's int order is text order
+    # (`_descending`): the larger degree first, then the smaller exponents
+    # from the last one back.  `unpack_from` never reads the degree digit, so
+    # the flipped keys unpack as they are.  (`Packing.unpack` inlined: a method
+    # call per term made the grid ideals about 1.5% slower.)
+    flip, decode, size = ((1 << packing.bits) - 1) << packing.top, packing._unpack, packing.size
+    ordered = sorted([(k ^ flip, c) for k, c in packed.items() if c])
+    return Polynomial._nonzero(X.ring, {decode(k.to_bytes(size, "little")): values[c] for k, c in ordered}, True)
 
 
 def _minor_rec(entries, rows, cols, memo) -> dict[int, int]:

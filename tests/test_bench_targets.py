@@ -1,20 +1,31 @@
-"""The benchmark's span tracer (`bench/tracing.py`) names library functions
-by module and attribute path.  Each name must still resolve, so a rename or
-deletion in the library fails this suite, not only the benchmark's own; and
-a layer the CLI stops calling must not read 0 calls unnoticed."""
+"""What the benchmark (`bench/`) relies on in the library.
+
+The span tracer (`bench/tracing.py`) names library functions by module and
+attribute path.  Each name must still resolve, so a rename or deletion in the
+library fails this suite, not only the benchmark's own; and a layer the CLI
+stops calling must not read 0 calls unnoticed.  The `construct` workload's
+outputs must keep the digests of `bench/reference.json`."""
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load_bench(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # a dataclass looks its module up there
+    spec.loader.exec_module(module)
+    return module
 
 
 def _load_tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load_bench("tracing")
 
 
 def test_every_trace_target_resolves_against_the_library():
@@ -48,3 +59,20 @@ def test_the_traced_report_layer_is_called_when_a_report_is_written(tmp_path):
     assert spans.count("report.to_json") == 1
     assert spans.count("verify.terracini") == 1
     assert (tmp_path / "report.json").is_file()
+
+
+@pytest.mark.parametrize("seed", [7, 271828])
+def test_the_construct_workload_writes_the_reference_bytes(seed, tmp_path, monkeypatch):
+    """The four `construct` calls at the benchmark's own 4x6 size, each
+    checked by the benchmark's own `check_call` against its reference."""
+    from cigrid.cli import main
+
+    workloads = _load_bench("workloads")
+    reference = workloads.load_reference()
+    monkeypatch.chdir(ROOT)  # the calls name their inputs relative to the checkout
+    calls = workloads.WORKLOADS["construct"]
+    assert len(calls) == 4 and {c.check for c in calls} == {"digest"}
+    for i, call in enumerate(calls):
+        out = tmp_path / str(i)
+        code = main(workloads.call_argv(call, seed, out))
+        assert workloads.check_call(call, code, workloads.read_outputs(out), reference) == ""

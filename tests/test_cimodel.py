@@ -251,6 +251,19 @@ def test_ci_ideal_eq21_has_sixteen_generators():
     assert len(ideal.generators) == 16
 
 
+def test_one_model_has_one_coordinate_ring():
+    model = eq21_model()
+    assert prob_ring(model) is prob_ring(model)
+    # an equal model, built apart (as each parse of a CI file builds one), shares it
+    assert prob_ring(eq21_model()) is prob_ring(model)
+    stmts = [CIStatement(("X",), ("Y1",), ("Y2", "H1")), CIStatement(("X",), ("Y2",), ("Y1", "H2"))]
+    ideal = ci_ideal(stmts, model)
+    assert ideal.ring is prob_ring(model)
+    assert ideal.generators and all(g.ring is ideal.ring for g in ideal.generators)
+    assert all(g.ring is ideal.ring for g in ci_minor_generators(stmts[0], eq21_model()))
+    assert prob_ring(two_binary_model()) is not prob_ring(model)
+
+
 def test_ci_ideal_empty_and_duplicate_statements():
     model = two_binary_model()
     assert ci_ideal([], model).generators == ()

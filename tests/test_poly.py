@@ -587,6 +587,48 @@ def test_minor_digits_are_the_narrowest_whose_guard_bit_the_degree_cannot_reach(
             assert f == perm_minor(X, [1, 2], [1, 2])
 
 
+@pytest.mark.parametrize("top, bits", [(1, 8), (64, 16)])
+def test_minors_arrive_in_text_order(top, bits):
+    # mixed-degree entries, so degree and then the reversed exponents decide;
+    # a 2 x 2 minor of degree-64 entries needs 16-bit digits
+    ring = small_ring("wxyz")
+    w, x, y, z = (ring.var(Var(n)) for n in "wxyz")
+    rng = random.Random(89 + top)
+    pool = [
+        x + 1,
+        _power(x, 2 * top) * y - 3,
+        _power(z, top) - Fraction(2, 3) * w,
+        w * y + _power(y, top) * Fraction(-1, 4) + z,
+        ring.const(rng.randint(-4, 4)),
+    ]
+    seen = 0
+    for _ in range(30):
+        size = rng.choice([2, 3] if bits == 8 else [2])
+        rows = [[rng.choice(pool) for _ in range(size)] for _ in range(size)]
+        rows[0][0] = pool[1]  # the widest entry sets the digits
+        X = _symbolic(ring, rows)
+        assert X._packed[2].bits == bits
+        f = minor(X, range(1, size + 1), range(1, size + 1))
+        if f.is_zero():
+            continue
+        seen += len({sum(m) for m in f.terms}) > 1
+        g = minor(X, [size], [1])  # an entry, also in text order
+        assert list(f.terms) == sorted(f.terms, key=poly._descending)
+        assert list(f.terms) == sorted(f.terms, key=lambda m: reference_key(DEGREVLEX, m), reverse=True)
+        m = min(f.terms, key=poly._descending)
+        assert f.leading() == (m, f.terms[m])
+        unordered = Polynomial(ring, dict(reversed(f.terms.items())))
+        assert f.to_text() == unordered.to_text() == reference_to_text(f)
+        assert (-unordered).to_text() == (-f).to_text() and (-unordered).leading() == (-f).leading()
+        for h in (-f, normalize_sign(f)):
+            assert list(h.terms) == list(f.terms)
+            assert h.to_text() == Polynomial(ring, dict(reversed(h.terms.items()))).to_text()
+        assert normalize_sign(f).leading()[1] > 0
+        for h in (f + g, f * g, f.scale(Fraction(-3, 5)), f - f):
+            assert h.to_text() == Polynomial(ring, dict(reversed(h.terms.items()))).to_text() == reference_to_text(h)
+    assert seen >= 10
+
+
 @pytest.mark.parametrize("bits", poly.Packing.WIDTHS)
 @pytest.mark.parametrize("n", [1, 4, 96])
 def test_packing_round_trips_adds_and_divides_below_the_guard_bit(n, bits):
