@@ -8,9 +8,10 @@ exact and all values are immutable after construction.
 Each monomial order has one definition, the linear weights of
 `MonomialOrder.weights` that the packed Groebner engine (`ideals`) sorts by.
 Text and leading terms follow the one degrevlex key `_descending`.  Minors and
-the Groebner engine pack monomials into ints the one way `Packing` defines;
-a minor arrives with its terms already in that order, from one int sort of
-its packed monomials, so its text and leading term sort nothing.
+the Groebner engine pack monomials into ints the one way `Packing` defines.
+A minor keeps its packed monomials, in text order from one int sort; its
+dense `terms` are built only when read.  A polynomial hashes by its leading
+monomial and term count, alike in either form.
 
 `Polynomial.evaluate` compiles each polynomial, once, into straight-line Python
 code: its greedy multivariate Horner form, exact on int and `Fraction` values.
@@ -213,6 +214,10 @@ class PolyRing:
 class Polynomial:
     """Map from exponent tuples to nonzero rational coefficients.
 
+    A minor arrives in the packed form, a `_PackedPolynomial`, until its
+    `terms` are read.  The hash is that of the leading monomial and the term
+    count, so equal polynomials hash equal in either form.
+
     Never mutate `terms` after construction; arithmetic returns new values.
     That is what makes the cached degrevlex leading term, the evaluation plan
     (built on the first `evaluate`) and the text (rendered on the first
@@ -221,7 +226,8 @@ class Polynomial:
     negation's do.
     """
 
-    __slots__ = ("ring", "terms", "_hash", "_lead", "_plan", "_text", "_ordered")
+    # `_packed` is the packed form's: both forms share one layout
+    __slots__ = ("ring", "terms", "_packed", "_hash", "_lead", "_plan", "_text", "_ordered")
 
     def __init__(self, ring: PolyRing, terms: dict[tuple[int, ...], Fraction]):
         self.ring = ring
@@ -246,6 +252,9 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def _count(self) -> int:
+        return len(self.terms)
+
     def total_degree(self) -> int:
         return max(map(sum, self.terms), default=0)
 
@@ -269,10 +278,10 @@ class Polynomial:
         return self.ring == other.ring and self.terms == other.terms
 
     def __hash__(self) -> int:
-        # The monomials alone: equal polynomials have equal monomial sets, and
-        # a frozenset of a dict reuses the hashes the dict stores.
+        # The leading monomial and the term count: equal polynomials share
+        # both in either form, and a packed one unpacks one key for them.
         if self._hash is None:
-            self._hash = hash(frozenset(self.terms))
+            self._hash = hash((self.leading()[0], self._count()) if self else ())
         return self._hash
 
     def __bool__(self) -> bool:
@@ -354,6 +363,15 @@ class Polynomial:
         or a mapping that assigns every variable appearing in self.  It is
         `Fraction(plan(point), q)` for every kind of point (`_evaluation_plan`),
         and a value neither int nor `Fraction` counts as `Fraction(value)`."""
+        return Fraction(*self._plan_value(point))
+
+    def vanishes_at(self, point: Sequence[Rat] | Mapping[Var, Rat]) -> bool:
+        """`evaluate(point) == 0`, with no `Fraction` built."""
+        return self._plan_value(point)[0] == 0
+
+    def _plan_value(self, point: Sequence[Rat] | Mapping[Var, Rat]) -> tuple[Rat, int]:
+        """(plan(point), q): q times the value at the point, an int or a
+        `Fraction`; see `evaluate`."""
         if self._plan is None:
             self._plan = self._evaluation_plan()
         support, q, plan = self._plan
@@ -365,11 +383,14 @@ class Polynomial:
         elif len(point) != len(self.ring.variables):
             raise ValueError(f"point has {len(point)} values for a ring of {len(self.ring.variables)} variables")
         if plan is None:
-            return Fraction(next(iter(self.terms.values()), 0))
+            return next(iter(self.terms.values()), 0), 1
         try:
-            return Fraction(plan(point), q)
+            value = plan(point)
         except (TypeError, OverflowError):
-            return Fraction(plan({i: x if isinstance(x := point[i], (int, Fraction)) else Fraction(x) for i in support}), q)
+            value = None
+        if not isinstance(value, (int, Fraction)):  # a float entered the plan, or failed in it
+            value = plan({i: x if isinstance(x := point[i], (int, Fraction)) else Fraction(x) for i in support})
+        return value, q
 
     def _evaluation_plan(self):
         """(support positions, q, plan): q is the lcm of the coefficient
@@ -417,18 +438,13 @@ class Polynomial:
         """Terms in decreasing degrevlex order; rendered on the first call."""
         if self._text is not None:
             return self._text
-        names = self.ring.names
         parts: list[str] = []
-        for m in self.terms if self._ordered else sorted(self.terms, key=_descending):
-            body = str(self.terms[m])
+        for body, factors in self._text_terms():
             negative = body[0] == "-"
             if negative:
                 body = body[1:]
-            factors = [names[i] if m[i] == 1 else f"{names[i]}^{m[i]}" for i in compress(count(), m)]
             if factors:
-                if body != "1":
-                    factors.insert(0, body)
-                body = " * ".join(factors)
+                body = factors if body == "1" else f"{body} * {factors}"
             if parts:
                 parts.append(("- " if negative else "+ ") + body)
             else:
@@ -436,11 +452,86 @@ class Polynomial:
         self._text = " ".join(parts) if parts else "0"
         return self._text
 
+    def _text_terms(self) -> Iterable[tuple[str, str]]:
+        """(coefficient text, monomial text) of each term, in text order."""
+        names, terms = self.ring.names, self.terms
+        for m in terms if self._ordered else sorted(terms, key=_descending):
+            yield str(terms[m]), " * ".join([names[i] if m[i] == 1 else f"{names[i]}^{m[i]}" for i in compress(count(), m)])
+
     def __str__(self) -> str:
         return self.to_text()
 
     def __repr__(self) -> str:
         return f"Polynomial({self.to_text()})"
+
+
+class _PackedPolynomial(Polynomial):
+    """A minor in the packed form: `_packed` is (pairs, q, packing), its terms
+    as (flipped packed key, nonzero int coefficient) pairs over the
+    denominator q, sorted, so in text order (see `minor`).  Its text, leading
+    term, negation, zero test and hash read the pairs.  The first read of
+    `terms` builds the dense dict from them, in the same order, drops them
+    and makes the object a plain `Polynomial`.  The `__getattr__` is on this
+    class alone: on `Polynomial` it would make every attribute read of every
+    polynomial about 2x slower."""
+
+    __slots__ = ()
+
+    def __init__(self, ring: PolyRing, pairs: list[tuple[int, int]], q: int, packing: Packing):
+        self.ring, self._packed, self._ordered = ring, (pairs, q, packing), True
+        self._hash = self._lead = self._plan = self._text = None
+
+    def __getattr__(self, name: str):
+        if name != "terms":
+            raise AttributeError(f"'Polynomial' object has no attribute {name!r}")
+        return self._unpack_terms()
+
+    def _unpack_terms(self) -> dict[tuple[int, ...], Fraction]:
+        # `unpack_from` never reads the flipped degree digit; one Fraction
+        # per distinct coefficient, not per term
+        pairs, q, packing = self._packed
+        values = {c: Fraction(c, q) for c in {c for _, c in pairs}}
+        decode, size = packing._unpack, packing.size
+        self.terms = {decode(k.to_bytes(size, "little")): values[c] for k, c in pairs}
+        self._packed = None
+        self.__class__ = Polynomial
+        return self.terms
+
+    def is_zero(self) -> bool:
+        return False
+
+    def __bool__(self) -> bool:
+        return True
+
+    def _count(self) -> int:
+        return len(self._packed[0])
+
+    def leading(self) -> tuple[tuple[int, ...], Fraction]:
+        if self._lead is None:
+            pairs, q, packing = self._packed
+            self._lead = (packing.unpack(pairs[0][0]), Fraction(pairs[0][1], q))
+        return self._lead
+
+    def __neg__(self) -> "Polynomial":
+        pairs, q, packing = self._packed
+        return _PackedPolynomial(self.ring, [(k, -c) for k, c in pairs], q, packing)
+
+    def _text_terms(self) -> Iterable[tuple[str, str]]:
+        # At 8 bits a key's bytes are the exponents, and the names of the
+        # nonzero ones the factors; when their count is the degree digit,
+        # every exponent is 1.
+        pairs, q, packing = self._packed
+        names, size, top, mask = self.ring.names, packing.size, packing.top, (1 << packing.bits) - 1
+        decode = None if packing.bits == 8 else packing._unpack
+        bodies = {c: str(Fraction(c, q)) for c in {c for _, c in pairs}}
+        for k, c in pairs:
+            digits = k.to_bytes(size, "little")
+            if decode is not None:
+                digits = decode(digits)
+            factors = list(compress(names, digits))
+            if len(factors) != (k >> top) ^ mask:
+                factors = [v if e == 1 else f"{v}^{e}" for v, e in zip(factors, filter(None, digits))]
+            yield bodies[c], " * ".join(factors)
 
 
 def _horner(terms: list[tuple[dict[int, int], int]], lines: list[str]) -> tuple[bool, str]:
@@ -674,16 +765,13 @@ def minor(
         memo = {}
     entries, q, packing = X._packed
     packed = _minor_rec(entries, rows, cols, memo)
-    # one Fraction per distinct coefficient, not per term
-    values = {c: Fraction(c, q ** len(rows)) for c in set(packed.values()) if c}
     # With its degree digit flipped, a packed key's int order is text order
     # (`_descending`): the larger degree first, then the smaller exponents
-    # from the last one back.  `unpack_from` never reads the degree digit, so
-    # the flipped keys unpack as they are.  (`Packing.unpack` inlined: a method
-    # call per term made the grid ideals about 1.5% slower.)
-    flip, decode, size = ((1 << packing.bits) - 1) << packing.top, packing._unpack, packing.size
-    ordered = sorted([(k ^ flip, c) for k, c in packed.items() if c])
-    return Polynomial._nonzero(X.ring, {decode(k.to_bytes(size, "little")): values[c] for k, c in ordered}, True)
+    # from the last one back.  The result keeps these sorted pairs, and its
+    # dense `terms` are built on their first read.
+    flip = ((1 << packing.bits) - 1) << packing.top
+    pairs = sorted([(k ^ flip, c) for k, c in packed.items() if c])
+    return _PackedPolynomial(X.ring, pairs, q ** len(rows), packing) if pairs else X.ring.zero()
 
 
 def _minor_rec(entries, rows, cols, memo) -> dict[int, int]:

@@ -225,7 +225,7 @@ def _vanishing_checks(
         m = sampler.draw(rng)
         point = X.assignment(m.values)
         for name, g in generators:
-            if g.evaluate(point) == 0:
+            if g.vanishes_at(point):
                 zeros[name] += 1
             else:
                 report.log(f"{sampler.name} / {name}", m.rational())
@@ -310,12 +310,12 @@ def verify_three_lines_decomposition(
 
     _separation_check(
         report, loop, X, "[234][567]-[235][467]",
-        lambda point: deg6.evaluate(point) != 0,
+        lambda point: not deg6.vanishes_at(point),
         trials, rng_sep_loop,
     )
     _separation_check(
         report, lines, X, "some first-column coordinate",
-        lambda point: any(g.evaluate(point) != 0 for _, g in loop_coords),
+        lambda point: any(not g.vanishes_at(point) for _, g in loop_coords),
         trials, rng_sep_lines,
     )
 
@@ -351,7 +351,7 @@ def verify_rank_two_component(trials: int = 100, seed: int = 0) -> WitnessReport
             members += 1
         else:
             report.log(f"{rank2.name} outside the variety", m.rational())
-        if all(g.evaluate(point) == 0 for g in ideal.generators):
+        if all(g.vanishes_at(point) for g in ideal.generators):
             vanishing += 1
     report.add(CheckResult.tally("rank<=2 samples lie in the variety", "members", members, trials))
     report.add(CheckResult.tally("rank<=2 samples kill all 16 generators exactly", "vanishing", vanishing, trials))
@@ -366,7 +366,7 @@ def verify_rank_two_component(trials: int = 100, seed: int = 0) -> WitnessReport
         generic,
         X,
         "some generator",
-        lambda point: any(g.evaluate(point) != 0 for g in ideal.generators),
+        lambda point: any(not g.vanishes_at(point) for g in ideal.generators),
         min(trials, 10),
         child_rng(seed, "example32/generic"),
     )
@@ -402,7 +402,7 @@ def verify_intersection_axiom(
     for _ in range(trials):
         den, P = mixture_parametrization_sample(model, conclusion_stmt, rng)
         point = tensor_assignment(model, P)
-        if all(g.evaluate(point) == 0 for g in premise.generators):
+        if all(g.vanishes_at(point) for g in premise.generators):
             vanish += 1
         if all(x > 0 for x in P.entries) and sum(P.entries) == den:
             supported += 1

@@ -6,7 +6,7 @@ from math import comb
 import pytest
 
 from helpers import in_variety_by_edges, perm_minor, quadratic_minimal_edges, reference_key, reference_to_text, statement_text
-from cigrid import hypergraph, linalg
+from cigrid import hypergraph, linalg, poly
 from cigrid.hypergraph import (
     GridSpec,
     Hypergraph,
@@ -19,6 +19,8 @@ from cigrid.hypergraph import (
     hypergraph_ideal,
     in_variety,
 )
+from cigrid.ideals import ideal_to_cas, ideal_to_text
+from cigrid.cimodel import ci_ideal
 from cigrid.poly import DEGREVLEX, generic_matrix, minor, normalize_sign
 from cigrid.sampling import rand_matrix
 
@@ -341,3 +343,26 @@ def test_grid_vertex_layout_is_column_major():
     assert grid_vertex(3, 3, 1) == 3
     assert grid_vertex(3, 1, 2) == 4
     assert grid_vertex(3, 3, 4) == 12
+
+
+def test_printing_the_grid_ideals_builds_no_dense_terms(monkeypatch):
+    """Dedup (hashing), sign normalisation and both text forms read each
+    minor's packed keys; a reader that builds dense terms on the way fails
+    here rather than only slowing the output down."""
+    built = []
+    unpack = poly._PackedPolynomial._unpack_terms
+
+    def counted(self):
+        built.append(self)
+        return unpack(self)
+
+    monkeypatch.setattr(poly._PackedPolynomial, "_unpack_terms", counted)
+    spec = GridSpec(k=4, l=6, s=4, t=4, d=4)
+    model, statements = grid_ci_correspondence(spec)
+    for ideal in (hypergraph_ideal(grid_hypergraph(spec), 4), ci_ideal(statements, model)):
+        text, cas = ideal_to_text(ideal), ideal_to_cas(ideal)
+        assert len(ideal.generators) == 66 and built == []
+        assert cas.endswith(text.replace("\n", ",\n  ")[:-4] + ";\n")
+        assert text.splitlines() == [reference_to_text(g) for g in ideal.generators]
+        assert len(built) == 66  # the reference read the terms, through the hook
+        built.clear()

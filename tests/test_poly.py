@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from helpers import det_by_permutations, naive_evaluate, perm_minor, random_polynomial, reference_key, reference_to_text
 from cigrid import poly
+from cigrid.ideals import Ideal
 from cigrid.poly import (
     DEGREVLEX,
     LEX,
@@ -366,6 +367,33 @@ def test_points_with_floats_and_other_numbers_evaluate_exactly():
             assert value == expected and type(value) is Fraction
 
 
+def test_vanishes_at_is_evaluate_equal_to_zero_at_every_kind_of_point():
+    """No Fraction is built, yet a float still counts as Fraction(value):
+    x*y - 1 does not vanish at (3.0, 1/3), although the float product is
+    1.0.  Points are checked as `evaluate` checks them."""
+    ring = small_ring("xy")
+    x, y = ring.var(Var("x")), ring.var(Var("y"))
+    f = x * y - 1
+    assert 3.0 * (1 / 3) == 1.0 and not f.vanishes_at([3.0, 1 / 3])
+    rng = random.Random(53)
+    cases = [f, x - y, Fraction(1, 3) * x**3 * y - 2 * y**2, ring.zero(), ring.const(Fraction(-7, 3))]
+    cases += [random_polynomial(rng, ring, max_terms=4, max_exp=3) for _ in range(20)]
+    huge = 10**400 + 7
+    points = [[3, 3], [2, 0], [0.5, 0.5], [Fraction(1, 3), Fraction(1, 3)], [0.5, huge], [Decimal("0.1"), Fraction(2, 3)], [True, 2.5]]
+    points += [[rng.randint(-3, 3), Fraction(rng.randint(-3, 3), rng.randint(1, 3))] for _ in range(10)]
+    outcomes = set()
+    for g in cases:
+        for point in points:
+            expected = g.evaluate(point) == 0
+            assert g.vanishes_at(point) == g.vanishes_at(dict(zip(ring.variables, point))) == expected
+            outcomes.add(expected)
+    assert outcomes == {True, False}
+    with pytest.raises(ValueError, match="1 values for a ring of 2 variables"):
+        f.vanishes_at([1])
+    with pytest.raises(ValueError, match="unassigned variable y"):
+        f.vanishes_at({Var("x"): 1})
+
+
 def test_wide_and_deep_polynomials_evaluate_without_recursion_errors():
     """A 2000-variable linear form (one Horner sum of 2001 parts) and a dense
     univariate polynomial of degree 300 (300 nested Horner steps), with a
@@ -627,6 +655,63 @@ def test_minors_arrive_in_text_order(top, bits):
         for h in (f + g, f * g, f.scale(Fraction(-3, 5)), f - f):
             assert h.to_text() == Polynomial(ring, dict(reversed(h.terms.items()))).to_text() == reference_to_text(h)
     assert seen >= 10
+
+
+@pytest.mark.parametrize("top, bits", [(1, 8), (64, 16), (1 << 14, 32), (1 << 30, 64)])
+def test_packed_minors_read_like_their_dense_terms(top, bits):
+    # The same minor twice: f is read through its packed keys, and `dense`
+    # has its terms built first.  Mixed-degree entries, as in
+    # `test_minors_arrive_in_text_order`, so some exponents exceed 1.
+    ring = small_ring("wxyz")
+    w, x, y, z = (ring.var(Var(n)) for n in "wxyz")
+    rng = random.Random(97 + top)
+    pool = [
+        x + 1,
+        _power(x, 2 * top) * y - 3,
+        _power(z, top) - Fraction(2, 3) * w,
+        w * y + _power(y, top) * Fraction(-1, 4) + z,
+        ring.const(rng.randint(-4, 4)),
+    ]
+
+    def readings(h):
+        return [h.to_text(), h.leading(), hash(h), (-h).to_text(), (-h).leading(), normalize_sign(h).to_text(), hash(normalize_sign(h))]
+
+    seen = 0
+    for _ in range(20):
+        size = rng.choice([2, 3] if bits == 8 else [2])
+        rows = [[rng.choice(pool) for _ in range(size)] for _ in range(size)]
+        rows[0][0] = pool[1]  # the widest entry sets the digits
+        X = _symbolic(ring, rows)
+        assert X._packed[2].bits == bits
+        full = range(1, size + 1)
+        f, dense = minor(X, full, full), minor(X, full, full)
+        if f.is_zero():
+            continue
+        seen += 1
+        pairs, q, packing = f._packed
+        eager = {packing.unpack(k): Fraction(c, q) for k, c in pairs}
+        assert list(dense.terms.items()) == list(eager.items()) and type(dense) is Polynomial and dense._packed is None
+        unordered = Polynomial(ring, dict(reversed(eager.items())))
+        before = readings(f)
+        assert f._packed is not None  # text, leading term, hash and sign built no terms
+        assert before[0] == unordered.to_text() == dense.to_text() == reference_to_text(dense)
+        assert before == readings(dense)
+        assert type(f) is poly._PackedPolynomial
+        assert list(f.terms.items()) == list(eager.items()) and type(f) is Polynomial and f._packed is None
+        assert before == readings(f)
+        assert list((-f).terms) == list(f.terms) and normalize_sign(f).leading()[1] > 0
+        # equal polynomials hash equal in either form, and sets keep one
+        parsed = parse_polynomial(before[0], ring)
+        g = minor(X, full, full)
+        assert hash(g) == hash(parsed) == hash(unordered) == hash(f)
+        assert g == parsed == f and len({g, parsed, unordered}) == 1
+        assert len(Ideal.of(ring, [minor(X, full, full), parsed, -parsed]).generators) == 2
+    assert seen >= 10
+    # a zero minor: two equal rows
+    X = _symbolic(ring, [pool[:2], pool[:2]])
+    zero = minor(X, [1, 2], [1, 2])
+    assert not zero and zero.is_zero() and zero.to_text() == "0" and hash(zero) == hash(ring.zero())
+    assert Ideal.of(ring, [zero, x, zero]).generators == (x,)
 
 
 @pytest.mark.parametrize("bits", poly.Packing.WIDTHS)

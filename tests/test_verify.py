@@ -381,14 +381,15 @@ def test_reports_are_reproducible():
 
 
 # Faults that make campaigns log counterexamples: each replaces one library
-# function the campaigns use to decide a witness.
+# function the campaigns use to decide a witness.  `Polynomial._plan_value`
+# gives the value that both `evaluate` and `vanishes_at` read.
 FAULTS = {
     "none": None,
     "every rank is full": (verify, "integer_rank", lambda m: min(len(m), len(m[0]))),
     "every in-variety rank is full": (hypergraph, "integer_rank", lambda m: min(len(m), len(m[0]))),
     "no draw is in the variety": (verify, "in_variety", lambda H, X: False),
-    "every polynomial value is 1": (Polynomial, "evaluate", lambda self, point: Fraction(1)),
-    "every polynomial value is 0": (Polynomial, "evaluate", lambda self, point: Fraction(0)),
+    "every polynomial value is 1": (Polynomial, "_plan_value", lambda self, point: (1, 1)),
+    "every polynomial value is 0": (Polynomial, "_plan_value", lambda self, point: (0, 1)),
 }
 
 
