@@ -37,7 +37,9 @@ GRID_FLAGS = ("k", "l", "s", "t", "d")
 
 
 def _load_config(argv: list[str]) -> list[str]:
-    """Expand `--config FILE` into trailing long options; explicit flags win."""
+    """Expand `--config FILE` into long options right after the subcommand.
+    Explicit flags win: argparse keeps an option's last value, and every
+    explicit flag, in any spelling (`--k=2`, `--max-p 30`), comes later."""
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")
@@ -53,14 +55,12 @@ def _load_config(argv: list[str]) -> list[str]:
             raise ValueError(f"config line {line!r} in {path} is not `key = value`")
         value = value.strip()
         flag = f"--{key}"
-        if flag in rest:
-            continue
         if value.lower() in ("true", "false"):
             if value.lower() == "true":
                 extra.append(flag)
         else:
             extra.extend([flag, value])
-    return rest + extra
+    return rest[:1] + extra + rest[1:]
 
 
 def _grid_spec(args) -> GridSpec:

@@ -25,7 +25,7 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .hypergraph import GridSpec, Hypergraph, grid_hypergraph, grid_vertex
+from .hypergraph import GridSpec, Hypergraph, grid_hypergraph, grid_vertex, in_variety
 from .linalg import (
     SHADOW_PRIME,
     Mat,
@@ -285,17 +285,6 @@ def is_circuit_family(n: int, family: Iterable[Iterable[int]]) -> bool:
     return True
 
 
-def dependent_contains(m: Matroid, H: Hypergraph) -> bool:
-    """Whether every edge of the hypergraph is dependent in the matroid."""
-    ground = set(m.ground)
-    for edge in H.edges:
-        if not edge <= ground:
-            raise ValueError(f"edge {sorted(edge)} is not inside the matroid's ground set")
-        if m.is_independent(edge):
-            return False
-    return True
-
-
 @lru_cache(maxsize=4)
 def grid_circuit_family(spec: GridSpec) -> tuple[frozenset[int], ...]:
     """Inclusion-minimal members of the grid edges together with all
@@ -355,8 +344,7 @@ def realize_grid_matroid(spec: GridSpec, rng: random.Random) -> Mat:
             continue
         if rank(matrix) != d:
             continue
-        m = matroid_from_matrix(matrix)
-        if dependent_contains(m, H):
+        if in_variety(H, matrix):
             return matrix
     raise GenericityError(f"no generic grid realization found in {REALIZATION_ATTEMPTS} attempts")
 

@@ -9,8 +9,9 @@ Each monomial order has one definition, the linear weights of
 `MonomialOrder.weights` that the packed Groebner engine (`ideals`) sorts by.
 Text and leading terms follow the one degrevlex key `_descending`.  Minors and
 the Groebner engine pack monomials into ints the one way `Packing` defines.
-A minor keeps its packed monomials, in text order from one int sort; its
-dense `terms` are built only when read.  A polynomial hashes by its leading
+A polynomial's form is fixed when it is built: a minor keeps its packed
+monomials, in text order from one int sort, for life, and its dense `terms`
+are built beside them only when read.  A polynomial hashes by its leading
 monomial and term count, alike in either form.
 
 `Polynomial.evaluate` compiles each polynomial, once, into straight-line Python
@@ -214,20 +215,18 @@ class PolyRing:
 class Polynomial:
     """Map from exponent tuples to nonzero rational coefficients.
 
-    A minor arrives in the packed form, a `_PackedPolynomial`, until its
-    `terms` are read.  The hash is that of the leading monomial and the term
-    count, so equal polynomials hash equal in either form.
+    A polynomial's form is fixed when it is built: a minor is a
+    `_PackedPolynomial` for life, every other polynomial a plain one.  The
+    hash is that of the leading monomial and the term count, so equal
+    polynomials hash equal in either form.
 
     Never mutate `terms` after construction; arithmetic returns new values.
     That is what makes the cached degrevlex leading term, the evaluation plan
     (built on the first `evaluate`) and the text (rendered on the first
-    `to_text`) safe to keep.  `_ordered` is true when `terms` iterate in text
-    order, largest monomial first under `_descending`, as a minor's and its
-    negation's do.
+    `to_text`) safe to keep.
     """
 
-    # `_packed` is the packed form's: both forms share one layout
-    __slots__ = ("ring", "terms", "_packed", "_hash", "_lead", "_plan", "_text", "_ordered")
+    __slots__ = ("ring", "terms", "_hash", "_lead", "_plan", "_text")
 
     def __init__(self, ring: PolyRing, terms: dict[tuple[int, ...], Fraction]):
         self.ring = ring
@@ -236,16 +235,6 @@ class Polynomial:
         self._lead: tuple[tuple[int, ...], Fraction] | None = None
         self._plan: tuple | None = None
         self._text: str | None = None
-        self._ordered = False
-
-    @classmethod
-    def _nonzero(cls, ring: PolyRing, terms: dict[tuple[int, ...], Fraction], ordered: bool) -> "Polynomial":
-        """A polynomial on `terms`, taken as they are: every coefficient must
-        be nonzero, and the terms in text order if `ordered`."""
-        f = cls.__new__(cls)
-        f.ring, f.terms, f._ordered = ring, terms, ordered
-        f._hash = f._lead = f._plan = f._text = None
-        return f
 
     # -- basic structure ---------------------------------------------------
 
@@ -266,7 +255,7 @@ class Polynomial:
         if self._lead is None:
             if not self.terms:
                 raise ValueError("zero polynomial has no leading term")
-            m = next(iter(self.terms)) if self._ordered else min(self.terms, key=_descending)
+            m = min(self.terms, key=_descending)
             self._lead = (m, self.terms[m])
         return self._lead
 
@@ -311,8 +300,7 @@ class Polynomial:
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        # no coefficient becomes zero, and the terms keep their order
-        return Polynomial._nonzero(self.ring, {m: -c for m, c in self.terms.items()}, self._ordered)
+        return Polynomial(self.ring, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
         other = self._coerce(other)
@@ -455,7 +443,7 @@ class Polynomial:
     def _text_terms(self) -> Iterable[tuple[str, str]]:
         """(coefficient text, monomial text) of each term, in text order."""
         names, terms = self.ring.names, self.terms
-        for m in terms if self._ordered else sorted(terms, key=_descending):
+        for m in sorted(terms, key=_descending):
             yield str(terms[m]), " * ".join([names[i] if m[i] == 1 else f"{names[i]}^{m[i]}" for i in compress(count(), m)])
 
     def __str__(self) -> str:
@@ -470,15 +458,16 @@ class _PackedPolynomial(Polynomial):
     as (flipped packed key, nonzero int coefficient) pairs over the
     denominator q, sorted, so in text order (see `minor`).  Its text, leading
     term, negation, zero test and hash read the pairs.  The first read of
-    `terms` builds the dense dict from them, in the same order, drops them
-    and makes the object a plain `Polynomial`.  The `__getattr__` is on this
-    class alone: on `Polynomial` it would make every attribute read of every
-    polynomial about 2x slower."""
+    `terms` builds the dense dict from them, in the same order, into the
+    `terms` slot, so `__getattr__` never runs again; the pairs are kept and
+    go on answering.  The `__getattr__` is on this class alone: on
+    `Polynomial` it would make every attribute read of every polynomial
+    about 2x slower."""
 
-    __slots__ = ()
+    __slots__ = ("_packed",)
 
     def __init__(self, ring: PolyRing, pairs: list[tuple[int, int]], q: int, packing: Packing):
-        self.ring, self._packed, self._ordered = ring, (pairs, q, packing), True
+        self.ring, self._packed = ring, (pairs, q, packing)
         self._hash = self._lead = self._plan = self._text = None
 
     def __getattr__(self, name: str):
@@ -493,8 +482,6 @@ class _PackedPolynomial(Polynomial):
         values = {c: Fraction(c, q) for c in {c for _, c in pairs}}
         decode, size = packing._unpack, packing.size
         self.terms = {decode(k.to_bytes(size, "little")): values[c] for k, c in pairs}
-        self._packed = None
-        self.__class__ = Polynomial
         return self.terms
 
     def is_zero(self) -> bool:

@@ -231,6 +231,23 @@ def test_config_file_supplies_defaults(tmp_path, capsys):
     assert "cone-dimension 8" in out
 
 
+@pytest.mark.parametrize("explicit", [["--k", "2"], ["--k=2"]])
+def test_an_explicit_flag_beats_the_config_file_in_any_spelling(tmp_path, capsys, explicit):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("k = 3\n")
+    code, out, _ = run(capsys, "secant", "--m", "3", "--n", "3", *explicit, "--config", str(cfg))
+    assert code == 0
+    assert "\nk 2\n" in out and "cone-dimension 8" in out
+
+
+def test_an_abbreviated_flag_beats_the_config_file(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("max_pairs = 10\ntrials = 2\n")
+    code, out, _ = run(capsys, "verify", "example31", "--max-p", "30", "--config", str(cfg))
+    assert code == 0
+    assert "budget max_pairs: 30\n" in out and "trials: 2\n" in out
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "not-a-name"])

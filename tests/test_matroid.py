@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from helpers import all_pairs_is_circuit_family, brute_force_circuits, frozenset_is_circuit_family, rank_arrangement_signature, rank_by_minors
 from cigrid import linalg
 from cigrid import matroid as matroid_module
-from cigrid.hypergraph import GridSpec, Hypergraph, grid_hypergraph
+from cigrid.hypergraph import GridSpec, Hypergraph, grid_hypergraph, in_variety
 from cigrid.matroid import (
     AXIOM_CHECK_CAP,
     CircuitMatroid,
@@ -18,7 +18,6 @@ from cigrid.matroid import (
     PolyMap,
     algebraic_matroid,
     arrangement_signature,
-    dependent_contains,
     grid_circuit_family,
     is_circuit_family,
     matrix_product_map,
@@ -464,16 +463,14 @@ def test_grid_circuit_family_satisfies_the_axioms():
     assert all(not any(t < q for t in triples) for q in quads)
 
 
-def test_dependent_contains():
-    m = matroid_from_matrix(concurrent_lines_matrix())
+def test_in_variety_decides_edge_dependence():
     H = Hypergraph.of(7, [{1, 2, 3}, {1, 4, 5}, {1, 6, 7}])
-    assert dependent_contains(m, H)
-    free = matroid_from_matrix(linalg.identity(3))
-    assert not dependent_contains(free, Hypergraph.of(3, [{1, 2}]))
-    loop = matroid_from_matrix(linalg.mat([[0, 1], [0, 0]]))
-    assert dependent_contains(loop, Hypergraph.of(2, [{1}]))
+    assert in_variety(H, concurrent_lines_matrix())
+    free = linalg.identity(3)
+    assert not in_variety(Hypergraph.of(3, [{1, 2}]), free)
+    assert in_variety(Hypergraph.of(2, [{1}]), linalg.mat([[0, 1], [0, 0]]))
     with pytest.raises(ValueError):
-        dependent_contains(free, Hypergraph.of(9, [{9}]))
+        in_variety(Hypergraph.of(9, [{9}]), free)
 
 
 def test_restriction_basics():
@@ -516,7 +513,7 @@ def test_realize_grid_matroid_instance():
     assert linalg.rank(mat) == 3
     m = matroid_from_matrix(mat)
     assert m.circuits() == grid_circuit_family(spec)
-    assert dependent_contains(m, grid_hypergraph(spec))
+    assert in_variety(grid_hypergraph(spec), mat)
     # every 4-subset is dependent in a rank-3 matroid
     assert all(m.is_dependent(c) for c in combinations(range(1, 10), 4))
 

@@ -690,15 +690,20 @@ def test_packed_minors_read_like_their_dense_terms(top, bits):
         seen += 1
         pairs, q, packing = f._packed
         eager = {packing.unpack(k): Fraction(c, q) for k, c in pairs}
-        assert list(dense.terms.items()) == list(eager.items()) and type(dense) is Polynomial and dense._packed is None
+        # the terms are built beside the pairs: the form stays packed
+        assert list(dense.terms.items()) == list(eager.items())
+        assert type(dense) is poly._PackedPolynomial and dense._packed == (pairs, q, packing)
         unordered = Polynomial(ring, dict(reversed(eager.items())))
         before = readings(f)
         assert f._packed is not None  # text, leading term, hash and sign built no terms
         assert before[0] == unordered.to_text() == dense.to_text() == reference_to_text(dense)
         assert before == readings(dense)
         assert type(f) is poly._PackedPolynomial
-        assert list(f.terms.items()) == list(eager.items()) and type(f) is Polynomial and f._packed is None
-        assert before == readings(f)
+        kept = list(pairs)
+        assert list(f.terms.items()) == list(eager.items())
+        assert type(f) is poly._PackedPolynomial and f._packed[0] == kept
+        plain = Polynomial(f.ring, dict(f.terms))
+        assert before == readings(f) == readings(plain) and -f == -plain
         assert list((-f).terms) == list(f.terms) and normalize_sign(f).leading()[1] > 0
         # equal polynomials hash equal in either form, and sets keep one
         parsed = parse_polynomial(before[0], ring)

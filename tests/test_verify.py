@@ -72,6 +72,18 @@ def test_three_lines_fixture_builds_no_evaluation_plan():
     assert all(g._plan is None for g in built)
 
 
+def test_three_lines_fixture_checks_homogeneity_once_when_it_builds(monkeypatch):
+    calls = []
+    check = verify.require_homogeneous
+    monkeypatch.setattr(verify, "require_homogeneous", lambda *args: calls.append(1) or check(*args))
+    three_lines_fixture.__wrapped__()
+    assert len(calls) == 1
+    three_lines_fixture()  # cached, or built here once more
+    calls.clear()
+    verify_three_lines_decomposition(trials=2, seed=7)
+    assert calls == []
+
+
 def test_concurrent_lines_sampler_realizes_the_expected_circuits():
     sampler = sampler_concurrent_lines()
     m = sampler.draw(child_rng(2, "t"))
