@@ -7,16 +7,18 @@ reduced, maximum degree touched) are hard limits; exceeding one raises
 
 The engine runs on monomials packed by `poly.Packing`, whose docstring holds
 the layout: a product is one addition and a divisibility test one
-subtraction.  `Polynomial`s are packed on entry and only remainders and
-reduced bases are unpacked, once, at the end; `normal_form` keeps its packed
-basis on the `Ideal`.  A digit that reaches its guard bit, on packing or in a
-new product term, raises `DigitOverflow` and the computation reruns at the
-next of `Packing.WIDTHS`, so no digit wraps; past 64 bits it is a
-`ValueError`.  Each term carries the order's descending key, the linear
-function of the exponents that `MonomialOrder.weights` defines, so the key of
-m * q is key(m) + key(q), and the pair queue ranks each pair by its lcm's
-key.  Coefficients are `int` while integral, else `Fraction`.  `_update`
-works on exponent tuples.
+subtraction.  Dense `Polynomial`s are packed on entry, a minor's packed keys
+are read as they are, and only remainders and reduced bases are unpacked,
+once, at the end; `normal_form` keeps its packed basis on the `Ideal`, and
+`eliminate` and `intersect` project the packed basis.  A digit that reaches
+its guard bit, on packing or in a new product term, raises `DigitOverflow`
+and the computation reruns at the next of `Packing.WIDTHS`, so no digit
+wraps; past 64 bits it is a `ValueError`.  Each term carries the order's
+descending key, the linear function of the exponents that
+`MonomialOrder.weights` defines, so the key of m * q is key(m) + key(q), and
+the pair queue ranks each pair by its lcm's key.  Coefficients are `int`
+while integral, else `Fraction`.  `_update` works on the packed heads and
+lcms.
 """
 
 from __future__ import annotations
@@ -24,10 +26,11 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import le, mul
+from itertools import count
+from operator import mul
 from typing import Iterable, Sequence
 
-from .poly import DEGREVLEX, DigitOverflow, MonomialOrder, Packing, PolyRing, Polynomial, Var, normalize_sign
+from .poly import DEGREVLEX, DigitOverflow, MonomialOrder, Packing, PolyRing, Polynomial, Var, _PackedPolynomial, normalize_sign
 
 DEFAULT_MAX_PAIRS = 4000
 DEFAULT_MAX_DEGREE = 24
@@ -69,7 +72,18 @@ def _terms(packing: Packing, weights: list[int], f: Polynomial) -> list:
     """f's terms as (descending key, packed monomial, coefficient), largest
     monomial first.  A key field of `weights` holds the degree of any
     product of two packed monomials, so the key of an overflowed product
-    equals no other key."""
+    equals no other key.  A minor's packed keys are read as they are: its
+    degree digit flipped back and its int coefficients scaled by 1/q, and
+    repacked only when its digits are of another width."""
+    if isinstance(f, _PackedPolynomial):
+        pairs, q, own = f._packed
+        decode, size, flip = own._unpack, own.size, ((1 << own.bits) - 1) << own.top
+        out = []
+        for k, c in pairs:
+            m = decode(k.to_bytes(size, "little"))
+            mono = k ^ flip if own.bits == packing.bits else packing.pack(m)
+            out.append((sum(map(mul, m, weights)), mono, c if q == 1 else _quotient(c, q)))
+        return sorted(out)
     pack = packing.pack
     return sorted([(sum(map(mul, m, weights)), pack(m), c.numerator if c.denominator == 1 else c) for m, c in f.terms.items()])
 
@@ -174,38 +188,54 @@ def buchberger(
     that are reduced.  Budgets are hard errors, never silent truncation.
     """
     gens = [g for g in ideal.generators if not g.is_zero()]
-    for g in gens:
-        if g.total_degree() > max_degree:
-            raise BudgetExceeded(f"generator degree {g.total_degree()} exceeds budget {max_degree}")
-    width = len(ideal.ring.variables)
-    return _widening(lambda bits: _buchberger(ideal, gens, order, Packing(width, bits), order.weights(width, bits), max_pairs, max_degree))
+    _check_degrees([g.total_degree() for g in gens], max_degree)
+    n = len(ideal.ring.variables)
+
+    def run(bits):
+        packing, weights = Packing(n, bits), order.weights(n, bits)
+        reduced = _buchberger([_terms(packing, weights, g) for g in gens], packing, weights, max_pairs, max_degree)
+        unpack = packing.unpack
+        out = Ideal(ideal.ring, ideal.generators, tuple(Polynomial(ideal.ring, {unpack(m): Fraction(c) for _, m, c in t}) for t in reduced), order)
+        out._packed[bits] = (packing, weights, [_divisor(t) for t in reduced])
+        return out
+
+    return _widening(run)
 
 
-def _buchberger(ideal, gens, order, packing, weights, max_pairs, max_degree) -> Ideal:
-    guard, pack, unpack = packing.guard, packing.pack, packing.unpack
-    # monic divisors, their heads as tuples, and `_update`'s state; the queue
+def _check_degrees(degrees: Iterable[int], max_degree: int) -> None:
+    for degree in degrees:
+        if degree > max_degree:
+            raise BudgetExceeded(f"generator degree {degree} exceeds budget {max_degree}")
+
+
+def _buchberger(gens: list, packing: Packing, weights: list[int], max_pairs: int, max_degree: int) -> list[list]:
+    """The reduced Groebner basis of the generators, each a term list of
+    `_terms`, as term lists, smallest leading monomial first."""
+    guard, top, unpack = packing.guard, packing.top, packing.unpack
+    if any(m & guard for terms in gens for _, m, _ in terms):
+        raise DigitOverflow
+    # monic divisors, their packed heads, and `_update`'s state; the queue
     # is in normal selection: smallest lcm under the order (largest packed
-    # key), then smallest indices, each lcm packed once, when the pair is
+    # key), then smallest indices, each key computed once, when the pair is
     # created
     basis, heads, active, live, queue = [], [], [], {}, []
 
     def join(terms: list) -> None:
         basis.append(_divisor(_monic(terms)))
-        heads.append(unpack(terms[0][1]))
-        for i, j in _update(heads, active, live):
-            l = live[i, j]
-            heapq.heappush(queue, (-sum(map(mul, l, weights)), i, j, pack(l)))
+        heads.append(terms[0][1])
+        for i, j in _update(heads, active, live, packing):
+            heapq.heappush(queue, (-sum(map(mul, unpack(live[i, j]), weights)), i, j))
 
     for g in gens:
-        join(_terms(packing, weights, g))
+        join(g)
     processed = 0
     while queue:
-        neg_key, i, j, mono = heapq.heappop(queue)
-        l = live.pop((i, j), None)
-        if l is None:  # dropped by criterion B after it was queued
+        neg_key, i, j = heapq.heappop(queue)
+        mono = live.pop((i, j), None)
+        if mono is None:  # dropped by criterion B after it was queued
             continue
-        if sum(l) > max_degree:
-            raise BudgetExceeded(f"S-pair degree {sum(l)} exceeds budget {max_degree}")
+        if mono >> top > max_degree:
+            raise BudgetExceeded(f"S-pair degree {mono >> top} exceeds budget {max_degree}")
         processed += 1
         if processed > max_pairs:
             raise BudgetExceeded(f"S-pair budget {max_pairs} exhausted")
@@ -217,25 +247,20 @@ def _buchberger(ideal, gens, order, packing, weights, max_pairs, max_degree) -> 
         r = _reduce(s_terms, basis, guard, [basis[j]])
         if not r:
             continue
-        degree = max([m >> packing.top for _, m, _ in r])
+        degree = max([m >> top for _, m, _ in r])
         if degree > max_degree:
             raise BudgetExceeded(f"basis degree {degree} exceeds budget {max_degree}")
         join(r)
-
-    reduced = _interreduce(basis, guard)
-    out = Ideal(ideal.ring, ideal.generators, tuple(Polynomial(ideal.ring, {unpack(m): Fraction(c) for _, m, c in t}) for t in reduced), order)
-    out._packed[packing.bits] = (packing, weights, [_divisor(t) for t in reduced])
-    return out
+    return _interreduce(basis, guard)
 
 
-def _update(
-    heads: list[tuple[int, ...]],
-    active: list[int],
-    live: dict[tuple[int, int], tuple[int, ...]],
-) -> list[tuple[int, int]]:
+def _update(heads: list[int], active: list[int], live: dict[tuple[int, int], int], packing: Packing) -> list[tuple[int, int]]:
     """The Gebauer-Moeller update (Gebauer & Moeller, J. Symbolic Comput. 6,
     1988) in the UPDATE form of Becker & Weispfenning, *Groebner Bases*
-    (1993): the last head, k, joins.
+    (1993): the last head, k, joins.  Heads and lcms are monomials packed by
+    `packing`: m divides l when l - m sets no guard bit, `Packing.lcm` is
+    the per-digit max, and two heads are coprime when their lcm is their
+    product, a + b.
 
     `active` lists the elements that take new pairs and `live` maps each
     queued pair to its lcm; both are updated in place.  Returns the new pairs.
@@ -253,26 +278,30 @@ def _update(
     - An element whose head is divisible by head k takes no new pairs; it
       stays a divisor.
     """
+    guard, top, lcm = packing.guard, packing.top, packing.lcm
     k = len(heads) - 1
     m = heads[k]
     for (i, j), l in list(live.items()):
-        if all(map(le, m, l)) and tuple(map(max, heads[i], m)) != l and tuple(map(max, heads[j], m)) != l:
+        if not (l - m) & guard and lcm(heads[i], m) != l and lcm(heads[j], m) != l:
             del live[i, j]
     candidates = []
     for i in active:
-        l = tuple(map(max, heads[i], m))
-        candidates.append((sum(l), any(map(min, heads[i], m)), i, l))
+        h = heads[i]
+        l = lcm(h, m)
+        candidates.append((l >> top, l != h + m, i, l))
     candidates.sort()
-    minimal: list[tuple[int, ...]] = []
+    minimal: list[int] = []
     new: list[tuple[int, int]] = []
     for _, shared, i, l in candidates:
-        if any(all(map(le, low, l)) for low in minimal):
-            continue
-        minimal.append(l)
-        if shared:
-            live[i, k] = l
-            new.append((i, k))
-    active[:] = [i for i in active if not all(map(le, m, heads[i]))]
+        for low in minimal:
+            if not (l - low) & guard:
+                break
+        else:
+            minimal.append(l)
+            if shared:
+                live[i, k] = l
+                new.append((i, k))
+    active[:] = [i for i in active if (heads[i] - m) & guard]
     active.append(k)
     return new
 
@@ -322,14 +351,40 @@ def eliminate(
 ) -> Ideal:
     """Generators of the ideal's intersection with the subring that omits
     `kill`, computed via a block elimination order."""
-    kill = set(kill)
-    order = ideal.ring.elimination_order(kill)
-    gb = buchberger(ideal, order, max_pairs=max_pairs, max_degree=max_degree)
-    keep = [i for i, v in enumerate(ideal.ring.variables) if v not in kill]
-    small = PolyRing.of([ideal.ring.variables[i] for i in keep])
-    # an element lies in the subring when its monomials keep their degree
-    out = [g for g in gb.basis or () if all(sum(m) == sum([m[i] for i in keep]) for m in g.terms)]
-    return Ideal.of(small, [Polynomial(small, {tuple([m[i] for i in keep]): c for m, c in g.terms.items()}) for g in out])
+    ring, kill = ideal.ring, set(kill)
+    order = ring.elimination_order(kill)
+    gens = [g for g in ideal.generators if not g.is_zero()]
+    _check_degrees([g.total_degree() for g in gens], max_degree)
+    n = len(ring.variables)
+    small = PolyRing.of([v for v in ring.variables if v not in kill])
+
+    def run(bits):
+        packing, weights = Packing(n, bits), order.weights(n, bits)
+        reduced = _buchberger([_terms(packing, weights, g) for g in gens], packing, weights, max_pairs, max_degree)
+        return _project(reduced, packing, [ring.position(v) for v in kill], small)
+
+    return _widening(run)
+
+
+def _project(reduced: list[list], packing: Packing, positions: list[int], small: PolyRing) -> Ideal:
+    """The elements of a packed reduced basis with no digit at `positions`,
+    in the subring `small` of the other variables: the zero digits are
+    dropped, and each monomial is unpacked once."""
+    bits = packing.bits
+    drops = [((1 << (p * bits)) - 1, p * bits) for p in sorted(positions, reverse=True)]
+    kill = sum(((1 << bits) - 1) << shift for _, shift in drops)
+    unpack = Packing(len(small.variables), bits).unpack
+    out = []
+    for t in reduced:
+        if any(m & kill for _, m, _ in t):
+            continue
+        terms = {}
+        for _, m, c in t:
+            for low, shift in drops:
+                m = (m & low) | (m >> (shift + bits)) << shift
+            terms[unpack(m)] = Fraction(c)
+        out.append(Polynomial(small, terms))
+    return Ideal.of(small, out)
 
 
 def intersect(
@@ -339,19 +394,38 @@ def intersect(
     max_degree: int = DEFAULT_MAX_DEGREE,
 ) -> Ideal:
     """Ideal intersection via the auxiliary-variable trick:
-    (t*a + (1-t)*b) with t eliminated."""
+    (t*a + (1-t)*b) with t eliminated, t being the first of t, tt, ttt, ...
+    that the ring lacks.  The generators t*g and (1-t)*g are built in the
+    engine's packing: g's packed terms with a zero digit inserted at t's
+    position, plus t."""
     if a.ring != b.ring:
         raise ValueError("ideals live in different rings")
-    t = Var("t")
-    if t in a.ring.variables:
-        t = Var("tt")
-        if t in a.ring.variables:
-            raise ValueError("no free auxiliary variable name available")
-    big = a.ring.extend([t])
-    tp = big.var(t)
-    gens = [tp * g.transfer(big) for g in a.generators]
-    gens += [(big.one() - tp) * g.transfer(big) for g in b.generators]
-    return eliminate(Ideal.of(big, gens), {t}, max_pairs=max_pairs, max_degree=max_degree)
+    ring = a.ring
+    t = Var(next(name for name in map("t".__mul__, count(1)) if name not in ring.names))
+    big = ring.extend([t])
+    order, p, n = big.elimination_order({t}), big.position(t), len(ring.variables)
+    a_gens = [g for g in a.generators if not g.is_zero()]
+    b_gens = [g for g in b.generators if not g.is_zero()]
+    _check_degrees([g.total_degree() + 1 for g in a_gens + b_gens], max_degree)
+
+    def run(bits):
+        packing, weights = Packing(n + 1, bits), order.weights(n + 1, bits)
+        small, small_weights = Packing(n, bits), weights[:p] + weights[p + 1:]
+        split = p * bits
+        low, tk, tm = (1 << split) - 1, weights[p], 1 << split | 1 << packing.top
+
+        def lift(g):
+            return [(k, (m & low) | (m >> split) << (split + bits), c) for k, m, c in _terms(small, small_weights, g)]
+
+        gens = [[(k + tk, m + tm, c) for k, m, c in lift(g)] for g in a_gens]
+        for g in b_gens:
+            terms = lift(g)
+            gens.append(sorted(terms + [(k + tk, m + tm, -c) for k, m, c in terms]))
+        # each generator once, as `Ideal.of` keeps it
+        reduced = _buchberger(list(dict.fromkeys(map(tuple, gens))), packing, weights, max_pairs, max_degree)
+        return _project(reduced, packing, [p], ring)
+
+    return _widening(run)
 
 
 def ideal_to_text(ideal: Ideal) -> str:

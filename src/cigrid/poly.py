@@ -132,14 +132,19 @@ class Packing:
     above it.  A sum whose digits reach a guard bit has overflowed.  One
     `struct` codec of n digits packs the exponents, below the degree digit,
     and unpacks them with `unpack_from`, which never reads the degree digit
-    back."""
+    back.  `lcm` takes the per-digit max with the guard bits."""
 
     WIDTHS = (8, 16, 32, 64)
 
     def __init__(self, n: int, bits: int):
         codec = struct.Struct(f"<{n}{'BHIQ'[self.WIDTHS.index(bits)]}")
         self.bits, self.top, self.size = bits, n * bits, (n + 1) * bits // 8
-        self.guard = int.from_bytes((1 << (bits - 1)).to_bytes(bits // 8, "little") * (n + 1), "little")
+        digit = bits // 8
+        self.guard = int.from_bytes((1 << (bits - 1)).to_bytes(digit, "little") * (n + 1), "little")
+        # a 1 in each digit above the lowest: times the exponents, its degree
+        # digit is their sum
+        self._ones = int.from_bytes(bytes(digit) + (1).to_bytes(digit, "little") * n, "little")
+        self._exponents, self._degree = (1 << self.top) - 1, ((1 << bits) - 1) << self.top
         self._pack, self._unpack = codec.pack, codec.unpack_from
 
     def pack(self, m: tuple[int, ...]) -> int:
@@ -151,6 +156,19 @@ class Packing:
 
     def unpack(self, mono: int) -> tuple[int, ...]:
         return self._unpack(mono.to_bytes(self.size, "little"))
+
+    def lcm(self, a: int, b: int) -> int:
+        """The least common multiple of two packed monomials.  A digit of
+        (a | guard) - b keeps its guard bit exactly where a's digit is the
+        larger, and borrows from nothing, so that mask picks each digit's
+        max; the degree digit is then the exponents' sum, and `DigitOverflow`
+        if it reaches the guard bit."""
+        t = ((a | self.guard) - b) & self.guard
+        e = (b ^ ((a ^ b) & (t - (t >> (self.bits - 1))))) & self._exponents
+        degree = e * self._ones & self._degree
+        if degree & self.guard:
+            raise DigitOverflow
+        return e | degree
 
 
 @dataclass(frozen=True)
@@ -416,10 +434,6 @@ class Polynomial:
             terms[m2] = c if old is None else old + c
         return Polynomial(target, terms)
 
-    def transfer(self, target: PolyRing) -> "Polynomial":
-        """Re-express in a ring containing all support variables."""
-        return self.rename({}, target)
-
     # -- text form -----------------------------------------------------------
 
     def to_text(self) -> str:
@@ -492,6 +506,11 @@ class _PackedPolynomial(Polynomial):
 
     def _count(self) -> int:
         return len(self._packed[0])
+
+    def total_degree(self) -> int:
+        # the first pair has the largest degree, its digit flipped
+        pairs, _, packing = self._packed
+        return (pairs[0][0] >> packing.top) ^ ((1 << packing.bits) - 1)
 
     def leading(self) -> tuple[tuple[int, ...], Fraction]:
         if self._lead is None:

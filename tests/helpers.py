@@ -5,7 +5,9 @@ library: permutation-sum determinants, a determinant that tracks its sign
 swap by swap, kernels read off the reduced row echelon form, minor-search
 ranks, monomial-order keys written out from their definitions, a naive
 textbook Groebner routine on those keys with none of the library's
-selection strategy or criteria, the circuit checks and the minimal-edge
+selection strategy or criteria, the pair update on exponent tuples,
+elimination and intersection through dense polynomial arithmetic, the
+circuit checks and the minimal-edge
 filter written out with frozensets, the bitmask circuit-axiom check with
 every pair of circuits eliminated, circuits found by an exact rank of every
 subset, arrangement signatures from 3x2 and 3x3 `Fraction` ranks, full-width
@@ -29,7 +31,7 @@ from operator import le
 
 from cigrid.cimodel import CIStatement, DiscreteModel, ProbTensor
 from cigrid.linalg import column_submatrix, rank
-from cigrid.poly import DEGREVLEX, Polynomial, SymbolicMatrix
+from cigrid.poly import DEGREVLEX, PolyRing, Polynomial, SymbolicMatrix
 from cigrid import sampling
 from cigrid.secrig import complete_graph_edges, rigidity_matrix
 
@@ -248,6 +250,64 @@ def naive_reduced_groebner(gens, order=DEGREVLEX, cap: int = 200) -> set[Polynom
         r = naive_division(g, kept[:idx] + kept[idx + 1:], order)
         out.add(r.scale(1 / reference_leading(r, order)[1]))
     return out
+
+
+def tuple_update(heads, active, live):
+    """The Gebauer-Moeller pair update on exponent tuples: head k, the last,
+    joins; `live` maps each queued pair to its lcm tuple.  Criterion B drops
+    a queued pair whose lcm head k divides unless lcm(i, k) or lcm(j, k) is
+    that lcm; candidates sort by (degree, heads not coprime, i), and one
+    whose lcm a kept candidate's lcm divides is dropped (M and F); kept
+    coprime candidates take no pair (product criterion); an element whose
+    head head k divides leaves `active`.  Returns the new pairs."""
+    k = len(heads) - 1
+    m = heads[k]
+    for (i, j), l in list(live.items()):
+        if all(map(le, m, l)) and tuple(map(max, heads[i], m)) != l and tuple(map(max, heads[j], m)) != l:
+            del live[i, j]
+    candidates = []
+    for i in active:
+        l = tuple(map(max, heads[i], m))
+        candidates.append((sum(l), any(map(min, heads[i], m)), i, l))
+    candidates.sort()
+    minimal = []
+    new = []
+    for _, shared, i, l in candidates:
+        if any(all(map(le, low, l)) for low in minimal):
+            continue
+        minimal.append(l)
+        if shared:
+            live[i, k] = l
+            new.append((i, k))
+    active[:] = [i for i in active if not all(map(le, m, heads[i]))]
+    active.append(k)
+    return new
+
+
+def reference_eliminate(ideal, kill, **budgets):
+    """Elimination through dense polynomials: `buchberger` under the block
+    order, then the basis elements whose monomials keep their degree on the
+    other variables, projected term by term."""
+    from cigrid.ideals import Ideal, buchberger
+
+    kill = set(kill)
+    gb = buchberger(ideal, ideal.ring.elimination_order(kill), **budgets)
+    keep = [i for i, v in enumerate(ideal.ring.variables) if v not in kill]
+    small = PolyRing.of([ideal.ring.variables[i] for i in keep])
+    out = [g for g in gb.basis if all(sum(m) == sum(m[i] for i in keep) for m in g.terms)]
+    return Ideal.of(small, [Polynomial(small, {tuple(m[i] for i in keep): c for m, c in g.terms.items()}) for g in out])
+
+
+def reference_intersect(a, b, t, **budgets):
+    """(t*a + (1-t)*b) with t eliminated, every generator built by
+    `Polynomial` arithmetic after moving it into the ring with t."""
+    from cigrid.ideals import Ideal
+
+    big = a.ring.extend([t])
+    tp = big.var(t)
+    gens = [tp * g.rename({}, big) for g in a.generators]
+    gens += [(big.one() - tp) * g.rename({}, big) for g in b.generators]
+    return reference_eliminate(Ideal.of(big, gens), {t}, **budgets)
 
 
 def naive_evaluate(f: Polynomial, point) -> Fraction:

@@ -9,7 +9,17 @@ from operator import add, mul
 
 import pytest
 
-from helpers import naive_division, naive_groebner, naive_reduced_groebner, naive_s_poly, random_polynomial, reference_key
+from helpers import (
+    naive_division,
+    naive_groebner,
+    naive_reduced_groebner,
+    naive_s_poly,
+    random_polynomial,
+    reference_eliminate,
+    reference_intersect,
+    reference_key,
+    tuple_update,
+)
 from cigrid import ideals
 from cigrid.ideals import (
     BudgetExceeded,
@@ -22,7 +32,21 @@ from cigrid.ideals import (
     normal_form,
     reduce_poly,
 )
-from cigrid.poly import DEGREVLEX, LEX, DigitOverflow, MonomialOrder, Packing, PolyRing, Polynomial, Var, generic_matrix, minor, parse_polynomial
+from cigrid.poly import (
+    DEGREVLEX,
+    LEX,
+    DigitOverflow,
+    MonomialOrder,
+    Packing,
+    PolyRing,
+    Polynomial,
+    SymbolicMatrix,
+    Var,
+    _PackedPolynomial,
+    generic_matrix,
+    minor,
+    parse_polynomial,
+)
 
 
 def ring_xyz():
@@ -309,10 +333,12 @@ def test_three_lines_reduced_basis_text_is_pinned():
 
 def test_pair_update_applies_each_criterion():
     # heads in x, y, z; head 6 = xy joins
-    heads = [(2, 0, 0), (2, 1, 0), (2, 2, 0), (0, 0, 2), (0, 1, 2), (0, 2, 1), (1, 1, 0)]
+    packing = Packing(3, 8)
+    pack, unpack = packing.pack, packing.unpack
+    heads = [pack(h) for h in [(2, 0, 0), (2, 1, 0), (2, 2, 0), (0, 0, 2), (0, 1, 2), (0, 2, 1), (1, 1, 0)]]
     active = [0, 1, 2, 3, 4, 5]
-    live = {(0, 5): (2, 2, 1), (1, 2): (2, 2, 0), (3, 4): (0, 1, 2)}
-    new = ideals._update(heads, active, live)
+    live = {(0, 5): pack((2, 2, 1)), (1, 2): pack((2, 2, 0)), (3, 4): pack((0, 1, 2))}
+    new = ideals._update(heads, active, live, packing)
     # (0, 6) and (1, 6) share lcm x^2y: F keeps the lower index; (2, 6) has
     # lcm x^2y^2, a proper multiple of x^2y: M; (3, 6) is coprime: product
     # criterion; (4, 6) has the coprime pair's lcm xyz^2, which no other lcm
@@ -321,7 +347,7 @@ def test_pair_update_applies_each_criterion():
     # B drops (0, 5): xy divides x^2y^2z, and neither x^2y nor xy^2z equals
     # it; (1, 2) stays because lcm(2, 6) = x^2y^2 is its lcm, (3, 4) because
     # xy does not divide yz^2
-    assert live == {(1, 2): (2, 2, 0), (3, 4): (0, 1, 2), (0, 6): (2, 1, 0), (5, 6): (1, 2, 1)}
+    assert {pair: unpack(l) for pair, l in live.items()} == {(1, 2): (2, 2, 0), (3, 4): (0, 1, 2), (0, 6): (2, 1, 0), (5, 6): (1, 2, 1)}
     # xy divides x^2y and x^2y^2: they take no new pairs
     assert active == [0, 3, 4, 5, 6]
 
@@ -347,14 +373,15 @@ def test_reduced_bases_match_the_all_pairs_oracle(monkeypatch):
     fired = {"B": 0, "M": 0, "F": 0}
     real = ideals._update
 
-    def counting_update(heads, active, live):
-        m = heads[-1]
-        lcms = {i: tuple(map(max, heads[i], m)) for i in active}
+    def counting_update(heads, active, live, packing):
+        exps = [packing.unpack(h) for h in heads]
+        m = exps[-1]
+        lcms = {i: tuple(map(max, exps[i], m)) for i in active}
         queued = len(live)
-        new = real(heads, active, live)
+        new = real(heads, active, live, packing)
         fired["B"] += queued + len(new) - len(live)
         for i, l in lcms.items():
-            shared = any(a and b for a, b in zip(heads[i], m))
+            shared = any(a and b for a, b in zip(exps[i], m))
             if shared and (i, len(heads) - 1) not in new:
                 fired["F" if list(lcms.values()).count(l) > 1 else "M"] += 1
         return new
@@ -454,3 +481,157 @@ def test_normal_form_keeps_its_packed_basis_on_the_ideal_alone():
     del hand, ideal
     gc.collect()
     assert ref() is None
+
+
+def _random_heads(rng, n, bits, count):
+    """Head sequences for the pair update: small exponents, so that lcms
+    coincide and divide one another often, or digits up to half the digit
+    limit, so that no lcm overflows."""
+    if rng.random() < 0.5:
+        return [tuple(rng.choice([0, 0, 1, 1, 2, 3]) for _ in range(n)) for _ in range(count)]
+    half = (1 << (bits - 2)) - 1
+    return [_split(rng, rng.choice([half, rng.randint(0, half)]), n) for _ in range(count)]
+
+
+@pytest.mark.parametrize("bits", [8, 16])
+def test_the_packed_pair_update_matches_the_tuple_update(monkeypatch, bits):
+    # every join of random head sequences and of the head sequences that
+    # buchberger joins under lex, degrevlex and a block order gives the same
+    # new pairs, lcms and active list as the update on exponent tuples
+    ring = PolyRing.of([Var("w"), Var("x"), Var("y"), Var("z")])
+    packing = Packing(4, bits)
+    joins = []
+    real = ideals._update
+
+    def checked(heads, active, live, packing):
+        exps = [packing.unpack(h) for h in heads]
+        tuple_active, tuple_live = list(active), {pair: packing.unpack(l) for pair, l in live.items()}
+        expected = tuple_update(exps, tuple_active, tuple_live)
+        new = real(heads, active, live, packing)
+        assert new == expected
+        assert {pair: packing.unpack(l) for pair, l in live.items()} == tuple_live
+        assert active == tuple_active
+        joins.append(len(new))
+        return new
+
+    rng = random.Random(47 + bits)
+    for _ in range(60):
+        heads, active, live = [], [], {}
+        for h in _random_heads(rng, 4, bits, rng.randint(2, 12)):
+            heads.append(packing.pack(h))
+            checked(heads, active, live, packing)
+    monkeypatch.setattr(ideals, "_update", checked)
+    orders = [LEX, DEGREVLEX, ring.elimination_order({Var("x"), Var("z")})]
+    for trial in range(12):
+        order = orders[trial % 3]
+        weights = order.weights(4, bits)
+        gens = [ideals._terms(packing, weights, g) for g in _binomial_ideal(rng, ring)]
+        ideals._buchberger(gens, packing, weights, 4000, 60)
+    assert len(joins) > 400 and sum(joins) > 400
+    top = 1 << (bits - 1)
+    with pytest.raises(DigitOverflow):
+        packing.lcm(packing.pack((top - 1, 0, 0, 0)), packing.pack((0, 1, 0, 0)))
+
+
+def _small_ideal(rng, ring):
+    """1-3 generators of 1-3 terms in degree 1-2, exponents up to 2."""
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            m = tuple(rng.choice([0, 0, 1, 2]) for _ in ring.variables)
+            if 0 < sum(m) <= 2:
+                terms[m] = Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 1, 2]))
+        gens.append(Polynomial(ring, terms))
+    return Ideal.of(ring, gens)
+
+
+def _outcome(run, *args, **budgets):
+    try:
+        out = run(*args, **budgets)
+    except BudgetExceeded as exc:
+        return str(exc)
+    return out.ring, out.generators
+
+
+@pytest.mark.parametrize("names", ["uvw", "suv", "abc"], ids=["t-first", "t-mid-ring", "t-last"])
+def test_intersect_and_eliminate_match_the_polynomial_route(names):
+    ring = PolyRing.of([Var(c) for c in names])
+    t = Var("t")
+    assert ring.extend([t]).position(t) == {"uvw": 0, "suv": 1, "abc": 3}[names]
+    rng = random.Random(sum(map(ord, names)))
+    for _ in range(25):
+        a, b = _small_ideal(rng, ring), _small_ideal(rng, ring)
+        ours = _outcome(intersect, a, b, max_pairs=300)
+        assert ours == _outcome(reference_intersect, a, b, t, max_pairs=300)
+        assert isinstance(ours, str) or ours[0] == ring
+        big = ring.extend([t])
+        ideal = Ideal.of(big, [g.rename({}, big) for g in a.generators] + [ring.var(ring.variables[0]).rename({}, big) * big.var(t) - 1])
+        for kill in ({t}, {t, ring.variables[1]}):
+            assert _outcome(eliminate, ideal, kill, max_pairs=300) == _outcome(reference_eliminate, ideal, kill, max_pairs=300)
+
+
+def test_intersect_picks_an_auxiliary_variable_the_ring_lacks():
+    ring = PolyRing.of([Var("t"), Var("tt"), Var("x")])
+    t, tt, x = (ring.var(Var(n)) for n in ("t", "tt", "x"))
+    a, b = Ideal.of(ring, [t, x * x]), Ideal.of(ring, [tt * x - t])
+    out = intersect(a, b)
+    assert out.ring == ring
+    assert out.generators == reference_intersect(a, b, Var("ttt")).generators
+    assert intersect(Ideal.of(ring, [t]), Ideal.of(ring, [x])).generators == (t * x,)
+
+
+def test_the_engine_reads_minors_from_their_packed_keys(monkeypatch):
+    # minors with q = 1, with q = 36, and packed at 16 bits, while the engine
+    # also runs at 8; a dense generator of degree 130 moves the engine to 16
+    # bits while the other minors stay packed at 8
+    calls = []
+    real = _PackedPolynomial._unpack_terms
+    monkeypatch.setattr(_PackedPolynomial, "_unpack_terms", lambda self: calls.append(self) or real(self))
+    X = generic_matrix(3, 7)
+    ring = PolyRing.of([Var(n) for n in "wxyz"])
+    w, x, y, z = (ring.var(v) for v in ring.variables)
+    third = Fraction(1, 3)
+    rational = SymbolicMatrix(ring, ((x * Fraction(1, 2), y + third), (z, 2 * w - 1), (x + w, y * third)))
+    wide = SymbolicMatrix(ring, ((x**70, y**70), (z**70, w**70)))
+    cases = []
+    lines = [minor(X, [1, 2, 3], cols) for cols in ([1, 2, 3], [1, 4, 5], [1, 6, 7])]
+    loop = Ideal.of(X.ring, [X.entry(1, 1), X.entry(2, 1), X.entry(3, 1)])
+    cases.append((buchberger, (Ideal.of(X.ring, lines),), {}))
+    cases.append((intersect, (loop, Ideal.of(X.ring, lines)), {}))
+    two = [minor(rational, rows, [1, 2]) for rows in ([1, 2], [1, 3], [2, 3])]
+    assert {g._packed[1] for g in two} == {36}
+    cases.append((buchberger, (Ideal.of(ring, two),), {}))
+    cases.append((intersect, (Ideal.of(ring, two[:2]), Ideal.of(ring, [x * y, two[2]])), {}))
+    big = minor(wide, [1, 2], [1, 2])
+    assert big._packed[2].bits == 16
+    cases.append((buchberger, (Ideal.of(ring, [big, x - y]),), {"max_degree": 300}))
+    cases.append((intersect, (Ideal.of(ring, [big]), Ideal.of(ring, [x])), {"max_degree": 300}))
+    narrow = minor(generic_matrix(2, 2), [1, 2], [1, 2])
+    deep = narrow.ring.var(narrow.ring.variables[0]) ** 130 - 1
+    cases.append((buchberger, (Ideal.of(narrow.ring, [narrow, deep]),), {"max_degree": 300}))
+    cases.append((intersect, (Ideal.of(narrow.ring, [narrow]), Ideal.of(narrow.ring, [deep])), {"max_degree": 300}))
+    results = [run(*args, **budgets) for run, args, budgets in cases]
+    # the engine ran at the narrowest width, so at the minors' own width
+    # where nothing else is wider
+    assert [list(got._packed) for got in results[::2]] == [[8], [8], [16], [16]]
+    # a normal form keeps the scale 1/q of a minor's int coefficients
+    gb = buchberger(Ideal.of(ring, [x * y - 1, z * z]))
+    residues = [normal_form(g, gb) for g in two]
+    assert calls == []
+    for (run, args, budgets), got in zip(cases, results):
+        dense = [Ideal(i.ring, tuple(Polynomial(i.ring, dict(g.terms)) for g in i.generators)) for i in args]
+        want = run(*dense, **budgets)
+        assert (got.basis, got.generators) == (want.basis, want.generators)
+    assert residues == [normal_form(Polynomial(ring, dict(g.terms)), gb) for g in two]
+    assert all(residues)
+
+
+def test_intersect_keeps_each_generator_once():
+    # as `Ideal.of` keeps it: a generator repeated in a hand-built ideal adds
+    # no S-pair to the 26 the component intersection reduces
+    from cigrid.verify import three_lines_fixture
+
+    X, _, loop_ideal, lines_ideal, _ = three_lines_fixture()
+    twice = Ideal(X.ring, loop_ideal.generators * 2)
+    assert intersect(twice, lines_ideal, max_pairs=26).generators == intersect(loop_ideal, lines_ideal).generators

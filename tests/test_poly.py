@@ -486,7 +486,7 @@ def test_equal_polynomials_hash_equal():
     for _ in range(60):
         f = random_polynomial(rng, ring, max_terms=6)
         g = random_polynomial(rng, ring, max_terms=6)
-        same = [Polynomial(twin, dict(reversed(f.terms.items()))), (f + g) - g, f.transfer(twin)]
+        same = [Polynomial(twin, dict(reversed(f.terms.items()))), (f + g) - g, f.rename({}, twin)]
         for h in same:
             assert h == f and hash(h) == hash(f)
         assert len({f, *same}) == 1
