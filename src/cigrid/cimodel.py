@@ -9,39 +9,37 @@ conditioning variables turns into minor constraints on slices of that tensor.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import prod
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .ideals import Ideal
 from .linalg import Mat, content_lines
 from .poly import PolyRing, Polynomial, Rat, SymbolicMatrix, Var, all_minors, minor, normalize_sign
+from .record import Record
 from .sampling import mixture_matrix
 
 
-@dataclass(frozen=True)
-class ModelVar:
-    name: str
-    card: int
-    hidden: bool = False
+class ModelVar(Record):
+    _fields = ("name", "card", "hidden")
 
-    def __post_init__(self):
-        if self.card < 1:
-            raise ValueError(f"variable {self.name} needs cardinality >= 1")
+    def __init__(self, name: str, card: int, hidden: bool = False):
+        if card < 1:
+            raise ValueError(f"variable {name} needs cardinality >= 1")
+        self._set(name=name, card=card, hidden=hidden)
 
 
-@dataclass(frozen=True)
-class DiscreteModel:
-    variables: tuple[ModelVar, ...]
+class DiscreteModel(Record):
+    _fields = ("variables",)
 
-    def __post_init__(self):
-        names = [v.name for v in self.variables]
+    def __init__(self, variables: tuple[ModelVar, ...]):
+        names = [v.name for v in variables]
         if len(set(names)) != len(names):
             raise ValueError("variable names must be unique")
-        if not any(not v.hidden for v in self.variables):
+        if not any(not v.hidden for v in variables):
             raise ValueError("at least one observed variable required")
+        self._set(variables=variables)
 
     @staticmethod
     def of(*variables: ModelVar) -> "DiscreteModel":
@@ -62,8 +60,7 @@ class DiscreteModel:
         raise KeyError(f"no variable named {name!r}")
 
 
-@dataclass(frozen=True)
-class CIStatement:
+class CIStatement(NamedTuple):
     """A _||_ B | C.  A and B are observed; C may mix observed and hidden."""
 
     a: tuple[str, ...]
@@ -71,8 +68,8 @@ class CIStatement:
     c: tuple[str, ...] = ()
 
     def validate(self, model: DiscreteModel) -> None:
-        groups = (self.a, self.b, self.c)
-        if not self.a or not self.b:
+        a, b, c = groups = self
+        if not a or not b:
             raise ValueError("both sides of the independence must be nonempty")
         seen: set[str] = set()
         for grp in groups:
@@ -81,7 +78,7 @@ class CIStatement:
                 if name in seen:
                     raise ValueError(f"variable {name} appears twice in the statement")
                 seen.add(name)
-        for name in self.a + self.b:
+        for name in a + b:
             if model.get(name).hidden:
                 raise ValueError(f"hidden variable {name} may only appear in the conditioning set")
 
@@ -106,19 +103,17 @@ class CIStatement:
         return stmt
 
 
-@dataclass(frozen=True)
-class ProbTensor:
+class ProbTensor(Record):
     """Dense tensor of exact rationals over named variables, row-major."""
 
-    names: tuple[str, ...]
-    shape: tuple[int, ...]
-    entries: tuple[Rat, ...]
+    _fields = ("names", "shape", "entries")
 
-    def __post_init__(self):
-        if len(self.names) != len(self.shape):
+    def __init__(self, names: tuple[str, ...], shape: tuple[int, ...], entries: tuple[Rat, ...]):
+        if len(names) != len(shape):
             raise ValueError("names and shape disagree")
-        if len(self.entries) != prod(self.shape):
+        if len(entries) != prod(shape):
             raise ValueError("entry count does not match the shape")
+        self._set(names=names, shape=shape, entries=entries)
 
     def get(self, state: Sequence[int]) -> Rat:
         """Entry at a 1-based joint state."""
@@ -311,8 +306,9 @@ def parse_ci_file(text: str) -> tuple[DiscreteModel, list[CIStatement]]:
         X _||_ Y2 | Y1 H2*
 
     The first non-comment line declares variables (one trailing * on the name
-    marks a hidden variable); each further line is one statement, in which a
-    hidden variable may carry its mark and no other name may.
+    marks a hidden variable); each further line, at least one, is one
+    statement, in which a hidden variable may carry its mark and no other
+    name may.
     """
     lines = content_lines(text)
     if not lines:
@@ -329,4 +325,6 @@ def parse_ci_file(text: str) -> tuple[DiscreteModel, list[CIStatement]]:
             raise ValueError(f"variable declaration {tok!r} in line {lines[0]!r} {'misplaces a *: one trailing * marks a hidden variable' if base else 'has no variable name'}")
         variables.append(ModelVar(base, int(c), base != name))
     model = DiscreteModel(tuple(variables))
+    if len(lines) == 1:
+        raise ValueError(f"model file line {lines[0]!r} declares variables but no statement follows; at least one `A _||_ B | C` line is needed")
     return model, [CIStatement.parse(ln, model) for ln in lines[1:]]

@@ -13,7 +13,6 @@ All randomness flows from --seed through named child generators (SHA-256 of
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import sys
 from functools import lru_cache
@@ -61,6 +60,15 @@ def _load_config(argv: list[str]) -> list[str]:
         else:
             extra.extend([flag, value])
     return rest[:1] + extra + rest[1:]
+
+
+def _keywords(campaign) -> tuple[str, ...]:
+    """A campaign's keyword parameters, read from its code object; a wrapper
+    made with `functools.wraps` (a tracer's) is followed to the campaign."""
+    while hasattr(campaign, "__wrapped__"):
+        campaign = campaign.__wrapped__
+    code = campaign.__code__
+    return code.co_varnames[code.co_posonlyargcount : code.co_argcount + code.co_kwonlyargcount]
 
 
 def _grid_spec(args) -> GridSpec:
@@ -274,7 +282,7 @@ def cmd_verify(args) -> int:
     if grid:
         given["spec"] = ", ".join(grid)
     names = sorted(VERIFICATIONS) if args.name == "all" else [args.name]
-    takes = {name: inspect.signature(VERIFICATIONS[name]).parameters for name in names}
+    takes = {name: _keywords(VERIFICATIONS[name]) for name in names}
     if args.name != "all":
         refused = [flag for param, flag in given.items() if param not in takes[args.name]]
         if refused:

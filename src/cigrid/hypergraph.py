@@ -8,14 +8,14 @@ row and all s-subsets of each column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, TypeVar
+from typing import Iterable, NamedTuple, TypeVar
 
 from .cimodel import CIStatement, DiscreteModel, ModelVar, ci_ideal
 from .ideals import Ideal
 from .linalg import Mat, content_lines, integer_multiple, integer_rank
 from .poly import Var, generic_matrix, minor, normalize_sign
+from .record import Record
 
 S = TypeVar("S", bound=Iterable[int])
 
@@ -52,8 +52,7 @@ def minimal_sets(sets: Iterable[S]) -> list[S]:
     return kept
 
 
-@dataclass(frozen=True)
-class Hypergraph:
+class Hypergraph(NamedTuple):
     """Inclusion-minimal edge family on vertex set {1, ..., n}."""
 
     n: int
@@ -96,24 +95,21 @@ class Hypergraph:
         return Hypergraph.of(rows[0][0], rows[1:])
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(Record):
     """Grid shape (k rows, l columns), edge sizes (s per column, t per row),
-    and the ambient matrix row count d."""
+    and the ambient matrix row count d.  `vars(spec)` is its fields, which
+    the CLI's JSON payloads print."""
 
-    k: int
-    l: int
-    s: int
-    t: int
-    d: int = 0
+    _fields = ("k", "l", "s", "t", "d")
 
-    def __post_init__(self):
-        if self.k < 1 or self.l < 1:
+    def __init__(self, k: int, l: int, s: int, t: int, d: int = 0):
+        if k < 1 or l < 1:
             raise ValueError("grid needs k, l >= 1")
-        if not 1 <= self.s <= self.k:
-            raise ValueError(f"need 1 <= s <= k, got s={self.s}, k={self.k}")
-        if not 1 <= self.t <= self.l:
-            raise ValueError(f"need 1 <= t <= l, got t={self.t}, l={self.l}")
+        if not 1 <= s <= k:
+            raise ValueError(f"need 1 <= s <= k, got s={s}, k={k}")
+        if not 1 <= t <= l:
+            raise ValueError(f"need 1 <= t <= l, got t={t}, l={l}")
+        self._set(k=k, l=l, s=s, t=t, d=d)
 
     @property
     def n(self) -> int:

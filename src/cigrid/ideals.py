@@ -24,13 +24,13 @@ lcms.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count
 from operator import mul
 from typing import Iterable, Sequence
 
 from .poly import DEGREVLEX, DigitOverflow, MonomialOrder, Packing, PolyRing, Polynomial, Var, _PackedPolynomial, normalize_sign
+from .record import Record
 
 DEFAULT_MAX_PAIRS = 4000
 DEFAULT_MAX_DEGREE = 24
@@ -40,21 +40,23 @@ class BudgetExceeded(RuntimeError):
     """A Groebner computation hit its step or degree budget."""
 
 
-@dataclass(frozen=True)
-class Ideal:
+class Ideal(Record):
     """Generators over a ring, with an optional cached Groebner basis."""
 
-    ring: PolyRing
-    generators: tuple[Polynomial, ...]
-    basis: tuple[Polynomial, ...] | None = None
-    basis_order: MonomialOrder | None = None
-    # digit width -> (packing, order weights, packed basis), filled by buchberger and normal_form
-    _packed: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _fields = ("ring", "generators", "basis", "basis_order")
 
-    def __post_init__(self):
-        for g in self.generators:
-            if g.ring != self.ring:
+    def __init__(
+        self,
+        ring: PolyRing,
+        generators: tuple[Polynomial, ...],
+        basis: tuple[Polynomial, ...] | None = None,
+        basis_order: MonomialOrder | None = None,
+    ):
+        for g in generators:
+            if g.ring != ring:
                 raise ValueError("generator outside the ideal's ring")
+        # _packed: digit width -> (packing, order weights, packed basis), filled by buchberger and normal_form
+        self._set(ring=ring, generators=generators, basis=basis, basis_order=basis_order, _packed={})
 
     @staticmethod
     def of(ring: PolyRing, generators: Iterable[Polynomial]) -> "Ideal":

@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .hypergraph import GridSpec, Hypergraph, grid_hypergraph, grid_vertex, in_variety
 from .linalg import (
@@ -41,6 +40,7 @@ from .linalg import (
     transpose,
 )
 from .poly import PolyRing, Polynomial, Var, parse_polynomial
+from .record import Record
 from .sampling import GenericityError, generic_draw, rand_fraction, rand_matrix, rand_nonzero_fraction
 
 ENUMERATION_CAP = 16
@@ -122,16 +122,16 @@ class Matroid:
         return self.rank_of([self.ground[i] for i in c]) == len(c), None
 
 
-@dataclass(frozen=True)
-class LinearMatroid(Matroid):
-    """Column matroid of an exact rational matrix."""
+class LinearMatroid(Matroid, Record):
+    """Column matroid of an exact rational matrix: `columns[i]` is the
+    column of `ground[i]`."""
 
-    ground: tuple[int, ...]
-    columns: tuple[tuple[Fraction, ...], ...]  # aligned with ground
+    _fields = ("ground", "columns")
 
-    def __post_init__(self):
-        if len(self.ground) != len(self.columns):
+    def __init__(self, ground: tuple[int, ...], columns: tuple[tuple[Fraction, ...], ...]):
+        if len(ground) != len(columns):
             raise ValueError("one column per ground element required")
+        self._set(ground=ground, columns=columns)
 
     # The cached properties below live in the instance's own __dict__, so no
     # two matroids share a position table, a shadow or a circuit family.
@@ -196,13 +196,14 @@ class LinearMatroid(Matroid):
         return super().circuits()
 
 
-@dataclass(frozen=True)
-class CircuitMatroid(Matroid):
+class CircuitMatroid(Matroid, Record):
     """Matroid presented by its circuit family (assumed to satisfy the
     circuit axioms; see `is_circuit_family`)."""
 
-    ground: tuple[int, ...]
-    circuit_family: tuple[frozenset[int], ...]
+    _fields = ("ground", "circuit_family")
+
+    def __init__(self, ground: tuple[int, ...], circuit_family: tuple[frozenset[int], ...]):
+        self._set(ground=ground, circuit_family=circuit_family)
 
     def _contains_circuit(self, s: frozenset[int]) -> bool:
         return any(c <= s for c in self.circuit_family)
@@ -352,20 +353,18 @@ def realize_grid_matroid(spec: GridSpec, rng: random.Random) -> Mat:
 # -- algebraic matroids --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PolyMap:
+class PolyMap(Record):
     """A polynomial parametrization: coordinates in a shared parameter ring."""
 
-    ring: PolyRing
-    coords: tuple[Polynomial, ...]
-    labels: tuple[str, ...] = ()
+    _fields = ("ring", "coords", "labels")
 
-    def __post_init__(self):
-        for f in self.coords:
-            if f.ring != self.ring:
+    def __init__(self, ring: PolyRing, coords: tuple[Polynomial, ...], labels: tuple[str, ...] = ()):
+        for f in coords:
+            if f.ring != ring:
                 raise ValueError("coordinate outside the parameter ring")
-        if self.labels and len(self.labels) != len(self.coords):
+        if labels and len(labels) != len(coords):
             raise ValueError("one label per coordinate required")
+        self._set(ring=ring, coords=coords, labels=labels)
 
     def display_labels(self) -> tuple[str, ...]:
         return self.labels or tuple(str(i) for i in range(1, len(self.coords) + 1))
@@ -382,7 +381,7 @@ class PolyMap:
 
     @staticmethod
     def parse(text: str) -> "PolyMap":
-        """Format: a `params` line, then `coord <label> <polynomial>` lines."""
+        """Format: a `params` line, then at least one `coord <label> <polynomial>` line."""
         lines = content_lines(text)
         if not lines:
             raise ValueError("expected a leading 'params' line")
@@ -398,6 +397,8 @@ class PolyMap:
         ring = PolyRing.of(params)
         spelling = dict(zip(params, head[1:]))
         misfit = "does not fit the format `coord <label> <polynomial>` in the `params` variables"
+        if len(lines) == 1:
+            raise ValueError(f"parametrization line {lines[0]!r} has no `coord <label> <polynomial>` line after it; at least one is needed")
         labels, coords = [], []
         for ln in lines[1:]:
             parts = ln.split(None, 2)
@@ -467,8 +468,7 @@ def algebraic_matroid(pm: PolyMap, rng: random.Random) -> LinearMatroid:
 # -- arrangement signatures ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ArrangementSignature:
+class ArrangementSignature(NamedTuple):
     """Coarse projective-plane invariant: rank-2 flats with at least three
     points, their sizes, and how many such lines pass through each point
     that lies on more than one."""

@@ -24,20 +24,21 @@ import re
 import struct
 from collections import Counter
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, compress, count
 from math import lcm
 from operator import add, itemgetter
-from typing import Any, Iterable
+from typing import Any, Iterable, NamedTuple
+
+from .record import Record
 
 Rat = Fraction | int
 
 
-@dataclass(frozen=True, order=True)
-class Var:
-    """A named indeterminate such as x_1_2 (base "x", index (1, 2))."""
+class Var(NamedTuple):
+    """A named indeterminate such as x_1_2 (base "x", index (1, 2)), ordered
+    by (base, index)."""
 
     base: str
     index: tuple[int, ...] = ()
@@ -58,8 +59,7 @@ def var(base: str, *index: int) -> Var:
     return Var(base, tuple(index))
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
+class MonomialOrder(NamedTuple):
     """A total order on the monomials (exponent tuples) of a ring.
 
     kind: "lex" (first variable dominates), "degrevlex" (graded, ties broken
@@ -171,17 +171,15 @@ class Packing:
         return e | degree
 
 
-@dataclass(frozen=True)
-class PolyRing:
+class PolyRing(Record):
     """A polynomial ring over Q with a fixed, row-major-sorted variable tuple."""
 
-    variables: tuple[Var, ...]
-    _positions: dict[Var, int] = field(init=False, repr=False, compare=False)
+    _fields = ("variables",)
 
-    def __post_init__(self):
-        if tuple(sorted(set(self.variables))) != self.variables:
+    def __init__(self, variables: tuple[Var, ...]):
+        if tuple(sorted(set(variables))) != variables:
             raise ValueError("ring variables must be sorted and distinct")
-        object.__setattr__(self, "_positions", {v: i for i, v in enumerate(self.variables)})
+        self._set(variables=variables, _positions={v: i for i, v in enumerate(variables)})
 
     @staticmethod
     def of(variables: Iterable[Var]) -> "PolyRing":
@@ -264,6 +262,10 @@ class Polynomial:
 
     def total_degree(self) -> int:
         return max(map(sum, self.terms), default=0)
+
+    def monomials(self) -> Iterable[tuple[int, ...]]:
+        """The exponent tuples of the terms."""
+        return self.terms
 
     def support(self) -> set[Var]:
         return {self.ring.variables[i] for m in self.terms for i in compress(count(), m)}
@@ -507,6 +509,11 @@ class _PackedPolynomial(Polynomial):
     def _count(self) -> int:
         return len(self._packed[0])
 
+    def monomials(self) -> Iterable[tuple[int, ...]]:
+        # unpacked from the keys, the dense terms left unbuilt
+        pairs, _, packing = self._packed
+        return [packing.unpack(k) for k, _ in pairs]
+
     def total_degree(self) -> int:
         # the first pair has the largest degree, its digit flipped
         pairs, _, packing = self._packed
@@ -596,7 +603,7 @@ def require_homogeneous(generators: Iterable[Polynomial], groups: Sequence[Itera
     for g in generators:
         groups_of = [member.get(v, ()) for v in g.ring.variables]
         degrees = set()
-        for m in g.terms:
+        for m in g.monomials():
             degree = [0] * len(groups)
             for i, e in enumerate(m):
                 if e:
@@ -660,12 +667,13 @@ def parse_polynomial(text: str, ring: PolyRing) -> Polynomial:
 # -- symbolic matrices and minors ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class SymbolicMatrix:
+class SymbolicMatrix(Record):
     """A rectangular array of polynomials; rows and columns are 1-based."""
 
-    ring: PolyRing
-    entries: tuple[tuple[Polynomial, ...], ...]
+    _fields = ("ring", "entries")
+
+    def __init__(self, ring: PolyRing, entries: tuple[tuple[Polynomial, ...], ...]):
+        self._set(ring=ring, entries=entries)
 
     @property
     def shape(self) -> tuple[int, int]:

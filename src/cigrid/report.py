@@ -12,11 +12,11 @@ byte-identical artifacts.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .linalg import matrix_to_text
+from .record import Record
 
 PASS = "pass"
 FAIL = "fail"
@@ -36,12 +36,14 @@ def overall_status(statuses: Iterable[str]) -> str:
     return PASS
 
 
-@dataclass
-class CheckResult:
-    name: str
-    status: str
-    detail: str = ""
-    counts: dict[str, int] = field(default_factory=dict)
+class CheckResult(Record):
+    _fields = ("name", "status", "detail", "counts")
+    __setattr__ = object.__setattr__
+    __hash__ = None
+
+    def __init__(self, name: str, status: str, detail: str = "", counts: dict[str, int] | None = None):
+        self.name, self.status, self.detail = name, status, detail
+        self.counts = {} if counts is None else counts
 
     @staticmethod
     def outcome(name: str, ok: bool, detail: str = "", counts: dict[str, int] | None = None) -> "CheckResult":
@@ -56,14 +58,24 @@ class CheckResult:
         return CheckResult(name, status, counts={key: hits, total_key: total})
 
 
-@dataclass
-class WitnessReport:
-    name: str
-    seed: int
-    trials: int
-    budgets: dict[str, int] = field(default_factory=dict)
-    checks: list[CheckResult] = field(default_factory=list)
-    counterexamples: list[str] = field(default_factory=list)
+class WitnessReport(Record):
+    _fields = ("name", "seed", "trials", "budgets", "checks", "counterexamples")
+    __setattr__ = object.__setattr__
+    __hash__ = None
+
+    def __init__(
+        self,
+        name: str,
+        seed: int,
+        trials: int,
+        budgets: dict[str, int] | None = None,
+        checks: list[CheckResult] | None = None,
+        counterexamples: list[str] | None = None,
+    ):
+        self.name, self.seed, self.trials = name, seed, trials
+        self.budgets = {} if budgets is None else budgets
+        self.checks = [] if checks is None else checks
+        self.counterexamples = [] if counterexamples is None else counterexamples
 
     def add(self, check: CheckResult) -> None:
         self.checks.append(check)

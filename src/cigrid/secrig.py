@@ -20,22 +20,21 @@ stresses are ints and nothing is scaled again.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
 from operator import mul
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .linalg import Mat, certified_rank, content_lines, integer_det, integer_multiple, rationals, transpose
+from .record import Record
 from .report import CheckResult, WitnessReport
 from .sampling import generic_draw, rand_fraction, rand_nonzero_fraction
 
 Point = tuple[Fraction | int, ...]
 
 
-@dataclass(frozen=True)
-class TangentModel:
+class TangentModel(NamedTuple):
     """Sampler of (point, tangent-space basis) pairs with exact entries, and
     the linear relations that theory gives among tangent bases stacked in
     the order given: left-kernel vectors of the stacked rows."""
@@ -119,25 +118,23 @@ def secant_dimension(model: TangentModel, k: int, rng: random.Random) -> int:
 # -- bar-joint frameworks ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Framework:
+class Framework(Record):
     """A graph with one rational configuration point per vertex (1-based)."""
 
-    d: int
-    coords: tuple[Point, ...]
-    edges: tuple[tuple[int, int], ...]
+    _fields = ("d", "coords", "edges")
 
-    def __post_init__(self):
-        if self.d < 1:
+    def __init__(self, d: int, coords: tuple[Point, ...], edges: tuple[tuple[int, int], ...]):
+        if d < 1:
             raise ValueError("configuration dimension must be >= 1")
-        for p in self.coords:
-            if len(p) != self.d:
+        for p in coords:
+            if len(p) != d:
                 raise ValueError("configuration point of wrong dimension")
-        for u, v in self.edges:
+        for u, v in edges:
             if u == v:
                 raise ValueError(f"edge ({u}, {v}) has equal endpoints")
-            if not (1 <= u <= self.n and 1 <= v <= self.n):
+            if not (1 <= u <= len(coords) and 1 <= v <= len(coords)):
                 raise ValueError(f"edge ({u}, {v}) out of range")
+        self._set(d=d, coords=coords, edges=edges)
 
     @property
     def n(self) -> int:

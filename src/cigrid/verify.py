@@ -19,7 +19,6 @@ evaluates and tallies afresh.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -72,8 +71,7 @@ class ScaledMatrix(NamedTuple):
         ]
 
 
-@dataclass(frozen=True)
-class ComponentSampler:
+class ComponentSampler(NamedTuple):
     """Named procedure drawing exact matrices on a prescribed component."""
 
     name: str

@@ -182,6 +182,22 @@ def test_verify_theorem32_regime_violation_is_usage_error(capsys):
     assert "realization needs" in err
 
 
+def test_a_grid_spec_reaches_users_as_its_repr_and_its_fields(capsys):
+    """The one repr users see, and the `vars(spec)` payloads of the grid
+    hypergraph and the grid matroid, byte for byte (the JSON sorts keys)."""
+    code, out, err = run(capsys, "verify", "theorem32", "--k", "2", "--l", "2", "--s", "2", "--t", "2", "--d", "2")
+    assert (code, out) == (2, "")
+    assert err.endswith("; got GridSpec(k=2, l=2, s=2, t=2, d=2)\n") and err.count("\n") == 1
+    code, out, _ = run(capsys, "grid", "--k", "3", "--l", "4", "--s", "3", "--t", "2", "--edges", "--json")
+    assert code == 0
+    assert out.endswith('  "n": 12,\n  "spec": {\n    "d": 0,\n    "k": 3,\n    "l": 4,\n    "s": 3,\n    "t": 2\n  }\n}\n')
+    code, out, _ = run(capsys, "matroid", "--grid", "--k", "3", "--l", "4", "--s", "3", "--t", "3", "--d", "3", "--seed", "7", "--json")
+    assert code == 0
+    assert out.endswith(
+        '  "source": {\n    "grid": {\n      "d": 3,\n      "k": 3,\n      "l": 4,\n      "s": 3,\n      "t": 3\n    },\n    "seed": 7\n  }\n}\n'
+    )
+
+
 def test_verify_reports_are_byte_identical_for_equal_seeds(capsys):
     _, out1, _ = run(capsys, "verify", "example32", "--trials", "5", "--seed", "9")
     _, out2, _ = run(capsys, "verify", "example32", "--trials", "5", "--seed", "9")
@@ -394,6 +410,7 @@ def test_zero_matrix_columns_are_loops(tmp_path, capsys):
         (["ideal", "--ci"], "*H=2 X=2 Y=2\nX _||_ Y | H\n", "'*H=2'", "one trailing * marks a hidden variable"),
         (["ideal", "--ci"], "X=2 Y=2 Z=2\nX* _||_ Y | Z\n", "'X*'", "no variable named"),
         (["ideal", "--ci"], "X=2 Y=2 H1*=2\nX _||_ Y | H1**\n", "'H1**'", "no variable named"),
+        (["ideal", "--ci"], "# no statement\nX=2 Y=2\n", "'X=2 Y=2'", "at least one `A _||_ B | C` line"),
         (["matroid", "--matrix"], "2 2\n1 x\n0 1\n", "'1 x'", "then one row of n rationals per line"),
         (["matroid", "--matrix"], "2 2\n1 0\n1/0 1\n", "'1/0 1'", "then one row of n rationals per line"),
         (["rigidity", "--framework"], "2 2\n0 0\n1 x\n1 2\n", "'1 x'", "n coordinate lines of d rationals"),
@@ -406,6 +423,7 @@ def test_zero_matrix_columns_are_loops(tmp_path, capsys):
         (["matroid", "--parametrization"], "params u_1\ncoord a u_1\ncoord a u_1 * u_1\n", "'coord a u_1 * u_1'", "`coord <label> <polynomial>`"),
         (["matroid", "--parametrization"], "params u_1 u_01\ncoord a u_1\n", "'params u_1 u_01'", "repeats parameter 'u_01'"),
         (["matroid", "--parametrization"], "params u_1 u_2\ncoord a u_01 - u_1\n", "'coord a u_01 - u_1'", "spells parameter 'u_1' as 'u_01'"),
+        (["matroid", "--parametrization"], "params u_1 u_2\n\n", "'params u_1 u_2'", "no `coord <label> <polynomial>` line after it; at least one"),
     ],
     ids=[
         "hypergraph-header",
@@ -420,6 +438,7 @@ def test_zero_matrix_columns_are_loops(tmp_path, capsys):
         "ci-hidden-leading-star",
         "ci-starred-observed",
         "ci-statement-double-star",
+        "ci-no-statement",
         "matrix-entry",
         "matrix-zero-denominator",
         "framework-coordinate",
@@ -432,6 +451,7 @@ def test_zero_matrix_columns_are_loops(tmp_path, capsys):
         "parametrization-repeated-label",
         "parametrization-repeated-parameter",
         "parametrization-respelled-parameter",
+        "parametrization-no-coordinate",
     ],
 )
 def test_malformed_file_names_its_line_and_format(tmp_path, capsys, argv, text, line, fmt):
@@ -537,6 +557,28 @@ def test_verify_flag_is_accepted_exactly_when_the_campaign_takes_it(monkeypatch,
     else:
         assert (code, out, seen) == (2, "", {})
         assert err.count("\n") == 1 and f"verify {name} does not take {argv[0]}" in err
+
+
+def test_a_campaign_wrapped_by_a_tracer_keeps_its_flags(monkeypatch, capsys):
+    """A `functools.wraps` wrapper, as `bench/tracing.py` puts around each
+    campaign, takes *args and **kwargs; the CLI reads the campaign's own
+    keyword parameters through `__wrapped__`."""
+    campaign = verify.verify_three_lines_decomposition
+    calls = []
+
+    @functools.wraps(campaign)
+    def traced(*args, **kwargs):
+        calls.append(kwargs)
+        return campaign(*args, **kwargs)
+
+    monkeypatch.setitem(verify.VERIFICATIONS, "example31", traced)
+    code, out, err = run(capsys, "verify", "example31", "--trials", "5", "--seed", "3")
+    assert (code, err) == (0, "") and "trials: 5" in out
+    assert calls == [{"seed": 3, "trials": 5}]
+    code, out, err = run(capsys, "verify", "example31", "--trials", "5", "--k", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: verify example31 does not take --k\n"
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(

@@ -806,3 +806,37 @@ def test_minors_pass_the_grading_check_and_an_ungraded_generator_raises():
         assert str(g) in str(info.value)
     with pytest.raises(ValueError, match="is not homogeneous"):
         require_homogeneous([x[1, 1] + 1], [X.ring.variables])
+
+
+def test_the_grading_check_reads_a_minors_packed_keys_with_the_dense_verdict(monkeypatch):
+    """`require_homogeneous` on a minor reads its packed keys and builds no
+    dense terms; its verdict, message included, is that of the same
+    polynomial in the dense form, homogeneous or not, at 8 and 16 bits."""
+    R = small_ring("abcd")
+    a, b, c, d = (R.var(Var(n)) for n in "abcd")
+    matrices = [((a, b), (c, d)), ((a, b), (c, d * d + 1)), ((a * a, b), (c, d)), ((a**70, b), (c, d))]
+    groups = [[R.variables], [R.variables[:2], R.variables[2:]], [R.variables[::3], R.variables[1:3]], [R.variables[:1]]]
+
+    def verdict(g, groups):
+        try:
+            require_homogeneous([g], groups)
+        except ValueError as exc:
+            return str(exc)
+        return None
+
+    def packed_minor(entries):
+        return minor(SymbolicMatrix(R, entries), [1, 2], [1, 2])
+
+    dense = {(i, k): verdict(Polynomial(R, dict(packed_minor(m).terms)), g) for i, m in enumerate(matrices) for k, g in enumerate(groups)}
+    unpacked = []
+    monkeypatch.setattr(poly._PackedPolynomial, "_unpack_terms", lambda self: unpacked.append(self))
+    packed = {}
+    for i, m in enumerate(matrices):
+        f = packed_minor(m)
+        assert type(f) is poly._PackedPolynomial
+        for k, g in enumerate(groups):
+            packed[i, k] = verdict(f, g)
+    assert unpacked == []
+    assert packed == dense
+    assert packed[0, 0] is None and packed[0, 2] is not None and packed[1, 0] is not None and packed[3, 1] is not None
+    assert packed_minor(matrices[3])._packed[2].bits == 16

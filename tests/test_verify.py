@@ -10,7 +10,7 @@ from helpers import fraction_bounded_rank_draw, fraction_concurrent_lines_draw, 
 from cigrid.cimodel import CIStatement, DiscreteModel, ModelVar, ci_ideal, mixture_parametrization_sample, tensor_assignment
 from cigrid.cli import main
 from cigrid.hypergraph import GridSpec, grid_ci_correspondence, grid_hypergraph, hypergraph_ideal
-from cigrid import hypergraph, sampling, verify
+from cigrid import hypergraph, poly, sampling, verify
 from cigrid.ideals import Ideal
 from cigrid.linalg import integer_multiple, parallel, rank
 from cigrid.matroid import grid_circuit_family, matroid_from_matrix
@@ -82,6 +82,18 @@ def test_three_lines_fixture_checks_homogeneity_once_when_it_builds(monkeypatch)
     calls.clear()
     verify_three_lines_decomposition(trials=2, seed=7)
     assert calls == []
+
+
+def test_three_lines_fixture_builds_dense_terms_only_for_the_degree_six_product(monkeypatch):
+    """The grading check reads the line minors' packed keys, so the build
+    unpacks only the four minor factors of `deg6`, which `*` multiplies."""
+    unpacked = []
+    real = poly._PackedPolynomial._unpack_terms
+    monkeypatch.setattr(poly._PackedPolynomial, "_unpack_terms", lambda self: unpacked.append(self) or real(self))
+    X, _, _, lines_ideal, deg6 = three_lines_fixture.__wrapped__()
+    assert len(unpacked) == 4
+    assert all(type(f) is poly._PackedPolynomial for f in lines_ideal.generators[:3])
+    assert not any(f is g for f in unpacked for g in lines_ideal.generators)
 
 
 def test_concurrent_lines_sampler_realizes_the_expected_circuits():
