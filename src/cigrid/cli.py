@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import lru_cache
-from pathlib import Path
 
 from .cimodel import ci_ideal, parse_ci_file
 from .hypergraph import GridSpec, Hypergraph, grid_hypergraph, grid_matrix_text, hypergraph_ideal
@@ -35,6 +35,12 @@ VERIFY_FLAGS = {"--trials": "trials", "--max-pairs": "max_pairs", "--max-degree"
 GRID_FLAGS = ("k", "l", "s", "t", "d")
 
 
+def _read(path: str) -> str:
+    """The text of an input file."""
+    with open(path) as f:
+        return f.read()
+
+
 def _load_config(argv: list[str]) -> list[str]:
     """Expand `--config FILE` into long options right after the subcommand.
     Explicit flags win: argparse keeps an option's last value, and every
@@ -47,7 +53,7 @@ def _load_config(argv: list[str]) -> list[str]:
     path = argv[idx + 1]
     rest = argv[:idx] + argv[idx + 2:]
     extra: list[str] = []
-    for line in content_lines(Path(path).read_text()):
+    for line in content_lines(_read(path)):
         key, eq, value = line.partition("=")
         key = key.strip().replace("_", "-")
         if not eq or not key:
@@ -84,9 +90,11 @@ def _emit(args, stem: str, text: str, payload: dict | str) -> None:
     rendered (a report's `to_json`); a dict is dumped with sorted keys."""
     blob = payload if isinstance(payload, str) else json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.out:
-        Path(args.out, stem).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out, f"{stem}.txt").write_text(text)
-        Path(args.out, f"{stem}.json").write_text(blob)
+        base = os.path.join(args.out, stem)
+        os.makedirs(os.path.dirname(base), exist_ok=True)
+        for suffix, content in ((".txt", text), (".json", blob)):
+            with open(base + suffix, "w") as f:
+                f.write(content)
     elif args.json:
         sys.stdout.write(blob)
     else:
@@ -191,9 +199,9 @@ def _ideal_from_args(args) -> Ideal:
         spec = _grid_spec(args)
         return hypergraph_ideal(grid_hypergraph(spec), spec.d)
     if args.ci:
-        model, statements = parse_ci_file(Path(args.ci).read_text())
+        model, statements = parse_ci_file(_read(args.ci))
         return ci_ideal(statements, model)
-    H = Hypergraph.from_text(Path(args.hypergraph).read_text())
+    H = Hypergraph.from_text(_read(args.hypergraph))
     if args.d is None:
         raise SystemExit("--hypergraph needs --d")
     return hypergraph_ideal(H, args.d)
@@ -222,7 +230,7 @@ def cmd_matroid(args) -> int:
         raise SystemExit("matroid needs exactly one of --matrix, --grid, --parametrization")
     labels = None
     if args.matrix:
-        matrix = matrix_from_text(Path(args.matrix).read_text())
+        matrix = matrix_from_text(_read(args.matrix))
         m = matroid_from_matrix(matrix)
         source = {"matrix": args.matrix}
     elif args.grid:
@@ -231,7 +239,7 @@ def cmd_matroid(args) -> int:
         m = matroid_from_matrix(matrix)
         source = {"grid": vars(spec), "seed": args.seed}
     else:
-        pm = PolyMap.parse(Path(args.parametrization).read_text())
+        pm = PolyMap.parse(_read(args.parametrization))
         m = algebraic_matroid(pm, child_rng(args.seed, "cli/algebraic-matroid"))
         matrix = None
         labels = pm.display_labels()
@@ -327,7 +335,7 @@ def cmd_rigidity(args) -> int:
     if args.framework:
         if args.n is not None or args.d is not None:
             raise SystemExit("--framework replaces --n/--d")
-        fw = integer_framework(Framework.from_text(Path(args.framework).read_text()))
+        fw = integer_framework(Framework.from_text(_read(args.framework)))
         R = rigidity_matrix(fw)
         r = rigidity_rank(fw, R)
         text = (

@@ -11,8 +11,9 @@ column once, and so do `matroid.LinearMatroid` and `hypergraph.in_variety`.
 The mod-p shadow reads vectors already scaled to integers: their residues
 mod p are defined for every vector, and a minor nonzero mod p is a nonzero
 integer, so a mod-p rank is always a lower bound on the rank over Q.
-`certified_rank` is the one place that pairs that bound with exact
-elimination.
+`certified_rank` pairs that bound with checked witnesses and exact
+elimination; `matroid.LinearMatroid.rank_of` pairs it with exact elimination
+alone, on residues it reduced once.
 """
 
 from __future__ import annotations

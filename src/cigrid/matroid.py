@@ -1,17 +1,20 @@
 """Matroids from exact matrices, circuit machinery, grid realizations,
 algebraic matroids via Jacobians, and plane-arrangement signatures.
 
-A linear matroid scales each column to integers once.  Rank queries are
-`linalg.certified_rank` of those integer columns: the mod-p shadow gives a
-lower bound, and exact fraction-free elimination (`integer_rank`) decides
-wherever it falls short, so no reported answer ever depends on the shadow
-alone.
+A linear matroid scales each column to integers once and reduces them mod p
+once.  A rank query reads the mod-p rank of those residues, a lower bound,
+and exact fraction-free elimination (`integer_rank`) decides wherever it
+falls short, so no reported answer ever depends on the shadow alone.
 
-Circuits are enumerated level by level: each independent set keeps the
-remainders mod p of the later shadow columns (residues of the integer
-columns, reduced once per matroid) against its echelon rows, so testing a
-one-larger candidate reads one remainder, and only a zero remainder (a
-candidate circuit) costs an exact rank.  Grid realizations use the
+Circuits come from the bases of the shadow: one Gauss–Jordan elimination
+mod p gives [I_r | N], the nonzero minors of N name the bases, and a 2^n-bit
+closure of the bases gives every independent set, the dependent sets, and
+the minimal ones among those.  Each shadow circuit of size at most the rank
+over Q is confirmed by an exact rank of its columns; the rank bound confirms
+the larger ones.  Confirmed, the shadow's matroid is the matroid over Q,
+because a set independent mod p is independent over Q and a set dependent
+mod p holds a confirmed circuit.  If one confirmation fails, the circuits
+come from the rank oracle alone, level by level.  Grid realizations use the
 `Fraction` `rank` and `kernel_basis`: they eliminate each matrix once.
 """
 
@@ -22,21 +25,22 @@ import re
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .hypergraph import GridSpec, Hypergraph, grid_hypergraph, grid_vertex, in_variety
 from .linalg import (
     SHADOW_PRIME,
+    EchelonRow,
     Mat,
-    certified_rank,
     content_lines,
-    echelon_row,
     integer_det,
     integer_multiple,
     integer_rank,
     kernel_basis,
     parallel,
     rank,
+    rank_of_vectors_mod_p,
+    reduce_mod_p,
     transpose,
 )
 from .poly import PolyRing, Polynomial, Var, parse_polynomial
@@ -68,58 +72,29 @@ class Matroid:
         return not self.is_independent(subset)
 
     def circuits(self) -> tuple[frozenset[int], ...]:
-        """Minimal dependent sets, enumerated level by level over ground
-        positions.  Refuses ground sets above the enumeration cap.
+        """Minimal dependent sets, in (size, sorted) order.  Refuses ground
+        sets above the enumeration cap.
 
-        Level s maps the bitmask of every independent s-set to its sorted
-        positions and the state `_extend` keeps for it; only the level being
-        extended and the next one are held.  A size-s candidate is an
-        independent (s-1)-set extended by a larger position, and it is tested
-        only when every facet's mask is in the level: a set with a dependent
-        facet contains a smaller circuit, and a set whose facets are all
-        independent is a circuit exactly when it is dependent.  At size
-        full_rank() + 1 every set is dependent by the rank bound, so no query
-        is made there."""
+        The instance's confirmed shadow circuits (`_shadow_circuits`) are
+        the answer where it has them.  Otherwise `rank_of` alone decides:
+        the bases are the full_rank()-sets of full rank, and the circuits
+        are the minimal sets that lie in no basis (`_circuits_from_bases`)."""
         n = len(self.ground)
         if n > ENUMERATION_CAP:
             raise ValueError(f"circuit enumeration is capped at {ENUMERATION_CAP} elements, got {n}")
-        r = self.full_rank()
-        found: list[tuple[int, ...]] = []
-        level: dict[int, tuple[tuple[int, ...], object]] = {0: ((), self._empty_state())}
-        for size in range(1, min(n, r + 1) + 1):
-            following: dict[int, tuple[tuple[int, ...], object]] = {}
-            for mask, (prefix, state) in level.items():
-                facets = [mask ^ 1 << i for i in prefix]  # the prefix less one position
-                for j in range(prefix[-1] + 1 if prefix else 0, n):
-                    bit = 1 << j
-                    for f in facets:
-                        if f | bit not in level:
-                            break  # a dependent facet
-                    else:
-                        c = prefix + (j,)
-                        if size > r:
-                            found.append(c)
-                            continue
-                        independent, kept = self._extend(state, c)
-                        if independent:
-                            following[mask | bit] = c, kept
-                        else:
-                            found.append(c)
-                level[mask] = prefix, None  # its children hold all they need
-            level = following
-        circuits = [frozenset(self.ground[i] for i in c) for c in found]
+        found = self._shadow_circuits()
+        if found is None:
+            r = self.full_rank()
+            bases = [sum(1 << i for i in c) for c in combinations(range(n), r) if self.rank_of([self.ground[i] for i in c]) == r]
+            found = _circuits_from_bases(n, bases)
+        circuits = [frozenset([self.ground[i] for i in c]) for c in found]
         return tuple(sorted(circuits, key=lambda c: (len(c), sorted(c))))
 
-    def _empty_state(self) -> object:
-        """The state kept for the empty set."""
+    def _shadow_circuits(self) -> list[tuple[int, ...]] | None:
+        """The circuits as sorted ground positions, from a shadow of the
+        matroid whose every circuit was confirmed exactly; None where the
+        matroid has no such shadow, so that `circuits` asks `rank_of`."""
         return None
-
-    def _extend(self, state: object, c: tuple[int, ...]) -> tuple[bool, object]:
-        """Whether the positions c are independent, given the state kept for
-        the independent set c[:-1]; with the state to keep for c, which is
-        None for a full_rank()-set: it is never extended.  Here the state is
-        unused and every query is a rank."""
-        return self.rank_of([self.ground[i] for i in c]) == len(c), None
 
 
 class LinearMatroid(Matroid, Record):
@@ -152,8 +127,15 @@ class LinearMatroid(Matroid, Record):
         return tuple([[x % SHADOW_PRIME for x in ints] for ints in self._integer_columns])
 
     def rank_of(self, subset: Iterable[int]) -> int:
+        """The mod-p rank of the cached residues is a lower bound, and the
+        rank wherever it meets min(|subset|, rows); elsewhere `integer_rank`
+        of the integer columns decides."""
         pos = self._positions
-        return certified_rank([self._integer_columns[pos[e]] for e in sorted(set(subset))], []).rank
+        at = [pos[e] for e in sorted(set(subset))]
+        lower = rank_of_vectors_mod_p([self._shadow_columns[i] for i in at])
+        if lower == len(at) or lower == len(self._shadow_columns[0]):
+            return lower
+        return integer_rank([self._integer_columns[i] for i in at])
 
     def full_rank(self) -> int:
         return self._full_rank
@@ -162,31 +144,60 @@ class LinearMatroid(Matroid, Record):
     def _full_rank(self) -> int:
         return self.rank_of(self.ground)
 
-    def _empty_state(self) -> tuple[list[int], ...]:
-        """No echelon rows: every shadow column is its own remainder."""
-        return self._shadow_columns
+    def _shadow_bases(self) -> list[int]:
+        """The position masks of the bases of the shadow columns mod p, the
+        pivot columns' first.
 
-    def _extend(self, state: Sequence[list[int]] | None, c: tuple[int, ...]) -> tuple[bool, object]:
-        """The state of an independent set S is the remainders mod p of the
-        shadow columns after S's last position, in position order, against
-        the echelon rows of S's shadow columns; or None where S's shadow
-        columns are dependent mod p.  A nonzero remainder of c's last column
-        certifies independence over Q.  Normalised at its first nonzero
-        entry it is c's new echelon row, and c keeps the later remainders
-        after one row operation each against it: the same reduction, in the
-        same row order, as reducing each column against all of c's rows.  A
-        full_rank()-set keeps nothing.  A zero remainder, or no state, goes
-        to `integer_rank` of c's integer columns, and c keeps None: its
-        shadow is dependent mod p."""
-        if state is not None:
-            at = c[-1] - (c[-2] + 1 if len(c) > 1 else 0)
-            if any(state[at]):
-                if len(c) == self.full_rank():
-                    return True, None
-                pivot, b = echelon_row(state[at])
-                p = SHADOW_PRIME
-                return True, [[(x - f * y) % p for x, y in zip(v, b)] if (f := v[pivot]) else v for v in state[at + 1 :]]
-        return integer_rank([self._integer_columns[i] for i in c]) == len(c), None
+        Gauss–Jordan elimination of the shadow's rows (`reduce_mod_p` each
+        new row against the echelon rows so far, then the rows so far against
+        it) gives [I | N] up to column order: its rows are 1 at their own
+        pivot and 0 at the others.  With B the pivot columns, R a set of them
+        and S an equally large set of the other columns, (B - R) | S is a
+        basis exactly when the minor of those rows of [I | N] on the columns
+        S is nonzero.  A minor of size k is the expansion along its last row
+        into minors of size k - 1, which one dict holds by the mask R | S,
+        nonzero ones only; the empty minor is 1."""
+        p = SHADOW_PRIME
+        rows: list[EchelonRow] = []
+        for v in zip(*self._shadow_columns):
+            if (new := reduce_mod_p(v, rows)) is not None:
+                c, b = new
+                rows = [(d, [(x - f * y) % p for x, y in zip(w, b)] if (f := w[c]) else w) for d, w in rows] + [new]
+        basis = sum(1 << c for c, _ in rows)
+        others = [j for j in range(len(self.ground)) if not basis >> j & 1]
+        bases, smaller = [basis], {0: 1}
+        for k in range(1, min(len(rows), len(others)) + 1):
+            minors: dict[int, int] = {}
+            column_sets = [(s, sum(1 << j for j in s)) for s in combinations(others, k)]
+            for rs in combinations(range(len(rows)), k):
+                c, last = rows[rs[-1]]
+                above = sum(1 << rows[i][0] for i in rs[:-1])
+                for s, s_mask in column_sets:
+                    key, value = above | s_mask, 0
+                    for j in s:  # signs (-1)^(k-1+index), by alternation
+                        value = last[j] * smaller.get(key ^ 1 << j, 0) - value
+                    if value := value % p:
+                        minors[key | 1 << c] = value
+                        bases.append(basis ^ key ^ 1 << c)
+            smaller = minors
+        return bases
+
+    def _shadow_circuits(self) -> list[tuple[int, ...]] | None:
+        """The circuits of the shadow matroid, once each is confirmed over Q.
+
+        Each shadow circuit of size at most full_rank() is confirmed by
+        `integer_rank` of exactly its integer columns; at size full_rank() + 1
+        the rank bound confirms it.  Then the two matroids are equal: a set
+        independent mod p is independent over Q, and a set dependent mod p
+        holds a shadow circuit, dependent over Q.  One circuit independent
+        over Q shows the shadow to be wrong for this matroid, and None sends
+        `circuits` to `rank_of` queries alone."""
+        found = _circuits_from_bases(len(self.ground), self._shadow_bases())
+        full = self.full_rank()
+        for c in found:
+            if len(c) <= full and integer_rank([self._integer_columns[i] for i in c]) == len(c):
+                return None
+        return found
 
     def circuits(self) -> tuple[frozenset[int], ...]:
         return self._circuits
@@ -230,6 +241,45 @@ def matroid_from_matrix(m: Mat) -> LinearMatroid:
     return LinearMatroid(tuple(range(1, n + 1)), cols)
 
 
+def _lacking(n: int) -> list[int]:
+    """For each position i < n, the 2^n-bit int whose bit m is set for each
+    mask m that lacks bit i: runs of 2^i set bits, period 2^(i+1), built by
+    doubling."""
+    lacking = []
+    for step in (1 << i for i in range(n)):
+        low, width = (1 << step) - 1, 2 * step
+        while width < 1 << n:
+            low |= low << width
+            width *= 2
+        lacking.append(low)
+    return lacking
+
+
+def _circuits_from_bases(n: int, bases: Iterable[int]) -> list[tuple[int, ...]]:
+    """The circuits, as sorted positions in mask order, of the matroid on n
+    positions with these basis masks.
+
+    One 2^n-bit int holds bit m for each independent mask m: it starts as
+    the bases' bits, and for each position i the bits of the masks that hold
+    i are shifted down by 2^i and ORed in, which drops i from each of them.
+    The other masks are dependent, and a dependent mask is a circuit unless
+    one more pass, as in `is_circuit_family`, finds a dependent one-smaller
+    subset of it."""
+    lacking = _lacking(n)
+    marks = bytearray(max((1 << n) >> 3, 1))
+    for b in bases:
+        marks[b >> 3] |= 1 << (b & 7)
+    independent = int.from_bytes(marks, "little")
+    for i, low in enumerate(lacking):
+        independent |= independent >> (1 << i) & low
+    dependent = independent ^ ((1 << (1 << n)) - 1)
+    inside = 0
+    for i, low in enumerate(lacking):
+        inside |= (dependent & low) << (1 << i)
+    masks = [m.start() for m in re.finditer("1", f"{dependent ^ inside:b}"[::-1])]  # character m is bit m
+    return [tuple([i for i in range(n) if mask >> i & 1]) for mask in masks]
+
+
 def is_circuit_family(n: int, family: Iterable[Iterable[int]]) -> bool:
     """Circuit axioms, checked exhaustively: no empty circuit, antichain, and
     circuit elimination.  Capped at n <= 14.
@@ -253,8 +303,7 @@ def is_circuit_family(n: int, family: Iterable[Iterable[int]]) -> bool:
     masks = [sum(1 << (e - 1) for e in c) for c in circuits]
     size = 1 << n
     every_mask = (1 << size) - 1
-    # the masks that lack bit i: runs of 2^i set bits, period 2^(i+1)
-    lacking = [every_mask // ((1 << 2 * step) - 1) * ((1 << step) - 1) for step in (1 << i for i in range(n))]
+    lacking = _lacking(n)
     circuit_bits = sum([1 << mask for mask in masks])
     table = circuit_bits
     for i, low in enumerate(lacking):

@@ -109,6 +109,23 @@ def test_unknown_name_errors_print_without_repr_quotes(tmp_path, capsys):
     assert (code, out, err) == (2, "", f"error: parametrization line 'coord a u_1 * v_1' {misfit}\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("matroid", "--matrix"),
+        ("matroid", "--parametrization"),
+        ("ideal", "--ci"),
+        ("ideal", "--hypergraph"),
+        ("rigidity", "--framework"),
+        ("verify", "example31", "--config"),
+    ],
+)
+def test_a_missing_input_file_is_a_usage_error_naming_the_path(tmp_path, capsys, argv):
+    missing = str(tmp_path / "absent.txt")
+    code, out, err = run(capsys, *argv, missing)
+    assert (code, out, err) == (2, "", f"error: [Errno 2] No such file or directory: {missing!r}\n")
+
+
 def test_matroid_identity_matrix(tmp_path, capsys):
     mat = tmp_path / "id.mat"
     mat.write_text("3 3\n1 0 0\n0 1 0\n0 0 1\n")

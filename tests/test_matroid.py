@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -301,61 +302,56 @@ def test_circuits_match_the_brute_force_oracle():
 
 
 def test_circuit_enumeration_queries_no_set_the_rank_bound_settles(monkeypatch):
-    # a candidate of size full_rank() + 1 without a smaller circuit inside is
-    # a circuit by the rank bound; only smaller candidates need a query
-    queried: list[int] = []
-    real = LinearMatroid._extend
-
-    def spy(self, state, c):
-        queried.append(len(c) - self.full_rank())
-        return real(self, state, c)
-
-    monkeypatch.setattr(LinearMatroid, "_extend", spy)
+    # a shadow circuit of size full_rank() + 1 is a circuit by the rank
+    # bound; only smaller ones cost an exact rank, of exactly their columns
+    exact = _spy_exact_columns(monkeypatch)
     rng = random.Random(29)
+    offsets, settled = set(), 0
     for matrix in [concurrent_lines_matrix(), linalg.identity(3)] + [_small_matrix(rng) for _ in range(40)]:
-        assert Matroid.circuits(matroid_from_matrix(matrix)) == brute_force_circuits(matrix)
-    assert queried and max(queried) == 0
-
-
-def _raw_remainder(v, rows, p):
-    """v reduced against echelon rows (pivot, row with 1 there) in order,
-    left unnormalised."""
-    for c, b in rows:
-        f = v[c]
-        v = [(x - f * y) % p for x, y in zip(v, b)]
-    return v
-
-
-def test_carried_remainders_equal_a_fresh_reduction():
-    """Along seeded chains of positions, the state `_extend` keeps for each
-    independent prefix holds, for every later column, exactly the remainder
-    of that column's shadow against the prefix's echelon rows: what a fresh
-    `reduce_mod_p` gives, before and after normalising."""
-    p = linalg.SHADOW_PRIME
-    rng = random.Random(47)
-    checked = 0
-    for _ in range(30):
-        d, n = rng.randint(2, 6), rng.randint(3, 9)
-        matrix = [[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)] for _ in range(d)]
         m = matroid_from_matrix(matrix)
-        chain = sorted(rng.sample(range(n), rng.randint(1, min(n, m.full_rank()))))
-        state, rows = m._empty_state(), []
-        for k in range(1, len(chain) + 1):
-            c = tuple(chain[:k])
-            independent, state = m._extend(state, c)
-            row = linalg.reduce_mod_p(m._shadow_columns[c[-1]], rows)
-            assert independent == (m.rank_of([e + 1 for e in c]) == len(c))
-            if row is None or len(c) == m.full_rank():
-                assert state is None
-                break
-            rows.append(row)
-            later = range(c[-1] + 1, n)
-            assert len(state) == len(later)
-            for j, carried in zip(later, state):
-                assert carried == _raw_remainder(m._shadow_columns[j], rows, p), (matrix, c, j)
-                assert linalg.echelon_row(carried) == linalg.reduce_mod_p(m._shadow_columns[j], rows)
-                checked += 1
-    assert checked > 100
+        full = m.full_rank()
+        exact.clear()
+        circuits = m.circuits()
+        assert circuits == brute_force_circuits(matrix), matrix
+        assert sorted(map(len, exact)) == sorted(len(c) for c in circuits if len(c) <= full), matrix
+        offsets.update(len(cols) - full for cols in exact)
+        settled += sum(len(c) == full + 1 for c in circuits)
+    assert settled and max(offsets) == 0
+
+
+def _has_nonzero_minor(matrix, cols) -> bool:
+    """Whether some square submatrix on exactly these columns has a nonzero
+    exact determinant; the empty column set has the empty minor, 1."""
+    return not cols or any(
+        linalg.det([[matrix[i][j - 1] for j in cols] for i in rows]) for rows in combinations(range(len(matrix)), len(cols))
+    )
+
+
+def test_shadow_bases_from_the_minor_table_equal_the_brute_force_bases():
+    """The minor table over [I_r | N] names exactly the r-sets of columns
+    with a nonzero r x r exact determinant, r the rank, each once: on seeded
+    small products with loops, parallel pairs and rank below the rows, and
+    at r = 0 and r = n."""
+    rng = random.Random(47)
+    seen = {"loop": False, "parallel": False, "rank below rows": False, "r = 0": False, "r = n": False}
+    matrices = [_small_matrix(rng) for _ in range(120)] + [linalg.identity(3), linalg.mat([[0, 0, 0], [0, 0, 0]])]
+    for matrix in matrices:
+        n = len(matrix[0])
+        m = matroid_from_matrix(matrix)
+        bases = m._shadow_bases()
+        r = bases[0].bit_count()
+        expected = [
+            sum(1 << (j - 1) for j in cols) for cols in combinations(range(1, n + 1), r) if _has_nonzero_minor(matrix, cols)
+        ]
+        assert r == linalg.rank(matrix), matrix
+        assert sorted(bases) == sorted(expected), matrix
+        circuits = m.circuits()
+        seen["loop"] |= any(len(c) == 1 for c in circuits)
+        seen["parallel"] |= any(len(c) == 2 for c in circuits)
+        seen["rank below rows"] |= 0 < r < len(matrix)
+        seen["r = 0"] |= r == 0
+        seen["r = n"] |= r == n
+    assert all(seen.values()), seen
 
 
 def _spy_exact_columns(monkeypatch) -> list[list[tuple[int, ...]]]:
@@ -436,9 +432,9 @@ def test_circuits_with_a_column_the_shadow_cannot_reduce(monkeypatch):
 
 def test_circuits_when_the_shadow_rank_falls_below_the_rank_over_q(monkeypatch):
     """Columns (p, 1, 0) and (0, 1, 0) are independent over Q but parallel
-    mod p.  The pair is confirmed independent by an exact rank and keeps no
-    shadow, so its extension by column 3 goes to an exact rank as well: the
-    exact fallback runs inside a prefix chain."""
+    mod p.  The shadow circuit {1, 2} fails its exact confirmation, so the
+    circuits come from `rank_of` queries alone, and {1, 2, 3}, dependent mod
+    p, goes to an exact rank as well."""
     p = linalg.SHADOW_PRIME
     cols = [(p, 1, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3), (2, 0, 1)]
     matrix = [[Fraction(c[r]) for c in cols] for r in range(3)]
@@ -450,6 +446,67 @@ def test_circuits_when_the_shadow_rank_falls_below_the_rank_over_q(monkeypatch):
     assert _columns(matrix, [1, 2]) in exact
     assert _columns(matrix, [1, 2, 3]) in exact
     assert all(c != frozenset({1, 2}) for c in m.circuits())
+
+
+def _count_rank_queries(monkeypatch) -> list[int]:
+    """Record the size of every `LinearMatroid.rank_of` query."""
+    sizes: list[int] = []
+    real = LinearMatroid.rank_of
+
+    def counted(self, subset):
+        subset = list(subset)
+        sizes.append(len(subset))
+        return real(self, subset)
+
+    monkeypatch.setattr(LinearMatroid, "rank_of", counted)
+    return sizes
+
+
+def test_a_shadow_circuit_independent_over_q_sends_the_enumeration_to_rank_of(monkeypatch):
+    """Where a shadow circuit is independent over Q the shadow has no
+    circuits to offer, and `circuits` asks `rank_of` about every
+    full_rank()-set; where every one is confirmed, `rank_of` answers
+    full_rank() alone."""
+    p = linalg.SHADOW_PRIME
+    loop_mod_p = linalg.mat([[1, 0], [0, p]])
+    pair_mod_p = [[Fraction(c[r]) for c in [(p, 1, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]] for r in range(3)]
+    queries = _count_rank_queries(monkeypatch)
+    for matrix in (loop_mod_p, pair_mod_p):
+        m = matroid_from_matrix(matrix)
+        assert m._shadow_circuits() is None
+        queries.clear()
+        assert m.circuits() == brute_force_circuits(matrix)
+        full = m.full_rank()
+        assert queries == [full] * math.comb(len(m.ground), full)
+    lines = matroid_from_matrix(concurrent_lines_matrix())
+    queries.clear()
+    assert lines.circuits() == brute_force_circuits(concurrent_lines_matrix())
+    assert queries == [7]
+    assert lines._shadow_circuits() is not None
+
+
+@pytest.mark.parametrize("m, n, r, count", [(3, 3, 1, 15), (3, 4, 2, 4), (4, 4, 2, 112)])
+def test_completion_matroids_have_their_rank_and_every_minor_as_a_circuit(m, n, r, count):
+    """The algebraic matroid of the m x n matrices of rank at most r on
+    their entries (entry (i, j) is element (i-1)n + j) has rank (m+n-r)r,
+    and the entries of every (r+1) x (r+1) submatrix form a circuit."""
+    matroid = algebraic_matroid(matrix_product_map(m, n, r), random.Random(5))
+    circuits = matroid.circuits()
+    assert matroid.full_rank() == (m + n - r) * r
+    assert len(circuits) == count
+    for rows in combinations(range(1, m + 1), r + 1):
+        for cols in combinations(range(1, n + 1), r + 1):
+            assert frozenset((i - 1) * n + j for i in rows for j in cols) in circuits, (rows, cols)
+
+
+def test_circuit_enumeration_runs_at_the_cap_and_refuses_one_more():
+    at_cap = algebraic_matroid(matrix_product_map(4, 4, 2), random.Random(5))
+    assert len(at_cap.ground) == matroid_module.ENUMERATION_CAP == 16
+    assert len(at_cap.circuits()) == 112
+    above = matroid_from_matrix([[Fraction(1)] * 17])
+    with pytest.raises(ValueError) as exc:
+        above.circuits()
+    assert str(exc.value) == "circuit enumeration is capped at 16 elements, got 17"
 
 
 def test_grid_circuit_family_satisfies_the_axioms():
