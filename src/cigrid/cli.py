@@ -33,12 +33,22 @@ INCONCLUSIVE_EXIT = 3
 # `verify` flag -> the campaign parameter it sets; the grid flags set `spec`.
 VERIFY_FLAGS = {"--trials": "trials", "--max-pairs": "max_pairs", "--max-degree": "max_degree"}
 GRID_FLAGS = ("k", "l", "s", "t", "d")
+# Options that name a file or directory.  An empty one is a usage error, never
+# a missing flag: `open("")` fails and `os.path.join("", stem)` is `stem`.
+PATH_OPTIONS = ("config", "ci", "hypergraph", "matrix", "parametrization", "framework", "out")
 
 
 def _read(path: str) -> str:
     """The text of an input file."""
     with open(path) as f:
         return f.read()
+
+
+def _check_paths(options: dict) -> None:
+    """A ValueError naming the first path option given as an empty string."""
+    for name in PATH_OPTIONS:
+        if options.get(name) == "":
+            raise ValueError(f"--{name} needs a path, got ''")
 
 
 def _load_config(argv: list[str]) -> list[str]:
@@ -51,6 +61,7 @@ def _load_config(argv: list[str]) -> list[str]:
     if idx + 1 == len(argv):
         raise ValueError("--config needs a file path")
     path = argv[idx + 1]
+    _check_paths({"config": path})
     rest = argv[:idx] + argv[idx + 2:]
     extra: list[str] = []
     for line in content_lines(_read(path)):
@@ -89,7 +100,7 @@ def _emit(args, stem: str, text: str, payload: dict | str) -> None:
     on stdout under --json, else the text.  A str payload is JSON already
     rendered (a report's `to_json`); a dict is dumped with sorted keys."""
     blob = payload if isinstance(payload, str) else json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.out:
+    if args.out is not None:
         base = os.path.join(args.out, stem)
         os.makedirs(os.path.dirname(base), exist_ok=True)
         for suffix, content in ((".txt", text), (".json", blob)):
@@ -198,7 +209,7 @@ def _ideal_from_args(args) -> Ideal:
     if args.grid:
         spec = _grid_spec(args)
         return hypergraph_ideal(grid_hypergraph(spec), spec.d)
-    if args.ci:
+    if args.ci is not None:
         model, statements = parse_ci_file(_read(args.ci))
         return ci_ideal(statements, model)
     H = Hypergraph.from_text(_read(args.hypergraph))
@@ -229,7 +240,7 @@ def cmd_matroid(args) -> int:
     if sum(sources) != 1:
         raise SystemExit("matroid needs exactly one of --matrix, --grid, --parametrization")
     labels = None
-    if args.matrix:
+    if args.matrix is not None:
         matrix = matrix_from_text(_read(args.matrix))
         m = matroid_from_matrix(matrix)
         source = {"matrix": args.matrix}
@@ -302,7 +313,7 @@ def cmd_verify(args) -> int:
     }
     if args.name != "all":
         return _emit_report(args, reports[args.name])
-    if args.out:
+    if args.out is not None:
         for name, report in reports.items():
             _emit(args, f"{name}/report", report.to_text(), report.to_json())
     else:
@@ -332,7 +343,7 @@ def cmd_secant(args) -> int:
 
 
 def cmd_rigidity(args) -> int:
-    if args.framework:
+    if args.framework is not None:
         if args.n is not None or args.d is not None:
             raise SystemExit("--framework replaces --n/--d")
         fw = integer_framework(Framework.from_text(_read(args.framework)))
@@ -379,6 +390,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_paths(vars(args))
         return COMMANDS[args.command](args)
     except SystemExit as exc:
         if isinstance(exc.code, str):

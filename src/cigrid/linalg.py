@@ -1,12 +1,13 @@
 """Exact linear algebra over the rationals (plus a prime-field shadow).
 
 Matrices are plain lists of lists of `Fraction` or int.  Everything here is
-small dense elimination; answers are exact, never floating point.  There are
-two exact routes.  `rank` and `kernel_basis` run the `Fraction` pass
-(`_echelon`); callers that eliminate a rational matrix once take it.
-`integer_rank` and `integer_det` (and so `det`) run the fraction-free pass
-(`_fraction_free`) on integers; `certified_rank` takes it after scaling each
-column once, and so do `matroid.LinearMatroid` and `hypergraph.in_variety`.
+small dense elimination; answers are exact, never floating point.  There is
+one exact elimination, the fraction-free (Bareiss) pass `_fraction_free` on
+integers.  `integer_rank` and `integer_det` (and so `det`) run it as given;
+`rank` runs it on the columns, `kernel_basis` on the rows, each scaled to
+integers by its denominator lcm (`integer_multiple`), which keeps the rank
+and the right kernel.  `certified_rank` takes it after scaling each column
+once, and so do `matroid.LinearMatroid` and `hypergraph.in_variety`.
 
 The mod-p shadow reads vectors already scaled to integers: their residues
 mod p are defined for every vector, and a minor nonzero mod p is a nonzero
@@ -55,41 +56,10 @@ def column_submatrix(m: Sequence[Sequence[Fraction]], cols: Iterable[int]) -> Ma
     return [[row[j - 1] for j in idx] for row in m]
 
 
-def _echelon(m: Sequence[Sequence[Fraction]]) -> tuple[Mat, list[int]]:
-    """Forward Fraction elimination: the echelon rows and the 0-based pivot
-    columns.  The pivot in column c is the first nonzero entry at or below
-    the current row; the pass stops once every row holds a pivot.  Pivot
-    columns do not depend on which rows were swapped."""
-    work = [list(row) for row in m]
-    if not work or not work[0]:
-        return work, []
-    nrows, ncols = len(work), len(work[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if work[i][c] != 0), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        row_r = work[r]
-        inv = Fraction(1) / row_r[c]  # exact for an int pivot too
-        support = [j for j in range(c, ncols) if row_r[j]]  # a zero entry changes no row
-        for i in range(r + 1, nrows):
-            f = work[i][c] * inv
-            if f:
-                row_i = work[i]
-                for j in support:
-                    row_i[j] -= f * row_r[j]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return work, pivots
-
-
 def rank(m: Sequence[Sequence[Fraction]]) -> int:
-    """Exact rank: the number of pivots."""
-    return len(_echelon(m)[1])
+    """Exact rank: the pivots of `_fraction_free` on the columns of m, each
+    scaled to integers by its denominator lcm (rank m = rank m^T)."""
+    return len(_fraction_free([integer_multiple(col)[1] for col in zip(*m)])[1])
 
 
 def det(m: Sequence[Sequence[Fraction]]) -> Fraction:
@@ -100,19 +70,22 @@ def det(m: Sequence[Sequence[Fraction]]) -> Fraction:
     return Fraction(integer_det([ints for _, ints in scaled]), prod(scale for scale, _ in scaled))
 
 
-def _fraction_free(m: Sequence[Sequence[int]]) -> tuple[int, int, int]:
+def _fraction_free(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], int]:
     """Fraction-free (Bareiss) forward elimination of an integer matrix:
-    (rank, sign of the row swaps, last pivot).
+    (echelon rows, 0-based pivot columns, sign of the row swaps).
 
     The pivot in column c is the first nonzero entry at or below the current
-    row, swapped up; a column with none is skipped.  After k pivots every
-    entry below them is the (k+1)-minor on the pivot rows and columns plus
-    its own row and column, so each division by the previous pivot is exact
-    (Sylvester's identity) and no `Fraction` is built.  The last pivot is the
-    minor on all pivot rows and columns."""
+    row, swapped up; a column with none is skipped, and the pass stops once
+    every row holds a pivot.  After k pivots every entry below them is the
+    (k+1)-minor on the pivot rows and columns plus its own row and column, so
+    each division by the previous pivot is exact (Sylvester's identity) and
+    no `Fraction` is built.  A pivot row is final from its pivot rightwards;
+    the entries left of its pivot are stale.  The last pivot is the minor on
+    all pivot rows and columns."""
     work = [list(row) for row in m]
     nrows = len(work)
     ncols = len(work[0]) if work else 0
+    pivots: list[int] = []
     sign, prev, r = 1, 1, 0
     for c in range(ncols):
         if not work[r][c]:
@@ -123,33 +96,35 @@ def _fraction_free(m: Sequence[Sequence[int]]) -> tuple[int, int, int]:
                 continue  # no pivot in this column
             work[r], work[pivot] = work[pivot], work[r]
             sign = -sign
+        pivots.append(c)
         row_r, a = work[r], work[r][c]
         r += 1
         if r == nrows:
-            return r, sign, a
+            break
         for row_i in work[r:]:
             b = row_i[c]
             for j in range(c + 1, ncols):
                 row_i[j] = (row_i[j] * a - b * row_r[j]) // prev
         prev = a
-    return r, sign, prev
+    return work, pivots, sign
 
 
 def integer_det(m: Sequence[Sequence[int]]) -> int:
     """Exact determinant of a square integer matrix by `_fraction_free`
-    elimination: the signed last pivot at full rank, otherwise 0."""
+    elimination: the signed last pivot at full rank, otherwise 0 (and 1, the
+    empty product, for a 0 x 0 matrix)."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("determinant of a non-square matrix")
-    r, sign, pivot = _fraction_free(m)
-    return sign * pivot if r == n else 0
+    rows, pivots, sign = _fraction_free(m)
+    return (sign * rows[-1][-1] if n else 1) if len(pivots) == n else 0
 
 
 def integer_rank(m: Sequence[Sequence[int]]) -> int:
     """Exact rank of an integer matrix by `_fraction_free` elimination.
     Scaling rows or columns by nonzero integers keeps the rank, so a rational
     matrix scaled to integers (`integer_multiple`) has the same rank here."""
-    return _fraction_free(m)[0]
+    return len(_fraction_free(m)[1])
 
 
 def parallel(u: Sequence[int], v: Sequence[int]) -> bool:
@@ -162,23 +137,21 @@ def kernel_basis(m: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     """Basis of the right kernel {v : m v = 0}: for each free column f, the
     unique kernel vector with 1 at f and 0 at the other free columns.
 
-    Its pivot entries come by back-substitution through the echelon rows;
-    a pivot column c > f gets 0, so row r only reads columns c+1..f."""
-    if not m:
-        return []
-    ncols = len(m[0])
-    rows, pivots = _echelon(m)
-    pivot_set = set(pivots)
+    Each row is scaled to integers by its denominator lcm, which keeps the
+    right kernel, and eliminated by `_fraction_free`.  The pivot entries come
+    by back-substitution through its echelon rows, which reads only the final
+    entries right of each pivot: a pivot column c > f gets 0, so row r only
+    reads columns c+1..f."""
+    ncols = len(m[0]) if m else 0
+    rows, pivots, _ = _fraction_free([integer_multiple(row)[1] for row in m])
     bottom_up = [*zip(rows, pivots)][::-1]
     basis = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
+    for f in (c for c in range(ncols) if c not in pivots):
         v = [Fraction(0)] * ncols
         v[f] = Fraction(1)
         for row, c in bottom_up:
             if c < f:
-                v[c] = -sum(row[j] * v[j] for j in range(c + 1, f + 1)) / row[c]
+                v[c] = -sum(v[j] * row[j] for j in range(c + 1, f + 1)) / row[c]
         basis.append(v)
     return basis
 

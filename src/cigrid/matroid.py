@@ -14,8 +14,9 @@ over Q is confirmed by an exact rank of its columns; the rank bound confirms
 the larger ones.  Confirmed, the shadow's matroid is the matroid over Q,
 because a set independent mod p is independent over Q and a set dependent
 mod p holds a confirmed circuit.  If one confirmation fails, the circuits
-come from the rank oracle alone, level by level.  Grid realizations use the
-`Fraction` `rank` and `kernel_basis`: they eliminate each matrix once.
+come from the rank oracle alone, level by level.  Grid realizations use
+`rank` and `kernel_basis`, which scale each rational matrix to integers for
+the one fraction-free elimination: they eliminate each matrix once.
 """
 
 from __future__ import annotations

@@ -2,21 +2,21 @@
 
 The oracles deliberately re-derive answers by routes different from the
 library: permutation-sum determinants, a determinant that tracks its sign
-swap by swap, kernels read off the reduced row echelon form, minor-search
-ranks, monomial-order keys written out from their definitions, a naive
-textbook Groebner routine on those keys with none of the library's
-selection strategy or criteria, the pair update on exponent tuples,
-elimination and intersection through dense polynomial arithmetic, the
-circuit checks and the minimal-edge
-filter written out with frozensets, the bitmask circuit-axiom check with
-every pair of circuits eliminated, circuits found by an exact rank of every
-subset, arrangement signatures from 3x2 and 3x3 `Fraction` ranks, full-width
-exact ranks for rigidity circuits, a (2,3)-pebble game for generic rigidity
-in the plane, variety membership by one exact rank per edge, the witness
-draws summed as `Fraction` products of `rng.randint` values, the example
-3.1 draws built in `Fraction`s from the same calls, polynomial text
-rendered factor by factor from each `Var`, and flattenings read state by
-state through `ProbTensor.get`.
+swap by swap, kernels and ranks read off the reduced row echelon form (no
+library elimination), minor-search ranks, monomial-order keys written out
+from their definitions, a naive textbook Groebner routine on those keys with
+none of the library's selection strategy or criteria, the pair update on
+exponent tuples, elimination and intersection through dense polynomial
+arithmetic, the circuit checks and the minimal-edge filter written out with
+frozensets, the bitmask circuit-axiom check with every pair of circuits
+eliminated, circuits found by an exact rank of every subset, arrangement
+signatures from 3x2 and 3x3 `Fraction` ranks, full-width exact ranks for
+rigidity circuits, a (2,3)-pebble game for generic rigidity in the plane,
+variety membership by one exact rank per edge, the witness draws summed as
+`Fraction` products of `rng.randint` values, the example 3.1 draws built in
+`Fraction`s from the same calls, polynomial text rendered factor by factor
+from each `Var`, and flattenings read state by state through
+`ProbTensor.get`.
 
 The builders write the test-only inputs the library only ever reads: CI
 statements and CI model files as text, and tensors from plain entries.
@@ -30,7 +30,7 @@ from itertools import combinations, permutations, product
 from operator import le
 
 from cigrid.cimodel import CIStatement, DiscreteModel, ProbTensor
-from cigrid.linalg import column_submatrix, rank
+from cigrid.linalg import column_submatrix
 from cigrid.poly import DEGREVLEX, PolyRing, Polynomial, SymbolicMatrix
 from cigrid import sampling
 from cigrid.secrig import complete_graph_edges, rigidity_matrix
@@ -108,14 +108,12 @@ def swap_tracking_det(m) -> Fraction:
     return sign * result
 
 
-def rref_kernel_basis(m) -> list[list[Fraction]]:
-    """Right-kernel basis read off the reduced row echelon form (each pivot
-    scaled to 1 and cleared above and below): for free column f, 1 at f and
-    minus column f of the reduced rows at the pivot columns."""
-    if not m:
-        return []
+def _row_echelon(m) -> tuple[list[list[Fraction]], list[int]]:
+    """The forward pass of the reduced row echelon form: each pivot (the
+    first nonzero entry at or below the current row) swapped up, scaled to 1
+    and cleared below.  The rows, and the pivot columns."""
     work = [list(row) for row in m]
-    nrows, ncols = len(work), len(work[0])
+    nrows, ncols = len(work), len(work[0]) if work else 0
     pivots: list[int] = []
     for c in range(ncols):
         r = len(pivots)
@@ -125,21 +123,54 @@ def rref_kernel_basis(m) -> list[list[Fraction]]:
         if pivot is None:
             continue
         work[r], work[pivot] = work[pivot], work[r]
-        inv = Fraction(1) / work[r][c]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(nrows):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        row_r = work[r]
+        inv = Fraction(1) / row_r[c]
+        row_r[c] = Fraction(1)
+        support = [j for j in range(c + 1, ncols) if row_r[j]]
+        for j in support:
+            row_r[j] *= inv
+        for row_i in work[r + 1:]:
+            f = row_i[c]
+            if f:
+                row_i[c] = Fraction(0)
+                for j in support:
+                    row_i[j] -= f * row_r[j]
         pivots.append(c)
+    return work, pivots
+
+
+def rref_kernel_basis(m) -> list[list[Fraction]]:
+    """Right-kernel basis read off the reduced row echelon form: for free
+    column f, 1 at f and minus column f of the reduced rows at the pivot
+    columns.  After `_row_echelon`, a backward pass clears above each pivot,
+    in the free columns alone (the only ones read)."""
+    work, pivots = _row_echelon(m)
+    ncols = len(work[0]) if work else 0
+    free = [c for c in range(ncols) if c not in pivots]
+    for r in reversed(range(len(pivots))):
+        c, row_r = pivots[r], work[r]
+        support = [j for j in free if j > c and row_r[j]]
+        for row_i in work[:r]:
+            f = row_i[c]
+            if f:
+                row_i[c] = Fraction(0)
+                for j in support:
+                    row_i[j] -= f * row_r[j]
     basis = []
-    for f in (c for c in range(ncols) if c not in pivots):
+    for f in free:
         v = [Fraction(0)] * ncols
         v[f] = Fraction(1)
         for r, c in enumerate(pivots):
             v[c] = -work[r][f]
         basis.append(v)
     return basis
+
+
+def rref_rank(m) -> int:
+    """Exact rank from the reduced row echelon form: the column count minus
+    the size of `rref_kernel_basis`, which is the number of pivots of its
+    forward pass, `_row_echelon`."""
+    return len(_row_echelon(m)[1])
 
 
 def reference_key(order, exps):
@@ -422,7 +453,7 @@ def brute_force_circuits(m) -> tuple[frozenset[int], ...]:
         frozenset(c)
         for size in range(1, n + 1)
         for c in combinations(range(1, n + 1), size)
-        if rank(column_submatrix(m, c)) < size
+        if rref_rank(column_submatrix(m, c)) < size
     ]
     return tuple(c for c in dependent if not any(d < c for d in dependent))
 
@@ -435,14 +466,14 @@ def rank_arrangement_signature(m) -> tuple[int, int, tuple[int, ...], tuple[int,
     cols = [list(col) for col in zip(*m)]
     reps: list[list[Fraction]] = []
     for col in cols:
-        if any(col) and not any(rank([[p[r], col[r]] for r in range(3)]) == 1 for p in reps):
+        if any(col) and not any(rref_rank([[p[r], col[r]] for r in range(3)]) == 1 for p in reps):
             reps.append(col)
     lines = set()
     for a, b in combinations(range(len(reps)), 2):
-        if rank([[reps[a][r], reps[b][r]] for r in range(3)]) != 2:
+        if rref_rank([[reps[a][r], reps[b][r]] for r in range(3)]) != 2:
             continue
         flat = frozenset(
-            c for c in range(len(reps)) if rank([[reps[a][r], reps[b][r], reps[c][r]] for r in range(3)]) == 2
+            c for c in range(len(reps)) if rref_rank([[reps[a][r], reps[b][r], reps[c][r]] for r in range(3)]) == 2
         )
         if len(flat) >= 3:
             lines.add(flat)
@@ -454,7 +485,7 @@ def rank_arrangement_signature(m) -> tuple[int, int, tuple[int, ...], tuple[int,
 def in_variety_by_edges(H, X) -> bool:
     """Variety membership written out: every edge's column submatrix has an
     exact rank below the edge's size."""
-    return all(rank(column_submatrix(X, e)) < len(e) for e in H.edges)
+    return all(rref_rank(column_submatrix(X, e)) < len(e) for e in H.edges)
 
 
 def fraction_mixture_matrix(rng: random.Random, m: int, n: int, k: int):
@@ -535,7 +566,7 @@ def fraction_concurrent_lines_draw(rng: random.Random):
         if not any(apex):
             continue
         vectors = [apex] + dirs
-        if any(rank([u, v]) < 2 for u, v in combinations(vectors, 2)):
+        if any(rref_rank([u, v]) < 2 for u, v in combinations(vectors, 2)):
             continue
         cols = [apex]
         for d in dirs:
@@ -592,11 +623,11 @@ def full_width_subgraph_circuits(fw, size: int) -> tuple[bool, str]:
     index = {e: i for i, e in enumerate(complete_graph_edges(fw.n))}
     for verts in combinations(range(1, fw.n + 1), size):
         rows = [R[index[e]] for e in combinations(verts, 2)]
-        if rank(rows) >= len(rows):
+        if rref_rank(rows) >= len(rows):
             return False, f"edge set of vertices {verts} is independent"
         for drop in range(len(rows)):
             kept = rows[:drop] + rows[drop + 1:]
-            if rank(kept) < len(kept):
+            if rref_rank(kept) < len(kept):
                 return False, f"proper subset of the {verts} edge set is dependent"
     return True, ""
 

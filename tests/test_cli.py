@@ -126,6 +126,30 @@ def test_a_missing_input_file_is_a_usage_error_naming_the_path(tmp_path, capsys,
     assert (code, out, err) == (2, "", f"error: [Errno 2] No such file or directory: {missing!r}\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ideal", "--ci", ""),
+        ("ideal", "--hypergraph", ""),
+        ("matroid", "--matrix", ""),
+        ("matroid", "--parametrization", ""),
+        ("rigidity", "--framework", "", "--n", "3", "--d", "2"),
+        ("grid", "--k", "2", "--l", "2", "--out", ""),
+        ("verify", "example31", "--config", ""),
+    ],
+    ids=lambda argv: argv[argv.index("") - 1],
+)
+def test_an_empty_path_is_a_usage_error_not_a_missing_flag(tmp_path, monkeypatch, capsys, argv):
+    """An empty path names no file: one `error:` line and exit 2, with no
+    fall-through to another source, no traceback, and nothing written to
+    stdout or the working directory."""
+    monkeypatch.chdir(tmp_path)
+    flag = argv[argv.index("") - 1]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {flag} needs a path, got ''\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_matroid_identity_matrix(tmp_path, capsys):
     mat = tmp_path / "id.mat"
     mat.write_text("3 3\n1 0 0\n0 1 0\n0 0 1\n")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import det_by_permutations, perm_sign, rank_by_minors, rref_kernel_basis, swap_tracking_det
+from helpers import det_by_permutations, perm_sign, rank_by_minors, rref_kernel_basis, rref_rank, swap_tracking_det
 from cigrid import linalg
 
 
@@ -16,11 +16,30 @@ def rand_mat(rng, d, n, lo=-6, hi=6):
     return [[Fraction(rng.randint(lo, hi), rng.randint(1, 4)) for _ in range(n)] for _ in range(d)]
 
 
+def small_cases() -> list[tuple[list[list], int]]:
+    """(matrix, rank): int rows, int and `Fraction` entries mixed with
+    denominators that differ from row to row, no columns, an all-zero 3 x 4,
+    and a rank-2 rational 3 x 12 (the shape of a theorem 3.2 realization)."""
+    rank_two = _product(random.Random(77), 3, 2, 12)
+    return [
+        ([[1, 2, 3], [2, 4, 6], [0, 1, 5]], 2),
+        ([[3, -1], [6, -2], [0, 0]], 1),
+        ([[1, Fraction(1, 2), 3], [Fraction(2, 3), 0, Fraction(5, 7)], [4, Fraction(3, 11), 0]], 3),
+        ([[Fraction(1, 2), 1, Fraction(3, 2)], [2, Fraction(4, 3), Fraction(2, 3)], [Fraction(1, 5), Fraction(2, 5), Fraction(3, 5)]], 2),
+        ([[]], 0),
+        ([[], []], 0),
+        (linalg.zeros(3, 4), 0),
+        (rank_two, 2),
+    ]
+
+
 def test_rank_small_cases():
     assert linalg.rank([]) == 0
     assert linalg.rank(linalg.identity(3)) == 3
     assert linalg.rank(linalg.mat([[1, 2], [2, 4]])) == 1
     assert linalg.rank(linalg.zeros(2, 5)) == 0
+    for m, r in small_cases():
+        assert linalg.rank(m) == r == rank_by_minors(m) == rref_rank(m), m
 
 
 @settings(max_examples=40, deadline=None)
@@ -83,6 +102,35 @@ def test_kernel_basis_matches_the_rref_kernel():
     assert any(linalg.rank(m) < min(len(m), len(m[0])) for m in cases if m and m[0])
     for m in cases:
         assert linalg.kernel_basis(m) == rref_kernel_basis(m)
+    for m, r in small_cases():
+        basis = linalg.kernel_basis(m)
+        assert basis == rref_kernel_basis(m) and len(basis) == len(m[0]) - r, m
+        assert all(type(x) is Fraction for v in basis for x in v)
+
+
+def test_every_exact_rank_kernel_and_determinant_runs_one_fraction_free_pass(monkeypatch):
+    """One exact elimination over Q: `rank` (on the columns), `kernel_basis`
+    (on the rows), `integer_rank`, `integer_det` and `det` each run
+    `_fraction_free` once, on integers."""
+    calls: list[list[list[int]]] = []
+    real = linalg._fraction_free
+    monkeypatch.setattr(linalg, "_fraction_free", lambda m: calls.append(m) or real(m))
+    rational = [[Fraction(1, 2), 1, 0, 3], [0, Fraction(2, 3), 1, 1], [1, 1, 1, Fraction(-5, 4)]]
+    square = [row[:3] for row in rational]
+    ints = [[1, 2, 0], [0, 2, 3], [1, 1, 1]]
+    for fn, m, shape in [
+        (linalg.rank, rational, (4, 3)),
+        (linalg.kernel_basis, rational, (3, 4)),
+        (linalg.integer_rank, ints, (3, 3)),
+        (linalg.integer_det, ints, (3, 3)),
+        (linalg.det, square, (3, 3)),
+    ]:
+        calls.clear()
+        fn(m)
+        assert len(calls) == 1, fn.__name__
+        [seen] = calls
+        assert (len(seen), len(seen[0])) == shape, fn.__name__
+        assert all(type(x) is int for row in seen for x in row), fn.__name__
 
 
 def test_rank_and_kernel_of_int_matrices_are_exact():
@@ -167,7 +215,7 @@ def test_integer_rank_matches_rank_on_every_rank_and_shape():
     seen = set()
     for m in cases:
         expected = linalg.rank(linalg.mat(m))
-        assert linalg.integer_rank(m) == expected, m
+        assert linalg.integer_rank(m) == expected == rref_rank(m), m
         if m and m[0]:
             seen.add((len(m), len(m[0]), expected))
     assert all((d, n, r) in seen for d in range(1, 6) for n in range(1, 6) for r in range(min(d, n) + 1))
@@ -247,6 +295,7 @@ def test_certified_rank_matches_exact_rank_with_true_wrong_and_dependent_witness
         m = _product(rng, d, r, n)
         exact = linalg.rank(m)
         true = linalg.kernel_basis(linalg.transpose(m))
+        assert exact == rref_rank(m) and true == rref_kernel_basis(linalg.transpose(m))
         wrong = [[x + 1 for x in y] for y in true] + [[Fraction(rng.randint(-3, 3)) for _ in range(d)]]
         wrong = [w for w in wrong if any(sum(a * b for a, b in zip(w, col)) for col in zip(*m))]
         dependent = [[3 * x for x in y] for y in true] + [[a + b for a, b in zip(y, true[0])] for y in true[1:]]
@@ -268,10 +317,15 @@ def test_certified_rank_needs_no_elimination_when_the_witnesses_span_the_kernel(
         doubled = [[2 * x for x in y] for y in true]
         extra = [[sum(col) for col in zip(*true)]] if true else []
         cases.append((m, linalg.rank(m), true + doubled + extra))
+        assert cases[-1][1] == rref_rank(m) and true == rref_kernel_basis(linalg.transpose(m))
     calls = _spy_rank(monkeypatch)
+    passes: list = []
+    real = linalg._fraction_free
+    monkeypatch.setattr(linalg, "_fraction_free", lambda m: passes.append(m) or real(m))
     for m, exact, witnesses in cases:
         assert linalg.certified_rank(m, witnesses).rank == exact
     assert calls == []
+    assert passes == []
 
 
 def test_certified_rank_trusts_no_unchecked_or_dependent_witness_below_the_shadow():
@@ -301,6 +355,7 @@ def test_certified_rank_checks_witnesses_against_columns_not_rows():
         skewed = [w for w in skewed if any(sum(a * b for a, b in zip(w, col)) for col in zip(*m))]
         got = linalg.certified_rank(m, true + skewed)
         assert got == (linalg.rank(m), true)
+        assert got.rank == rref_rank(m) and true == rref_kernel_basis(linalg.transpose(m))
 
 
 def test_certified_rank_never_trusts_a_shadow_above_the_bound(monkeypatch):
@@ -318,7 +373,7 @@ def test_certified_rank_never_trusts_a_shadow_above_the_bound(monkeypatch):
     honest = linalg.rank_of_vectors_mod_p
     monkeypatch.setattr(linalg, "rank_of_vectors_mod_p", lambda vectors, p=linalg.SHADOW_PRIME: honest(vectors, p) + 1)
     for m, exact, true in cases:
-        assert linalg.certified_rank(m, true).rank == exact
+        assert linalg.certified_rank(m, true).rank == exact == rref_rank(m)
 
 
 def test_certified_rank_of_empty_shapes():

@@ -221,7 +221,7 @@ def test_cached_shadow_rank_equals_exact_rank():
 def test_integer_columns_match_the_fractional_oracle():
     """Seeded products of fractional factors with one column over a
     denominator 3p, fresh or parallel to another column: the circuits equal
-    the brute-force oracle, and every `rank_of` equals `Fraction` `rank` of
+    the brute-force oracle, and every `rank_of` equals `linalg.rank` of
     the column submatrix.  The column's scale is a multiple of p, and its
     shadow is still the residues of its integer multiple."""
     p = linalg.SHADOW_PRIME

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from helpers import full_width_subgraph_circuits, pebble_game_rank, rank_by_minors, rational_rows
+from helpers import full_width_subgraph_circuits, pebble_game_rank, rank_by_minors, rational_rows, rref_rank
 from cigrid import linalg, secrig
 from cigrid.matroid import matroid_from_matrix
 from cigrid.secrig import (
@@ -246,7 +246,7 @@ def _shadow_rows(fw: Framework) -> list[list[int] | None]:
 def _spy_exact(monkeypatch) -> dict[str, list[tuple[int, int]]]:
     """Record the shape of every exact elimination the circuit check makes,
     directly or through `certified_rank`: `integer_rank` (the exact route of
-    `certified_rank`), `Fraction` `rank`, and `kernel_basis`."""
+    `certified_rank`), `rank`, and `kernel_basis`."""
     calls: dict[str, list[tuple[int, int]]] = {"integer_rank": [], "rank": [], "kernel_basis": []}
     for module, name in [(linalg, "integer_rank"), (linalg, "rank"), (linalg, "kernel_basis")]:
         real = getattr(module, name)
@@ -418,7 +418,7 @@ def test_denominators_divisible_by_the_shadow_prime_defer_to_the_exact_kernel(mo
 def _spy_elimination(monkeypatch) -> dict[str, int]:
     """Count the block rank routes the circuit check can take:
     `certified_rank` as secrig calls it, and inside it the mod-p rank,
-    `integer_rank`, `Fraction` `rank` and the exact left kernel."""
+    `integer_rank`, `rank` and the exact left kernel."""
     calls = dict.fromkeys(["certified_rank", "rank_of_vectors_mod_p", "integer_rank", "rank", "kernel_basis"], 0)
     for module, name in [
         (secrig, "certified_rank"),
@@ -502,10 +502,10 @@ def test_a_stress_that_fails_the_check_is_not_trusted(monkeypatch):
 
 
 def test_rigidity_rank_matches_exact_rank_on_seeded_and_degenerate_frameworks():
-    """The certified rank against `Fraction` elimination: seeded frameworks
-    on complete and sparse graphs, points on a line (d = 2) or in a plane
-    (d = 3), a point off a line of three (some l_i = 0), and p in a
-    denominator."""
+    """The certified rank against `linalg.rank` and the reduced row echelon
+    form's rank (`helpers.rref_rank`): seeded frameworks on complete and
+    sparse graphs, points on a line (d = 2) or in a plane (d = 3), a point
+    off a line of three (some l_i = 0), and p in a denominator."""
     rng = child_rng(17, "certified-rigidity")
     p = linalg.SHADOW_PRIME
     frameworks = [_framework(2, [(0, 0), (1, 0), (3, 0), (1, 2)]), _framework(1, [(0,), (p,), (2 * p,)])]
@@ -519,15 +519,15 @@ def test_rigidity_rank_matches_exact_rank_on_seeded_and_degenerate_frameworks():
         frameworks.append(Framework(d, ((Fraction(1, p),) * d,) + fw.coords[1:], fw.edges))
     for fw in frameworks:
         R = rigidity_matrix(fw)
-        assert rigidity_rank(fw, R) == linalg.rank(R), fw
+        assert rigidity_rank(fw, R) == linalg.rank(R) == rref_rank(R), fw
         if fw.n >= fw.d + 2 and fw.edges == complete_graph_edges(fw.n):
             assert _subgraph_circuits(fw) == full_width_subgraph_circuits(fw, fw.d + 2), fw
 
 
 def test_integer_framework_changes_no_rank_or_circuit_verdict():
     """Scaling each axis to integers (`integer_framework`) against the
-    `Fraction` route on the framework as given: the rank of
-    `rigidity_rank`, against `linalg.rank(rigidity_matrix(fw))`, and the
+    framework as given: the rank of `rigidity_rank`, against
+    `linalg.rank(rigidity_matrix(fw))` and `helpers.rref_rank`, and the
     circuit verdicts on d+2 vertices, against
     `full_width_subgraph_circuits`.  Seeded
     frameworks on complete and sparse graphs, points in a common hyperplane
@@ -554,7 +554,7 @@ def test_integer_framework_changes_no_rank_or_circuit_verdict():
         assert scaled.edges == fw.edges and all(type(x) is int for q in scaled.coords for x in q)
         R, S = rigidity_matrix(fw), rigidity_matrix(scaled)
         assert all(type(x) is int for row in S for x in row)
-        assert rigidity_rank(scaled, S) == rigidity_rank(fw, R) == linalg.rank(R), fw
+        assert rigidity_rank(scaled, S) == rigidity_rank(fw, R) == linalg.rank(R) == rref_rank(R), fw
         if fw.n >= fw.d + 2 and fw.edges == complete_graph_edges(fw.n):
             got = _check_complete_subgraph_circuits(scaled, S)
             assert got == full_width_subgraph_circuits(fw, fw.d + 2), fw
@@ -647,7 +647,7 @@ def test_segre_relations_are_independent_left_kernel_vectors():
 def test_generic_draws_make_no_exact_rank_call(monkeypatch):
     """On generic seeded draws the witnesses from theory close every gap:
     no exact `integer_rank` (the exact route of `certified_rank`) and no
-    `Fraction` `rank` call in `secant_dimension` or `generic_rigidity_check`."""
+    `rank` call in `secant_dimension` or `generic_rigidity_check`."""
     calls = []
     monkeypatch.setattr(linalg, "integer_rank", lambda m: calls.append(m) or 0)
     monkeypatch.setattr(linalg, "rank", lambda m: calls.append(m) or 0)
